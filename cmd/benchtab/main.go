@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func main() {
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		table      = flag.Int("table", 0, "regenerate Table N (1 or 2)")
 		fig        = flag.Int("fig", 0, "regenerate Figure N (1..10)")
-		ext        = flag.String("x", "", "extension experiment: placement|window|attacks|energy|frameaudit|transfer|fuzzyvault|modalities|hijack|imagepipeline|adaptation|noise|personalization|chaos")
+		ext        = flag.String("x", "", "extension experiment: "+extensionNames())
 		seed       = flag.Uint64("seed", harness.Seed, "deterministic experiment seed")
 		out        = flag.String("out", "", "also write each artifact to <out>/<id>.txt")
 		jsonPath   = flag.String("json", "", "measure every artifact generator and write {name: {ns_per_op, allocs_per_op}} to the given file ('' = off; '-' = BENCH_harness.json)")
@@ -159,29 +160,12 @@ func main() {
 		}
 		run(gens[*fig]())
 	case *ext != "":
-		gens := map[string]func() (harness.Result, error){
-			"placement":       func() (harness.Result, error) { return harness.XPlacement(*seed) },
-			"window":          func() (harness.Result, error) { return harness.XWindow(*seed) },
-			"attacks":         func() (harness.Result, error) { return harness.XAttacks(*seed) },
-			"energy":          func() (harness.Result, error) { return harness.XEnergy(*seed) },
-			"frameaudit":      func() (harness.Result, error) { return harness.XFrameAudit(*seed) },
-			"transfer":        func() (harness.Result, error) { return harness.XTransfer(*seed) },
-			"fuzzyvault":      func() (harness.Result, error) { return harness.XFuzzyVault(*seed) },
-			"modalities":      func() (harness.Result, error) { return harness.XModalities(*seed) },
-			"hijack":          func() (harness.Result, error) { return harness.XHijack(*seed) },
-			"imagepipeline":   func() (harness.Result, error) { return harness.XImagePipeline(*seed) },
-			"adaptation":      func() (harness.Result, error) { return harness.XAdaptation(*seed) },
-			"noise":           func() (harness.Result, error) { return harness.XNoise(*seed) },
-			"personalization": func() (harness.Result, error) { return harness.XPersonalization(*seed) },
-			"chaos":           func() (harness.Result, error) { return harness.XChaos(*seed) },
-			"streamchaos":     func() (harness.Result, error) { return harness.XStreamChaos(*seed) },
-		}
-		gen, ok := gens[*ext]
+		gen, ok := extensions[*ext]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtab: unknown extension %q\n", *ext)
+			fmt.Fprintf(os.Stderr, "benchtab: unknown extension %q (want %s)\n", *ext, extensionNames())
 			os.Exit(2)
 		}
-		run(gen())
+		run(gen(*seed))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -231,7 +215,7 @@ func writeServerJSON(path string, seed uint64) error {
 		{Devices: 8, Transport: loadgen.Stream, Mode: loadgen.PageRequest, Seed: seed},
 		{Devices: 8, Transport: loadgen.Stream, Mode: loadgen.PageRequest, Seed: seed, Batch: 16},
 		{Devices: 8, Transport: loadgen.Stream, Mode: loadgen.PageRequest, Seed: seed,
-			StreamFaults:  device.StreamFaultProfile{CutRate: 0.1, TearRate: 0.25, HandshakeGrace: 1},
+			Faults:        device.FaultProfile{CutRate: 0.1, TearRate: 0.25},
 			RetryAttempts: 4},
 		// Durable-store rows: the WAL enroll row against the in-memory
 		// enroll row directly above it prices the synced append every
@@ -293,6 +277,36 @@ func benchFTDCSample(b *testing.B) {
 		}
 		c.Sample(now, vals)
 	}
+}
+
+// extensions maps each -x name to its extension experiment.
+var extensions = map[string]func(seed uint64) (harness.Result, error){
+	"placement":       harness.XPlacement,
+	"window":          harness.XWindow,
+	"attacks":         harness.XAttacks,
+	"energy":          harness.XEnergy,
+	"frameaudit":      harness.XFrameAudit,
+	"transfer":        harness.XTransfer,
+	"fuzzyvault":      harness.XFuzzyVault,
+	"modalities":      harness.XModalities,
+	"hijack":          harness.XHijack,
+	"imagepipeline":   harness.XImagePipeline,
+	"adaptation":      harness.XAdaptation,
+	"noise":           harness.XNoise,
+	"personalization": harness.XPersonalization,
+	"chaos":           harness.XChaos,
+	"streamchaos":     harness.XStreamChaos,
+}
+
+// extensionNames lists the -x names, sorted and '|'-separated, so the
+// flag's help text and the unknown-name error always match the map.
+func extensionNames() string {
+	names := make([]string, 0, len(extensions))
+	for name := range extensions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, "|")
 }
 
 // benchEntry is one measured artifact in the -json report.

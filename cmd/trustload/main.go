@@ -160,8 +160,7 @@ func main() {
 		}
 		res, err := loadgen.Run(loadgen.Config{
 			Devices: n, Transport: tr, Mode: md, Seed: *seed,
-			Faults:        device.FaultProfile{DropRate: *faults},
-			StreamFaults:  device.StreamFaultProfile{CutRate: *cut, TearRate: *tear, HandshakeGrace: 1},
+			Faults:        device.FaultProfile{DropRate: *faults, CutRate: *cut, TearRate: *tear},
 			RetryAttempts: *retries,
 			Batch:         *batch,
 			Backend:       be,

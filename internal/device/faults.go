@@ -16,9 +16,13 @@ import (
 // layer treats exactly this class as worth retrying.
 var ErrNetwork = errors.New("device: network fault")
 
-// FaultProfile configures a FaultyTransport. The zero value injects
-// nothing (the wrapper is transparent). Rates are probabilities in
-// [0, 1].
+// FaultProfile configures fault injection. The zero value injects
+// nothing (the wrappers are transparent). Rates are probabilities in
+// [0, 1]. One profile serves both injection points, each reading its
+// own layer's settings: FaultyTransport the message-level ones (drop,
+// duplicate, corrupt), FaultyDialer the frame-level ones (cut, tear,
+// heartbeat warp) — the failure modes a long-lived stream adds on top
+// of per-message loss.
 type FaultProfile struct {
 	// DropRate is the per-direction loss probability: each request and
 	// each response is independently lost with this probability. A lost
@@ -34,24 +38,44 @@ type FaultProfile struct {
 	// byte flipped before delivery, provoking a terminal typed
 	// rejection.
 	CorruptRate float64
-	// DelayMean, when nonzero, adds exponentially distributed extra
-	// latency (in virtual time) to every call's forwarded timestamp.
-	DelayMean time.Duration
+	// CutRate is the probability a frame write is cut partway: a prefix
+	// of the frame reaches the peer, then the connection closes. The
+	// reader on the far side sees a truncated frame and must tear the
+	// stream down without misparsing.
+	CutRate float64
+	// TearRate is the probability a frame write is split into two
+	// separate writes (no loss — exercises reassembly across partial
+	// arrivals).
+	TearRate float64
+	// HeartbeatWarp, when nonzero, rewrites every outgoing heartbeat's
+	// timestamp to (sent time - HeartbeatWarp), clamped at zero — a
+	// device whose clock stepped backwards mid-session, or a
+	// time-rewinding man in the middle. The server's monotonicity
+	// contract (webserver.MaxHeartbeatSkew and the lastNow clamp) is
+	// what keeps this from dragging session time backwards; the device
+	// detects the tampering when the verbatim echo disagrees with what
+	// it believes it sent.
+	HeartbeatWarp time.Duration
 }
 
-// FaultStats counts what a FaultyTransport injected.
+// FaultStats counts what a fault injector did: the message-level
+// counters belong to FaultyTransport, the frame-level ones (Conns
+// onwards) to FaultyDialer.
 type FaultStats struct {
 	Calls            int
 	DroppedRequests  int
 	DroppedResponses int
 	Duplicated       int
 	Corrupted        int
-	TotalDelay       time.Duration
+	Conns            int
+	Cuts             int
+	Tears            int
+	Warps            int
 }
 
 // FaultyTransport wraps any Transport with deterministic, seeded fault
-// injection: message loss, duplication, corruption, and delay, all
-// drawn from a sim.RNG in virtual time. Same seed + same call sequence
+// injection: message loss, duplication, and corruption, all drawn from
+// a sim.RNG in virtual time. Same seed + same call sequence
 // → byte-identical fault schedule, so chaos experiments are exactly
 // reproducible.
 type FaultyTransport struct {
@@ -72,18 +96,13 @@ func NewFaultyTransport(inner Transport, profile FaultProfile, rng *sim.RNG) *Fa
 	return &FaultyTransport{Inner: inner, Profile: profile, rng: rng}
 }
 
-// faultyRound runs one call through the fault schedule: delay draw,
-// request-drop draw, delivery (plus possible duplicate delivery), then
-// response-drop draw. Draws happen in a fixed order so the schedule
+// faultyRound runs one call through the fault schedule: request-drop
+// draw, delivery (plus possible duplicate delivery), then response-drop
+// draw. Draws happen in a fixed order so the schedule
 // depends only on the RNG stream and the profile.
 func faultyRound[R any](t *FaultyTransport, op string, now time.Duration, do func(time.Duration) (R, error)) (R, error) {
 	var zero R
 	t.Stats.Calls++
-	if m := t.Profile.DelayMean; m > 0 {
-		d := time.Duration(t.rng.Exp(float64(m)))
-		t.Stats.TotalDelay += d
-		now += d
-	}
 	if p := t.Profile.DropRate; p > 0 && t.rng.Bool(p) {
 		t.Stats.DroppedRequests++
 		return zero, fmt.Errorf("%w: %s request dropped", ErrNetwork, op)

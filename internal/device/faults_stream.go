@@ -10,62 +10,28 @@ import (
 	"trust/internal/sim"
 )
 
-// StreamFaultProfile configures framing-level faults on a streamed
-// connection — the failure modes a long-lived link adds on top of the
-// per-message loss FaultyTransport models: a write cut mid-frame (link
-// died with a partial frame on the wire) and a torn write (one frame
-// arriving in two pieces). The zero value injects nothing.
-type StreamFaultProfile struct {
-	// CutRate is the probability a frame write is cut partway: a prefix
-	// of the frame reaches the peer, then the connection closes. The
-	// reader on the far side sees a truncated frame and must tear the
-	// stream down without misparsing.
-	CutRate float64
-	// TearRate is the probability a frame write is split into two
-	// separate writes (no loss — exercises reassembly across partial
-	// arrivals).
-	TearRate float64
-	// HeartbeatWarp, when nonzero, rewrites every outgoing heartbeat's
-	// timestamp to (sent time - HeartbeatWarp), clamped at zero — a
-	// device whose clock stepped backwards mid-session, or a
-	// time-rewinding man in the middle. The server's monotonicity
-	// contract (webserver.MaxHeartbeatSkew and the lastNow clamp) is
-	// what keeps this from dragging session time backwards; the device
-	// detects the tampering when the verbatim echo disagrees with what
-	// it believes it sent.
-	HeartbeatWarp time.Duration
-	// HandshakeGrace exempts the first n writes of each connection from
-	// faults. Chaos sweeps set it to 1 so the hello always goes out
-	// whole: the profile models an established link degrading, and a
-	// faulted hello would trigger the transport's sticky HTTP downgrade
-	// instead of the reconnect path under test.
-	HandshakeGrace int
-}
-
-// StreamFaultStats counts what a FaultyDialer injected.
-type StreamFaultStats struct {
-	Conns int
-	Cuts  int
-	Tears int
-	Warps int
-}
-
 // FaultyDialer wraps a stream dial function so every connection it
-// hands out injects seeded mid-frame faults. All draws come from a
-// sim.RNG at write time, and the stream transport serializes writes,
-// so the same seed and call sequence produce a byte-identical fault
-// schedule — chaos runs are exactly reproducible.
+// hands out injects seeded frame-level faults (FaultProfile's CutRate,
+// TearRate and HeartbeatWarp). All draws come from a sim.RNG at write
+// time, and the stream transport serializes writes, so the same seed
+// and call sequence produce a byte-identical fault schedule — chaos
+// runs are exactly reproducible.
+//
+// The first write of each connection — the hello or resume frame — is
+// never faulted: the profile models an established link degrading, and
+// a faulted handshake would trigger the transport's sticky HTTP
+// downgrade instead of the reconnect path under test.
 type FaultyDialer struct {
 	Inner   func() (io.ReadWriteCloser, error)
-	Profile StreamFaultProfile
-	Stats   StreamFaultStats
+	Profile FaultProfile
+	Stats   FaultStats
 
 	rng *sim.RNG
 }
 
 // NewFaultyDialer wraps inner with the given profile, drawing all
 // fault decisions from rng.
-func NewFaultyDialer(inner func() (io.ReadWriteCloser, error), profile StreamFaultProfile, rng *sim.RNG) *FaultyDialer {
+func NewFaultyDialer(inner func() (io.ReadWriteCloser, error), profile FaultProfile, rng *sim.RNG) *FaultyDialer {
 	return &FaultyDialer{Inner: inner, Profile: profile, rng: rng}
 }
 
@@ -104,7 +70,7 @@ func (c *faultyStreamConn) Close() error { return c.rwc.Close() }
 
 func (c *faultyStreamConn) Write(p []byte) (int, error) {
 	c.writes++
-	if c.writes > c.d.Profile.HandshakeGrace && len(p) > 0 {
+	if c.writes > 1 && len(p) > 0 {
 		if w := c.d.Profile.HeartbeatWarp; w > 0 && isHeartbeatFrame(p) {
 			c.d.Stats.Warps++
 			// Rewrite on a copy: the frame buffer belongs to the caller.

@@ -295,6 +295,86 @@ func TestLoginResilientRetriesNetworkFaults(t *testing.T) {
 	}
 }
 
+// TestResilientRetryAccounting pins the one retry loop behind all three
+// resilient flows. Under total loss each flow spends its whole budget:
+// four attempts, one dev_retries per backoff, and a returned clock that
+// is the start plus exactly the backoffs drawn from the retry RNG. A
+// corrupted request draws a typed rejection on the first attempt, which
+// ends the loop with no retry and no wait.
+func TestResilientRetryAccounting(t *testing.T) {
+	const seed = 12
+	policy := RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 800 * time.Millisecond, JitterFrac: 0.2}
+	// armFaults seeds the retry RNG with seed+1.
+	var waits time.Duration
+	rng := sim.NewRNG(seed + 1)
+	for a := 1; a < policy.MaxAttempts; a++ {
+		waits += policy.backoff(a, rng)
+	}
+	login := func(fx *fixture, now time.Duration) (time.Duration, error) {
+		return fx.dev.LoginResilient(now, fx.server.Certificate(), "acct")
+	}
+	resume := func(fx *fixture, now time.Duration) (time.Duration, error) {
+		return fx.dev.LoginResumeResilient(now, fx.server.Certificate(), "acct")
+	}
+	browse := func(fx *fixture, now time.Duration) (time.Duration, error) {
+		return fx.dev.BrowseResilient(now, "page")
+	}
+	loss, corrupt := FaultProfile{DropRate: 1}, FaultProfile{CorruptRate: 1}
+	cases := []struct {
+		name    string
+		run     func(*fixture, time.Duration) (time.Duration, error)
+		profile FaultProfile
+		noCache bool // drop the cached page, leaving no local fallback
+		// calls counts transport deliveries: a login attempt that gets its
+		// page stops at the submit, and the resume flow's first attempt
+		// also presents (and loses) its ticket.
+		calls, retries int
+		wait           time.Duration
+		wantErr        string // with wantIs nil, the flow must succeed degraded
+		wantIs         error
+	}{
+		{"login/loss", login, loss, false, 4, 3, waits, "login failed after retries", ErrNetwork},
+		{"resume/loss", resume, loss, false, 5, 3, waits, "login failed after retries", ErrNetwork},
+		{"browse/loss", browse, loss, false, 4, 3, waits, "", nil},
+		{"browse/loss-no-fallback", browse, loss, true, 4, 3, waits, "server unreachable", ErrNetwork},
+		{"login/corrupt", login, corrupt, false, 2, 0, 0, "login failed after retries", webserver.ErrBadMAC},
+		{"resume/corrupt", resume, corrupt, false, 3, 0, 0, "login failed after retries", webserver.ErrBadMAC},
+		{"browse/corrupt", browse, corrupt, false, 1, 0, 0, "", webserver.ErrBadMAC},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newFixture(t, nil)
+			ft := armFaults(fx, seed, policy)
+			fx.registerAndLogin(t)
+			fx.touchOwner(t)
+			if c.noCache {
+				fx.dev.current = nil
+			}
+			ft.Profile = c.profile
+			calls, retries := ft.Stats.Calls, fx.dev.tel.retries.Load()
+
+			now, err := c.run(fx, fx.now)
+			if got := ft.Stats.Calls - calls; got != c.calls {
+				t.Errorf("%d deliveries, want %d", got, c.calls)
+			}
+			if got := fx.dev.tel.retries.Load() - retries; got != int64(c.retries) {
+				t.Errorf("dev_retries grew by %d, want %d", got, c.retries)
+			}
+			if now != fx.now+c.wait {
+				t.Errorf("returned clock %v, want start %v + %v", now, fx.now, c.wait)
+			}
+			switch {
+			case c.wantIs == nil:
+				if err != nil || !fx.dev.Degraded() {
+					t.Fatalf("err = %v, degraded = %v; want a degraded success", err, fx.dev.Degraded())
+				}
+			case !errors.Is(err, c.wantIs) || !strings.Contains(fmt.Sprint(err), c.wantErr):
+				t.Fatalf("err = %v, want %v wrapped in %q", err, c.wantIs, c.wantErr)
+			}
+		})
+	}
+}
+
 // TestRetryPolicyBackoffShape: capped exponential growth, jitter
 // bounded by JitterFrac, deterministic for a fixed RNG stream.
 func TestRetryPolicyBackoffShape(t *testing.T) {

@@ -43,14 +43,6 @@ func DefaultRetryPolicy() RetryPolicy {
 // own resync path instead, see BrowseResilient).
 func Retryable(err error) bool { return errors.Is(err, ErrNetwork) }
 
-// attempts returns the effective total attempt count.
-func (p *RetryPolicy) attempts() int {
-	if p == nil || p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
 // backoff returns the delay before attempt+1 (attempt counts completed
 // tries, starting at 1).
 func (p *RetryPolicy) backoff(attempt int, rng *sim.RNG) time.Duration {
@@ -106,28 +98,38 @@ func (d *Device) Resync(now time.Duration) error {
 	return nil
 }
 
+// retry is the one backoff loop behind the *Resilient flows. It runs
+// attempt until it succeeds, fails with an error that is not Retryable,
+// or the policy's budget is spent; before each further try it counts a
+// retry and advances the virtual clock by the policy's backoff. It
+// returns that clock and the last attempt's error.
+func (d *Device) retry(now time.Duration, attempt func(now time.Duration) error) (time.Duration, error) {
+	for a := 1; ; a++ {
+		err := attempt(now)
+		if err == nil {
+			d.degraded = false
+			return now, nil
+		}
+		// No policy, like a MaxAttempts below 2, means fail-fast.
+		if !Retryable(err) || d.Retry == nil || a >= d.Retry.MaxAttempts {
+			return now, err
+		}
+		d.tel.retries.Add(1)
+		now += d.Retry.backoff(a, d.retryRNG)
+	}
+}
+
 // LoginResilient runs the Fig 10 login under the retry policy. Each
 // attempt refetches the login page (its nonce is single-use, so a
 // failed submission can never be replayed verbatim). It returns the
 // virtual time after all waiting, so callers keep their clock aligned
 // with the backoff actually spent.
 func (d *Device) LoginResilient(now time.Duration, cert *pki.Certificate, account string) (time.Duration, error) {
-	var lastErr error
-	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
-		err := d.Login(now, cert, account)
-		if err == nil {
-			d.degraded = false
-			return now, nil
-		}
-		lastErr = err
-		if !Retryable(err) || a == attempts {
-			break
-		}
-		d.tel.retries.Add(1)
-		now += d.Retry.backoff(a, d.retryRNG)
+	now, err := d.retry(now, func(now time.Duration) error { return d.Login(now, cert, account) })
+	if err != nil {
+		return now, fmt.Errorf("device: login failed after retries: %w", err)
 	}
-	return now, fmt.Errorf("device: login failed after retries: %w", lastErr)
+	return now, nil
 }
 
 // LoginResumeResilient is LoginResilient for the resume-first login:
@@ -137,22 +139,11 @@ func (d *Device) LoginResilient(now time.Duration, cert *pki.Certificate, accoun
 // first in-attempt failure, so later attempts are pure full logins —
 // deterministic, at worst one wasted ticket.
 func (d *Device) LoginResumeResilient(now time.Duration, cert *pki.Certificate, account string) (time.Duration, error) {
-	var lastErr error
-	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
-		err := d.LoginResume(now, cert, account)
-		if err == nil {
-			d.degraded = false
-			return now, nil
-		}
-		lastErr = err
-		if !Retryable(err) || a == attempts {
-			break
-		}
-		d.tel.retries.Add(1)
-		now += d.Retry.backoff(a, d.retryRNG)
+	now, err := d.retry(now, func(now time.Duration) error { return d.LoginResume(now, cert, account) })
+	if err != nil {
+		return now, fmt.Errorf("device: login failed after retries: %w", err)
 	}
-	return now, fmt.Errorf("device: login failed after retries: %w", lastErr)
+	return now, nil
 }
 
 // BrowseResilient issues one continuous-auth page request under the
@@ -173,32 +164,18 @@ func (d *Device) BrowseResilient(now time.Duration, action string) (time.Duratio
 	if d.session == nil {
 		return now, errors.New("device: no session")
 	}
-	var lastErr error
-	attempts := d.Retry.attempts()
-	for a := 1; a <= attempts; a++ {
+	now, err := d.retry(now, func(now time.Duration) error {
 		err := d.Browse(now, action)
-		if err == nil {
-			d.degraded = false
-			return now, nil
-		}
 		if errors.Is(err, webserver.ErrBadNonce) {
 			// The only way the device's nonce goes stale mid-session is
 			// a dropped response: the server already served this action.
 			// Resync fetches that page under a fresh nonce.
 			err = d.Resync(now)
-			if err == nil {
-				d.degraded = false
-				return now, nil
-			}
 		}
-		lastErr = err
-		if !Retryable(err) {
-			return now, err
-		}
-		if a < attempts {
-			d.tel.retries.Add(1)
-			now += d.Retry.backoff(a, d.retryRNG)
-		}
+		return err
+	})
+	if err == nil || !Retryable(err) {
+		return now, err
 	}
 	// Retries exhausted on network faults: the server is unreachable.
 	// Fall back to local mode if the module still vouches for the user.
@@ -208,5 +185,5 @@ func (d *Device) BrowseResilient(now time.Duration, action string) (time.Duratio
 		d.tel.degradedEnters.Add(1)
 		return now, nil
 	}
-	return now, fmt.Errorf("device: server unreachable and no local fallback: %w", lastErr)
+	return now, fmt.Errorf("device: server unreachable and no local fallback: %w", err)
 }

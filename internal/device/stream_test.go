@@ -194,7 +194,7 @@ func TestStreamSurvivesMidFrameCut(t *testing.T) {
 	rng := sim.NewRNG(77)
 	var fd *FaultyDialer
 	fx, tr := newStreamFixture(t, func(dial func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error) {
-		fd = NewFaultyDialer(dial, StreamFaultProfile{}, rng)
+		fd = NewFaultyDialer(dial, FaultProfile{}, rng)
 		return fd.Dial
 	})
 	fx.registerAndLogin(t)
@@ -205,12 +205,12 @@ func TestStreamSurvivesMidFrameCut(t *testing.T) {
 	// mid-frame), watch a plain browse die retryably, then disarm and
 	// let the resilient flow redial and recover through resync.
 	for round := 0; round < 2; round++ {
-		fd.Profile = StreamFaultProfile{CutRate: 1, HandshakeGrace: 1}
+		fd.Profile = FaultProfile{CutRate: 1}
 		err := fx.dev.Browse(fx.now, "view-statement")
 		if !errors.Is(err, ErrNetwork) {
 			t.Fatalf("round %d: cut browse returned %v, want ErrNetwork", round, err)
 		}
-		fd.Profile = StreamFaultProfile{}
+		fd.Profile = FaultProfile{}
 		if _, err := fx.dev.BrowseResilient(fx.now, "view-statement"); err != nil {
 			t.Fatalf("round %d: recovery browse: %v", round, err)
 		}
@@ -236,11 +236,11 @@ func TestStreamTornWritesReassemble(t *testing.T) {
 	rng := sim.NewRNG(78)
 	var fd *FaultyDialer
 	fx, _ := newStreamFixture(t, func(dial func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error) {
-		fd = NewFaultyDialer(dial, StreamFaultProfile{}, rng)
+		fd = NewFaultyDialer(dial, FaultProfile{}, rng)
 		return fd.Dial
 	})
 	fx.registerAndLogin(t)
-	fd.Profile = StreamFaultProfile{TearRate: 1, HandshakeGrace: 1}
+	fd.Profile = FaultProfile{TearRate: 1}
 	for i := 0; i < 5; i++ {
 		fx.touchOwner(t)
 		if err := fx.dev.Browse(fx.now, "home"); err != nil {
@@ -466,7 +466,7 @@ func serverMetric(t *testing.T, srv *webserver.Server, name string) int64 {
 func TestStreamHeartbeatWarpDetectedAndRecovered(t *testing.T) {
 	var fd *FaultyDialer
 	fx, tr := newStreamFixture(t, func(dial func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error) {
-		fd = NewFaultyDialer(dial, StreamFaultProfile{}, sim.NewRNG(11))
+		fd = NewFaultyDialer(dial, FaultProfile{}, sim.NewRNG(11))
 		return fd.Dial
 	})
 	fx.registerAndLogin(t)

@@ -2,6 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -111,5 +115,54 @@ func TestXChaosCaptureByteIdentical(t *testing.T) {
 	}
 	if last := data.Names[len(data.Names)-1]; last != "dev_stream_downgrades" {
 		t.Fatalf("schema ends with %q, want the device metric block", last)
+	}
+}
+
+// TestChaosArtifactsGolden pins both chaos sweeps to their committed
+// artifacts, rendered the way `benchtab -out` writes them, so a change
+// to the retry loop, the fault injectors or the sweep driver that moves
+// a single byte fails here rather than in a manual diff.
+func TestChaosArtifactsGolden(t *testing.T) {
+	for _, e := range []struct {
+		name string
+		fn   func(uint64) (Result, error)
+	}{
+		{"XChaos", XChaos},
+		{"XStreamChaos", XStreamChaos},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			r, err := e.fn(Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("..", "..", "artifacts", r.ID+".txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.String() + "\n"; got != string(want) {
+				t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", e.name, path, got, want)
+			}
+		})
+	}
+}
+
+// TestXChaosCaptureGolden pins the X14 telemetry capture's size and
+// digest, so the per-round dev_retries and dev_stream_* samples cannot
+// change unnoticed.
+func TestXChaosCaptureGolden(t *testing.T) {
+	const (
+		wantLen = 100775
+		wantSum = "5eb26068e8123b08e4aa208821306ec391c8f3df152ad6af9e87f1b658d98532"
+	)
+	_, capt, err := XChaosCapture(Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(capt)
+	if got := hex.EncodeToString(sum[:]); len(capt) != wantLen || got != wantSum {
+		t.Fatalf("X14 capture is %d B sha256 %s, want %d B sha256 %s; for a per-metric report write the capture "+
+			"at this and at the previous commit with `go run ./cmd/benchtab -ftdc <file>`, then run "+
+			"`go run ./cmd/benchtab -ftdc-diff before.ftdc,after.ftdc`", len(capt), got, wantLen, wantSum)
 	}
 }

@@ -200,9 +200,7 @@ func KillSweep(cfg KillConfig) (KillReport, error) {
 	defer wal.Close()
 	recs, _ := wal.State()
 	rep.Recovered = len(recs)
-	seen := make(map[string]bool, len(recs))
 	for _, r := range recs {
-		seen[r.Account] = true
 		if !acked[r.Account] {
 			rep.Resurrected++
 		}

@@ -133,15 +133,13 @@ type Config struct {
 	Seed uint64
 	// Faults, when non-zero, injects deterministic network faults into
 	// the measured traffic (registration and session establishment stay
-	// clean). Lossy scenarios need RetryAttempts > 0 or ops fail.
+	// clean): its message-level rates on every transport, its
+	// frame-level ones (mid-frame cuts, torn writes) on the Stream
+	// transport. Lossy scenarios need RetryAttempts > 0 or ops fail.
 	Faults device.FaultProfile
 	// RetryAttempts arms the devices' resilient flows with this total
 	// attempt budget; 0 leaves the historical fail-fast behavior.
 	RetryAttempts int
-	// StreamFaults, when non-zero on the Stream transport, injects
-	// deterministic framing faults (mid-frame cuts, torn writes) into
-	// the measured traffic. Needs RetryAttempts > 0 to survive cuts.
-	StreamFaults device.StreamFaultProfile
 	// Batch, when > 1 on the Stream transport with Mode PageRequest,
 	// makes each op a pipelined BrowseBatch of this many actions in one
 	// frame (per-op figures then cover the whole batch).
@@ -171,8 +169,8 @@ func (c Config) Name() string {
 	if c.Faults.DropRate > 0 {
 		name += fmt.Sprintf("_drop%.0fr%d", c.Faults.DropRate*100, c.RetryAttempts)
 	}
-	if c.StreamFaults.CutRate > 0 {
-		name += fmt.Sprintf("_cut%.0fr%d", c.StreamFaults.CutRate*100, c.RetryAttempts)
+	if c.Faults.CutRate > 0 {
+		name += fmt.Sprintf("_cut%.0fr%d", c.Faults.CutRate*100, c.RetryAttempts)
 	}
 	return name
 }
@@ -286,9 +284,9 @@ func build(cfg Config) (*fleet, error) {
 		addr := ln.Addr().String()
 		mkTransport = func(i int, ld *loadDevice) device.Transport {
 			dial := func() (io.ReadWriteCloser, error) { return net.Dial("tcp", addr) }
-			if cfg.StreamFaults != (device.StreamFaultProfile{}) {
+			if fp := cfg.Faults; fp.CutRate > 0 || fp.TearRate > 0 || fp.HeartbeatWarp > 0 {
 				// Build clean; the profile is armed after login with ft's.
-				ld.fd = device.NewFaultyDialer(dial, device.StreamFaultProfile{}, sim.NewRNG(cfg.Seed^0xfa02+uint64(i)*41))
+				ld.fd = device.NewFaultyDialer(dial, device.FaultProfile{}, sim.NewRNG(cfg.Seed^0xfa02+uint64(i)*41))
 				dial = ld.fd.Dial
 			}
 			return &device.Stream{
@@ -312,7 +310,8 @@ func build(cfg Config) (*fleet, error) {
 			fl.close()
 			return nil, err
 		}
-		faulty := cfg.Faults != (device.FaultProfile{}) || (cfg.RetryAttempts > 0 && cfg.Transport != Stream)
+		fp := cfg.Faults
+		faulty := fp.DropRate > 0 || fp.DuplicateRate > 0 || fp.CorruptRate > 0 || (cfg.RetryAttempts > 0 && cfg.Transport != Stream)
 		ld := &loadDevice{}
 		tr := mkTransport(i, ld)
 		if faulty {
@@ -368,7 +367,7 @@ func build(cfg Config) (*fleet, error) {
 			ld.ft.Profile = cfg.Faults
 		}
 		if ld.fd != nil {
-			ld.fd.Profile = cfg.StreamFaults
+			ld.fd.Profile = cfg.Faults
 		}
 	}
 	return fl, nil
