@@ -238,8 +238,9 @@ func writeServerJSON(path string, seed uint64) error {
 		fmt.Fprintf(os.Stderr, "%-28s %12.0f ops/sec %10.2fµs p50 %10.2fµs p99 %6d allocs/op\n",
 			res.Name, res.OpsPerSec, float64(res.P50Ns)/1e3, float64(res.P99Ns)/1e3, res.AllocsPerOp)
 	}
-	// Recovery rows: snapshot-load + WAL-replay time for a cold server
-	// start at each account-store size (the crash-recovery downtime).
+	// Recovery rows: cold-start time at each account-store size — WAL
+	// recovery (snapshot load + log replay) plus building the server
+	// over the recovered accounts (the crash-recovery downtime).
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		runtime.GC()
 		res, err := loadgen.MeasureRecovery(n)

@@ -5,13 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"trust/internal/pki"
 	"trust/internal/store"
+	"trust/internal/webserver"
 )
 
 // MeasureRecovery times a cold server start over a durable store
-// holding n accounts — snapshot load plus WAL-suffix replay, the
-// downtime a crashed server pays before serving logins again. The
-// result rides BENCH_server.json next to the throughput rows.
+// holding n accounts — store.OpenWAL (snapshot load plus WAL-suffix
+// replay) and webserver.NewDurable (server keys and certificate, then
+// the account shards seeded from the recovered state): the downtime a
+// crashed server pays before serving logins again. The CA exists before
+// the crash, so it is built outside the timed loop. The result rides
+// BENCH_server.json next to the throughput rows.
 func MeasureRecovery(n int) (Result, error) {
 	if n < 1 {
 		return Result{}, fmt.Errorf("loadgen: recovery over %d accounts", n)
@@ -42,6 +47,11 @@ func MeasureRecovery(n int) (Result, error) {
 		return Result{}, err
 	}
 
+	ca, err := pki.NewCA("trust-root", pki.NewDeterministicRand(0x10ad))
+	if err != nil {
+		return Result{}, err
+	}
+	last := fmt.Sprintf("recov-acct-%07d", n-1)
 	var openErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -51,8 +61,16 @@ func MeasureRecovery(n int) (Result, error) {
 				openErr = err
 				return
 			}
-			if got := w.Stats().Live; got != n {
-				openErr = fmt.Errorf("loadgen: recovered %d accounts, want %d", got, n)
+			srv, err := webserver.NewDurable("load.example", ca, 0x5e7, w)
+			switch {
+			case err != nil:
+				openErr = err
+			case w.Stats().Live != n:
+				openErr = fmt.Errorf("loadgen: recovered %d accounts, want %d", w.Stats().Live, n)
+			default:
+				if _, ok := srv.Account(last); !ok {
+					openErr = fmt.Errorf("loadgen: recovered server lacks account %s", last)
+				}
 			}
 			w.Close()
 		}

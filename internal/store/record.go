@@ -114,6 +114,9 @@ const (
 	// maxPayload bounds a declared payload length during replay so a
 	// corrupt length field cannot demand gigabytes.
 	maxPayload = 1 << 20
+	// minFrameSize is the smallest frame decodeFrame accepts: a reset
+	// or revoke with an empty account id.
+	minFrameSize = frameHeaderSize + 8 + 1 + 8 + 8 + 2
 )
 
 // appendFrame encodes rec (with its sequence number) as one frame onto

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -68,6 +70,13 @@ type WALStats struct {
 // appends; it is a leaf in this package (no other lock is taken under
 // it) and the webserver calls Append outside its shard locks — see
 // docs/server-scaling.md and trustlint's lockorder rule.
+//
+// The state is held as a sorted run plus a small delta: base is the
+// state as of the last snapshot (loaded or written) and delta the last
+// record applied per account since then — at most SnapshotEvery
+// appends plus the log suffix replayed at open. Reads and compactions
+// fold the delta into base in one sequential walk that sorts only the
+// delta's keys.
 type WAL struct {
 	fsys FS
 	opts WALOptions
@@ -79,8 +88,19 @@ type WAL struct {
 	snapSeq uint64
 	since   int // records appended since the last snapshot
 	gen     uint64
-	live    map[string]Record
-	revoked map[string]Record
+	// base holds live enrolls and revoke tombstones, strictly sorted by
+	// account.
+	base []Record
+	// delta holds, per account touched since base was taken, its
+	// effective record: an enroll, a revoke tombstone, or a reset that
+	// removed an enroll (a deletion marker).
+	delta map[string]Record
+	// spare is the array base held before the last compaction, reused
+	// by the next one.
+	spare []Record
+	// live and revoked count the enrolls and tombstones in base+delta.
+	live    int
+	revoked int
 	buf     []byte
 	stats   WALStats
 }
@@ -93,10 +113,9 @@ type WAL struct {
 // acknowledged must never happen silently.
 func OpenWAL(fsys FS, opts WALOptions) (*WAL, error) {
 	w := &WAL{
-		fsys:    fsys,
-		opts:    opts,
-		live:    make(map[string]Record),
-		revoked: make(map[string]Record),
+		fsys:  fsys,
+		opts:  opts,
+		delta: make(map[string]Record),
 	}
 	if err := w.loadSnapshot(); err != nil {
 		return nil, err
@@ -115,9 +134,10 @@ func OpenWAL(fsys FS, opts WALOptions) (*WAL, error) {
 // loadSnapshot restores the compacted state, if a snapshot exists.
 //
 // Snapshot layout: magic || lastSeq(u64) || gen(u64) || count(u64) ||
-// headerCRC(u32) || count record frames (seq field zero). The file is
-// written in full and synced before being renamed into place, so a
-// snapshot either exists completely or not at all.
+// headerCRC(u32) || count record frames (seq field zero), strictly
+// sorted by account and holding only enrolls and revoke tombstones.
+// The file is written in full and synced before being renamed into
+// place, so a snapshot either exists completely or not at all.
 func (w *WAL) loadSnapshot() error {
 	f, err := w.fsys.OpenRead(snapName)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -126,7 +146,7 @@ func (w *WAL) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("%w: opening snapshot: %v", ErrStorage, err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readAll(f)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("%w: reading snapshot: %v", ErrStorage, err)
@@ -142,17 +162,34 @@ func (w *WAL) loadSnapshot() error {
 	w.gen = binary.LittleEndian.Uint64(data[len(snapMagic)+8:])
 	count := binary.LittleEndian.Uint64(data[len(snapMagic)+16:])
 	rest := data[header+4:]
+	// Every entry takes at least minFrameSize bytes, so a count the
+	// file cannot hold is refused before it sizes an allocation.
+	if count > uint64(len(rest)/minFrameSize) {
+		return fmt.Errorf("%w: snapshot count %d exceeds its %d bytes", ErrCorrupt, count, len(rest))
+	}
+	base := make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		rec, _, size, err := decodeFrame(rest)
 		if err != nil {
 			return fmt.Errorf("%w: snapshot entry %d: %v", ErrCorrupt, i, err)
 		}
-		w.apply(rec)
+		if rec.Kind == KindReset {
+			return fmt.Errorf("%w: snapshot entry %d is a reset", ErrCorrupt, i)
+		}
+		if n := len(base); n > 0 && rec.Account <= base[n-1].Account {
+			return fmt.Errorf("%w: snapshot entry %d out of order or duplicated", ErrCorrupt, i)
+		}
+		base = append(base, rec)
+		w.tally(rec, 1)
+		if rec.Gen > w.gen {
+			w.gen = rec.Gen
+		}
 		rest = rest[size:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d bytes after last snapshot entry", ErrCorrupt, len(rest))
 	}
+	w.base = base
 	w.seq = w.snapSeq
 	w.stats.SnapshotSeq = w.snapSeq
 	return nil
@@ -169,7 +206,7 @@ func (w *WAL) replayLog() error {
 	if err != nil {
 		return fmt.Errorf("%w: opening log: %v", ErrStorage, err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readAll(f)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("%w: reading log: %v", ErrStorage, err)
@@ -196,6 +233,15 @@ func (w *WAL) replayLog() error {
 		off += size
 	}
 	return nil
+}
+
+// readAll reads f to its end into a buffer that doubles as it grows;
+// io.ReadAll grows by a quarter at a time, copying a 100k-account
+// snapshot through dozens of regrowths.
+func readAll(f File) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := io.Copy(&buf, f)
+	return buf.Bytes(), err
 }
 
 // hasValidFrameBeyond reports whether any byte offset within data
@@ -237,21 +283,69 @@ func (w *WAL) rewriteLog(content []byte) error {
 }
 
 // apply folds one record into the in-memory state. Enroll sets the
-// binding, reset removes it, revoke removes it and tombstones the id.
+// binding, reset removes it (a tombstone stays), revoke removes it and
+// tombstones the id.
 func (w *WAL) apply(rec Record) {
-	switch rec.Kind {
-	case KindEnroll:
-		w.live[rec.Account] = rec
-		delete(w.revoked, rec.Account)
-	case KindReset:
-		delete(w.live, rec.Account)
-	case KindRevoke:
-		delete(w.live, rec.Account)
-		w.revoked[rec.Account] = rec
-	}
 	if rec.Gen > w.gen {
 		w.gen = rec.Gen
 	}
+	prev, had := w.lookup(rec.Account)
+	if rec.Kind == KindReset && (!had || prev.Kind == KindRevoke) {
+		return // nothing bound: the reset changes no state
+	}
+	if had {
+		w.tally(prev, -1)
+	}
+	w.tally(rec, 1)
+	w.delta[rec.Account] = rec
+}
+
+// lookup returns the effective record for account — an enroll or a
+// revoke tombstone — or false when the account holds neither.
+func (w *WAL) lookup(account string) (Record, bool) {
+	if rec, ok := w.delta[account]; ok {
+		return rec, rec.Kind != KindReset
+	}
+	i := sort.Search(len(w.base), func(i int) bool { return w.base[i].Account >= account })
+	if i < len(w.base) && w.base[i].Account == account {
+		return w.base[i], true
+	}
+	return Record{}, false
+}
+
+// tally adds sign to the live or revoked count rec falls under.
+func (w *WAL) tally(rec Record, sign int) {
+	switch rec.Kind {
+	case KindEnroll:
+		w.live += sign
+	case KindRevoke:
+		w.revoked += sign
+	}
+}
+
+// merged appends base with the delta folded in, sorted by account, to
+// dst[:0]. Only the delta's keys are sorted; base is copied in runs
+// between them, so the cost is one pass over base plus O(delta · log n).
+func (w *WAL) merged(dst []Record) []Record {
+	keys := make([]string, 0, len(w.delta))
+	for k := range w.delta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := slices.Grow(dst[:0], w.live+w.revoked)
+	i := 0
+	for _, k := range keys {
+		j := i + sort.Search(len(w.base)-i, func(j int) bool { return w.base[i+j].Account >= k })
+		out = append(out, w.base[i:j]...)
+		i = j
+		if i < len(w.base) && w.base[i].Account == k {
+			i++ // superseded by the delta
+		}
+		if rec := w.delta[k]; rec.Kind != KindReset {
+			out = append(out, rec)
+		}
+	}
+	return append(out, w.base[i:]...)
 }
 
 // Append makes one record durable: a single framed write followed by a
@@ -297,26 +391,16 @@ func (w *WAL) Append(rec Record) error {
 // byte-identical however that state was reached), publishes it with an
 // atomic rename, and resets the log. Called with w.mu held.
 func (w *WAL) snapshotLocked() error {
-	names := make([]string, 0, len(w.live)+len(w.revoked))
-	for name := range w.live {
-		names = append(names, name)
-	}
-	for name := range w.revoked {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
+	// Merge into the previous base's array: compaction then allocates
+	// only when the state outgrows it.
+	recs := w.merged(w.spare)
 	buf := w.buf[:0]
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, w.seq)
 	buf = binary.LittleEndian.AppendUint64(buf, w.gen)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(names)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(recs)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	for _, name := range names {
-		rec, ok := w.live[name]
-		if !ok {
-			rec = w.revoked[name]
-		}
+	for _, rec := range recs {
 		buf = appendFrame(buf, 0, rec)
 	}
 	w.buf = buf
@@ -344,6 +428,8 @@ func (w *WAL) snapshotLocked() error {
 	w.stats.SnapshotSeq = w.seq
 	w.stats.Snapshots++
 	w.since = 0
+	w.base, w.spare = recs, w.base
+	clear(w.delta)
 	w.w.Close()
 	nf, err := w.fsys.Create(walName)
 	if err != nil {
@@ -359,23 +445,7 @@ func (w *WAL) snapshotLocked() error {
 func (w *WAL) State() ([]Record, uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	names := make([]string, 0, len(w.live)+len(w.revoked))
-	for name := range w.live {
-		names = append(names, name)
-	}
-	for name := range w.revoked {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Record, 0, len(names))
-	for _, name := range names {
-		if rec, ok := w.live[name]; ok {
-			out = append(out, rec)
-		} else {
-			out = append(out, w.revoked[name])
-		}
-	}
-	return out, w.gen
+	return w.merged(nil), w.gen
 }
 
 // Stats returns open/append statistics.
@@ -383,8 +453,8 @@ func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := w.stats
-	st.Live = len(w.live)
-	st.Revoked = len(w.revoked)
+	st.Live = w.live
+	st.Revoked = w.revoked
 	st.Seq = w.seq // recovered seq counts too, not just this handle's appends
 	return st
 }
@@ -414,7 +484,7 @@ func ReadLog(fsys FS) (recs []Record, ends []int, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := io.ReadAll(f)
+	data, err := readAll(f)
 	f.Close()
 	if err != nil {
 		return nil, nil, err

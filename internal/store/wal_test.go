@@ -2,10 +2,17 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
+
+	"trust/internal/sim"
 )
 
 // testRecord builds a deterministic enroll record for account i.
@@ -531,4 +538,244 @@ func TestMemoryBackendIsNoOp(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refModel is the account state in its plainest layout — two maps
+// keyed by every account, live bindings and revoke tombstones — with
+// the snapshot written by collecting every id and sorting it. It is
+// the oracle the differential test holds the WAL's sorted base plus
+// delta to.
+type refModel struct {
+	live, revoked map[string]Record
+	gen, seq      uint64
+	since         int
+	snap          []byte // snapshot.dat as the model writes it; nil before the first
+}
+
+func newRefModel() *refModel {
+	return &refModel{live: make(map[string]Record), revoked: make(map[string]Record)}
+}
+
+func (m *refModel) apply(rec Record) {
+	switch rec.Kind {
+	case KindEnroll:
+		m.live[rec.Account] = rec
+		delete(m.revoked, rec.Account)
+	case KindReset:
+		delete(m.live, rec.Account)
+	case KindRevoke:
+		delete(m.live, rec.Account)
+		m.revoked[rec.Account] = rec
+	}
+	if rec.Gen > m.gen {
+		m.gen = rec.Gen
+	}
+}
+
+func (m *refModel) state() []Record {
+	names := make([]string, 0, len(m.live)+len(m.revoked))
+	for name := range m.live {
+		names = append(names, name)
+	}
+	for name := range m.revoked {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]Record, 0, len(names))
+	for _, name := range names {
+		if rec, ok := m.live[name]; ok {
+			out = append(out, rec)
+		} else {
+			out = append(out, m.revoked[name])
+		}
+	}
+	return out
+}
+
+// append mirrors WAL.Append, including when it compacts.
+func (m *refModel) append(rec Record, every int) {
+	m.seq++
+	m.apply(rec)
+	m.since++
+	if every > 0 && m.since >= every {
+		recs := m.state()
+		m.snap = snapshotImage(m.seq, m.gen, uint64(len(recs)), recs)
+		m.since = 0
+	}
+}
+
+// snapshotImage encodes a snapshot file as the format defines it: the
+// header declaring count entries, then one seq-0 frame per record in
+// the order given, with every checksum valid.
+func snapshotImage(seq, gen, count uint64, recs []Record) []byte {
+	buf := []byte(snapMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint64(buf, count)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	for _, rec := range recs {
+		buf = appendFrame(buf, 0, rec)
+	}
+	return buf
+}
+
+// randomOp draws the next record over a small id pool, so enrolls,
+// resets and revokes keep landing on the same accounts: re-enrolls
+// after a reset, resets of revoked or unbound ids, enrolls over
+// tombstones.
+func randomOp(rng *sim.RNG, gen *uint64) Record {
+	*gen++
+	rec := Record{
+		At:      time.Duration(*gen) * time.Millisecond,
+		Account: fmt.Sprintf("acct-%02d", rng.Intn(40)),
+		Gen:     *gen,
+	}
+	switch k := rng.Intn(10); {
+	case k < 5:
+		rec.Kind = KindEnroll
+		rec.PublicKey = make([]byte, 32)
+		binary.LittleEndian.PutUint64(rec.PublicKey, rng.Uint64())
+		rec.DeviceSubject = fmt.Sprintf("device-%d", rng.Intn(4))
+		binary.LittleEndian.PutUint64(rec.RecoveryDigest[:], rng.Uint64())
+	case k < 7:
+		rec.Kind = KindReset
+	default:
+		rec.Kind = KindRevoke
+	}
+	return rec
+}
+
+// TestStateMatchesReferenceModel drives seeded random record streams
+// through the WAL and the two-map model side by side, reopening the
+// WAL at random points. After every step the WAL's state, counts, seq
+// and snapshot file must equal the model's. Reopens reset the
+// compaction count, so at SnapshotEvery 1024 they are rare enough for
+// compactions to happen.
+func TestStateMatchesReferenceModel(t *testing.T) {
+	for _, tc := range []struct{ every, steps, reopenOdds int }{
+		{-1, 1000, 40}, {1, 1000, 40}, {3, 1000, 40}, {1024, 2200, 1000},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("every=%d/seed=%d", tc.every, seed), func(t *testing.T) {
+				rng := sim.NewRNG(seed)
+				fsys := NewMemFS()
+				opts := WALOptions{SnapshotEvery: tc.every}
+				w := mustOpen(t, fsys, opts)
+				defer func() { w.Close() }()
+				m := newRefModel()
+				var gen uint64
+				for step := 0; step < tc.steps; step++ {
+					recs := []Record{randomOp(rng, &gen)}
+					if rng.Intn(20) == 0 {
+						// Revoke then re-enroll the same id.
+						gen++
+						re := testRecord(int(gen))
+						re.Account, re.Gen = recs[0].Account, gen
+						recs = []Record{{Kind: KindRevoke, Account: re.Account, Gen: gen - 1, At: re.At}, re}
+					}
+					for _, rec := range recs {
+						if err := w.Append(rec); err != nil {
+							t.Fatalf("step %d: append %+v: %v", step, rec, err)
+						}
+						m.append(rec, tc.every)
+					}
+					if rng.Intn(tc.reopenOdds) == 0 {
+						w.Close()
+						w = mustOpen(t, fsys, opts)
+						m.since = 0
+					}
+					checkAgainstModel(t, step, w, fsys, m)
+				}
+				if tc.every > 0 && m.snap == nil {
+					t.Fatal("the stream never compacted")
+				}
+			})
+		}
+	}
+}
+
+func checkAgainstModel(t *testing.T, step int, w *WAL, fsys *MemFS, m *refModel) {
+	t.Helper()
+	got, gen := w.State()
+	if want := m.state(); !reflect.DeepEqual(got, want) || gen != m.gen {
+		t.Fatalf("step %d: state (gen %d)\n got %+v\nwant (gen %d) %+v", step, gen, got, m.gen, want)
+	}
+	st := w.Stats()
+	if st.Live != len(m.live) || st.Revoked != len(m.revoked) || st.Seq != m.seq {
+		t.Fatalf("step %d: stats live %d revoked %d seq %d, want %d/%d/%d",
+			step, st.Live, st.Revoked, st.Seq, len(m.live), len(m.revoked), m.seq)
+	}
+	snap, ok := fsys.Bytes(snapName)
+	if ok != (m.snap != nil) || !bytes.Equal(snap, m.snap) {
+		t.Fatalf("step %d: snapshot.dat (%d bytes, present %v) differs from the model's (%d bytes)",
+			step, len(snap), ok, len(m.snap))
+	}
+}
+
+// TestSnapshotLoaderRejectsMalformedEntries: the loader keeps the
+// snapshot's entries as its sorted base, so it refuses any snapshot
+// that is not strictly sorted with unique ids and no resets. Every
+// snapshot snapshotLocked has ever written is strictly sorted with
+// unique ids (it sorts the union of two disjoint maps, or merges a
+// sorted base with sorted delta keys) and holds only enrolls and
+// revokes, so these checks refuse only damaged files. Each image below
+// carries valid checksums: only its structure is wrong.
+func TestSnapshotLoaderRejectsMalformedEntries(t *testing.T) {
+	a, b := testRecord(1), testRecord(2)
+	reset := Record{Kind: KindReset, Account: "acct-0003", Gen: 4, At: time.Hour}
+	cases := []struct {
+		name string
+		recs []Record
+	}{
+		{"out of order", []Record{b, a}},
+		{"duplicate account", []Record{a, a}},
+		{"reset entry", []Record{a, reset}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := NewMemFS()
+			writeFile(t, fsys, snapName, snapshotImage(3, 3, uint64(len(tc.recs)), tc.recs))
+			if _, err := OpenWAL(fsys, WALOptions{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestSnapshotOversizedCountFailsBeforeAllocating: a header count the
+// file's bytes cannot hold fails with ErrCorrupt without sizing an
+// allocation from the count.
+func TestSnapshotOversizedCountFailsBeforeAllocating(t *testing.T) {
+	recs := []Record{testRecord(1), testRecord(2)}
+	for _, count := range []uint64{3, 1 << 20, 1 << 62} {
+		fsys := NewMemFS()
+		writeFile(t, fsys, snapName, snapshotImage(2, 2, count, recs))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenWAL(fsys, WALOptions{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %d: open: %v, want ErrCorrupt", count, err)
+		}
+		// 1<<20 records would be 112 MiB; the file itself is a few
+		// hundred bytes.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Fatalf("count %d: open allocated %d bytes before failing", count, alloc)
+		}
+	}
+}
+
+func writeFile(t *testing.T, fsys *MemFS, name string, data []byte) {
+	t.Helper()
+	f, err := fsys.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 }

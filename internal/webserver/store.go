@@ -161,6 +161,13 @@ func newAccountStore() *accountStore {
 // the server serves traffic, so no locks race it.
 func (st *accountStore) seed(recs []store.Record, gen uint64) {
 	st.gen.Store(gen)
+	if per := len(recs) / numShards; per > 0 {
+		// Size each shard up front so recovery does not grow the maps
+		// from empty; the hash spreads ids about evenly over shards.
+		for i := range st.shards {
+			st.shards[i].accounts = make(map[string]*Account, per)
+		}
+	}
 	for _, rec := range recs {
 		sh := &st.shards[shardIndex(rec.Account)]
 		switch rec.Kind {
