@@ -103,6 +103,9 @@ var externalBlocking = map[string]string{
 	"(*os.File).Sync":  "file sync (disk I/O)",
 	"(trust/internal/store.AccountBackend).Append": "durable WAL append (disk I/O)",
 	"(*trust/internal/store.WAL).Append":           "durable WAL append (disk I/O)",
+	// The per-connection decoder's read, which the stream read loops
+	// use in place of ReadFrame.
+	"(*trust/internal/protocol.Decoder).ReadFrame": "frame read",
 }
 
 // Fact-key prefixes for the propagated summaries.

@@ -483,6 +483,7 @@ func (t *Stream) downgraded() bool {
 type streamClientConn struct {
 	rwc      io.ReadWriteCloser
 	br       *bufio.Reader        // buffers rwc; read-loop goroutine only
+	dec      protocol.Decoder     // frame payloads + intern table; read-loop goroutine only
 	chain    *protocol.NonceChain // nonce prediction; device goroutine only
 	sess     *protocol.Session
 	seed     []byte // the welcome's nonce-chain seed
@@ -490,6 +491,7 @@ type streamClientConn struct {
 
 	wmu     sync.Mutex // serializes writes AND waiter-enqueue ordering
 	nextSeq uint64     // frame sequence counter, under wmu
+	wbuf    []byte     // outbound frame scratch, under wmu
 
 	mu      sync.Mutex
 	err     error          // first fatal error; conn is dead once set
@@ -557,15 +559,18 @@ func (c *streamClientConn) fail(cause error) {
 
 // send writes one frame and registers its waiter atomically with
 // respect to other senders, so waiter FIFO order matches wire order.
-func (c *streamClientConn) send(t protocol.FrameType, build func(seq uint64) ([]byte, error), w *frameWaiter, h *hbWaiter) error {
+// build appends the whole frame, header included, to the connection's
+// write scratch.
+func (c *streamClientConn) send(build func(dst []byte, seq uint64) ([]byte, error), w *frameWaiter, h *hbWaiter) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.nextSeq++
 	seq := c.nextSeq
-	payload, err := build(seq)
+	frame, err := build(c.wbuf[:0], seq)
 	if err != nil {
 		return err
 	}
+	c.wbuf = frame[:0]
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -581,7 +586,7 @@ func (c *streamClientConn) send(t protocol.FrameType, build func(seq uint64) ([]
 		c.hbs = append(c.hbs, h)
 	}
 	c.mu.Unlock()
-	if err := protocol.WriteFrame(c.rwc, t, payload); err != nil {
+	if _, err := c.rwc.Write(frame); err != nil {
 		c.fail(fmt.Errorf("stream write: %w", err))
 		return fmt.Errorf("%w: stream write: %v", ErrNetwork, err)
 	}
@@ -592,8 +597,8 @@ func (c *streamClientConn) send(t protocol.FrameType, build func(seq uint64) ([]
 // their pages (or the error ack that ended the batch).
 func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageRequest) ([]*protocol.ContentPage, error) {
 	w := &frameWaiter{want: len(reqs), done: make(chan struct{})}
-	err := c.send(protocol.FrameTouchBatch, func(seq uint64) ([]byte, error) {
-		return protocol.EncodeTouchBatch(seq, now, reqs)
+	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
+		return protocol.AppendTouchBatchFrame(dst, seq, now, reqs)
 	}, w, nil)
 	if err != nil {
 		return nil, err
@@ -608,8 +613,12 @@ func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageR
 // submitResync sends a resync frame and waits for the recovered page.
 func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
 	w := &frameWaiter{want: 1, done: make(chan struct{})}
-	err := c.send(protocol.FrameResync, func(seq uint64) ([]byte, error) {
-		return protocol.EncodeResyncFrame(seq, req)
+	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
+		payload, err := protocol.EncodeResyncFrame(seq, req)
+		if err != nil {
+			return dst, err
+		}
+		return protocol.AppendFrame(dst, protocol.FrameResync, payload)
 	}, w, nil)
 	if err != nil {
 		return nil, err
@@ -624,8 +633,8 @@ func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncR
 // ping sends a heartbeat and waits for its echo.
 func (c *streamClientConn) ping(now time.Duration) error {
 	h := &hbWaiter{now: now, done: make(chan error, 1)}
-	err := c.send(protocol.FrameHeartbeat, func(seq uint64) ([]byte, error) {
-		return protocol.EncodeHeartbeat(seq, now), nil
+	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
+		return protocol.AppendFrame(dst, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(seq, now))
 	}, nil, h)
 	if err != nil {
 		return err
@@ -639,14 +648,14 @@ func (c *streamClientConn) ping(now time.Duration) error {
 // the connection dies.
 func (c *streamClientConn) readLoop() {
 	for {
-		ft, payload, err := protocol.ReadFrame(c.br)
+		ft, payload, err := c.dec.ReadFrame(c.br)
 		if err != nil {
 			c.fail(fmt.Errorf("stream read: %w", err))
 			return
 		}
 		switch ft {
 		case protocol.FramePage:
-			seq, index, cp, err := protocol.DecodePageFrame(payload)
+			seq, index, cp, err := c.dec.DecodePageFrame(payload)
 			if err != nil {
 				c.fail(err)
 				return

@@ -10,11 +10,12 @@
 package frame
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"trust/internal/geom"
@@ -72,28 +73,40 @@ type Page struct {
 // Canonical returns the page's canonical byte encoding — the quantity
 // both device and server render from, so both ends derive identical
 // frames for identical views.
-func (p *Page) Canonical() []byte {
-	var buf bytes.Buffer
-	wr := func(s string) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-		buf.Write(l[:])
-		buf.WriteString(s)
-	}
-	wr(p.URL)
-	wr(p.Title)
-	wr(p.Body)
-	var h [8]byte
-	binary.BigEndian.PutUint64(h[:], uint64(p.HeightPX))
-	buf.Write(h[:])
+func (p *Page) Canonical() []byte { return p.AppendCanonical(nil) }
+
+// AppendCanonical appends the page's canonical encoding (Canonical) to
+// dst and returns the extended slice; into a buffer with room it
+// allocates nothing.
+func (p *Page) AppendCanonical(dst []byte) []byte {
+	dst = appendField(dst, p.URL)
+	dst = appendField(dst, p.Title)
+	dst = appendField(dst, p.Body)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.HeightPX))
 	for _, e := range p.Elements {
-		wr(e.ID)
-		wr(e.Label)
-		wr(e.Action)
-		fmt.Fprintf(&buf, "|%d|%.1f,%.1f,%.1f,%.1f;",
-			int(e.Kind), e.Bounds.Min.X, e.Bounds.Min.Y, e.Bounds.Max.X, e.Bounds.Max.Y)
+		dst = appendField(dst, e.ID)
+		dst = appendField(dst, e.Label)
+		dst = appendField(dst, e.Action)
+		// "|kind|minX,minY,maxX,maxY;" with one decimal per coordinate.
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(e.Kind), 10)
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, e.Bounds.Min.X, 'f', 1, 64)
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, e.Bounds.Min.Y, 'f', 1, 64)
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, e.Bounds.Max.X, 'f', 1, 64)
+		dst = append(dst, ',')
+		dst = strconv.AppendFloat(dst, e.Bounds.Max.Y, 'f', 1, 64)
+		dst = append(dst, ';')
 	}
-	return buf.Bytes()
+	return dst
+}
+
+// appendField appends s with its 4-byte big-endian length prefix.
+func appendField(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
 // Clone deep-copies the page (malware models mutate copies).
@@ -132,12 +145,13 @@ const ScrollStepPX = 200.0
 
 // StandardViews enumerates every view of the page on a screen of the
 // given height: all zoom stops crossed with all reachable scroll stops.
+// A page whose height is not finite has no scroll range to enumerate,
+// so it gets one top view per zoom stop.
 func StandardViews(p *Page, screenHeightPX float64) []View {
 	var views []View
 	for _, z := range ZoomStops {
-		contentHeight := p.HeightPX * z
-		maxScroll := contentHeight - screenHeightPX
-		if maxScroll < 0 {
+		maxScroll := p.HeightPX*z - screenHeightPX
+		if maxScroll < 0 || math.IsNaN(maxScroll) || math.IsInf(maxScroll, 0) {
 			maxScroll = 0
 		}
 		for s := 0.0; ; s += ScrollStepPX {
@@ -169,11 +183,17 @@ func (v View) ScreenToPage(pt geom.Point) geom.Point {
 // pixels: what matters to the security argument is that identical
 // (page, view) pairs produce identical bytes on device and server, and
 // any content tampering changes them.
-func Render(p *Page, v View) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "FRAME z=%.2f s=%.1f\n", v.Zoom, v.ScrollY)
-	buf.Write(p.Canonical())
-	return buf.Bytes()
+func Render(p *Page, v View) []byte { return AppendRender(nil, p, v) }
+
+// AppendRender appends the frame Render produces to dst and returns the
+// extended slice; into a buffer with room it allocates nothing.
+func AppendRender(dst []byte, p *Page, v View) []byte {
+	dst = append(dst, "FRAME z="...)
+	dst = strconv.AppendFloat(dst, v.Zoom, 'f', 2, 64)
+	dst = append(dst, " s="...)
+	dst = strconv.AppendFloat(dst, v.ScrollY, 'f', 1, 64)
+	dst = append(dst, '\n')
+	return p.AppendCanonical(dst)
 }
 
 // Hash is a frame digest. The paper mentions MD5 or SHA-256; this
@@ -249,8 +269,10 @@ func (r *Repeater) LastHash() (Hash, bool) { return r.lastHash, r.haveFrame }
 // — the finite set the server audits against.
 func PossibleHashes(p *Page, screenHeightPX float64) map[Hash]View {
 	out := make(map[Hash]View)
+	var buf []byte
 	for _, v := range StandardViews(p, screenHeightPX) {
-		out[HashBytes(Render(p, v))] = v
+		buf = AppendRender(buf[:0], p, v)
+		out[HashBytes(buf)] = v
 	}
 	return out
 }

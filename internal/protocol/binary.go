@@ -58,15 +58,22 @@ func (w *binWriter) bytes(b []byte) {
 	w.u32(len(b))
 	w.buf.Write(b)
 }
-func (w *binWriter) str(s string) { w.bytes([]byte(s)) }
+func (w *binWriter) str(s string) {
+	w.u32(len(s))
+	w.buf.WriteString(s)
+}
 func (w *binWriter) hash(h frame.Hash) {
 	w.buf.Write(h[:])
 }
 
+// binReader decodes one message. intern, when non-nil, is the stream
+// connection's intern table: istr fields are looked up there instead of
+// copied (see Decoder). The nil table is the stateless decoder.
 type binReader struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	intern *internTable
 }
 
 func (r *binReader) fail() {
@@ -103,29 +110,41 @@ func (r *binReader) u64() uint64 {
 }
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *binReader) bytes() []byte {
+	b := r.sub()
+	if r.err != nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// sub returns a length-prefixed field as a subslice of the input, for
+// nested payloads decoded on the spot; nothing it returns may be kept.
+func (r *binReader) sub() []byte {
 	n := r.u32()
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
 		r.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
+	b := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	return out
+	return b
 }
 
 // str decodes a string field in one copy: the string conversion
 // itself duplicates the input bytes, so routing through bytes() would
 // pay a second, throwaway allocation on every string field.
 func (r *binReader) str() string {
-	n := r.u32()
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
+	return string(r.sub())
+}
+
+// istr decodes a string field that tends to repeat from frame to frame
+// on one connection (domain, account, session id, action, page
+// fields), through the intern table when there is one. Nonces, MACs and
+// tickets never take this path: they are fresh on every message.
+func (r *binReader) istr() string {
+	return r.intern.get(r.sub())
 }
 func (r *binReader) hash() (h frame.Hash) {
 	if r.err != nil || r.off+len(h) > len(r.b) {
@@ -162,35 +181,63 @@ func writePage(w *binWriter, p *frame.Page) {
 	}
 }
 
+// minElementLen is the smallest encoded page element: three empty
+// strings (4-byte length each), the kind byte and four float64 bounds.
+const minElementLen = 3*4 + 1 + 4*8
+
 func readPage(r *binReader) *frame.Page {
-	if r.u8() == 0 {
+	if !r.present() {
 		return nil
 	}
 	p := &frame.Page{
-		URL:      r.str(),
-		Title:    r.str(),
-		Body:     r.str(),
+		URL:      r.istr(),
+		Title:    r.istr(),
+		Body:     r.istr(),
 		HeightPX: r.f64(),
 	}
-	n := r.u32()
-	if r.err != nil || n < 0 || n > 10000 {
+	// A page height is a layout extent: anything non-finite or negative
+	// would make view enumeration loop and the canonical encoding's
+	// integer conversion undefined.
+	if math.IsNaN(p.HeightPX) || math.IsInf(p.HeightPX, 0) || p.HeightPX < 0 {
 		r.fail()
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		e := frame.Element{
-			ID:     r.str(),
-			Kind:   frame.ElementKind(r.u8()),
-			Label:  r.str(),
-			Action: r.str(),
-		}
+	n := r.u32()
+	// The count is bounded by the bytes left, so a short payload cannot
+	// claim a large element slice.
+	if r.err != nil || n < 0 || n > 10000 || n > (len(r.b)-r.off)/minElementLen {
+		r.fail()
+		return nil
+	}
+	if n > 0 {
+		p.Elements = make([]frame.Element, n)
+	}
+	for i := range p.Elements {
+		e := &p.Elements[i]
+		e.ID = r.istr()
+		e.Kind = frame.ElementKind(r.u8())
+		e.Label = r.istr()
+		e.Action = r.istr()
 		e.Bounds = geom.Rect{
 			Min: geom.Point{X: r.f64(), Y: r.f64()},
 			Max: geom.Point{X: r.f64(), Y: r.f64()},
 		}
-		p.Elements = append(p.Elements, e)
 	}
 	return p
+}
+
+// present decodes an optional field's presence byte: 0 for absent, 1
+// for present. Anything else is malformed, so every decodable input
+// re-encodes to the bytes it came from.
+func (r *binReader) present() bool {
+	switch r.u8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.fail()
+	return false
 }
 
 // certificate encoding.
@@ -211,7 +258,7 @@ func writeCert(w *binWriter, c *pki.Certificate) {
 }
 
 func readCert(r *binReader) *pki.Certificate {
-	if r.u8() == 0 {
+	if !r.present() {
 		return nil
 	}
 	return &pki.Certificate{
@@ -233,21 +280,19 @@ var writerPool = sync.Pool{New: func() any { return new(binWriter) }}
 
 const maxPooledEncodeBuf = 64 << 10
 
+// releaseWriter returns a borrowed writer to the pool unless it grew
+// past the pooling cap.
+func releaseWriter(w *binWriter) {
+	if w.buf.Cap() <= maxPooledEncodeBuf {
+		writerPool.Put(w)
+	}
+}
+
 // EncodeBinary serializes any protocol message to the compact wire
 // form. The returned slice is freshly allocated and owned by the
 // caller.
 func EncodeBinary(msg any) ([]byte, error) {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	if err := encodeBinaryInto(w, msg); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), w.buf.Bytes()...), nil
+	return EncodeBinaryAppend(nil, msg)
 }
 
 // EncodeBinaryAppend appends msg's binary encoding to dst and returns
@@ -257,11 +302,7 @@ func EncodeBinary(msg any) ([]byte, error) {
 func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
+	defer releaseWriter(w)
 	if err := encodeBinaryInto(w, msg); err != nil {
 		return nil, err
 	}
@@ -269,6 +310,9 @@ func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
 }
 
 // encodeBinaryInto writes the versioned, tagged encoding of msg into w.
+// Messages authenticated by a session-key MAC write their fields
+// through their encode method, the one field list both the codec and
+// the MAC input (Authenticated) use.
 func encodeBinaryInto(w *binWriter, msg any) error {
 	w.u8(binVersion)
 	switch m := msg.(type) {
@@ -306,72 +350,110 @@ func encodeBinaryInto(w *binWriter, msg any) error {
 		w.bytes(m.Signature)
 		w.bytes(m.MAC)
 	case *ContentPage:
-		w.u8(tagContentPage)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.str(string(m.Nonce))
-		w.str(m.Account)
-		writePage(w, m.Page)
-		w.bytes(m.Ticket)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *PageRequest:
-		w.u8(tagPageRequest)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.str(string(m.Nonce))
-		w.str(m.Action)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *ResyncRequest:
-		w.u8(tagResyncRequest)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *ResumeSubmit:
-		w.u8(tagResumeSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.bytes(m.Ticket)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *StreamHello:
-		w.u8(tagStreamHello)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(m.SessionID)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *StreamWelcome:
-		w.u8(tagStreamWelcome)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.bytes(m.NonceSeed)
-		w.u32(m.Window)
-		w.u32(m.MinVerified)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	case *PolicyPush:
-		w.u8(tagPolicyPush)
-		w.str(m.Domain)
-		w.str(m.SessionID)
-		w.u32(m.Window)
-		w.u32(m.MinVerified)
-		w.u64(m.Seq)
-		w.bytes(m.MAC)
+		m.encode(w, m.MAC)
 	default:
 		return fmt.Errorf("protocol: cannot binary-encode %T", msg)
 	}
 	return nil
 }
 
+// Field writers of the MAC-authenticated messages: the tag, every
+// field in wire order, and mac in the MAC slot — the message's own tag
+// on the wire, nil for its MAC input.
+
+func (m *ContentPage) encode(w *binWriter, mac []byte) {
+	w.u8(tagContentPage)
+	w.str(m.Domain)
+	w.str(m.SessionID)
+	w.str(string(m.Nonce))
+	w.str(m.Account)
+	writePage(w, m.Page)
+	w.bytes(m.Ticket)
+	w.bytes(mac)
+}
+
+func (m *PageRequest) encode(w *binWriter, mac []byte) {
+	w.u8(tagPageRequest)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.str(m.SessionID)
+	w.str(string(m.Nonce))
+	w.str(m.Action)
+	w.hash(m.FrameHash)
+	w.u32(m.RiskVerified)
+	w.u32(m.RiskWindow)
+	w.bytes(mac)
+}
+
+func (m *ResyncRequest) encode(w *binWriter, mac []byte) {
+	w.u8(tagResyncRequest)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.str(m.SessionID)
+	w.bytes(mac)
+}
+
+func (m *ResumeSubmit) encode(w *binWriter, mac []byte) {
+	w.u8(tagResumeSubmit)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.bytes(m.Ticket)
+	w.hash(m.FrameHash)
+	w.u32(m.RiskVerified)
+	w.u32(m.RiskWindow)
+	w.bytes(mac)
+}
+
+func (m *StreamHello) encode(w *binWriter, mac []byte) {
+	w.u8(tagStreamHello)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.str(m.SessionID)
+	w.bytes(mac)
+}
+
+func (m *StreamWelcome) encode(w *binWriter, mac []byte) {
+	w.u8(tagStreamWelcome)
+	w.str(m.Domain)
+	w.str(m.SessionID)
+	w.bytes(m.NonceSeed)
+	w.u32(m.Window)
+	w.u32(m.MinVerified)
+	w.bytes(mac)
+}
+
+func (m *PolicyPush) encode(w *binWriter, mac []byte) {
+	w.u8(tagPolicyPush)
+	w.str(m.Domain)
+	w.str(m.SessionID)
+	w.u32(m.Window)
+	w.u32(m.MinVerified)
+	w.u64(m.Seq)
+	w.bytes(mac)
+}
+
 // DecodeBinary parses a binary message, returning one of the protocol
 // message pointer types.
 func DecodeBinary(data []byte) (any, error) {
-	r := &binReader{b: data}
+	return decodeBinary(data, nil)
+}
+
+// decodeBinary is the one message decoder; intern is the calling
+// connection's intern table, or nil to copy every string field.
+func decodeBinary(data []byte, intern *internTable) (any, error) {
+	r := &binReader{b: data, intern: intern}
 	if v := r.u8(); v != binVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBinaryDecode, v)
 	}
@@ -380,7 +462,7 @@ func DecodeBinary(data []byte) (any, error) {
 	switch tag {
 	case tagRegistrationPage:
 		m := &RegistrationPage{}
-		m.Domain = r.str()
+		m.Domain = r.istr()
 		m.Nonce = Nonce(r.str())
 		m.Page = readPage(r)
 		m.ServerCert = readCert(r)
@@ -388,8 +470,8 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagRegistrationSubmit:
 		m := &RegistrationSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
 		m.Nonce = Nonce(r.str())
 		m.UserPub = r.bytes()
 		m.FrameHash = r.hash()
@@ -398,15 +480,15 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagLoginPage:
 		m := &LoginPage{}
-		m.Domain = r.str()
+		m.Domain = r.istr()
 		m.Nonce = Nonce(r.str())
 		m.Page = readPage(r)
 		m.Signature = r.bytes()
 		out = m
 	case tagLoginSubmit:
 		m := &LoginSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
 		m.Nonce = Nonce(r.str())
 		m.SessionKeyCT = r.bytes()
 		m.FrameHash = r.hash()
@@ -417,21 +499,21 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagContentPage:
 		m := &ContentPage{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.SessionID = r.istr()
 		m.Nonce = Nonce(r.str())
-		m.Account = r.str()
+		m.Account = r.istr()
 		m.Page = readPage(r)
 		m.Ticket = r.bytes()
 		m.MAC = r.bytes()
 		out = m
 	case tagPageRequest:
 		m := &PageRequest{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
+		m.SessionID = r.istr()
 		m.Nonce = Nonce(r.str())
-		m.Action = r.str()
+		m.Action = r.istr()
 		m.FrameHash = r.hash()
 		m.RiskVerified = r.u32()
 		m.RiskWindow = r.u32()
@@ -439,15 +521,15 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagResyncRequest:
 		m := &ResyncRequest{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
+		m.SessionID = r.istr()
 		m.MAC = r.bytes()
 		out = m
 	case tagResumeSubmit:
 		m := &ResumeSubmit{}
-		m.Domain = r.str()
-		m.Account = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
 		m.Ticket = r.bytes()
 		m.FrameHash = r.hash()
 		m.RiskVerified = r.u32()
@@ -456,15 +538,15 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagStreamHello:
 		m := &StreamHello{}
-		m.Domain = r.str()
-		m.Account = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.Account = r.istr()
+		m.SessionID = r.istr()
 		m.MAC = r.bytes()
 		out = m
 	case tagStreamWelcome:
 		m := &StreamWelcome{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.SessionID = r.istr()
 		m.NonceSeed = r.bytes()
 		m.Window = r.u32()
 		m.MinVerified = r.u32()
@@ -472,8 +554,8 @@ func DecodeBinary(data []byte) (any, error) {
 		out = m
 	case tagPolicyPush:
 		m := &PolicyPush{}
-		m.Domain = r.str()
-		m.SessionID = r.str()
+		m.Domain = r.istr()
+		m.SessionID = r.istr()
 		m.Window = r.u32()
 		m.MinVerified = r.u32()
 		m.Seq = r.u64()

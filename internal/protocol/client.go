@@ -19,6 +19,9 @@ import (
 // SoC is compromised (the paper's assumption (i) in Sec IV-B).
 type Client struct {
 	m *flock.Module
+	// frameBuf is DisplayPage's render scratch: the repeater copies the
+	// frame it is handed, so one buffer serves every displayed page.
+	frameBuf []byte
 }
 
 // NewClient wires a protocol client to a module.
@@ -194,7 +197,7 @@ func (c *Client) AcceptContentPage(sess *Session, msg *ContentPage) error {
 	if msg.Domain != sess.Domain || msg.Account != sess.Account {
 		return fmt.Errorf("protocol: content page for %s/%s on session %s/%s", msg.Domain, msg.Account, sess.Domain, sess.Account)
 	}
-	if !sess.accepter().Check(msg.MACBytes(), msg.MAC) {
+	if !VerifyMAC(sess.accepter(), msg, msg.MAC) {
 		return ErrServerAuth
 	}
 	if sess.ID == "" {
@@ -243,7 +246,7 @@ func (c *Client) BuildPageRequestAt(now time.Duration, sess *Session, action str
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	req.MAC = sess.builder().MAC(req.MACBytes())
+	req.MAC = SealMAC(sess.builder(), req)
 	return req, nil
 }
 
@@ -295,7 +298,7 @@ func (c *Client) BuildResumeSubmit(now time.Duration, domain, account string, ti
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	submit.MAC = pki.MAC(key, submit.MACBytes())
+	submit.MAC = SealMAC(pki.NewMACer(key), submit)
 	sess := &Session{Domain: domain, Account: account, Key: key}
 	return submit, sess, nil
 }
@@ -320,7 +323,7 @@ func (c *Client) AcceptResumePage(sess *Session, msg *ContentPage) error {
 		return errors.New("protocol: resume response lacks a session id")
 	}
 	key := ResumeKey(sess.Key, msg.SessionID)
-	if !pki.CheckMAC(key, msg.MACBytes(), msg.MAC) {
+	if !VerifyMAC(pki.NewMACer(key), msg, msg.MAC) {
 		return ErrServerAuth
 	}
 	sess.Key = key
@@ -399,8 +402,10 @@ func VerifyPolicyPush(sess *Session, p *PolicyPush, lastSeq uint64) error {
 
 // DisplayPage renders a page at the default view through the module's
 // display path and returns the frame hash — the device calls this
-// whenever a server page reaches the screen.
+// whenever a server page reaches the screen. Like the display path it
+// drives, it is not safe for concurrent use.
 func (c *Client) DisplayPage(p *frame.Page, v frame.View) frame.Hash {
-	h, _ := c.m.DisplayFrame(frame.Render(p, v))
+	c.frameBuf = frame.AppendRender(c.frameBuf[:0], p, v)
+	h, _ := c.m.DisplayFrame(c.frameBuf)
 	return h
 }

@@ -115,11 +115,7 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	}
 	bw := writerPool.Get().(*binWriter)
 	bw.buf.Reset()
-	defer func() {
-		if bw.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(bw)
-		}
-	}()
+	defer releaseWriter(bw)
 	bw.u8(byte(t))
 	bw.u32(len(payload))
 	bw.buf.Write(payload)
@@ -147,6 +143,12 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 // reader buffer unbounded garbage.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame reads one frame, its header into hdr and its payload into
+// buf when buf has the capacity (a fresh slice otherwise).
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -158,7 +160,11 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if n == 0 {
 		return t, nil, nil
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if cap(payload) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated %s payload: %v", ErrFrame, t, err)
 	}
@@ -181,43 +187,63 @@ const maxBatchRequests = 256
 
 // EncodeTouchBatch serializes a touch batch into a frame payload.
 func EncodeTouchBatch(seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
+	f, err := AppendTouchBatchFrame(nil, seq, now, reqs)
+	if err != nil {
+		return nil, err
+	}
+	return f[frameHeaderLen:], nil
+}
+
+// AppendTouchBatchFrame appends a complete FrameTouchBatch frame —
+// header included — to dst and returns the extended slice: the
+// client-side mirror of AppendPageFrame, encoding each request once,
+// straight into the caller's buffer.
+func AppendTouchBatchFrame(dst []byte, seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
 	if len(reqs) == 0 || len(reqs) > maxBatchRequests {
-		return nil, fmt.Errorf("%w: batch of %d requests", ErrFrame, len(reqs))
+		return dst, fmt.Errorf("%w: batch of %d requests", ErrFrame, len(reqs))
 	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
-	w.u64(seq)
-	w.u64(uint64(now))
-	w.u32(len(reqs))
+	base := len(dst)
+	dst = append(dst, byte(FrameTouchBatch), 0, 0, 0, 0)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(now))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(reqs)))
 	for _, req := range reqs {
-		msg, err := EncodeBinary(req)
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		out, err := EncodeBinaryAppend(dst, req)
 		if err != nil {
-			return nil, err
+			return dst[:base], err
 		}
-		w.bytes(msg)
+		dst = out
+		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return append([]byte(nil), w.buf.Bytes()...), nil
+	payload := len(dst) - base - frameHeaderLen
+	if payload > MaxFramePayload {
+		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, payload, MaxFramePayload)
+	}
+	binary.BigEndian.PutUint32(dst[base+1:], uint32(payload))
+	return dst, nil
 }
 
 // DecodeTouchBatch parses a touch-batch frame payload.
 func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
+	return decodeTouchBatch(payload, nil)
+}
+
+func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
 	r := &binReader{b: payload}
-	tb := &TouchBatch{Seq: r.u64(), Now: time.Duration(r.u64())}
+	seq, now := r.u64(), time.Duration(r.u64())
 	n := r.u32()
 	if r.err != nil || n < 1 || n > maxBatchRequests {
 		return nil, fmt.Errorf("%w: touch-batch header", ErrFrame)
 	}
+	tb := &TouchBatch{Seq: seq, Now: now, Requests: make([]*PageRequest, 0, n)}
 	for i := 0; i < n; i++ {
-		raw := r.bytes()
+		raw := r.sub()
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: touch-batch request %d", ErrFrame, i)
 		}
-		msg, err := DecodeBinary(raw)
+		msg, err := decodeBinary(raw, intern)
 		if err != nil {
 			return nil, err
 		}
@@ -243,11 +269,7 @@ func EncodePageFrame(seq uint64, index int, cp *ContentPage) ([]byte, error) {
 	}
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
+	defer releaseWriter(w)
 	w.u64(seq)
 	w.u32(index)
 	w.bytes(body)
@@ -288,14 +310,18 @@ func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte
 
 // DecodePageFrame parses a page-response frame payload.
 func DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, err error) {
+	return decodePageFrame(payload, nil)
+}
+
+func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int, cp *ContentPage, err error) {
 	r := &binReader{b: payload}
 	seq = r.u64()
 	index = r.u32()
-	raw := r.bytes()
+	raw := r.sub()
 	if r.err != nil || r.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: page frame", ErrFrame)
 	}
-	msg, err := DecodeBinary(raw)
+	msg, err := decodeBinary(raw, intern)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -334,11 +360,7 @@ func DecodeHeartbeat(payload []byte) (seq uint64, now time.Duration, err error) 
 func EncodeAck(seq uint64, code, detail string) []byte {
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
+	defer releaseWriter(w)
 	w.u64(seq)
 	w.str(code)
 	w.str(detail)
@@ -368,11 +390,7 @@ func EncodeResumeFrame(seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte
 	}
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
+	defer releaseWriter(w)
 	w.u64(seq)
 	w.u64(uint64(now))
 	w.bytes(body)
@@ -384,7 +402,7 @@ func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *Resu
 	r := &binReader{b: payload}
 	seq = r.u64()
 	now = time.Duration(r.u64())
-	raw := r.bytes()
+	raw := r.sub()
 	if r.err != nil || r.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: resume frame", ErrFrame)
 	}
@@ -408,11 +426,7 @@ func EncodeResyncFrame(seq uint64, req *ResyncRequest) ([]byte, error) {
 	}
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
-	defer func() {
-		if w.buf.Cap() <= maxPooledEncodeBuf {
-			writerPool.Put(w)
-		}
-	}()
+	defer releaseWriter(w)
 	w.u64(seq)
 	w.bytes(body)
 	return append([]byte(nil), w.buf.Bytes()...), nil
@@ -422,7 +436,7 @@ func EncodeResyncFrame(seq uint64, req *ResyncRequest) ([]byte, error) {
 func DecodeResyncFrame(payload []byte) (seq uint64, req *ResyncRequest, err error) {
 	r := &binReader{b: payload}
 	seq = r.u64()
-	raw := r.bytes()
+	raw := r.sub()
 	if r.err != nil || r.off != len(payload) {
 		return 0, nil, fmt.Errorf("%w: resync frame", ErrFrame)
 	}

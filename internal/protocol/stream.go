@@ -72,25 +72,13 @@ type PolicyPush struct {
 }
 
 // MACBytes of a StreamHello covers everything but MAC.
-func (m *StreamHello) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *StreamHello) MACBytes() []byte { return macBytes(m) }
 
 // MACBytes of a StreamWelcome covers everything but MAC.
-func (m *StreamWelcome) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *StreamWelcome) MACBytes() []byte { return macBytes(m) }
 
 // MACBytes of a PolicyPush covers everything but MAC.
-func (m *PolicyPush) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonicalBinary(&cp)
-}
+func (m *PolicyPush) MACBytes() []byte { return macBytes(m) }
 
 // streamNonceLabel domain-separates chain derivation from every other
 // use of the session key.

@@ -251,7 +251,7 @@ func (s *Server) verifyResume(now time.Duration, sub *protocol.ResumeSubmit) (*t
 		s.rejected.Add(1)
 		return nil, nil, ErrBadTicket
 	}
-	if !pki.CheckMAC(st.key, sub.MACBytes(), sub.MAC) {
+	if !protocol.VerifyMAC(pki.NewMACer(st.key), sub, sub.MAC) {
 		s.accounts.addFailure(sub.Account)
 		s.rejected.Add(1)
 		return nil, nil, ErrBadMAC
@@ -306,7 +306,7 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 		s.rejected.Add(1)
 		return nil, ErrUnknownSession
 	}
-	if !sess.macState().Check(req.MACBytes(), req.MAC) {
+	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
 		s.rejected.Add(1)
 		return nil, ErrBadMAC
 	}
@@ -359,7 +359,7 @@ func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, ne
 		s.rejected.Add(1)
 		return nil, ErrUnknownSession
 	}
-	if !sess.macState().Check(req.MACBytes(), req.MAC) {
+	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
 		s.rejected.Add(1)
 		return nil, ErrBadMAC
 	}
@@ -400,7 +400,7 @@ func (s *Server) contentPageTicket(sess *session, page *frame.Page, nonce protoc
 		Page:      page,
 		Ticket:    ticket,
 	}
-	msg.MAC = sess.macState().MAC(msg.MACBytes())
+	msg.MAC = protocol.SealMAC(sess.macState(), msg)
 	return msg
 }
 

@@ -189,8 +189,11 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		return werr
 	}
 
+	// The loop's decoder reuses one payload buffer and interns the
+	// fields every request repeats; it is owned by this goroutine.
+	var dec protocol.Decoder
 	for {
-		ft, payload, err := protocol.ReadFrame(br)
+		ft, payload, err := dec.ReadFrame(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				// The peer vanished between frames: normal teardown for a
@@ -202,7 +205,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		}
 		switch ft {
 		case protocol.FrameTouchBatch:
-			tb, err := protocol.DecodeTouchBatch(payload)
+			tb, err := dec.DecodeTouchBatch(payload)
 			if err != nil {
 				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
 				return err
