@@ -17,10 +17,8 @@ import (
 	"trust/internal/device"
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -38,14 +36,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("trustdevice: CA: %v", err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "trustdevice", *seed)
+	owner := fingerprint.Synthesize(*seed+1000, fingerprint.Loop)
+	mod, err := testbed.Module(ca, "trustdevice", *seed, owner)
 	if err != nil {
 		log.Fatalf("trustdevice: %v", err)
-	}
-	owner := fingerprint.Synthesize(*seed+1000, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(owner)); err != nil {
-		log.Fatalf("trustdevice: enroll: %v", err)
 	}
 	dev := device.New("trustdevice", mod, &device.HTTP{BaseURL: *server, Client: http.DefaultClient, Binary: *binWire})
 
@@ -58,20 +52,20 @@ func main() {
 	}
 	fmt.Printf("server certificate for %s verified against CA\n", cert.Subject)
 
-	now := touchUntilVerified(dev, owner, 0)
+	now := touchUntilVerified(mod, owner, 0)
 	if err := dev.Register(now, *account, "recovery-pw"); err != nil {
 		log.Fatalf("trustdevice: register: %v", err)
 	}
 	fmt.Printf("registered account %q (Fig 9 flow)\n", *account)
 
-	now = touchUntilVerified(dev, owner, now)
+	now = touchUntilVerified(mod, owner, now)
 	if err := dev.Login(now, cert, *account); err != nil {
 		log.Fatalf("trustdevice: login: %v", err)
 	}
 	fmt.Println("logged in; session key established (Fig 10 flow)")
 
 	for _, action := range []string{"view-statement", "home"} {
-		now = touchUntilVerified(dev, owner, now)
+		now = touchUntilVerified(mod, owner, now)
 		if err := dev.Browse(now, action); err != nil {
 			log.Fatalf("trustdevice: browse %s: %v", action, err)
 		}
@@ -81,17 +75,11 @@ func main() {
 }
 
 // touchUntilVerified delivers deliberate button touches until the
-// module verifies one.
-func touchUntilVerified(dev *device.Device, owner *fingerprint.Finger, start time.Duration) time.Duration {
-	now := start
-	for i := 0; i < 50; i++ {
-		ev := touch.Event{At: now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		out := dev.Touch(ev, owner)
-		now += 400 * time.Millisecond
-		if out.Kind == flock.Matched {
-			return now
-		}
+// module verifies one, and returns the time after that tap.
+func touchUntilVerified(mod *flock.Module, owner *fingerprint.Finger, start time.Duration) time.Duration {
+	at, err := testbed.TapUntilVerified(mod, owner, start)
+	if err != nil {
+		log.Fatalf("trustdevice: %v", err)
 	}
-	log.Fatal("trustdevice: owner never verified on the button")
-	return now
+	return at + testbed.TapInterval
 }

@@ -13,12 +13,10 @@ import (
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
 	"trust/internal/sim"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -56,14 +54,10 @@ func newRig(seed uint64) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "victim-phone", seed+2)
-	if err != nil {
-		return nil, err
-	}
 	owner := fingerprint.Synthesize(seed+1000, fingerprint.Loop)
 	impostor := fingerprint.Synthesize(seed+2000, fingerprint.Whorl)
-	if err := mod.Enroll(fingerprint.NewTemplate(owner)); err != nil {
+	mod, err := testbed.Module(ca, "victim-phone", seed+2, owner)
+	if err != nil {
 		return nil, err
 	}
 	inter := &device.Interceptor{}
@@ -72,28 +66,22 @@ func newRig(seed uint64) (*rig, error) {
 }
 
 // touch drives button taps with the given finger until one verifies or
-// attempts run out; returns whether a verified touch happened.
-func (r *rig) touch(finger *fingerprint.Finger, attempts int) bool {
-	for i := 0; i < attempts; i++ {
-		ev := touch.Event{At: r.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		out := r.dev.Touch(ev, finger)
-		r.now += 400 * time.Millisecond
-		if out.Kind == flock.Matched {
-			return true
-		}
-	}
-	return false
+// the tap bound is reached; returns whether a verified touch happened.
+func (r *rig) touch(finger *fingerprint.Finger) bool {
+	at, err := testbed.TapUntilVerified(r.dev.Module, finger, r.now)
+	r.now = at + testbed.TapInterval
+	return err == nil
 }
 
 // setup registers and logs in the honest owner.
 func (r *rig) setup() error {
-	if !r.touch(r.owner, 30) {
+	if !r.touch(r.owner) {
 		return fmt.Errorf("owner never verified")
 	}
 	if err := r.dev.Register(r.now, "victim", "recovery-pw"); err != nil {
 		return err
 	}
-	if !r.touch(r.owner, 30) {
+	if !r.touch(r.owner) {
 		return fmt.Errorf("owner never verified for login")
 	}
 	return r.dev.Login(r.now, r.server.Certificate(), "victim")
@@ -167,7 +155,7 @@ func replayPageRequest(r *rig) Result {
 		d.Err = err
 		return d
 	}
-	r.touch(r.owner, 30)
+	r.touch(r.owner)
 	if err := r.dev.Browse(r.now, "view-statement"); err != nil {
 		d.Err = err
 		return d
@@ -191,7 +179,7 @@ func mitmActionTamper(r *rig) Result {
 		m.Action = "confirm-transfer"
 		return &m
 	}
-	r.touch(r.owner, 30)
+	r.touch(r.owner)
 	err := r.dev.Browse(r.now, "view-statement")
 	d.Defended = err != nil
 	d.Mechanism = "session-key MAC over every request field"
@@ -208,9 +196,8 @@ func mitmRiskTamper(r *rig) Result {
 	// The device is now in an impostor's hands: the genuine risk factor
 	// collapses, and the MITM tries to patch it back up in flight.
 	for i := 0; i < 15; i++ {
-		ev := touch.Event{At: r.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		r.dev.Touch(ev, r.impostor)
-		r.now += 400 * time.Millisecond
+		r.dev.Touch(testbed.Tap(r.now), r.impostor)
+		r.now += testbed.TapInterval
 	}
 	r.inter.OnPageRequest = func(req *protocol.PageRequest) *protocol.PageRequest {
 		m := *req
@@ -237,7 +224,7 @@ func malwareFrameSpoof(r *rig) Result {
 		d.Err = err
 		return d
 	}
-	r.touch(r.owner, 30)
+	r.touch(r.owner)
 	if err := r.dev.Browse(r.now, "view-statement"); err != nil {
 		// Even better: rejected online.
 		d.Defended = true
@@ -275,12 +262,10 @@ func lowQualityEvasion(r *rig) Result {
 	}
 	// Impostor's evasive touches: fast swipes and feather taps.
 	for i := 0; i < 20; i++ {
-		ev := touch.Event{
-			At: r.now, Pos: geom.Point{X: 240, Y: 720},
-			Pressure: 0.1, RadiusMM: 3, SpeedMMS: 60,
-		}
+		ev := testbed.Tap(r.now)
+		ev.Pressure, ev.RadiusMM, ev.SpeedMMS = 0.1, 3, 60
 		r.dev.Touch(ev, r.impostor)
-		r.now += 400 * time.Millisecond
+		r.now += testbed.TapInterval
 	}
 	// The touches were all discarded: the risk window now reports no
 	// verifications, so the next request fails the server policy (or,
@@ -299,9 +284,8 @@ func stolenDevice(r *rig) Result {
 		return d
 	}
 	for i := 0; i < 15; i++ {
-		ev := touch.Event{At: r.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		r.dev.Touch(ev, r.impostor)
-		r.now += 400 * time.Millisecond
+		r.dev.Touch(testbed.Tap(r.now), r.impostor)
+		r.now += testbed.TapInterval
 	}
 	err := r.dev.Browse(r.now, "confirm-transfer")
 	if err == nil {
@@ -328,7 +312,7 @@ func rogueServer(r *rig) Result {
 		return d
 	}
 	r.dev = device.New("victim-phone", r.mod, &device.InMemory{Server: rogue})
-	if !r.touch(r.owner, 30) {
+	if !r.touch(r.owner) {
 		d.Err = fmt.Errorf("owner never verified")
 		return d
 	}
@@ -348,19 +332,15 @@ func foreignDevice(r *rig) Result {
 	}
 	// Attacker hardware, enrolled with the attacker's finger, with a
 	// legitimate certificate from the same CA.
-	mod, err := flock.New(flock.DefaultConfig(placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}), r.ca, "attacker-phone", 4321)
+	mod, err := testbed.Module(r.ca, "attacker-phone", 4321, r.impostor)
 	if err != nil {
-		d.Err = err
-		return d
-	}
-	if err := mod.Enroll(fingerprint.NewTemplate(r.impostor)); err != nil {
 		d.Err = err
 		return d
 	}
 	atk := device.New("attacker-phone", mod, &device.InMemory{Server: r.server})
 	save := r.dev
 	r.dev = atk
-	verified := r.touch(r.impostor, 30)
+	verified := r.touch(r.impostor)
 	r.dev = save
 	if !verified {
 		d.Err = fmt.Errorf("attacker never verified on own device")

@@ -6,13 +6,10 @@ import (
 	"time"
 
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -41,26 +38,18 @@ func newBenchWire(b *testing.B, binary bool) *benchWire {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "device-1", 99)
-	if err != nil {
-		b.Fatal(err)
-	}
 	f := fingerprint.Synthesize(4242, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+	mod, err := testbed.Module(ca, "device-1", 99, f)
+	if err != nil {
 		b.Fatal(err)
 	}
 	w := &benchWire{srv: srv, client: protocol.NewClient(mod)}
 	touchOwner := func() {
-		for i := 0; i < 30; i++ {
-			ev := touch.Event{At: w.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			out := mod.HandleTouch(ev, f)
-			w.now += 500 * time.Millisecond
-			if out.Kind == flock.Matched {
-				return
-			}
+		at, err := testbed.TapUntilVerified(mod, f, w.now)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Fatal("owner touch never verified")
+		w.now = at + testbed.TapInterval
 	}
 
 	regPage := srv.ServeRegistrationPage(w.now)

@@ -5,11 +5,9 @@ import (
 	"testing"
 
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/store"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -30,13 +28,9 @@ func durableFixture(t *testing.T, fsys store.FS) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "device-1", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := fingerprint.Synthesize(4242, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+	mod, err := testbed.Module(ca, "device-1", 99, f)
+	if err != nil {
 		t.Fatal(err)
 	}
 	dev := New("phone", mod, &InMemory{Server: srv})

@@ -10,13 +10,11 @@ import (
 	"time"
 
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
 	"trust/internal/sim"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -34,13 +32,9 @@ func newStreamFixture(t *testing.T, wrapDial func(func() (io.ReadWriteCloser, er
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "device-1", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := fingerprint.Synthesize(4242, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+	mod, err := testbed.Module(ca, "device-1", 99, f)
+	if err != nil {
 		t.Fatal(err)
 	}
 	dial := func() (io.ReadWriteCloser, error) {

@@ -8,13 +8,10 @@ import (
 
 	"trust/internal/device"
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
 	"trust/internal/ftdc"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/sim"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -192,15 +189,11 @@ func chaosTrial(m *chaosModel, trialSeed uint64, rate float64, budget, rounds in
 	if err != nil {
 		return out, err
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "chaos-phone", trialSeed+5)
-	if err != nil {
-		return out, err
-	}
 	// Three shared finger seeds across all trials keep the synthesis
 	// cost bounded without correlating the fault schedules.
 	finger := fingerprint.Synthesize(9000+trialSeed%3, fingerprint.PatternType(trialSeed%3))
-	if err := mod.Enroll(fingerprint.NewTemplate(finger)); err != nil {
+	mod, err := testbed.Module(ca, "chaos-phone", trialSeed+5, finger)
+	if err != nil {
 		return out, err
 	}
 
@@ -237,15 +230,9 @@ func chaosTrial(m *chaosModel, trialSeed uint64, rate float64, budget, rounds in
 	}, sim.NewRNG(trialSeed^0xfa02))
 
 	now := time.Duration(0)
-	verify := func() error {
-		for a := 0; a < 40; a++ {
-			ev := touch.Event{At: now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if dev.Touch(ev, finger).Kind == flock.Matched {
-				return nil
-			}
-			now += 400 * time.Millisecond
-		}
-		return fmt.Errorf("harness: chaos device never touch-verified")
+	verify := func() (err error) {
+		now, err = testbed.TapUntilVerified(mod, finger, now)
+		return err
 	}
 
 	// Session establishment runs over the clean link, and the stream's

@@ -118,17 +118,20 @@ func TestXChaosCaptureByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosArtifactsGolden pins both chaos sweeps to their committed
-// artifacts, rendered the way `benchtab -out` writes them, so a change
-// to the retry loop, the fault injectors or the sweep driver that moves
-// a single byte fails here rather than in a manual diff.
-func TestChaosArtifactsGolden(t *testing.T) {
+// TestRigArtifactsGolden pins the artifacts built on the standard
+// one-button deployment (internal/testbed) — both chaos sweeps and the
+// attack suite — to their committed files, rendered the way
+// `benchtab -out` writes them, so a change to the rig, the retry loop,
+// the fault injectors or the sweep driver that moves a single byte
+// fails here rather than in a manual diff.
+func TestRigArtifactsGolden(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		fn   func(uint64) (Result, error)
 	}{
 		{"XChaos", XChaos},
 		{"XStreamChaos", XStreamChaos},
+		{"XAttacks", XAttacks},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			r, err := e.fn(Seed)

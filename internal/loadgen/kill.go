@@ -18,11 +18,9 @@ import (
 	"trust/internal/device"
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/store"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -88,31 +86,18 @@ func KillSweep(cfg KillConfig) (KillReport, error) {
 	if err != nil {
 		return KillReport{}, err
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 	workers := make([]*killWorker, cfg.Workers)
 	for i := range workers {
-		mod, err := flock.New(flock.DefaultConfig(pl), ca, fmt.Sprintf("kill-dev-%d", i), cfg.Seed+100+uint64(i))
+		f := fingerprint.Synthesize(cfg.Seed+9000+uint64(i)*13, fingerprint.PatternType(i%3))
+		mod, err := testbed.Module(ca, fmt.Sprintf("kill-dev-%d", i), cfg.Seed+100+uint64(i), f)
 		if err != nil {
 			return KillReport{}, err
 		}
-		f := fingerprint.Synthesize(cfg.Seed+9000+uint64(i)*13, fingerprint.PatternType(i%3))
-		if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
-			return KillReport{}, err
+		now, err := testbed.TapUntilVerified(mod, f, 0)
+		if err != nil {
+			return KillReport{}, fmt.Errorf("loadgen: kill worker %d: %w", i, err)
 		}
-		w := &killWorker{mod: mod, f: f}
-		verified := false
-		for a := 0; a < 40 && !verified; a++ {
-			ev := touch.Event{At: w.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if mod.HandleTouch(ev, f).Kind == flock.Matched {
-				verified = true
-			} else {
-				w.now += 400 * time.Millisecond
-			}
-		}
-		if !verified {
-			return KillReport{}, fmt.Errorf("loadgen: kill worker %d never touch-verified", i)
-		}
-		workers[i] = w
+		workers[i] = &killWorker{mod: mod, f: f, now: now}
 	}
 
 	fsys := store.NewMemFS()

@@ -23,14 +23,11 @@ import (
 
 	"trust/internal/device"
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
 	"trust/internal/ftdc"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/sim"
 	"trust/internal/store"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -298,15 +295,10 @@ func build(cfg Config) (*fleet, error) {
 		return nil, fmt.Errorf("loadgen: unknown transport %v", cfg.Transport)
 	}
 
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 	for i := 0; i < cfg.Devices; i++ {
-		mod, err := flock.New(flock.DefaultConfig(pl), ca, fmt.Sprintf("load-dev-%d", i), cfg.Seed+100+uint64(i))
-		if err != nil {
-			fl.close()
-			return nil, err
-		}
 		f := fingerprint.Synthesize(cfg.Seed+9000+uint64(i)*13, fingerprint.PatternType(i%3))
-		if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+		mod, err := testbed.Module(ca, fmt.Sprintf("load-dev-%d", i), cfg.Seed+100+uint64(i), f)
+		if err != nil {
 			fl.close()
 			return nil, err
 		}
@@ -329,18 +321,9 @@ func build(cfg Config) (*fleet, error) {
 				JitterFrac:  0.2,
 			}, sim.NewRNG(cfg.Seed^0xfa1+uint64(i)*37))
 		}
-		verified := false
-		for a := 0; a < 40 && !verified; a++ {
-			ev := touch.Event{At: ld.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if ld.dev.Touch(ev, f).Kind == flock.Matched {
-				verified = true
-			} else {
-				ld.now += 400 * time.Millisecond
-			}
-		}
-		if !verified {
+		if ld.now, err = testbed.TapUntilVerified(mod, f, ld.now); err != nil {
 			fl.close()
-			return nil, fmt.Errorf("loadgen: device %d never touch-verified", i)
+			return nil, fmt.Errorf("loadgen: device %d: %w", i, err)
 		}
 		// Enroll mode registers a fresh account per measured op; the
 		// other modes bind the device's own account up front, and every

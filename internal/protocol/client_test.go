@@ -7,11 +7,9 @@ import (
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -34,13 +32,9 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "device-1", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := fingerprint.Synthesize(4242, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+	mod, err := testbed.Module(ca, "device-1", 99, f)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{ca: ca, server: srv, module: mod, client: protocol.NewClient(mod), finger: f}
@@ -48,15 +42,11 @@ func newFixture(t *testing.T) *fixture {
 
 func (fx *fixture) verify(t *testing.T) {
 	t.Helper()
-	for i := 0; i < 30; i++ {
-		ev := touch.Event{At: fx.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		out := fx.module.HandleTouch(ev, fx.finger)
-		fx.now += 400 * time.Millisecond
-		if out.Kind == flock.Matched {
-			return
-		}
+	at, err := testbed.TapUntilVerified(fx.module, fx.finger, fx.now)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("owner never verified")
+	fx.now = at + testbed.TapInterval
 }
 
 func TestClientModuleAccessor(t *testing.T) {

@@ -10,11 +10,8 @@ import (
 
 	"trust/internal/device"
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 	"trust/internal/webserver"
 )
 
@@ -42,34 +39,21 @@ func concurrencyFleet(t testing.TB, n int, binary bool) (*webserver.Server, *htt
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 	fleet := make([]*fleetDevice, n)
 	for i := 0; i < n; i++ {
-		mod, err := flock.New(flock.DefaultConfig(pl), ca, fmt.Sprintf("conc-dev-%d", i), uint64(2000+i))
+		f := fingerprint.Synthesize(uint64(7000+i*13), fingerprint.PatternType(i%3))
+		mod, err := testbed.Module(ca, fmt.Sprintf("conc-dev-%d", i), uint64(2000+i), f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := fingerprint.Synthesize(uint64(7000+i*13), fingerprint.PatternType(i%3))
-		if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
-			t.Fatal(err)
-		}
 		transport := &device.HTTP{BaseURL: ts.URL, Client: &http.Client{}, Binary: binary}
-		fd := &fleetDevice{dev: device.New(fmt.Sprintf("conc-dev-%d", i), mod, transport)}
-		// Verify a touch; now stays frozen afterwards so the touch
-		// remains fresh for the whole traffic phase.
-		verified := false
-		for a := 0; a < 40 && !verified; a++ {
-			ev := touch.Event{At: fd.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if fd.dev.Touch(ev, f).Kind == flock.Matched {
-				verified = true
-			} else {
-				fd.now += 400 * time.Millisecond
-			}
+		// Verify a touch; now stays frozen at it afterwards so the
+		// touch remains fresh for the whole traffic phase.
+		now, err := testbed.TapUntilVerified(mod, f, 0)
+		if err != nil {
+			t.Fatalf("device %d: %v", i, err)
 		}
-		if !verified {
-			t.Fatalf("device %d never verified", i)
-		}
-		fleet[i] = fd
+		fleet[i] = &fleetDevice{dev: device.New(fmt.Sprintf("conc-dev-%d", i), mod, transport), now: now}
 	}
 	return srv, ts, fleet
 }

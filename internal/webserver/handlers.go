@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"crypto/subtle"
+	"errors"
 	"fmt"
 	"time"
 
@@ -31,34 +32,33 @@ func (s *Server) ServeRegistrationPage(now time.Duration) *protocol.Registration
 // against the CA, the submission signature against the device key, and
 // the nonce; then store the account binding and log the frame hash.
 func (s *Server) HandleRegistration(now time.Duration, sub *protocol.RegistrationSubmit, recoveryPassword string) protocol.RegistrationResult {
-	fail := func(reason string) protocol.RegistrationResult {
-		s.rejected.Add(1)
-		return protocol.RegistrationResult{OK: false, Reason: reason}
+	fail := func(err error) protocol.RegistrationResult {
+		return protocol.RegistrationResult{OK: false, Reason: s.reject(err).Error()}
 	}
 	if sub == nil {
-		return fail("empty submission")
+		return fail(errors.New("empty submission"))
 	}
 	if s.degraded.Load() {
 		// A previous backend write failed; refuse new enrollments
 		// outright rather than acknowledge what cannot be made durable.
 		s.failStorage()
-		return fail(ErrStorage.Error())
+		return fail(ErrStorage)
 	}
 	if sub.Domain != s.domain {
-		return fail("domain mismatch")
+		return fail(errors.New("domain mismatch"))
 	}
 	if err := sub.DeviceCert.Verify(s.caPub, pki.RoleFLock); err != nil {
-		return fail("device certificate: " + err.Error())
+		return fail(fmt.Errorf("device certificate: %w", err))
 	}
 	if !ed25519.Verify(sub.DeviceCert.Key(), sub.SigningBytes(), sub.Signature) {
-		return fail("submission signature invalid")
+		return fail(errors.New("submission signature invalid"))
 	}
 	nonceAge, ok := s.nonces.consumeAge(sub.Nonce, now)
 	if !ok {
-		return fail("nonce unknown or replayed")
+		return fail(errors.New("nonce unknown or replayed"))
 	}
 	if len(sub.UserPub) != ed25519.PublicKeySize {
-		return fail("malformed user key")
+		return fail(errors.New("malformed user key"))
 	}
 	acct := &Account{
 		ID:            sub.Account,
@@ -77,7 +77,7 @@ func (s *Server) HandleRegistration(now time.Duration, sub *protocol.Registratio
 	// one reserves, so the backend sees exactly one enroll record, and
 	// a binding is never visible before it is durable.
 	if !s.accounts.beginClaim(acct) {
-		return fail(ErrTaken.Error())
+		return fail(ErrTaken)
 	}
 	if err := s.backend.Append(store.Record{
 		Kind:           store.KindEnroll,
@@ -91,7 +91,7 @@ func (s *Server) HandleRegistration(now time.Duration, sub *protocol.Registratio
 		s.accounts.abortClaim(acct.ID)
 		s.tripDegraded()
 		s.failStorage()
-		return fail(ErrStorage.Error())
+		return fail(ErrStorage)
 	}
 	s.accounts.commitClaim(acct)
 	s.audit.Append(frame.AuditEntry{
@@ -122,41 +122,33 @@ func (s *Server) ServeLoginPage(now time.Duration) *protocol.LoginPage {
 // first content page.
 func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*protocol.ContentPage, error) {
 	if sub == nil || sub.Domain != s.domain {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w: login", ErrMalformed)
+		return nil, s.reject(fmt.Errorf("%w: login", ErrMalformed))
 	}
 	if s.accounts.failures(sub.Account) >= s.MaxLoginFailures {
-		s.rejected.Add(1)
-		return nil, ErrRateLimited
+		return nil, s.reject(ErrRateLimited)
 	}
 	acct, ok := s.accounts.get(sub.Account)
 	if !ok {
 		s.accounts.addFailure(sub.Account)
-		s.rejected.Add(1)
-		return nil, ErrUnknownAccount
+		return nil, s.reject(ErrUnknownAccount)
 	}
 	if !ed25519.Verify(acct.PublicKey, sub.SigningBytes(), sub.Signature) {
 		s.accounts.addFailure(sub.Account)
-		s.rejected.Add(1)
-		return nil, ErrBadSignature
+		return nil, s.reject(ErrBadSignature)
 	}
 	nonceAge, ok := s.nonces.consumeAge(sub.Nonce, now)
 	if !ok {
-		s.rejected.Add(1)
-		return nil, ErrBadNonce
+		return nil, s.reject(ErrBadNonce)
 	}
 	key, err := pki.DecryptWith(s.kem.Private, sub.SessionKeyCT)
 	if err != nil || len(key) != pki.SessionKeySize {
-		s.rejected.Add(1)
-		return nil, ErrBadKey
+		return nil, s.reject(ErrBadKey)
 	}
 	if !pki.CheckMAC(key, sub.MACBytes(), sub.MAC) {
-		s.rejected.Add(1)
-		return nil, ErrBadMAC
+		return nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow)
+		return nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow))
 	}
 
 	sess := &session{
@@ -168,7 +160,7 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	// session becomes findable, so no request can observe it half
 	// initialized. The attached ticket lets the device's next login
 	// take the symmetric-only resume path (HandleResume).
-	cp := s.contentPageTicket(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, key))
+	cp := s.contentPage(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(sub.Account)
 	s.audit.Append(frame.AuditEntry{Account: sub.Account, PageURL: s.loginURL, Hash: sub.FrameHash, At: now})
@@ -198,7 +190,7 @@ func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 	// in transit never equals a live session key, and two resumes from
 	// the same ticket epoch never share one.
 	sess.key = protocol.ResumeKey(st.key, sess.id)
-	cp := s.contentPageTicket(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, sess.key))
+	cp := s.contentPage(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)
 	// The resume's frame hash attests the login page the user touched,
@@ -221,51 +213,42 @@ func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 //     serializes consume under its shard mutex).
 func (s *Server) verifyResume(now time.Duration, sub *protocol.ResumeSubmit) (*ticketState, *Account, error) {
 	if sub == nil || sub.Domain != s.domain || len(sub.Ticket) == 0 {
-		s.rejected.Add(1)
-		return nil, nil, fmt.Errorf("%w: resume", ErrMalformed)
+		return nil, nil, s.reject(fmt.Errorf("%w: resume", ErrMalformed))
 	}
 	if s.accounts.failures(sub.Account) >= s.MaxLoginFailures {
-		s.rejected.Add(1)
-		return nil, nil, ErrRateLimited
+		return nil, nil, s.reject(ErrRateLimited)
 	}
 	st, err := s.openTicket(now, sub.Ticket)
 	if err != nil {
 		// Expired epochs land here: the device's normal fallback to a
 		// full login, not an attack — no failure charged.
-		s.rejected.Add(1)
-		return nil, nil, err
+		return nil, nil, s.reject(err)
 	}
 	if st.account != sub.Account {
-		s.rejected.Add(1)
-		return nil, nil, ErrBadTicket
+		return nil, nil, s.reject(ErrBadTicket)
 	}
 	acct, ok := s.accounts.get(sub.Account)
 	if !ok {
 		s.accounts.addFailure(sub.Account)
-		s.rejected.Add(1)
-		return nil, nil, ErrUnknownAccount
+		return nil, nil, s.reject(ErrUnknownAccount)
 	}
 	if acct.Gen != st.gen {
 		// Ticket from before a ResetIdentity + re-register: the old
 		// binding's tickets die with it.
-		s.rejected.Add(1)
-		return nil, nil, ErrBadTicket
+		return nil, nil, s.reject(ErrBadTicket)
 	}
 	if !protocol.VerifyMAC(pki.NewMACer(st.key), sub, sub.MAC) {
 		s.accounts.addFailure(sub.Account)
-		s.rejected.Add(1)
-		return nil, nil, ErrBadMAC
+		return nil, nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
-		s.rejected.Add(1)
-		return nil, nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow)
+		return nil, nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow))
 	}
 	nonceAge, ok := s.nonces.consumeAge(st.nonce, now)
 	if !ok {
 		// Replayed (or evicted past the nonce TTL — same answer):
 		// single use is spent.
-		s.rejected.Add(1)
-		return nil, nil, ErrBadTicket
+		return nil, nil, s.reject(ErrBadTicket)
 	}
 	// Both resume fronts (HandleResume and the stream's resume frame)
 	// establish a session right after this point, so the success
@@ -292,32 +275,26 @@ func (s *Server) HandlePageRequest(now time.Duration, req *protocol.PageRequest)
 // never touches the entropy lock.
 func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
 	if req == nil || req.Domain != s.domain {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w: page request", ErrMalformed)
+		return nil, s.reject(fmt.Errorf("%w: page request", ErrMalformed))
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		s.rejected.Add(1)
-		return nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		s.rejected.Add(1)
-		return nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		s.rejected.Add(1)
-		return nil, ErrBadMAC
+		return nil, s.reject(ErrBadMAC)
 	}
 	if subtle.ConstantTimeCompare([]byte(req.Nonce), []byte(sess.lastNonce)) != 1 {
-		s.rejected.Add(1)
-		return nil, ErrBadNonce
+		return nil, s.reject(ErrBadNonce)
 	}
 	if !s.riskPolicy().ok(req.RiskVerified, req.RiskWindow) {
 		sess.revoked = true // continuous auth failed: hard stop
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow)
+		return nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow))
 	}
 	sess.requests++
 	if sess.seen {
@@ -328,7 +305,7 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 	// when touching — the page this session was last served.
 	s.audit.Append(frame.AuditEntry{Account: req.Account, PageURL: sess.lastPage, Hash: req.FrameHash, At: now})
 	s.accepted.Add(1)
-	return s.contentPageNonce(sess, s.PageForAction(req.Action), nextNonce()), nil
+	return s.contentPage(sess, s.PageForAction(req.Action), nextNonce(), nil), nil
 }
 
 // HandleResync re-serves a session's last page under a fresh nonce for
@@ -345,51 +322,35 @@ func (s *Server) HandleResync(now time.Duration, req *protocol.ResyncRequest) (*
 // the nextNonce split.
 func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
 	if req == nil || req.Domain != s.domain {
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("%w: resync request", ErrMalformed)
+		return nil, s.reject(fmt.Errorf("%w: resync request", ErrMalformed))
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		s.rejected.Add(1)
-		return nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		s.rejected.Add(1)
-		return nil, ErrUnknownSession
+		return nil, s.reject(ErrUnknownSession)
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		s.rejected.Add(1)
-		return nil, ErrBadMAC
+		return nil, s.reject(ErrBadMAC)
 	}
 	if sess.seen {
 		s.tel.resync.Observe(now - sess.lastSeen)
 	}
 	sess.lastSeen, sess.seen = now, true
 	s.accepted.Add(1)
-	return s.contentPageNonce(sess, s.page(sess.lastPage), nextNonce()), nil
+	return s.contentPage(sess, s.page(sess.lastPage), nextNonce(), nil), nil
 }
 
-// contentPage builds the MAC'd response and rotates the session nonce,
-// minting the nonce from the entropy stream. The caller must own the
-// session: either it is freshly created and not yet published, or its
-// mutex is held.
-func (s *Server) contentPage(sess *session, page *frame.Page) *protocol.ContentPage {
-	return s.contentPageNonce(sess, page, s.mintNonce())
-}
-
-// contentPageNonce is contentPage with the caller supplying the next
-// session nonce (the stream endpoint's chain-derived nonces take this
-// path).
-func (s *Server) contentPageNonce(sess *session, page *frame.Page, nonce protocol.Nonce) *protocol.ContentPage {
-	return s.contentPageTicket(sess, page, nonce, nil)
-}
-
-// contentPageTicket is the full content-page builder: the login and
-// resume responses attach a fresh resumption ticket, which must be in
-// place before the MAC is computed (the MAC covers it).
-func (s *Server) contentPageTicket(sess *session, page *frame.Page, nonce protocol.Nonce, ticket []byte) *protocol.ContentPage {
+// contentPage builds the MAC'd response and rotates the session nonce
+// to the given one. The caller must own the session: either it is
+// freshly created and not yet published, or its mutex is held. The
+// login and resume responses attach a fresh resumption ticket, which
+// must be in place before the MAC is computed (the MAC covers it);
+// other responses pass a nil ticket.
+func (s *Server) contentPage(sess *session, page *frame.Page, nonce protocol.Nonce, ticket []byte) *protocol.ContentPage {
 	sess.lastNonce = nonce
 	sess.lastPage = page.URL
 	msg := &protocol.ContentPage{

@@ -8,13 +8,10 @@ import (
 	"time"
 
 	"trust/internal/fingerprint"
-	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 )
 
 // farmClient is one registered, logged-in device in a multi-client
@@ -41,30 +38,18 @@ func benchFarm(b *testing.B, n int) (*Server, []*farmClient) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 	clients := make([]*farmClient, n)
 	for i := 0; i < n; i++ {
-		mod, err := flock.New(flock.DefaultConfig(pl), ca, fmt.Sprintf("farm-dev-%d", i), uint64(3000+i))
+		f := fingerprint.Synthesize(uint64(9000+i*13), fingerprint.PatternType(i%3))
+		mod, err := testbed.Module(ca, fmt.Sprintf("farm-dev-%d", i), uint64(3000+i), f)
 		if err != nil {
 			b.Fatal(err)
 		}
-		f := fingerprint.Synthesize(uint64(9000+i*13), fingerprint.PatternType(i%3))
-		if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
-			b.Fatal(err)
+		now, err := testbed.TapUntilVerified(mod, f, 0)
+		if err != nil {
+			b.Fatalf("farm device %d: %v", i, err)
 		}
-		fc := &farmClient{client: protocol.NewClient(mod), acct: fmt.Sprintf("farm-acct-%d", i)}
-		verified := false
-		for a := 0; a < 40 && !verified; a++ {
-			ev := touch.Event{At: fc.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if mod.HandleTouch(ev, f).Kind == flock.Matched {
-				verified = true
-			} else {
-				fc.now += 400 * time.Millisecond
-			}
-		}
-		if !verified {
-			b.Fatalf("farm device %d never verified", i)
-		}
+		fc := &farmClient{client: protocol.NewClient(mod), acct: fmt.Sprintf("farm-acct-%d", i), now: now}
 
 		regPage := srv.ServeRegistrationPage(fc.now)
 		fc.client.DisplayPage(regPage.Page, frame.View{Zoom: 1})

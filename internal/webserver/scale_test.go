@@ -9,11 +9,9 @@ import (
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 )
 
 func TestLoginRateLimiting(t *testing.T) {
@@ -98,7 +96,6 @@ func TestManyDevicesIsolatedSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
 
 	type client struct {
 		c    *protocol.Client
@@ -111,29 +108,19 @@ func TestManyDevicesIsolatedSessions(t *testing.T) {
 	now := time.Duration(0)
 
 	for i := 0; i < devices; i++ {
-		mod, err := flock.New(flock.DefaultConfig(pl), ca, fmt.Sprintf("dev-%d", i), uint64(1000+i))
-		if err != nil {
-			t.Fatal(err)
-		}
 		f := fingerprint.Synthesize(uint64(5000+i*13), fingerprint.PatternType(i%3))
-		if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+		mod, err := testbed.Module(ca, fmt.Sprintf("dev-%d", i), uint64(1000+i), f)
+		if err != nil {
 			t.Fatal(err)
 		}
 		cl := &client{c: protocol.NewClient(mod), m: mod, f: f}
 		clients[i] = cl
 
-		// Verify a touch.
-		verified := false
-		for a := 0; a < 40 && !verified; a++ {
-			ev := touch.Event{At: now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-			if mod.HandleTouch(ev, f).Kind == flock.Matched {
-				verified = true
-			}
-			now += 400 * time.Millisecond
+		at, err := testbed.TapUntilVerified(mod, f, now)
+		if err != nil {
+			t.Fatalf("device %d: %v", i, err)
 		}
-		if !verified {
-			t.Fatalf("device %d never verified", i)
-		}
+		now = at + testbed.TapInterval
 
 		// Register.
 		page := srv.ServeRegistrationPage(now)

@@ -292,6 +292,13 @@ func (s *Server) AcceptedRequests() int { return int(s.accepted.Load()) }
 // RejectedRequests reports how many requests the handlers rejected.
 func (s *Server) RejectedRequests() int { return int(s.rejected.Load()) }
 
+// reject counts one rejected request and returns err, the reason the
+// caller reports. Every handler rejection goes through it.
+func (s *Server) reject(err error) error {
+	s.rejected.Add(1)
+	return err
+}
+
 // NonceCount reports the live (issued, unconsumed, unexpired-at-issue)
 // nonce count — bounded by the store's capacity.
 func (s *Server) NonceCount() int { return s.nonces.len() }

@@ -8,11 +8,9 @@ import (
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
-	"trust/internal/placement"
 	"trust/internal/protocol"
-	"trust/internal/touch"
+	"trust/internal/testbed"
 )
 
 // rig is a complete client+server test fixture.
@@ -35,13 +33,9 @@ func newRig(t testing.TB) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := placement.Placement{Sensors: []geom.Rect{geom.RectWH(180, 660, 120, 120)}}
-	mod, err := flock.New(flock.DefaultConfig(pl), ca, "device-1", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := fingerprint.Synthesize(4242, fingerprint.Loop)
-	if err := mod.Enroll(fingerprint.NewTemplate(f)); err != nil {
+	mod, err := testbed.Module(ca, "device-1", 99, f)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return &rig{ca: ca, server: srv, module: mod, client: protocol.NewClient(mod), finger: f}
@@ -51,21 +45,11 @@ func newRig(t testing.TB) *rig {
 // one verifies, advancing r.now.
 func (r *rig) touchButton(t testing.TB) {
 	t.Helper()
-	for i := 0; i < 30; i++ {
-		ev := touch.Event{
-			At:       r.now,
-			Pos:      geom.Point{X: 240, Y: 720},
-			Pressure: 0.7,
-			RadiusMM: 4.2,
-			SpeedMMS: 1,
-		}
-		out := r.module.HandleTouch(ev, r.finger)
-		r.now += 500 * time.Millisecond
-		if out.Kind == flock.Matched {
-			return
-		}
+	at, err := testbed.TapUntilVerified(r.module, r.finger, r.now)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("owner touch never verified")
+	r.now = at + testbed.TapInterval
 }
 
 // register runs the full Fig 9 flow and returns the account id.
@@ -330,9 +314,8 @@ func TestImpostorSessionRevoked(t *testing.T) {
 	// revokes the session — the paper's continuous-auth guarantee.
 	impostor := fingerprint.Synthesize(31337, fingerprint.Whorl)
 	for i := 0; i < 15; i++ {
-		ev := touch.Event{At: r.now, Pos: geom.Point{X: 240, Y: 720}, Pressure: 0.7, RadiusMM: 4.2, SpeedMMS: 1}
-		r.module.HandleTouch(ev, impostor)
-		r.now += 500 * time.Millisecond
+		r.module.HandleTouch(testbed.Tap(r.now), impostor)
+		r.now += testbed.TapInterval
 	}
 	r.client.DisplayPage(cp.Page, frame.View{Zoom: 1})
 	req, err := r.client.BuildPageRequest(r.now, sess, "confirm-transfer", 12)

@@ -133,7 +133,9 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		}
 		conn, welcome, herr := s.acceptStreamHello(rwc, hello)
 		if herr != nil {
-			s.rejected.Add(1)
+			// Counted before the ack goes out: the peer may read the
+			// counter as soon as it holds the ack.
+			s.reject(herr)
 			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, wireCode(herr), herr.Error()))
 			return herr
 		}
@@ -369,7 +371,7 @@ func (s *Server) acceptStreamResume(rwc io.ReadWriteCloser, now time.Duration, s
 	s.entropy.Read(seed)
 	s.entropyMu.Unlock()
 	chain := protocol.NewNonceChain(sess.key, seed)
-	cp := s.contentPageTicket(sess, s.PageForAction("login"), chain.At(0), s.issueTicket(now, acct, sess.key))
+	cp := s.contentPage(sess, s.PageForAction("login"), chain.At(0), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)
 	s.audit.Append(frame.AuditEntry{Account: acct.ID, PageURL: s.loginURL, Hash: sub.FrameHash, At: now})
