@@ -12,15 +12,14 @@
 //   - Near-zero cost. Sample appends into retained buffers; the steady
 //     state allocates nothing (asserted at 0 allocs/op in
 //     bench_test.go), so capture can stay enabled in every sweep.
-//   - Torn-tail tolerant. Chunks carry a CRC32 over their payload with
-//     the same length||crc framing as internal/store's WAL records; a
-//     reader stops cleanly at a truncated tail and refuses mid-file
-//     corruption.
+//   - Torn-tail tolerant. Chunks are internal/chunk frames, the framing
+//     internal/store's WAL records use, and Read follows that package's
+//     recovery rule: a torn tail is discarded, corruption refused.
 //
-// Wire grammar (all integers big-endian or varint as noted):
+// Wire grammar:
 //
 //	capture  = chunk*
-//	chunk    = u32 payloadLen || u32 crc32(payload) || payload
+//	chunk    = an internal/chunk frame holding one payload
 //	payload  = schemaChunk | dataChunk
 //	schemaChunk = 'S' || uvarint(ncols) || (uvarint(len) || name)*
 //	dataChunk   = 'D' || uvarint(nrows) || keyframe || delta*
@@ -41,7 +40,8 @@ package ftdc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"trust/internal/chunk"
 )
 
 // KeyframeRows is the number of samples per data chunk. Each chunk
@@ -54,13 +54,6 @@ const (
 	chunkSchema = 'S'
 	chunkData   = 'D'
 )
-
-// chunkHeaderLen is the length||crc prefix guarding every chunk.
-const chunkHeaderLen = 8
-
-// maxChunkPayload bounds a single chunk so a corrupt length field
-// cannot make the reader allocate unbounded memory.
-const maxChunkPayload = 1 << 24
 
 // Schema is the fixed, registered column set of a capture. Columns are
 // named once, before the first sample; every sample supplies exactly
@@ -98,7 +91,6 @@ type Capture struct {
 	rows    int     // rows in the open chunk
 	samples int     // rows recorded since NewCapture/Reset
 	body    []byte  // encoded rows of the open chunk
-	scratch []byte  // chunk assembly buffer, retained across chunks
 	out     []byte  // completed chunks
 }
 
@@ -147,11 +139,12 @@ func (c *Capture) closeChunk() {
 	if c.rows == 0 {
 		return
 	}
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, chunkData)
-	c.scratch = binary.AppendUvarint(c.scratch, uint64(c.rows))
-	c.scratch = append(c.scratch, c.body...)
-	c.out = appendChunk(c.out, c.scratch)
+	out, at := chunk.Begin(c.out)
+	out = append(out, chunkData)
+	out = binary.AppendUvarint(out, uint64(c.rows))
+	out = append(out, c.body...)
+	chunk.End(out, at)
+	c.out = out
 	c.body = c.body[:0]
 	c.rows = 0
 }
@@ -172,24 +165,16 @@ func (c *Capture) Bytes() []byte {
 // keeping the retained buffers. Used when a collector (testing.Benchmark
 // reruns, for one) restarts the same capture.
 func (c *Capture) Reset() {
-	c.out = c.out[:0]
 	c.body = c.body[:0]
 	c.rows = 0
 	c.samples = 0
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, chunkSchema)
-	c.scratch = binary.AppendUvarint(c.scratch, uint64(c.schema.Len()))
+	out, at := chunk.Begin(c.out[:0])
+	out = append(out, chunkSchema)
+	out = binary.AppendUvarint(out, uint64(c.schema.Len()))
 	for _, name := range c.schema.names {
-		c.scratch = binary.AppendUvarint(c.scratch, uint64(len(name)))
-		c.scratch = append(c.scratch, name...)
+		out = binary.AppendUvarint(out, uint64(len(name)))
+		out = append(out, name...)
 	}
-	c.out = appendChunk(c.out, c.scratch)
-}
-
-// appendChunk frames payload as length || crc32 || payload — the WAL's
-// record discipline applied to telemetry.
-func appendChunk(out, payload []byte) []byte {
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	chunk.End(out, at)
+	c.out = out
 }

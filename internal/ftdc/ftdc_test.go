@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"trust/internal/chunk"
 )
 
-func sampleCapture(t *testing.T, rows int) (*Capture, [][]int64) {
+func sampleCapture(t testing.TB, rows int) (*Capture, [][]int64) {
 	t.Helper()
 	c := NewCapture(NewSchema([]string{"accepted", "rejected", "depth"}))
 	var want [][]int64
@@ -121,7 +125,7 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 	whole := append([]byte{}, c.Bytes()...)
 	// Flip a bit in the first data chunk's payload: a CRC mismatch with
 	// more chunks behind it is corruption, not a torn tail.
-	schemaLen := binary.BigEndian.Uint32(whole)
+	schemaLen := binary.LittleEndian.Uint32(whole)
 	whole[8+int(schemaLen)+8] ^= 0x40
 	if _, err := Read(whole); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-file corruption: got %v, want ErrCorrupt", err)
@@ -129,6 +133,75 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 	if _, err := Read([]byte{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty capture: got %v, want ErrCorrupt", err)
 	}
+}
+
+// hugeSchemaCapture is an 18-byte capture whose one schema chunk
+// declares 2^62 columns.
+func hugeSchemaCapture() []byte {
+	out, at := chunk.Begin(nil)
+	out = binary.AppendUvarint(append(out, chunkSchema), 1<<62)
+	chunk.End(out, at)
+	return out
+}
+
+// TestHugeSchemaCountFailsBeforeAllocating: a column count the schema
+// chunk's bytes cannot hold fails with ErrCorrupt without sizing a
+// slice from the count.
+func TestHugeSchemaCountFailsBeforeAllocating(t *testing.T) {
+	capt := hugeSchemaCapture()
+	if len(capt) != 18 {
+		t.Fatalf("capture is %d bytes, want 18", len(capt))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(capt)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read: %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("Read allocated %d bytes before failing", alloc)
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read. It must never panic, fail
+// only with ErrCorrupt, and on success decode row-aligned columns that
+// equal Read of the capture's longest clean prefix: a torn tail adds
+// nothing. The committed corpus (testdata/fuzz/FuzzRead) holds a clean
+// capture, a torn one, a concatenation, mid-file damage and the
+// 2^62-column schema, and replays on every plain go test.
+func FuzzRead(f *testing.F) {
+	c, _ := sampleCapture(f, 40)
+	whole := c.Bytes()
+	f.Add(whole)
+	f.Add(whole[:len(whole)-7])
+	f.Add(hugeSchemaCapture())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Read(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Read failed with an untyped error: %v", err)
+			}
+			return
+		}
+		if len(d.Cols) != len(d.Names) {
+			t.Fatalf("%d columns for %d names", len(d.Cols), len(d.Names))
+		}
+		for i, col := range d.Cols {
+			if len(col) != d.Rows() {
+				t.Fatalf("column %q has %d values for %d rows", d.Names[i], len(col), d.Rows())
+			}
+		}
+		// Every chunk decoded, so the framing alone fixes the prefix.
+		prefix, err := chunk.Scan(data, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatalf("Read accepted a capture the codec calls corrupt: %v", err)
+		}
+		cut, err := Read(data[:prefix])
+		if err != nil || !reflect.DeepEqual(d, cut) {
+			t.Fatalf("clean %d-byte prefix reads %+v (err %v), want %+v", prefix, cut, err, d)
+		}
+	})
 }
 
 func TestCaptureReset(t *testing.T) {

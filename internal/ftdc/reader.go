@@ -4,16 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
+
+	"trust/internal/chunk"
 )
 
-// ErrCorrupt reports a chunk whose CRC or structure is wrong mid-file.
-// A truncated final chunk is NOT corruption — like the WAL's torn tail,
-// it is discarded silently, because a capture interrupted by a crash is
-// exactly the capture you most need to read.
+// ErrCorrupt reports a capture that is corrupt under internal/chunk's
+// recovery rule. A torn final chunk is NOT corruption — like the WAL's
+// torn tail, it is discarded silently, because a capture interrupted
+// by a crash is exactly the capture you most need to read.
 var ErrCorrupt = errors.New("ftdc: corrupt capture")
 
 // Data is a decoded capture: one time series per column, row-aligned.
@@ -49,59 +50,37 @@ func (d *Data) Last(name string) int64 {
 // Read decodes a capture. Concatenated captures are accepted as long as
 // every schema chunk registers the same columns (the chaos sweep merges
 // per-trial captures this way); rows accumulate across segments in
-// input order. A truncated tail is discarded; anything else malformed
+// input order. A torn tail is discarded; anything else malformed
 // returns ErrCorrupt.
 func Read(data []byte) (*Data, error) {
 	d := &Data{}
-	ncols := -1
-	for len(data) > 0 {
-		if len(data) < chunkHeaderLen {
-			break // torn tail: partial header
-		}
-		n := binary.BigEndian.Uint32(data)
-		if n > maxChunkPayload {
-			return nil, fmt.Errorf("%w: chunk length %d exceeds limit", ErrCorrupt, n)
-		}
-		if len(data) < chunkHeaderLen+int(n) {
-			break // torn tail: partial payload
-		}
-		crc := binary.BigEndian.Uint32(data[4:])
-		payload := data[chunkHeaderLen : chunkHeaderLen+int(n)]
-		data = data[chunkHeaderLen+int(n):]
-		if crc32.ChecksumIEEE(payload) != crc {
-			if len(data) == 0 {
-				break // torn tail: final chunk half-written
-			}
-			return nil, fmt.Errorf("%w: chunk CRC mismatch mid-file", ErrCorrupt)
-		}
-		if len(payload) == 0 {
-			return nil, fmt.Errorf("%w: empty chunk", ErrCorrupt)
-		}
+	_, err := chunk.Scan(data, func(payload []byte) error {
 		switch payload[0] {
 		case chunkSchema:
 			names, err := decodeSchema(payload[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if ncols < 0 {
-				ncols = len(names)
+			if d.Cols == nil {
 				d.Names = names
-				d.Cols = make([][]int64, ncols)
+				d.Cols = make([][]int64, len(names))
 			} else if !equalNames(d.Names, names) {
-				return nil, fmt.Errorf("%w: concatenated capture changes schema", ErrCorrupt)
+				return errors.New("concatenated capture changes schema")
 			}
 		case chunkData:
-			if ncols < 0 {
-				return nil, fmt.Errorf("%w: data chunk before schema", ErrCorrupt)
+			if d.Cols == nil {
+				return errors.New("data chunk before schema")
 			}
-			if err := decodeRows(d, payload[1:]); err != nil {
-				return nil, err
-			}
+			return decodeRows(d, payload[1:])
 		default:
-			return nil, fmt.Errorf("%w: unknown chunk kind %#x", ErrCorrupt, payload[0])
+			return fmt.Errorf("unknown chunk kind %#x", payload[0])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if ncols < 0 {
+	if d.Cols == nil {
 		return nil, fmt.Errorf("%w: no schema chunk", ErrCorrupt)
 	}
 	return d, nil
@@ -110,20 +89,25 @@ func Read(data []byte) (*Data, error) {
 func decodeSchema(p []byte) ([]string, error) {
 	n, k := binary.Uvarint(p)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad schema count", ErrCorrupt)
+		return nil, errors.New("bad schema count")
 	}
 	p = p[k:]
+	// Every name takes at least its one-byte length, so a count the
+	// chunk cannot hold is refused before it sizes an allocation.
+	if n > uint64(len(p)) {
+		return nil, fmt.Errorf("schema count %d exceeds its %d bytes", n, len(p))
+	}
 	names := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, k := binary.Uvarint(p)
 		if k <= 0 || uint64(len(p)-k) < l {
-			return nil, fmt.Errorf("%w: bad schema name", ErrCorrupt)
+			return nil, errors.New("bad schema name")
 		}
 		names = append(names, string(p[k:k+int(l)]))
 		p = p[k+int(l):]
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in schema chunk", ErrCorrupt)
+		return nil, errors.New("trailing bytes in schema chunk")
 	}
 	return names, nil
 }
@@ -131,7 +115,7 @@ func decodeSchema(p []byte) ([]string, error) {
 func decodeRows(d *Data, p []byte) error {
 	nrows, k := binary.Uvarint(p)
 	if k <= 0 {
-		return fmt.Errorf("%w: bad row count", ErrCorrupt)
+		return errors.New("bad row count")
 	}
 	p = p[k:]
 	var prev []int64
@@ -140,7 +124,7 @@ func decodeRows(d *Data, p []byte) error {
 		for c := range row {
 			v, k := binary.Varint(p)
 			if k <= 0 {
-				return fmt.Errorf("%w: bad row varint", ErrCorrupt)
+				return errors.New("bad row varint")
 			}
 			p = p[k:]
 			if r == 0 {
@@ -159,7 +143,7 @@ func decodeRows(d *Data, p []byte) error {
 		}
 	}
 	if len(p) != 0 {
-		return fmt.Errorf("%w: trailing bytes in data chunk", ErrCorrupt)
+		return errors.New("trailing bytes in data chunk")
 	}
 	return nil
 }

@@ -156,7 +156,7 @@ func TestRigArtifactsGolden(t *testing.T) {
 func TestXChaosCaptureGolden(t *testing.T) {
 	const (
 		wantLen = 100775
-		wantSum = "5eb26068e8123b08e4aa208821306ec391c8f3df152ad6af9e87f1b658d98532"
+		wantSum = "bcabb55db1a4d68cae43281b5dba854925d22e917595e17cc977e20e2d71c69f"
 	)
 	_, capt, err := XChaosCapture(Seed)
 	if err != nil {

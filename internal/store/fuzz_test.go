@@ -4,34 +4,48 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"trust/internal/chunk"
 )
+
+// recoverImage opens a WAL over the given snapshot and log bytes (an
+// empty input leaves its file absent) and returns what it recovered.
+func recoverImage(t *testing.T, snapshot, log []byte) ([]Record, uint64, WALStats, *MemFS, error) {
+	fsys := NewMemFS()
+	if len(snapshot) > 0 {
+		writeFile(t, fsys, snapName, snapshot)
+	}
+	if len(log) > 0 {
+		writeFile(t, fsys, walName, log)
+	}
+	w, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1})
+	if err != nil {
+		return nil, 0, WALStats{}, fsys, err
+	}
+	defer w.Close()
+	recs, gen := w.State()
+	return recs, gen, w.Stats(), fsys, nil
+}
 
 // FuzzOpenWAL feeds arbitrary snapshot and log bytes to recovery. An
 // empty input leaves its file absent. OpenWAL must succeed or fail with
 // ErrCorrupt or ErrStorage, never panic; on success the state must be
-// strictly sorted, agree with Stats, and survive a second recovery
-// unchanged. The committed corpus (testdata/fuzz/FuzzOpenWAL) holds a
-// clean image, a torn tail, mid-file damage and an oversized snapshot
-// count, and replays on every plain go test.
+// strictly sorted, agree with Stats, survive a second recovery
+// unchanged, and be exactly the log's longest clean prefix: the torn
+// tail is everything after it, and recovering the log cut there gives
+// the same state with nothing torn. The committed corpus
+// (testdata/fuzz/FuzzOpenWAL) holds a clean image, a torn tail,
+// mid-file damage, an oversized snapshot count and an undecodable final
+// record, and replays on every plain go test.
 func FuzzOpenWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, snapshot, log []byte) {
-		fsys := NewMemFS()
-		if len(snapshot) > 0 {
-			writeFile(t, fsys, snapName, snapshot)
-		}
-		if len(log) > 0 {
-			writeFile(t, fsys, walName, log)
-		}
-		w, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1})
+		recs, gen, st, fsys, err := recoverImage(t, snapshot, log)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrStorage) {
 				t.Fatalf("open failed with an untyped error: %v", err)
 			}
 			return
 		}
-		recs, gen := w.State()
-		st := w.Stats()
-		w.Close()
 		live, revoked := 0, 0
 		for i, rec := range recs {
 			if i > 0 && recs[i-1].Account >= rec.Account {
@@ -62,6 +76,21 @@ func FuzzOpenWAL(f *testing.F) {
 		recs2, gen2 := again.State()
 		if !reflect.DeepEqual(recs, recs2) || gen != gen2 {
 			t.Fatalf("second recovery changed the state:\n first %+v (gen %d)\nsecond %+v (gen %d)", recs, gen, recs2, gen2)
+		}
+		// Every frame decoded, so the framing alone fixes the prefix.
+		prefix, err := chunk.Scan(log, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatalf("recovery accepted a log the codec calls corrupt: %v", err)
+		}
+		if st.TornTailBytes != len(log)-prefix {
+			t.Fatalf("torn tail %d bytes, want %d past the %d-byte clean prefix", st.TornTailBytes, len(log)-prefix, prefix)
+		}
+		recs3, gen3, st3, _, err := recoverImage(t, snapshot, log[:prefix])
+		if err != nil {
+			t.Fatalf("recovery of the clean prefix: %v", err)
+		}
+		if !reflect.DeepEqual(recs, recs3) || gen != gen3 || st3.TornTailBytes != 0 {
+			t.Fatalf("clean prefix recovers %+v (gen %d, torn %d), want %+v (gen %d, torn 0)", recs3, gen3, st3.TornTailBytes, recs, gen)
 		}
 	})
 }

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
+
+	"trust/internal/chunk"
 )
 
 // ErrStorage is the typed failure every write-path error wraps: the
@@ -16,7 +17,8 @@ import (
 var ErrStorage = errors.New("store: storage backend failure")
 
 // ErrCorrupt marks log or snapshot damage that is NOT a torn tail: a
-// bad frame with valid frames after it, or an unreadable snapshot.
+// bad frame with valid frames after it, a checksum-valid record that
+// does not decode, or an unreadable snapshot.
 // Torn tails (the crash case) are discarded silently on open;
 // mid-file corruption refuses to open, because silently dropping the
 // suffix would lose acknowledged records.
@@ -97,34 +99,26 @@ func (Memory) Append(Record) error       { return nil }
 func (Memory) State() ([]Record, uint64) { return nil, 0 }
 func (Memory) Close() error              { return nil }
 
-// Frame layout (docs/persistence.md "Record grammar"):
+// Record payload (docs/persistence.md "Record grammar"), framed by
+// internal/chunk as length || crc32 || payload:
 //
-//	frame   := length(u32 LE) || crc32(u32 LE) || payload
 //	payload := seq(u64) || kind(u8) || at(i64 ns) || gen(u64) ||
 //	           len16(account) || account ||
 //	           [ len16(pubkey) || pubkey ||
 //	             len16(subject) || subject || digest(32) ]   (enroll only)
 //
-// length counts payload bytes; crc32 (IEEE) covers the payload. The
-// same framing carries snapshot entries (seq 0). All integers are
+// The same framing carries snapshot entries (seq 0). All integers are
 // little-endian; the encoding is fully deterministic, so identical
 // record streams produce byte-identical files.
-const (
-	frameHeaderSize = 8
-	// maxPayload bounds a declared payload length during replay so a
-	// corrupt length field cannot demand gigabytes.
-	maxPayload = 1 << 20
-	// minFrameSize is the smallest frame decodeFrame accepts: a reset
-	// or revoke with an empty account id.
-	minFrameSize = frameHeaderSize + 8 + 1 + 8 + 8 + 2
-)
+
+// minFrameSize is the smallest frame decodePayload accepts: a reset or
+// revoke with an empty account id.
+const minFrameSize = chunk.HeaderSize + 8 + 1 + 8 + 8 + 2
 
 // appendFrame encodes rec (with its sequence number) as one frame onto
 // buf and returns the extended slice.
 func appendFrame(buf []byte, seq uint64, rec Record) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc placeholder
-	p := len(buf)
+	buf, at := chunk.Begin(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, byte(rec.Kind))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.At))
@@ -135,9 +129,7 @@ func appendFrame(buf []byte, seq uint64, rec Record) []byte {
 		buf = appendBytes16(buf, []byte(rec.DeviceSubject))
 		buf = append(buf, rec.RecoveryDigest[:]...)
 	}
-	payload := buf[p:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	chunk.End(buf, at)
 	return buf
 }
 
@@ -146,38 +138,8 @@ func appendBytes16(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// decodeFrame parses one frame at the start of data, returning the
-// record, its seq, and the total frame size consumed. Errors:
-// errShortFrame when data ends before the declared frame does (a torn
-// tail candidate), errBadFrame when the checksum or structure is
-// wrong.
-var (
-	errShortFrame = errors.New("store: truncated frame")
-	errBadFrame   = errors.New("store: bad frame")
-)
-
-func decodeFrame(data []byte) (rec Record, seq uint64, size int, err error) {
-	if len(data) < frameHeaderSize {
-		return rec, 0, 0, errShortFrame
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	crc := binary.LittleEndian.Uint32(data[4:])
-	if n > maxPayload {
-		return rec, 0, 0, errBadFrame
-	}
-	if len(data) < frameHeaderSize+n {
-		return rec, 0, 0, errShortFrame
-	}
-	payload := data[frameHeaderSize : frameHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return rec, 0, 0, errBadFrame
-	}
-	rec, seq, err = decodePayload(payload)
-	if err != nil {
-		return rec, 0, 0, err
-	}
-	return rec, seq, frameHeaderSize + n, nil
-}
+// errBadFrame is a checksum-valid payload decodePayload cannot parse.
+var errBadFrame = errors.New("store: bad frame")
 
 func decodePayload(p []byte) (Record, uint64, error) {
 	var rec Record

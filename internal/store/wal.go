@@ -11,6 +11,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"trust/internal/chunk"
 )
 
 // File names inside the WAL's FS. There is exactly one live log and at
@@ -109,8 +111,8 @@ type WAL struct {
 // and then every log record after it. A torn tail — an incomplete or
 // checksum-failing final frame, the signature of a crash mid-append —
 // is discarded and the log is rewritten without it; damage anywhere
-// else fails with ErrCorrupt, because dropping records that were once
-// acknowledged must never happen silently.
+// else, or a checksum-valid record that does not decode, fails with
+// ErrCorrupt: acknowledged records must never be dropped silently.
 func OpenWAL(fsys FS, opts WALOptions) (*WAL, error) {
 	w := &WAL{
 		fsys:  fsys,
@@ -139,15 +141,10 @@ func OpenWAL(fsys FS, opts WALOptions) (*WAL, error) {
 // The file is written in full and synced before being renamed into
 // place, so a snapshot either exists completely or not at all.
 func (w *WAL) loadSnapshot() error {
-	f, err := w.fsys.OpenRead(snapName)
+	data, err := readFile(w.fsys, snapName)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("%w: opening snapshot: %v", ErrStorage, err)
-	}
-	data, err := readAll(f)
-	f.Close()
 	if err != nil {
 		return fmt.Errorf("%w: reading snapshot: %v", ErrStorage, err)
 	}
@@ -169,7 +166,11 @@ func (w *WAL) loadSnapshot() error {
 	}
 	base := make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
-		rec, _, size, err := decodeFrame(rest)
+		payload, next, ok := chunk.Next(rest)
+		if !ok {
+			return fmt.Errorf("%w: snapshot entry %d: bad frame", ErrCorrupt, i)
+		}
+		rec, _, err := decodePayload(payload)
 		if err != nil {
 			return fmt.Errorf("%w: snapshot entry %d: %v", ErrCorrupt, i, err)
 		}
@@ -184,7 +185,7 @@ func (w *WAL) loadSnapshot() error {
 		if rec.Gen > w.gen {
 			w.gen = rec.Gen
 		}
-		rest = rest[size:]
+		rest = next
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d bytes after last snapshot entry", ErrCorrupt, len(rest))
@@ -196,65 +197,63 @@ func (w *WAL) loadSnapshot() error {
 }
 
 // replayLog applies every log record with seq beyond the snapshot,
-// discarding a torn tail (rewriting the log without it) and refusing
-// mid-file corruption.
+// discarding a torn tail (rewriting the log without it).
 func (w *WAL) replayLog() error {
-	f, err := w.fsys.OpenRead(walName)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("%w: opening log: %v", ErrStorage, err)
-	}
-	data, err := readAll(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%w: reading log: %v", ErrStorage, err)
-	}
-	off := 0
-	for off < len(data) {
-		rec, seq, size, err := decodeFrame(data[off:])
-		if err != nil {
-			if hasValidFrameBeyond(data[off:]) {
-				return fmt.Errorf("%w: bad frame at offset %d with valid records after it", ErrCorrupt, off)
-			}
-			// Torn tail: the crash hit mid-append. Drop it and rewrite
-			// the log so future appends follow a clean boundary.
-			w.stats.TornTailBytes = len(data) - off
-			if err := w.rewriteLog(data[:off]); err != nil {
-				return err
-			}
-			return nil
-		}
+	data, clean, err := scanLog(w.fsys, func(rec Record, seq uint64, _ int) {
 		if seq > w.seq {
 			w.apply(rec)
 			w.seq = seq
 		}
-		off += size
+	})
+	if err != nil || clean == len(data) {
+		return err
 	}
-	return nil
+	// Torn tail: the crash hit mid-append. Drop it and rewrite the log
+	// so future appends follow a clean boundary.
+	w.stats.TornTailBytes = len(data) - clean
+	return w.rewriteLog(data[:clean])
 }
 
-// readAll reads f to its end into a buffer that doubles as it grows;
+// scanLog hands each log record to fn in order, with its seq and the
+// offset just past its frame, under internal/chunk's recovery rule. It
+// returns the log (empty if missing) and the length of its clean
+// prefix; the rest is a torn tail.
+func scanLog(fsys FS, fn func(rec Record, seq uint64, end int)) ([]byte, int, error) {
+	data, err := readFile(fsys, walName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: reading log: %v", ErrStorage, err)
+	}
+	end := 0
+	clean, err := chunk.Scan(data, func(payload []byte) error {
+		rec, seq, err := decodePayload(payload)
+		if err != nil {
+			return err
+		}
+		end += chunk.HeaderSize + len(payload)
+		fn(rec, seq, end)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: log %v", ErrCorrupt, err)
+	}
+	return data, clean, nil
+}
+
+// readFile reads name whole into a buffer that doubles as it grows;
 // io.ReadAll grows by a quarter at a time, copying a 100k-account
 // snapshot through dozens of regrowths.
-func readAll(f File) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := io.Copy(&buf, f)
-	return buf.Bytes(), err
-}
-
-// hasValidFrameBeyond reports whether any byte offset within data
-// (past the first) starts a complete, checksum-valid frame — the
-// discriminator between a torn tail (nothing decodable after the
-// damage) and mid-file corruption (acknowledged records follow it).
-func hasValidFrameBeyond(data []byte) bool {
-	for off := 1; off+frameHeaderSize <= len(data); off++ {
-		if _, _, _, err := decodeFrame(data[off:]); err == nil {
-			return true
-		}
+func readFile(fsys FS, name string) ([]byte, error) {
+	f, err := fsys.OpenRead(name)
+	if err != nil {
+		return nil, err
 	}
-	return false
+	defer f.Close()
+	var buf bytes.Buffer
+	_, err = io.Copy(&buf, f)
+	return buf.Bytes(), err
 }
 
 // rewriteLog atomically replaces the log with the given content
@@ -475,29 +474,11 @@ func (w *WAL) Close() error {
 // records in append order and, for each, the byte offset just past its
 // frame — the record boundaries the crash matrix truncates at. A torn
 // tail is reported via the final offset being short of the file size;
-// it is not an error here.
+// it is not an error here. Corruption fails with ErrCorrupt.
 func ReadLog(fsys FS) (recs []Record, ends []int, err error) {
-	f, err := fsys.OpenRead(walName)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := readAll(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	off := 0
-	for off < len(data) {
-		rec, _, size, err := decodeFrame(data[off:])
-		if err != nil {
-			break
-		}
-		off += size
+	_, _, err = scanLog(fsys, func(rec Record, _ uint64, end int) {
 		recs = append(recs, rec)
-		ends = append(ends, off)
-	}
-	return recs, ends, nil
+		ends = append(ends, end)
+	})
+	return recs, ends, err
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"trust/internal/chunk"
 	"trust/internal/sim"
 )
 
@@ -226,7 +227,7 @@ func TestMidFileCorruptionRefusesOpen(t *testing.T) {
 	w.Close()
 	_, ends, _ := ReadLog(fsys)
 	// Flip a payload byte inside the second record.
-	fsys.CorruptByte(walName, ends[0]+frameHeaderSize+3, 0x40)
+	fsys.CorruptByte(walName, ends[0]+chunk.HeaderSize+3, 0x40)
 	if _, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over mid-file corruption: %v, want ErrCorrupt", err)
 	}
@@ -245,7 +246,7 @@ func TestTailChecksumCorruptionDiscarded(t *testing.T) {
 	w.Close()
 	data, _ := fsys.Bytes(walName)
 	_, ends, _ := ReadLog(fsys)
-	fsys.CorruptByte(walName, ends[4]+frameHeaderSize+3, 0x40) // inside final record
+	fsys.CorruptByte(walName, ends[4]+chunk.HeaderSize+3, 0x40) // inside final record
 	r, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -257,6 +258,23 @@ func TestTailChecksumCorruptionDiscarded(t *testing.T) {
 	}
 	if st.TornTailBytes != len(data)-ends[4] {
 		t.Fatalf("torn tail %d, want %d", st.TornTailBytes, len(data)-ends[4])
+	}
+}
+
+// TestUndecodableFinalFrameRefusesOpen: a checksum-valid final frame
+// that does not decode (here kind 9) cannot come from a torn write, so
+// OpenWAL refuses it with ErrCorrupt and leaves wal.log as it was
+// instead of discarding the frame as a torn tail.
+func TestUndecodableFinalFrameRefusesOpen(t *testing.T) {
+	log := appendFrame(nil, 1, testRecord(0))
+	log = appendFrame(log, 2, Record{Kind: 9})
+	fsys := NewMemFS()
+	writeFile(t, fsys, walName, log)
+	if _, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open: %v, want ErrCorrupt", err)
+	}
+	if data, _ := fsys.Bytes(walName); !bytes.Equal(data, log) {
+		t.Fatalf("wal.log is %d bytes after the refused open, want the original %d", len(data), len(log))
 	}
 }
 
