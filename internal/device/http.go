@@ -116,32 +116,11 @@ func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out an
 	return t.decodeResponse(resp, out)
 }
 
-// maxResponseBytes caps how much of a server response the device will
-// buffer. Oversized bodies are rejected with ErrResponseTooLarge
-// instead of being silently truncated into a confusing decode error.
-const maxResponseBytes = 1 << 20
-
-// ErrResponseTooLarge reports a response body over maxResponseBytes.
-var ErrResponseTooLarge = fmt.Errorf("device: response body exceeds %d-byte cap", maxResponseBytes)
-
 // respBufPool recycles response-read buffers. Recycling is safe
 // because neither decoder aliases its input: the binary reader copies
 // every byte slice and string out, and json.Unmarshal never retains
 // the data it parses.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readBody buffers a response body into buf, failing cleanly on
-// oversize.
-func readBody(buf *bytes.Buffer, r io.Reader) error {
-	n, err := buf.ReadFrom(io.LimitReader(r, maxResponseBytes+1))
-	if err != nil {
-		return err
-	}
-	if n > maxResponseBytes {
-		return ErrResponseTooLarge
-	}
-	return nil
-}
 
 func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode != http.StatusOK {
@@ -161,7 +140,7 @@ func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer respBufPool.Put(buf)
-	if err := readBody(buf, resp.Body); err != nil {
+	if err := webserver.ReadResponse(buf, resp.Body); err != nil {
 		return err
 	}
 	data := buf.Bytes()

@@ -77,21 +77,21 @@ func TestHTTPParameterizedBinaryContentType(t *testing.T) {
 func TestHTTPOversizedResponseRejected(t *testing.T) {
 	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(bytes.Repeat([]byte{'x'}, maxResponseBytes+1))
+		w.Write(bytes.Repeat([]byte{'x'}, webserver.MaxResponseBytes+1))
 	}))
 	defer big.Close()
 	tr := &HTTP{BaseURL: big.URL, Client: big.Client()}
-	if _, err := tr.FetchLoginPage(0); !errors.Is(err, ErrResponseTooLarge) {
+	if _, err := tr.FetchLoginPage(0); !errors.Is(err, webserver.ErrResponseTooLarge) {
 		t.Fatalf("oversized JSON body error = %v, want ErrResponseTooLarge", err)
 	}
 
 	bigBin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(bytes.Repeat([]byte{1}, maxResponseBytes+1))
+		w.Write(bytes.Repeat([]byte{1}, webserver.MaxResponseBytes+1))
 	}))
 	defer bigBin.Close()
 	tb := &HTTP{BaseURL: bigBin.URL, Client: bigBin.Client(), Binary: true}
-	if _, err := tb.FetchLoginPage(0); !errors.Is(err, ErrResponseTooLarge) {
+	if _, err := tb.FetchLoginPage(0); !errors.Is(err, webserver.ErrResponseTooLarge) {
 		t.Fatalf("oversized binary body error = %v, want ErrResponseTooLarge", err)
 	}
 }
@@ -107,14 +107,14 @@ func TestHTTPResponseExactlyAtCap(t *testing.T) {
 	// Pad the page body so the marshalled JSON is exactly the cap: the
 	// empty Body field is already present in base, and each padding
 	// byte marshals to exactly one byte.
-	pad := maxResponseBytes - len(base)
+	pad := webserver.MaxResponseBytes - len(base)
 	page.Page.Body = string(bytes.Repeat([]byte{'y'}, pad))
 	body, err := json.Marshal(page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) != maxResponseBytes {
-		t.Fatalf("test construction off: body is %d bytes, want %d", len(body), maxResponseBytes)
+	if len(body) != webserver.MaxResponseBytes {
+		t.Fatalf("test construction off: body is %d bytes, want %d", len(body), webserver.MaxResponseBytes)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

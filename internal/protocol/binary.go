@@ -16,9 +16,9 @@ import (
 // Binary wire codec: the paper rides its fields in cookie extensions,
 // where every byte counts; this length-prefixed binary encoding is the
 // production alternative to the JSON transport (see the Fig 10 wire
-// overhead table for the size comparison). Authenticators still cover
-// the canonical JSON bytes — the codec is pure transport, so a message
-// may arrive over either encoding and verify identically.
+// overhead table for the size comparison). Its field writers are also
+// the one authenticator input (messages.go), so a message may arrive
+// over either encoding and verify identically.
 
 const binVersion = 1
 
@@ -40,10 +40,21 @@ const (
 // ErrBinaryDecode reports malformed binary input.
 var ErrBinaryDecode = errors.New("protocol: malformed binary message")
 
-type binWriter struct{ buf bytes.Buffer }
+// errUnencodable reports an int outside [0, 2^32) or an element kind
+// outside a byte: written truncated, it would share another's encoding.
+var errUnencodable = errors.New("protocol: message field out of encodable range")
+
+// binWriter writes one encoding; bad records a field out of range.
+type binWriter struct {
+	buf bytes.Buffer
+	bad bool
+}
 
 func (w *binWriter) u8(v byte) { w.buf.WriteByte(v) }
 func (w *binWriter) u32(v int) {
+	if v < 0 || int64(v) > math.MaxUint32 {
+		w.bad = true
+	}
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], uint32(v))
 	w.buf.Write(b[:])
@@ -62,6 +73,15 @@ func (w *binWriter) str(s string) {
 	w.u32(len(s))
 	w.buf.WriteString(s)
 }
+
+// auth writes an authenticator, empty in the authenticator input.
+func (w *binWriter) auth(tag []byte, input bool) {
+	if input {
+		tag = nil
+	}
+	w.bytes(tag)
+}
+
 func (w *binWriter) hash(h frame.Hash) {
 	w.buf.Write(h[:])
 }
@@ -171,6 +191,9 @@ func writePage(w *binWriter, p *frame.Page) {
 	w.u32(len(p.Elements))
 	for _, e := range p.Elements {
 		w.str(e.ID)
+		if e.Kind < 0 || e.Kind > math.MaxUint8 {
+			w.bad = true
+		}
 		w.u8(byte(e.Kind))
 		w.str(e.Label)
 		w.str(e.Action)
@@ -300,80 +323,82 @@ func EncodeBinary(msg any) ([]byte, error) {
 // recycle their own buffers (the device transport pools request
 // bodies this way, mirroring the writer pool here).
 func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
+	m, ok := msg.(encoder)
+	if !ok {
+		return nil, fmt.Errorf("protocol: cannot binary-encode %T", msg)
+	}
+	return withEncoding(m, false, func(enc []byte) []byte { return append(dst, enc...) })
+}
+
+// encoder is a message with a field writer: encode writes its tag and
+// every field, its own authenticator empty when input is set.
+type encoder interface {
+	encode(w *binWriter, input bool)
+}
+
+// withEncoding writes the versioned encoding of m into a pooled writer,
+// as its authenticator input when input is set, and hands it to use,
+// which must not keep it. The codec and every authenticator share it.
+func withEncoding[T any](m encoder, input bool, use func(enc []byte) T) (out T, err error) {
 	w := writerPool.Get().(*binWriter)
 	w.buf.Reset()
+	w.bad = false
 	defer releaseWriter(w)
-	if err := encodeBinaryInto(w, msg); err != nil {
-		return nil, err
-	}
-	return append(dst, w.buf.Bytes()...), nil
-}
-
-// encodeBinaryInto writes the versioned, tagged encoding of msg into w.
-// Messages authenticated by a session-key MAC write their fields
-// through their encode method, the one field list both the codec and
-// the MAC input (Authenticated) use.
-func encodeBinaryInto(w *binWriter, msg any) error {
 	w.u8(binVersion)
-	switch m := msg.(type) {
-	case *RegistrationPage:
-		w.u8(tagRegistrationPage)
-		w.str(m.Domain)
-		w.str(string(m.Nonce))
-		writePage(w, m.Page)
-		writeCert(w, m.ServerCert)
-		w.bytes(m.Signature)
-	case *RegistrationSubmit:
-		w.u8(tagRegistrationSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(string(m.Nonce))
-		w.bytes(m.UserPub)
-		w.hash(m.FrameHash)
-		writeCert(w, m.DeviceCert)
-		w.bytes(m.Signature)
-	case *LoginPage:
-		w.u8(tagLoginPage)
-		w.str(m.Domain)
-		w.str(string(m.Nonce))
-		writePage(w, m.Page)
-		w.bytes(m.Signature)
-	case *LoginSubmit:
-		w.u8(tagLoginSubmit)
-		w.str(m.Domain)
-		w.str(m.Account)
-		w.str(string(m.Nonce))
-		w.bytes(m.SessionKeyCT)
-		w.hash(m.FrameHash)
-		w.u32(m.RiskVerified)
-		w.u32(m.RiskWindow)
-		w.bytes(m.Signature)
-		w.bytes(m.MAC)
-	case *ContentPage:
-		m.encode(w, m.MAC)
-	case *PageRequest:
-		m.encode(w, m.MAC)
-	case *ResyncRequest:
-		m.encode(w, m.MAC)
-	case *ResumeSubmit:
-		m.encode(w, m.MAC)
-	case *StreamHello:
-		m.encode(w, m.MAC)
-	case *StreamWelcome:
-		m.encode(w, m.MAC)
-	case *PolicyPush:
-		m.encode(w, m.MAC)
-	default:
-		return fmt.Errorf("protocol: cannot binary-encode %T", msg)
+	m.encode(w, input)
+	if w.bad {
+		return out, errUnencodable
 	}
-	return nil
+	return use(w.buf.Bytes()), nil
 }
 
-// Field writers of the MAC-authenticated messages: the tag, every
-// field in wire order, and mac in the MAC slot — the message's own tag
-// on the wire, nil for its MAC input.
+// Field writers: the tag, then every field in wire order.
 
-func (m *ContentPage) encode(w *binWriter, mac []byte) {
+func (m *RegistrationPage) encode(w *binWriter, input bool) {
+	w.u8(tagRegistrationPage)
+	w.str(m.Domain)
+	w.str(string(m.Nonce))
+	writePage(w, m.Page)
+	writeCert(w, m.ServerCert)
+	w.auth(m.Signature, input)
+}
+
+func (m *RegistrationSubmit) encode(w *binWriter, input bool) {
+	w.u8(tagRegistrationSubmit)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.str(string(m.Nonce))
+	w.bytes(m.UserPub)
+	w.hash(m.FrameHash)
+	writeCert(w, m.DeviceCert)
+	w.auth(m.Signature, input)
+}
+
+func (m *LoginPage) encode(w *binWriter, input bool) {
+	w.u8(tagLoginPage)
+	w.str(m.Domain)
+	w.str(string(m.Nonce))
+	writePage(w, m.Page)
+	w.auth(m.Signature, input)
+}
+
+// LoginSubmit's MAC input covers its signature; loginSigning's covers neither.
+func (m *LoginSubmit) encode(w *binWriter, input bool) { m.fields(w, m.Signature, input) }
+
+func (m *LoginSubmit) fields(w *binWriter, sig []byte, input bool) {
+	w.u8(tagLoginSubmit)
+	w.str(m.Domain)
+	w.str(m.Account)
+	w.str(string(m.Nonce))
+	w.bytes(m.SessionKeyCT)
+	w.hash(m.FrameHash)
+	w.u32(m.RiskVerified)
+	w.u32(m.RiskWindow)
+	w.bytes(sig)
+	w.auth(m.MAC, input)
+}
+
+func (m *ContentPage) encode(w *binWriter, input bool) {
 	w.u8(tagContentPage)
 	w.str(m.Domain)
 	w.str(m.SessionID)
@@ -381,10 +406,10 @@ func (m *ContentPage) encode(w *binWriter, mac []byte) {
 	w.str(m.Account)
 	writePage(w, m.Page)
 	w.bytes(m.Ticket)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *PageRequest) encode(w *binWriter, mac []byte) {
+func (m *PageRequest) encode(w *binWriter, input bool) {
 	w.u8(tagPageRequest)
 	w.str(m.Domain)
 	w.str(m.Account)
@@ -394,18 +419,18 @@ func (m *PageRequest) encode(w *binWriter, mac []byte) {
 	w.hash(m.FrameHash)
 	w.u32(m.RiskVerified)
 	w.u32(m.RiskWindow)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *ResyncRequest) encode(w *binWriter, mac []byte) {
+func (m *ResyncRequest) encode(w *binWriter, input bool) {
 	w.u8(tagResyncRequest)
 	w.str(m.Domain)
 	w.str(m.Account)
 	w.str(m.SessionID)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *ResumeSubmit) encode(w *binWriter, mac []byte) {
+func (m *ResumeSubmit) encode(w *binWriter, input bool) {
 	w.u8(tagResumeSubmit)
 	w.str(m.Domain)
 	w.str(m.Account)
@@ -413,35 +438,35 @@ func (m *ResumeSubmit) encode(w *binWriter, mac []byte) {
 	w.hash(m.FrameHash)
 	w.u32(m.RiskVerified)
 	w.u32(m.RiskWindow)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *StreamHello) encode(w *binWriter, mac []byte) {
+func (m *StreamHello) encode(w *binWriter, input bool) {
 	w.u8(tagStreamHello)
 	w.str(m.Domain)
 	w.str(m.Account)
 	w.str(m.SessionID)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *StreamWelcome) encode(w *binWriter, mac []byte) {
+func (m *StreamWelcome) encode(w *binWriter, input bool) {
 	w.u8(tagStreamWelcome)
 	w.str(m.Domain)
 	w.str(m.SessionID)
 	w.bytes(m.NonceSeed)
 	w.u32(m.Window)
 	w.u32(m.MinVerified)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
-func (m *PolicyPush) encode(w *binWriter, mac []byte) {
+func (m *PolicyPush) encode(w *binWriter, input bool) {
 	w.u8(tagPolicyPush)
 	w.str(m.Domain)
 	w.str(m.SessionID)
 	w.u32(m.Window)
 	w.u32(m.MinVerified)
 	w.u64(m.Seq)
-	w.bytes(mac)
+	w.auth(m.MAC, input)
 }
 
 // DecodeBinary parses a binary message, returning one of the protocol

@@ -11,7 +11,7 @@ import (
 	"trust/internal/protocol"
 )
 
-// binRoundTrip encodes, decodes, and compares canonical bytes: a
+// binRoundTrip encodes, decodes, and compares authenticator inputs: a
 // binary round trip must preserve exactly what authenticators cover.
 func binRoundTrip(t *testing.T, msg any, canon func(any) []byte) {
 	t.Helper()
@@ -24,8 +24,18 @@ func binRoundTrip(t *testing.T, msg any, canon func(any) []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(canon(msg), canon(back)) {
-		t.Fatalf("canonical bytes changed across binary round trip:\n%T", msg)
+		t.Fatalf("authenticator input changed across binary round trip:\n%T", msg)
 	}
+}
+
+// signingBytes is SigningBytes for a message whose fields are all in
+// range.
+func signingBytes(m interface{ SigningBytes() ([]byte, error) }) []byte {
+	b, err := m.SigningBytes()
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func sampleCert() *pki.Certificate {
@@ -44,16 +54,16 @@ func TestBinaryRoundTripAllMessages(t *testing.T) {
 
 	binRoundTrip(t, &protocol.RegistrationPage{
 		Domain: "www.xyz.com", Nonce: "n1", Page: page, ServerCert: cert, Signature: []byte{1, 2},
-	}, func(v any) []byte { return v.(*protocol.RegistrationPage).SigningBytes() })
+	}, func(v any) []byte { return signingBytes(v.(*protocol.RegistrationPage)) })
 
 	binRoundTrip(t, &protocol.RegistrationSubmit{
 		Domain: "www.xyz.com", Account: "a", Nonce: "n2", UserPub: []byte{9, 9},
 		FrameHash: h, DeviceCert: cert, Signature: []byte{3},
-	}, func(v any) []byte { return v.(*protocol.RegistrationSubmit).SigningBytes() })
+	}, func(v any) []byte { return signingBytes(v.(*protocol.RegistrationSubmit)) })
 
 	binRoundTrip(t, &protocol.LoginPage{
 		Domain: "www.xyz.com", Nonce: "n3", Page: page, Signature: []byte{4},
-	}, func(v any) []byte { return v.(*protocol.LoginPage).SigningBytes() })
+	}, func(v any) []byte { return signingBytes(v.(*protocol.LoginPage)) })
 
 	binRoundTrip(t, &protocol.LoginSubmit{
 		Domain: "www.xyz.com", Account: "a", Nonce: "n4", SessionKeyCT: []byte{5, 6},

@@ -43,7 +43,8 @@ type Session struct {
 	// buildMAC (BuildPageRequestAt), the goroutine consuming inbound
 	// frames owns acceptMAC (AcceptContentPage). On the HTTP transport
 	// both run on the one device goroutine. Cold-path messages (hello,
-	// welcome, resync, policy push) stay on the stateless pki helpers.
+	// welcome, resync, policy push) use a fresh MACer each, so no
+	// MACer gains a second owner.
 	buildMAC  *pki.MACer
 	acceptMAC *pki.MACer
 }
@@ -88,7 +89,7 @@ func (c *Client) HandleRegistrationPage(now time.Duration, msg *RegistrationPage
 	if msg.ServerCert.Subject != msg.Domain {
 		return nil, fmt.Errorf("%w: certificate subject %q does not match domain %q", ErrServerCert, msg.ServerCert.Subject, msg.Domain)
 	}
-	if !ed25519.Verify(msg.ServerCert.Key(), msg.SigningBytes(), msg.Signature) {
+	if sb, err := msg.SigningBytes(); err != nil || !ed25519.Verify(msg.ServerCert.Key(), sb, msg.Signature) {
 		return nil, ErrServerAuth
 	}
 	if !c.m.TouchAuthorized(now) {
@@ -110,7 +111,11 @@ func (c *Client) HandleRegistrationPage(now time.Duration, msg *RegistrationPage
 		FrameHash:  fh,
 		DeviceCert: c.m.DeviceCert(),
 	}
-	sig, err := c.m.SignAsDevice(now, submit.SigningBytes())
+	sb, err := submit.SigningBytes()
+	if err != nil {
+		return nil, err
+	}
+	sig, err := c.m.SignAsDevice(now, sb)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +151,11 @@ func (c *Client) HandleLoginPage(now time.Duration, msg *LoginPage, serverCert *
 	if msg == nil || msg.Page == nil {
 		return nil, nil, errors.New("protocol: empty login page")
 	}
-	if err := c.m.VerifyServerSignature(msg.Domain, msg.SigningBytes(), msg.Signature); err != nil {
+	sb, err := msg.SigningBytes()
+	if err == nil {
+		err = c.m.VerifyServerSignature(msg.Domain, sb, msg.Signature)
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrServerAuth, err)
 	}
 	kem, err := c.kemKeyFor(msg.Domain, serverCert)
@@ -178,12 +187,16 @@ func (c *Client) HandleLoginPage(now time.Duration, msg *LoginPage, serverCert *
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	sig, err := c.m.SignAsService(now, msg.Domain, submit.SigningBytes())
+	sb, err = submit.SigningBytes()
+	if err != nil {
+		return nil, nil, err
+	}
+	sig, err := c.m.SignAsService(now, msg.Domain, sb)
 	if err != nil {
 		return nil, nil, err
 	}
 	submit.Signature = sig
-	submit.MAC = pki.MAC(key, submit.MACBytes())
+	submit.MAC = SealMAC(pki.NewMACer(key), submit)
 	sess := &Session{Domain: msg.Domain, Account: account, Key: key, LastNonce: msg.Nonce}
 	return submit, sess, nil
 }
@@ -343,7 +356,7 @@ func (c *Client) BuildResync(sess *Session) (*ResyncRequest, error) {
 		return nil, errors.New("protocol: no established session")
 	}
 	req := &ResyncRequest{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID}
-	req.MAC = pki.MAC(sess.Key, req.MACBytes())
+	req.MAC = SealMAC(pki.NewMACer(sess.Key), req)
 	return req, nil
 }
 
@@ -358,7 +371,7 @@ func BuildStreamHello(sess *Session) (*StreamHello, error) {
 		return nil, errors.New("protocol: no established session")
 	}
 	h := &StreamHello{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID}
-	h.MAC = pki.MAC(sess.Key, h.MACBytes())
+	h.MAC = SealMAC(pki.NewMACer(sess.Key), h)
 	return h, nil
 }
 
@@ -373,7 +386,7 @@ func AcceptStreamWelcome(sess *Session, w *StreamWelcome) (window, minVerified i
 	if w.Domain != sess.Domain || w.SessionID != sess.ID {
 		return 0, 0, fmt.Errorf("protocol: stream welcome for %s/%s on session %s/%s", w.Domain, w.SessionID, sess.Domain, sess.ID)
 	}
-	if !pki.CheckMAC(sess.Key, w.MACBytes(), w.MAC) {
+	if !VerifyMAC(pki.NewMACer(sess.Key), w, w.MAC) {
 		return 0, 0, ErrServerAuth
 	}
 	sess.LastNonce = StreamNonce(sess.Key, w.NonceSeed, 0)
@@ -391,7 +404,7 @@ func VerifyPolicyPush(sess *Session, p *PolicyPush, lastSeq uint64) error {
 	if p.Domain != sess.Domain || p.SessionID != sess.ID {
 		return fmt.Errorf("protocol: policy push for %s/%s on session %s/%s", p.Domain, p.SessionID, sess.Domain, sess.ID)
 	}
-	if !pki.CheckMAC(sess.Key, p.MACBytes(), p.MAC) {
+	if !VerifyMAC(pki.NewMACer(sess.Key), p, p.MAC) {
 		return ErrServerAuth
 	}
 	if p.Seq <= lastSeq {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -16,8 +17,10 @@ import (
 // authMessages returns one of every MAC-authenticated message with
 // seeded field values, each paired with a copy whose MAC is cleared —
 // the definition MACBytes has always had: the message's binary
-// encoding with an empty MAC field.
-func authMessages(rng *sim.RNG) [][2]any {
+// encoding with an empty MAC field. signed holds the four signed
+// messages, each paired with a copy whose authenticators are cleared,
+// the definition of SigningBytes.
+func authMessages(rng *sim.RNG) (mac, signed [][2]any) {
 	raw := func() []byte {
 		b := make([]byte, rng.Intn(40))
 		fill(rng, b)
@@ -28,6 +31,8 @@ func authMessages(rng *sim.RNG) [][2]any {
 	fill(rng, h[:])
 	page := &frame.Page{URL: str(), Title: str(), Body: str(), HeightPX: float64(rng.Intn(3000)),
 		Elements: []frame.Element{{ID: str(), Kind: frame.Button, Label: str(), Action: str(), Bounds: geom.RectWH(1, 2, 3, 4)}}}
+	cert := &pki.Certificate{Subject: str(), Role: pki.RoleServer, PublicKey: raw(), KemKey: raw(), Issuer: str(), Serial: rng.Uint64(), Signature: raw()}
+	ls := &LoginSubmit{Domain: str(), Account: str(), Nonce: Nonce(str()), SessionKeyCT: raw(), FrameHash: h, RiskVerified: rng.Intn(20), RiskWindow: rng.Intn(20), Signature: raw(), MAC: raw()}
 	cp := &ContentPage{Domain: str(), SessionID: str(), Nonce: Nonce(str()), Account: str(), Page: page, Ticket: raw(), MAC: raw()}
 	pr := &PageRequest{Domain: str(), Account: str(), SessionID: str(), Nonce: Nonce(str()), Action: str(), FrameHash: h, RiskVerified: rng.Intn(20), RiskWindow: rng.Intn(20), MAC: raw()}
 	rr := &ResyncRequest{Domain: str(), Account: str(), SessionID: str(), MAC: raw()}
@@ -35,44 +40,29 @@ func authMessages(rng *sim.RNG) [][2]any {
 	sh := &StreamHello{Domain: str(), Account: str(), SessionID: str(), MAC: raw()}
 	sw := &StreamWelcome{Domain: str(), SessionID: str(), NonceSeed: raw(), Window: rng.Intn(20), MinVerified: rng.Intn(20), MAC: raw()}
 	pp := &PolicyPush{Domain: str(), SessionID: str(), Window: rng.Intn(20), MinVerified: rng.Intn(20), Seq: rng.Uint64(), MAC: raw()}
-	cleared := func(v any) any {
-		switch m := v.(type) {
-		case *ContentPage:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *PageRequest:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *ResyncRequest:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *ResumeSubmit:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *StreamHello:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *StreamWelcome:
-			c := *m
-			c.MAC = nil
-			return &c
-		case *PolicyPush:
-			c := *m
-			c.MAC = nil
-			return &c
+	for _, m := range []any{ls, cp, pr, rr, rs, sh, sw, pp} {
+		mac = append(mac, [2]any{m, clearedCopy(m, "MAC")})
+	}
+	rp := &RegistrationPage{Domain: str(), Nonce: Nonce(str()), Page: page, ServerCert: cert, Signature: raw()}
+	rsub := &RegistrationSubmit{Domain: str(), Account: str(), Nonce: Nonce(str()), UserPub: raw(), FrameHash: h, DeviceCert: cert, Signature: raw()}
+	lp := &LoginPage{Domain: str(), Nonce: Nonce(str()), Page: page, Signature: raw()}
+	for _, m := range []any{rp, rsub, lp, ls} {
+		signed = append(signed, [2]any{m, clearedCopy(m, "Signature", "MAC")})
+	}
+	return mac, signed
+}
+
+// clearedCopy returns a shallow copy of the message m points to with
+// the named fields, those that exist, set to their zero value.
+func clearedCopy(m any, fields ...string) any {
+	c := reflect.New(reflect.TypeOf(m).Elem())
+	c.Elem().Set(reflect.ValueOf(m).Elem())
+	for _, name := range fields {
+		if f := c.Elem().FieldByName(name); f.IsValid() {
+			f.SetZero()
 		}
-		panic("unhandled message type")
 	}
-	var out [][2]any
-	for _, m := range []any{cp, pr, rr, rs, sh, sw, pp} {
-		out = append(out, [2]any{m, cleared(m)})
-	}
-	return out
+	return c.Interface()
 }
 
 func fill(rng *sim.RNG, b []byte) {
@@ -87,7 +77,8 @@ func TestAuthenticatedMACPathsAgree(t *testing.T) {
 		key := make([]byte, pki.SessionKeySize)
 		fill(rng, key)
 		mc := pki.NewMACer(key)
-		for _, pair := range authMessages(rng) {
+		macs, signed := authMessages(rng)
+		for _, pair := range macs {
 			m := pair[0].(Authenticated)
 			legacy, err := EncodeBinary(pair[1])
 			if err != nil {
@@ -107,6 +98,17 @@ func TestAuthenticatedMACPathsAgree(t *testing.T) {
 			bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
 			if VerifyMAC(mc, m, bad) || VerifyMAC(mc, m, want[:len(want)-1]) {
 				t.Fatalf("%T: VerifyMAC accepts a corrupted tag", m)
+			}
+		}
+		for _, pair := range signed {
+			m := pair[0].(interface{ SigningBytes() ([]byte, error) })
+			want, err := EncodeBinary(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.SigningBytes()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%T: SigningBytes (err %v) differs from the authenticator-cleared encoding", m, err)
 			}
 		}
 	}

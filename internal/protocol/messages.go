@@ -1,7 +1,7 @@
 // Package protocol defines the wire messages of the TRUST remote
 // identity protocols — registration (the paper's Fig 9) and continuous
-// authentication (Fig 10) — together with their canonical signing
-// bytes, and the FLock-side client that produces and verifies them.
+// authentication (Fig 10) — together with their authenticator input,
+// and the FLock-side client that produces and verifies them.
 //
 // Terminology note: the paper writes "MAC: Encrypt ServerKeypriv(hash
 // of key-value pairs)" for asymmetric authenticators; those are digital
@@ -11,9 +11,6 @@
 package protocol
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"trust/internal/frame"
 	"trust/internal/pki"
 )
@@ -143,113 +140,64 @@ type PageRequest struct {
 	MAC          []byte
 }
 
-// canonical returns deterministic signing bytes: the JSON encoding of
-// the value with its authenticator cleared. Callers pass a copy whose
-// Signature/MAC field is nil.
-func canonical(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All message types marshal cleanly; an error is a programming
-		// bug, not an input condition.
-		panic(fmt.Sprintf("protocol: canonical encoding: %v", err))
-	}
-	return b
+// authBytes returns m's authenticator input, which its signature or MAC
+// covers: its encoding with that authenticator empty (docs/protocol.md,
+// "Authenticator input"). A message with a field out of range has none.
+func authBytes(m encoder) ([]byte, error) {
+	return withEncoding(m, true, func(in []byte) []byte { return append([]byte(nil), in...) })
 }
-
-// SigningBytes implementations: each clears the authenticator and
-// canonicalizes the rest, so any field tampering invalidates it.
 
 // SigningBytes of a RegistrationPage covers everything but Signature.
-func (m *RegistrationPage) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *RegistrationPage) SigningBytes() ([]byte, error) { return authBytes(m) }
 
 // SigningBytes of a RegistrationSubmit covers everything but Signature.
-func (m *RegistrationSubmit) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *RegistrationSubmit) SigningBytes() ([]byte, error) { return authBytes(m) }
 
 // SigningBytes of a LoginPage covers everything but Signature.
-func (m *LoginPage) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	return canonical(&cp)
-}
+func (m *LoginPage) SigningBytes() ([]byte, error) { return authBytes(m) }
 
 // SigningBytes of a LoginSubmit covers everything but Signature and
 // MAC (the signature is applied first, the MAC over the signed whole).
-func (m *LoginSubmit) SigningBytes() []byte {
-	cp := *m
-	cp.Signature = nil
-	cp.MAC = nil
-	return canonical(&cp)
-}
+func (m *LoginSubmit) SigningBytes() ([]byte, error) { return authBytes((*loginSigning)(m)) }
 
-// MACBytes of a LoginSubmit covers everything (including Signature)
-// but MAC.
-func (m *LoginSubmit) MACBytes() []byte {
-	cp := *m
-	cp.MAC = nil
-	return canonical(&cp)
-}
+// loginSigning writes a LoginSubmit with both authenticators empty.
+type loginSigning LoginSubmit
 
-// Authenticated is a hot-path message whose MAC is an HMAC-SHA256 over
-// its binary encoding with the MAC field empty (its MACBytes). The
-// binary codec writes fields in fixed order with explicit lengths, so
-// it is exactly as canonical as the JSON form it replaces — at a
-// fraction of the cost. Profiling showed reflective JSON marshalling
-// for MAC inputs was ~40% of a continuous-auth round trip, charged once
-// per request on the client and again on the server.
-//
-// SealMAC and VerifyMAC hash that input where it is encoded, in a
-// pooled writer; MACBytes materialises it for callers that want the
-// bytes. All three run the same field writer as the codec.
+func (m *loginSigning) encode(w *binWriter, _ bool) { (*LoginSubmit)(m).fields(w, nil, true) }
+
+// Authenticated is a message MAC'd under a session key: LoginSubmit,
+// ContentPage, PageRequest, ResyncRequest, ResumeSubmit and the stream
+// control messages. SealMAC and VerifyMAC hash its MAC input where it
+// is encoded; MACBytes materialises it for tests to compare against.
 type Authenticated interface {
 	MACBytes() []byte
-	encode(w *binWriter, mac []byte)
+	encoder
 }
 
-var (
-	_ Authenticated = (*ContentPage)(nil)
-	_ Authenticated = (*PageRequest)(nil)
-	_ Authenticated = (*ResyncRequest)(nil)
-	_ Authenticated = (*ResumeSubmit)(nil)
-	_ Authenticated = (*StreamHello)(nil)
-	_ Authenticated = (*StreamWelcome)(nil)
-	_ Authenticated = (*PolicyPush)(nil)
-)
-
-// withMACInput encodes m's MAC input — its binary encoding with the
-// MAC field empty — into a pooled writer and hands it to use, which
-// must not keep it.
-func withMACInput[T any](m Authenticated, use func(in []byte) T) T {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer releaseWriter(w)
-	w.u8(binVersion)
-	m.encode(w, nil)
-	return use(w.buf.Bytes())
-}
-
+// macBytes is MACBytes: nil for a message with a field out of range.
 func macBytes(m Authenticated) []byte {
-	return withMACInput(m, func(in []byte) []byte { return append([]byte(nil), in...) })
+	b, _ := authBytes(m)
+	return b
 }
 
 // SealMAC returns m's MAC under mc, equal to
-// pki.MAC(key, m.MACBytes()). The returned tag is its only allocation.
+// pki.MAC(key, m.MACBytes()), or nil if m has no MAC input. The
+// returned tag is its only allocation.
 func SealMAC(mc *pki.MACer, m Authenticated) []byte {
-	return withMACInput(m, mc.MAC)
+	tag, _ := withEncoding(m, true, mc.MAC)
+	return tag
 }
 
 // VerifyMAC reports, in constant time and without allocating, whether
 // tag is m's MAC under mc — pki.CheckMAC(key, m.MACBytes(), tag).
 func VerifyMAC(mc *pki.MACer, m Authenticated, tag []byte) bool {
-	return withMACInput(m, func(in []byte) bool { return mc.Check(in, tag) })
+	ok, _ := withEncoding(m, true, func(in []byte) bool { return mc.Check(in, tag) })
+	return ok
 }
+
+// MACBytes of a LoginSubmit covers everything (including Signature)
+// but MAC.
+func (m *LoginSubmit) MACBytes() []byte { return macBytes(m) }
 
 // MACBytes of a ContentPage covers everything but MAC.
 func (m *ContentPage) MACBytes() []byte { return macBytes(m) }
@@ -260,7 +208,5 @@ func (m *PageRequest) MACBytes() []byte { return macBytes(m) }
 // MACBytes of a ResyncRequest covers everything but MAC.
 func (m *ResyncRequest) MACBytes() []byte { return macBytes(m) }
 
-// MACBytes of a ResumeSubmit covers everything but MAC. Resume is a
-// login-rate message but rides the hot binary canonical form anyway —
-// symmetric-only verification is the whole point of the ticket path.
+// MACBytes of a ResumeSubmit covers everything but MAC.
 func (m *ResumeSubmit) MACBytes() []byte { return macBytes(m) }

@@ -11,9 +11,9 @@ import (
 	"trust/internal/protocol"
 )
 
-// The HTTP transport moves messages as JSON; authenticators are
-// computed over canonical bytes derived from the same structs. If a
-// JSON round trip changed the canonical bytes, every signature and MAC
+// The HTTP transport can move messages as JSON; authenticators are
+// computed over the binary field writer's bytes for the same structs.
+// If a JSON round trip changed those bytes, every signature and MAC
 // would break across the wire — so round-trip stability is a protocol
 // invariant, checked here property-style.
 
@@ -46,7 +46,7 @@ func TestLoginSubmitJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			return false
 		}
-		return bytes.Equal(m.SigningBytes(), back.SigningBytes()) &&
+		return bytes.Equal(signingBytes(m), signingBytes(&back)) &&
 			bytes.Equal(m.MACBytes(), back.MACBytes())
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRegistrationPageJSONRoundTripStable(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(m.SigningBytes(), back.SigningBytes()) {
+		if !bytes.Equal(signingBytes(m), signingBytes(&back)) {
 			t.Fatalf("seed %d: signing bytes changed across JSON round trip", seed)
 		}
 	}

@@ -50,7 +50,7 @@ func (s *Server) HandleRegistration(now time.Duration, sub *protocol.Registratio
 	if err := sub.DeviceCert.Verify(s.caPub, pki.RoleFLock); err != nil {
 		return fail(fmt.Errorf("device certificate: %w", err))
 	}
-	if !ed25519.Verify(sub.DeviceCert.Key(), sub.SigningBytes(), sub.Signature) {
+	if sb, err := sub.SigningBytes(); err != nil || !ed25519.Verify(sub.DeviceCert.Key(), sb, sub.Signature) {
 		return fail(errors.New("submission signature invalid"))
 	}
 	nonceAge, ok := s.nonces.consumeAge(sub.Nonce, now)
@@ -132,7 +132,7 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 		s.accounts.addFailure(sub.Account)
 		return nil, s.reject(ErrUnknownAccount)
 	}
-	if !ed25519.Verify(acct.PublicKey, sub.SigningBytes(), sub.Signature) {
+	if sb, err := sub.SigningBytes(); err != nil || !ed25519.Verify(acct.PublicKey, sb, sub.Signature) {
 		s.accounts.addFailure(sub.Account)
 		return nil, s.reject(ErrBadSignature)
 	}
@@ -144,7 +144,7 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	if err != nil || len(key) != pki.SessionKeySize {
 		return nil, s.reject(ErrBadKey)
 	}
-	if !pki.CheckMAC(key, sub.MACBytes(), sub.MAC) {
+	if !protocol.VerifyMAC(pki.NewMACer(key), sub, sub.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
@@ -396,7 +396,7 @@ func (s *Server) HumanOriginated(req *protocol.PageRequest) bool {
 	if revoked || sess.account != req.Account {
 		return false
 	}
-	if !pki.CheckMAC(sess.key, req.MACBytes(), req.MAC) {
+	if !protocol.VerifyMAC(pki.NewMACer(sess.key), req, req.MAC) {
 		return false
 	}
 	return req.RiskWindow > 0 && req.RiskVerified >= 1

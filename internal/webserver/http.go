@@ -22,6 +22,25 @@ const binaryMIME = "application/octet-stream"
 // maxBodyBytes bounds request bodies on every POST route.
 const maxBodyBytes = 1 << 20
 
+// MaxResponseBytes caps how much of a server response a client buffers.
+const MaxResponseBytes = 1 << 20
+
+// ErrResponseTooLarge reports a response body over MaxResponseBytes.
+var ErrResponseTooLarge = fmt.Errorf("webserver: response body exceeds %d-byte cap", MaxResponseBytes)
+
+// ReadResponse buffers a response body into buf, failing an oversized
+// one with ErrResponseTooLarge rather than a confusing decode error.
+func ReadResponse(buf *bytes.Buffer, r io.Reader) error {
+	n, err := buf.ReadFrom(io.LimitReader(r, MaxResponseBytes+1))
+	if err != nil {
+		return err
+	}
+	if n > MaxResponseBytes {
+		return ErrResponseTooLarge
+	}
+	return nil
+}
+
 // bodyPool recycles the read buffers binary request bodies land in.
 // DecodeBinary copies every field out of the raw bytes, so a buffer can
 // be returned to the pool as soon as decoding finishes.
@@ -255,8 +274,12 @@ func FetchCertificate(client *http.Client, baseURL string) (*pki.Certificate, er
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("webserver: cert fetch status %s", resp.Status)
 	}
+	var body bytes.Buffer
+	if err := ReadResponse(&body, resp.Body); err != nil {
+		return nil, err
+	}
 	var cert pki.Certificate
-	if err := json.NewDecoder(resp.Body).Decode(&cert); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &cert); err != nil {
 		return nil, err
 	}
 	return &cert, nil

@@ -41,6 +41,17 @@ func TestHTTPFetchCertificateBadURL(t *testing.T) {
 	}
 }
 
+func TestHTTPFetchCertificateOversizedBody(t *testing.T) {
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(bytes.Repeat([]byte{' '}, MaxResponseBytes+1))
+	}))
+	defer big.Close()
+	if _, err := FetchCertificate(big.Client(), big.URL); !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("oversized certificate body: err %v, want ErrResponseTooLarge", err)
+	}
+}
+
 func TestHTTPRegistrationPageEndpoint(t *testing.T) {
 	_, ts := httpRig(t)
 	resp, err := ts.Client().Get(ts.URL + "/trust/register?now=5")

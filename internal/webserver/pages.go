@@ -5,6 +5,7 @@ import (
 
 	"trust/internal/frame"
 	"trust/internal/geom"
+	"trust/internal/protocol"
 )
 
 // installDefaultPages builds the site: registration, login, home, and a
@@ -103,10 +104,14 @@ func (s *Server) PageForAction(action string) *frame.Page {
 	}
 }
 
-// AddPage installs a custom page (examples build richer sites).
+// AddPage installs a custom page (examples build richer sites) that
+// the codec can encode, as every message serving it is authenticated.
 func (s *Server) AddPage(p *frame.Page) error {
 	if p == nil || p.URL == "" {
 		return fmt.Errorf("webserver: invalid page")
+	}
+	if _, err := protocol.EncodeBinary(&protocol.ContentPage{Page: p}); err != nil {
+		return fmt.Errorf("webserver: invalid page: %w", err)
 	}
 	s.pagesMu.Lock()
 	s.pages[p.URL] = p

@@ -108,8 +108,7 @@ type session struct {
 // macState returns the session's reusable HMAC instance, building it
 // on first use. The caller must own the session (mutex held, or the
 // session not yet published) — the instance is single-owner state,
-// which is why HumanOriginated's unlocked MAC check stays on the
-// stateless pki.CheckMAC instead.
+// which is why HumanOriginated's unlocked MAC check builds its own.
 func (sess *session) macState() *pki.MACer {
 	if sess.macer == nil {
 		sess.macer = pki.NewMACer(sess.key)
@@ -343,7 +342,10 @@ func (s *Server) newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-func (s *Server) sign(data []byte) []byte {
+func (s *Server) sign(data []byte, err error) []byte {
+	if err != nil { // the server's pages all encode (AddPage checks)
+		panic(fmt.Sprintf("webserver: signing own message: %v", err))
+	}
 	return ed25519.Sign(s.keys.Private, data)
 }
 

@@ -323,7 +323,7 @@ func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHel
 	if !ok || sess.account != h.Account {
 		return nil, nil, ErrUnknownSession
 	}
-	if !pki.CheckMAC(sess.key, h.MACBytes(), h.MAC) {
+	if !protocol.VerifyMAC(pki.NewMACer(sess.key), h, h.MAC) {
 		return nil, nil, ErrBadMAC
 	}
 	seed := make([]byte, 16)
@@ -347,7 +347,7 @@ func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHel
 		Window:      p.Window,
 		MinVerified: p.MinVerified,
 	}
-	welcome.MAC = pki.MAC(sess.key, welcome.MACBytes())
+	welcome.MAC = protocol.SealMAC(pki.NewMACer(sess.key), welcome)
 	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, nil
 }
 
@@ -384,7 +384,7 @@ func (s *Server) acceptStreamResume(rwc io.ReadWriteCloser, now time.Duration, s
 		Window:      p.Window,
 		MinVerified: p.MinVerified,
 	}
-	welcome.MAC = pki.MAC(sess.key, welcome.MACBytes())
+	welcome.MAC = protocol.SealMAC(pki.NewMACer(sess.key), welcome)
 	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, cp, nil
 }
 
@@ -434,7 +434,7 @@ func (s *Server) pushPolicy(p RiskPolicy) {
 			MinVerified: p.MinVerified,
 			Seq:         sc.pushSeq,
 		}
-		msg.MAC = pki.MAC(sc.sess.key, msg.MACBytes())
+		msg.MAC = protocol.SealMAC(pki.NewMACer(sc.sess.key), msg)
 		if payload, err := protocol.EncodeBinary(msg); err == nil {
 			_ = protocol.WriteFrame(sc.rwc, protocol.FramePolicyPush, payload)
 		}
