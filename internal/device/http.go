@@ -51,7 +51,7 @@ func (t *HTTP) requestURL(path string, now time.Duration, extra url.Values) stri
 	return t.BaseURL + path + "?" + q.Encode()
 }
 
-func (t *HTTP) get(path string, now time.Duration, out any) error {
+func get[M any](t *HTTP, path string, now time.Duration, out *M) error {
 	req, err := http.NewRequest(http.MethodGet, t.requestURL(path, now, nil), nil)
 	if err != nil {
 		return err
@@ -66,7 +66,7 @@ func (t *HTTP) get(path string, now time.Duration, out any) error {
 		return fmt.Errorf("%w: GET %s: %v", ErrNetwork, path, err)
 	}
 	defer resp.Body.Close()
-	return t.decodeResponse(resp, out)
+	return decodeResponse(resp, out)
 }
 
 // postBody recycles request-body buffers and their readers: the
@@ -83,7 +83,7 @@ type postBody struct {
 
 var postBodyPool = sync.Pool{New: func() any { return new(postBody) }}
 
-func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out any) error {
+func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in any, out *M) error {
 	pb := postBodyPool.Get().(*postBody)
 	defer postBodyPool.Put(pb)
 	contentType := "application/json"
@@ -113,7 +113,7 @@ func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out an
 		return fmt.Errorf("%w: POST %s: %v", ErrNetwork, path, err)
 	}
 	defer resp.Body.Close()
-	return t.decodeResponse(resp, out)
+	return decodeResponse(resp, out)
 }
 
 // respBufPool recycles response-read buffers. Recycling is safe
@@ -122,7 +122,7 @@ func (t *HTTP) post(path string, now time.Duration, extra url.Values, in, out an
 // the data it parses.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
+func decodeResponse[M any](resp *http.Response, out *M) error {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		// Round-trip the server's typed rejection so errors.Is sees the
@@ -145,28 +145,12 @@ func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
 	}
 	data := buf.Bytes()
 	if ct == binaryMIME {
-		msg, err := protocol.DecodeBinary(data)
+		m, err := protocol.DecodeAs[M](data)
 		if err != nil {
 			return err
 		}
-		switch d := out.(type) {
-		case *protocol.RegistrationPage:
-			if m, ok := msg.(*protocol.RegistrationPage); ok {
-				*d = *m
-				return nil
-			}
-		case *protocol.LoginPage:
-			if m, ok := msg.(*protocol.LoginPage); ok {
-				*d = *m
-				return nil
-			}
-		case *protocol.ContentPage:
-			if m, ok := msg.(*protocol.ContentPage); ok {
-				*d = *m
-				return nil
-			}
-		}
-		return fmt.Errorf("device: binary response has unexpected type %T", msg)
+		*out = *m
+		return nil
 	}
 	return json.Unmarshal(data, out)
 }
@@ -174,7 +158,7 @@ func (t *HTTP) decodeResponse(resp *http.Response, out any) error {
 // FetchRegistrationPage implements Transport.
 func (t *HTTP) FetchRegistrationPage(now time.Duration) (*protocol.RegistrationPage, error) {
 	var page protocol.RegistrationPage
-	if err := t.get("/trust/register", now, &page); err != nil {
+	if err := get(t, "/trust/register", now, &page); err != nil {
 		return nil, err
 	}
 	return &page, nil
@@ -183,14 +167,14 @@ func (t *HTTP) FetchRegistrationPage(now time.Duration) (*protocol.RegistrationP
 // SubmitRegistration implements Transport.
 func (t *HTTP) SubmitRegistration(now time.Duration, sub *protocol.RegistrationSubmit, recovery string) (protocol.RegistrationResult, error) {
 	var res protocol.RegistrationResult
-	err := t.post("/trust/register", now, url.Values{"recovery": {recovery}}, sub, &res)
+	err := post(t, "/trust/register", now, url.Values{"recovery": {recovery}}, sub, &res)
 	return res, err
 }
 
 // FetchLoginPage implements Transport.
 func (t *HTTP) FetchLoginPage(now time.Duration) (*protocol.LoginPage, error) {
 	var page protocol.LoginPage
-	if err := t.get("/trust/login", now, &page); err != nil {
+	if err := get(t, "/trust/login", now, &page); err != nil {
 		return nil, err
 	}
 	return &page, nil
@@ -199,7 +183,7 @@ func (t *HTTP) FetchLoginPage(now time.Duration) (*protocol.LoginPage, error) {
 // SubmitLogin implements Transport.
 func (t *HTTP) SubmitLogin(now time.Duration, sub *protocol.LoginSubmit) (*protocol.ContentPage, error) {
 	var cp protocol.ContentPage
-	if err := t.post("/trust/login", now, nil, sub, &cp); err != nil {
+	if err := post(t, "/trust/login", now, nil, sub, &cp); err != nil {
 		return nil, err
 	}
 	return &cp, nil
@@ -208,7 +192,7 @@ func (t *HTTP) SubmitLogin(now time.Duration, sub *protocol.LoginSubmit) (*proto
 // SubmitResume implements Transport.
 func (t *HTTP) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
 	var cp protocol.ContentPage
-	if err := t.post("/trust/resume", now, nil, sub, &cp); err != nil {
+	if err := post(t, "/trust/resume", now, nil, sub, &cp); err != nil {
 		return nil, err
 	}
 	return &cp, nil
@@ -217,7 +201,7 @@ func (t *HTTP) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*pro
 // SubmitPageRequest implements Transport.
 func (t *HTTP) SubmitPageRequest(now time.Duration, req *protocol.PageRequest) (*protocol.ContentPage, error) {
 	var cp protocol.ContentPage
-	if err := t.post("/trust/page", now, nil, req, &cp); err != nil {
+	if err := post(t, "/trust/page", now, nil, req, &cp); err != nil {
 		return nil, err
 	}
 	return &cp, nil
@@ -226,7 +210,7 @@ func (t *HTTP) SubmitPageRequest(now time.Duration, req *protocol.PageRequest) (
 // SubmitResync implements Transport.
 func (t *HTTP) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
 	var cp protocol.ContentPage
-	if err := t.post("/trust/resync", now, nil, req, &cp); err != nil {
+	if err := post(t, "/trust/resync", now, nil, req, &cp); err != nil {
 		return nil, err
 	}
 	return &cp, nil

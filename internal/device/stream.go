@@ -95,8 +95,12 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 		t.conn = nil
 	}
 	if p := t.pending; p != nil {
+		// The resume frame spent sequence number 1; the chain head was
+		// delivered with the resume content page, so prediction starts
+		// at position 0 exactly as after a hello welcome. A welcome
+		// that fails verification falls through to the hello redial.
 		t.pending = nil
-		if t.adoptPendingLocked(p, sess) {
+		if t.adoptLocked(p.rwc, p.br, p.w, sess, 1) == nil {
 			return
 		}
 	}
@@ -133,39 +137,6 @@ func (t *Stream) clearPending() {
 	}
 }
 
-// adoptPendingLocked verifies a pending resume connection's welcome
-// under the now-established session and installs it as the live
-// stream. Returns false (connection closed) if verification fails —
-// the caller then redials the ordinary hello handshake. Caller holds
-// t.mu.
-func (t *Stream) adoptPendingLocked(p *pendingResume, sess *protocol.Session) bool {
-	window, minVerified, err := protocol.AcceptStreamWelcome(sess, p.w)
-	if err != nil {
-		p.rwc.Close()
-		return false
-	}
-	if t.OnPolicy != nil {
-		t.OnPolicy(window, minVerified)
-	}
-	seed := append([]byte(nil), p.w.NonceSeed...)
-	c := &streamClientConn{
-		rwc:      p.rwc,
-		br:       p.br,
-		chain:    protocol.NewNonceChain(sess.Key, seed),
-		sess:     sess,
-		seed:     seed,
-		onPolicy: t.OnPolicy,
-		// The resume frame spent sequence number 1; the chain head was
-		// delivered with the resume content page, so prediction starts
-		// at position 0 exactly as after a hello welcome.
-		nextSeq: 1,
-	}
-	t.conn = c
-	t.dials++
-	go c.readLoop()
-	return true
-}
-
 // SubmitResume implements Transport: dial and open with a resume frame
 // — ticket verification, session creation, and nonce-chain seeding in
 // a single round trip. The welcome cannot be verified here (the
@@ -181,70 +152,42 @@ func (t *Stream) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 	if !canStream {
 		return t.Fallback.SubmitResume(now, sub)
 	}
-	rwc, err := t.Dial()
+	opening, err := protocol.AppendResumeFrame(nil, 1, now, sub)
 	if err != nil {
-		return nil, fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
+		return nil, err
 	}
-	payload, err := protocol.EncodeResumeFrame(1, now, sub)
+	rwc, br, w, err := t.handshake(opening)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := readResumePage(br)
 	if err != nil {
 		rwc.Close()
 		return nil, err
-	}
-	if err := protocol.WriteFrame(rwc, protocol.FrameResume, payload); err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: stream resume: %v", ErrNetwork, err)
-	}
-	br := bufio.NewReaderSize(rwc, 32<<10)
-	ft, p, err := protocol.ReadFrame(br)
-	if err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: stream resume welcome: %v", ErrNetwork, err)
-	}
-	var w *protocol.StreamWelcome
-	switch ft {
-	case protocol.FrameWelcome:
-		msg, err := protocol.DecodeBinary(p)
-		if err != nil {
-			rwc.Close()
-			return nil, err
-		}
-		var ok bool
-		if w, ok = msg.(*protocol.StreamWelcome); !ok {
-			rwc.Close()
-			return nil, fmt.Errorf("device: welcome frame carries %T", msg)
-		}
-	case protocol.FrameAck:
-		_, code, detail, aerr := protocol.DecodeAck(p)
-		rwc.Close()
-		if aerr != nil {
-			return nil, aerr
-		}
-		return nil, ackError(code, detail)
-	default:
-		rwc.Close()
-		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
-	}
-	ft, p, err = protocol.ReadFrame(br)
-	if err != nil {
-		rwc.Close()
-		return nil, fmt.Errorf("%w: stream resume page: %v", ErrNetwork, err)
-	}
-	if ft != protocol.FramePage {
-		rwc.Close()
-		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
-	}
-	seq, index, cp, err := protocol.DecodePageFrame(p)
-	if err != nil {
-		rwc.Close()
-		return nil, err
-	}
-	if seq != 1 || index != 0 {
-		rwc.Close()
-		return nil, fmt.Errorf("device: resume page frame seq %d/%d does not match 1/0", seq, index)
 	}
 	t.mu.Lock()
 	t.pending = &pendingResume{rwc: rwc, br: br, w: w}
 	t.mu.Unlock()
+	return cp, nil
+}
+
+// readResumePage reads the content page that follows a resume's
+// welcome, which must answer the resume frame (sequence 1, index 0).
+func readResumePage(br *bufio.Reader) (*protocol.ContentPage, error) {
+	ft, p, err := protocol.ReadFrame(br)
+	if err != nil {
+		return nil, fmt.Errorf("%w: stream resume page: %v", ErrNetwork, err)
+	}
+	if ft != protocol.FramePage {
+		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
+	}
+	seq, index, cp, err := protocol.DecodePageFrame(p)
+	if err != nil {
+		return nil, err
+	}
+	if seq != 1 || index != 0 {
+		return nil, fmt.Errorf("device: resume page frame seq %d/%d does not match 1/0", seq, index)
+	}
 	return cp, nil
 }
 
@@ -275,77 +218,90 @@ func (t *Stream) live() (*streamClientConn, error) {
 	return t.conn, nil
 }
 
-// redialLocked dials and runs the hello/welcome exchange synchronously
-// (the reader goroutine starts only after the welcome, so the handshake
-// cannot race pushed frames). Caller holds t.mu.
+// redialLocked opens a hello handshake for the bound session and
+// installs the connection. Caller holds t.mu.
 func (t *Stream) redialLocked() error {
-	rwc, err := t.Dial()
-	if err != nil {
-		return fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
-	}
 	hello, err := protocol.BuildStreamHello(t.sess)
 	if err != nil {
-		rwc.Close()
 		return err
 	}
-	hp, err := protocol.EncodeBinary(hello)
+	opening, err := protocol.AppendMessageFrame(nil, protocol.FrameHello, hello)
+	if err != nil {
+		return err
+	}
+	rwc, br, w, err := t.handshake(opening)
+	if err != nil {
+		return err
+	}
+	return t.adoptLocked(rwc, br, w, t.sess, 0)
+}
+
+// handshake is both openings' one exchange: dial, write the opening
+// frame (hello or resume) as the connection's first write, and read the
+// server's answer — the welcome, or the typed ack that refused the
+// opening. It runs before any read loop exists, so it cannot race
+// pushed frames. The returned buffered reader serves every later read
+// on the connection, halving the syscall count of ReadFrame's
+// header+payload read pairs.
+func (t *Stream) handshake(opening []byte) (io.ReadWriteCloser, *bufio.Reader, *protocol.StreamWelcome, error) {
+	rwc, err := t.Dial()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
+	}
+	br := bufio.NewReaderSize(rwc, 32<<10)
+	w, err := exchangeOpening(rwc, br, opening)
 	if err != nil {
 		rwc.Close()
-		return err
+		return nil, nil, nil, err
 	}
-	if err := protocol.WriteFrame(rwc, protocol.FrameHello, hp); err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: stream hello: %v", ErrNetwork, err)
+	return rwc, br, w, nil
+}
+
+// exchangeOpening is handshake's exchange on a dialed connection; the
+// caller closes the connection when it fails.
+func exchangeOpening(w io.Writer, br *bufio.Reader, opening []byte) (*protocol.StreamWelcome, error) {
+	if _, err := w.Write(opening); err != nil {
+		return nil, fmt.Errorf("%w: stream %s: %v", ErrNetwork, protocol.FrameType(opening[0]), err)
 	}
-	// All reads on this connection — the welcome here and every frame
-	// the read loop consumes — share one buffered reader, halving the
-	// syscall count of ReadFrame's header+payload read pairs.
-	br := bufio.NewReaderSize(rwc, 32<<10)
 	ft, payload, err := protocol.ReadFrame(br)
 	if err != nil {
-		rwc.Close()
-		return fmt.Errorf("%w: stream welcome: %v", ErrNetwork, err)
+		return nil, fmt.Errorf("%w: stream welcome: %v", ErrNetwork, err)
 	}
-	var seed []byte
 	switch ft {
 	case protocol.FrameWelcome:
-		msg, err := protocol.DecodeBinary(payload)
-		if err != nil {
-			rwc.Close()
-			return err
-		}
-		w, ok := msg.(*protocol.StreamWelcome)
-		if !ok {
-			rwc.Close()
-			return fmt.Errorf("device: welcome frame carries %T", msg)
-		}
-		window, minVerified, err := protocol.AcceptStreamWelcome(t.sess, w)
-		if err != nil {
-			rwc.Close()
-			return err
-		}
-		seed = append([]byte(nil), w.NonceSeed...)
-		if t.OnPolicy != nil {
-			t.OnPolicy(window, minVerified)
-		}
+		return protocol.DecodeAs[protocol.StreamWelcome](payload)
 	case protocol.FrameAck:
-		_, code, detail, aerr := protocol.DecodeAck(payload)
-		rwc.Close()
-		if aerr != nil {
-			return aerr
+		_, code, detail, err := protocol.DecodeAck(payload)
+		if err != nil {
+			return nil, err
 		}
-		return ackError(code, detail)
-	default:
-		rwc.Close()
-		return fmt.Errorf("device: stream handshake got %s frame", ft)
+		return nil, ackError(code, detail)
 	}
+	return nil, fmt.Errorf("device: stream handshake got %s frame", ft)
+}
+
+// adoptLocked verifies a welcome under sess and installs its
+// connection as the live stream, starting the read loop; lastSeq is
+// the frame sequence the opening spent. A welcome that fails
+// verification closes the connection. Caller holds t.mu.
+func (t *Stream) adoptLocked(rwc io.ReadWriteCloser, br *bufio.Reader, w *protocol.StreamWelcome, sess *protocol.Session, lastSeq uint64) error {
+	window, minVerified, err := protocol.AcceptStreamWelcome(sess, w)
+	if err != nil {
+		rwc.Close()
+		return err
+	}
+	if t.OnPolicy != nil {
+		t.OnPolicy(window, minVerified)
+	}
+	seed := append([]byte(nil), w.NonceSeed...)
 	c := &streamClientConn{
 		rwc:      rwc,
 		br:       br,
-		chain:    protocol.NewNonceChain(t.sess.Key, seed),
-		sess:     t.sess,
+		chain:    protocol.NewNonceChain(sess.Key, seed),
+		sess:     sess,
 		seed:     seed,
 		onPolicy: t.OnPolicy,
+		nextSeq:  lastSeq,
 	}
 	t.conn = c
 	t.dials++
@@ -614,11 +570,7 @@ func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageR
 func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
 	w := &frameWaiter{want: 1, done: make(chan struct{})}
 	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
-		payload, err := protocol.EncodeResyncFrame(seq, req)
-		if err != nil {
-			return dst, err
-		}
-		return protocol.AppendFrame(dst, protocol.FrameResync, payload)
+		return protocol.AppendResyncFrame(dst, seq, req)
 	}, w, nil)
 	if err != nil {
 		return nil, err
@@ -634,7 +586,7 @@ func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncR
 func (c *streamClientConn) ping(now time.Duration) error {
 	h := &hbWaiter{now: now, done: make(chan error, 1)}
 	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
-		return protocol.AppendFrame(dst, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(seq, now))
+		return protocol.AppendHeartbeatFrame(dst, seq, now), nil
 	}, nil, h)
 	if err != nil {
 		return err
@@ -725,10 +677,19 @@ func (c *streamClientConn) deliverPage(seq uint64, index int, cp *protocol.Conte
 	return nil
 }
 
-// deliverAck completes the head waiter with a typed error (the server
-// stops a batch at its first rejection).
+// deliverAck completes the waiter an ack answers with a typed error:
+// the head request waiter (the server stops a batch at its first
+// rejection), or the head heartbeat waiter when the ack echoes that
+// heartbeat's sequence (a heartbeat past the server's skew bound).
 func (c *streamClientConn) deliverAck(seq uint64, code, detail string) error {
 	c.mu.Lock()
+	if len(c.hbs) > 0 && c.hbs[0].seq == seq {
+		h := c.hbs[0]
+		c.hbs = c.hbs[1:]
+		c.mu.Unlock()
+		h.done <- ackError(code, detail)
+		return nil
+	}
 	if len(c.waiters) == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("device: unsolicited ack frame (%s)", code)
@@ -768,13 +729,9 @@ func (c *streamClientConn) deliverHeartbeat(seq uint64, now time.Duration) error
 // monotonic sequence, so a tightened policy cannot be rolled back by
 // replaying an older push) and hands it to the OnPolicy callback.
 func (c *streamClientConn) acceptPolicyPush(payload []byte) error {
-	msg, err := protocol.DecodeBinary(payload)
+	p, err := protocol.DecodeAs[protocol.PolicyPush](payload)
 	if err != nil {
 		return err
-	}
-	p, ok := msg.(*protocol.PolicyPush)
-	if !ok {
-		return fmt.Errorf("device: policy-push frame carries %T", msg)
 	}
 	c.mu.Lock()
 	last := c.pushSeq

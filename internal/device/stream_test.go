@@ -330,12 +330,12 @@ func TestStreamReorderedResponseKillsConnection(t *testing.T) {
 		// Answer with a page whose sequence belongs to a different
 		// request frame — what a reordered or replayed response looks
 		// like on the wire.
-		payload, err := protocol.EncodePageFrame(999, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
+		pf, err := protocol.AppendPageFrame(nil, 999, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
 		if err != nil {
 			t.Errorf("fake server: encode page: %v", err)
 			return
 		}
-		protocol.WriteFrame(fs.conn, protocol.FramePage, payload)
+		fs.conn.Write(pf)
 	}()
 	_, err := tr.SubmitPageRequest(0, fakeRequest(sess))
 	<-done
@@ -366,14 +366,14 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 			t.Errorf("fake server: decode batch: %v", err)
 			return
 		}
-		pf, err := protocol.EncodePageFrame(tb.Seq, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
+		pf, err := protocol.AppendPageFrame(nil, tb.Seq, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
 		if err != nil {
 			t.Errorf("fake server: encode page: %v", err)
 			return
 		}
 		// Deliver the same response twice (duplicated frame in transit).
-		protocol.WriteFrame(fs.conn, protocol.FramePage, pf)
-		protocol.WriteFrame(fs.conn, protocol.FramePage, pf)
+		fs.conn.Write(pf)
+		fs.conn.Write(pf)
 	}()
 	cp, err := tr.SubmitPageRequest(0, fakeRequest(sess))
 	if err != nil || cp == nil {
@@ -500,5 +500,29 @@ func TestStreamHeartbeatWarpDetectedAndRecovered(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Redials == 0 || st.Downgrades != 0 {
 		t.Fatalf("stream stats %+v, want a redial and no downgrade", st)
+	}
+}
+
+// TestStreamRejectedHeartbeatIsTyped pins ack correlation for
+// heartbeats: a heartbeat jumping past the server's skew bound is
+// answered with a typed malformed ack carrying its seq, and Ping must
+// surface exactly that rejection — not a retryable network fault from
+// an ack the read loop failed to match.
+func TestStreamRejectedHeartbeatIsTyped(t *testing.T) {
+	fx, tr := newStreamFixture(t, nil)
+	fx.registerAndLogin(t)
+	fx.touchOwner(t)
+	if err := fx.dev.Browse(fx.now, "home"); err != nil {
+		t.Fatal(err)
+	}
+	err := tr.Ping(fx.now + webserver.MaxHeartbeatSkew + time.Second)
+	if !errors.Is(err, webserver.ErrMalformed) {
+		t.Fatalf("Ping = %v, want a typed malformed rejection", err)
+	}
+	if Retryable(err) {
+		t.Fatalf("rejected heartbeat reported as retryable: %v", err)
+	}
+	if got := serverMetric(t, fx.server, "hb_rejected"); got != 1 {
+		t.Fatalf("hb_rejected = %d, want 1", got)
 	}
 }

@@ -475,6 +475,25 @@ func DecodeBinary(data []byte) (any, error) {
 	return decodeBinary(data, nil)
 }
 
+// DecodeAs decodes a binary message that must be a *M: the check every
+// transport applies to a payload whose message type its context fixes
+// (a frame type, an HTTP route).
+func DecodeAs[M any](data []byte) (*M, error) {
+	return decodeAs[M](data, nil)
+}
+
+func decodeAs[M any](data []byte, intern *internTable) (*M, error) {
+	msg, err := decodeBinary(data, intern)
+	if err != nil {
+		return nil, err
+	}
+	m, ok := msg.(*M)
+	if !ok {
+		return nil, fmt.Errorf("%w: got %T, want %T", ErrBinaryDecode, msg, m)
+	}
+	return m, nil
+}
+
 // decodeBinary is the one message decoder; intern is the calling
 // connection's intern table, or nil to copy every string field.
 func decodeBinary(data []byte, intern *internTable) (any, error) {

@@ -16,9 +16,10 @@ import (
 // Payloads of the message-bearing frames (hello, welcome, touch-batch,
 // page, policy-push, resync) reuse the binary message codec, so a
 // message verifies identically whether it arrived framed or as an HTTP
-// body. Frames are assembled in the pooled binary writer and hit the
-// connection in a single Write — one syscall per frame, and a torn or
-// cut write can never interleave two frames.
+// body. Every frame is appended whole into the caller's buffer
+// (openFrame/closeFrame) and hits the connection in a single Write —
+// one syscall per frame, and a torn or cut write can never interleave
+// two frames.
 
 // FrameType tags a stream frame.
 type FrameType byte
@@ -110,31 +111,61 @@ var ErrFrame = errors.New("protocol: malformed stream frame")
 // WriteFrame writes one frame to w in a single Write call. The payload
 // may be nil (heartbeats, bye).
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, len(payload), MaxFramePayload)
+	frame, err := AppendFrame(nil, t, payload)
+	if err != nil {
+		return err
 	}
-	bw := writerPool.Get().(*binWriter)
-	bw.buf.Reset()
-	defer releaseWriter(bw)
-	bw.u8(byte(t))
-	bw.u32(len(payload))
-	bw.buf.Write(payload)
-	_, err := w.Write(bw.buf.Bytes())
+	_, err = w.Write(frame)
 	return err
 }
 
-// AppendFrame appends one whole frame (header + payload) to dst and
-// returns the extended slice. Callers coalescing several frames into
-// a single write build them here and flush dst once; the wire bytes
-// are identical to consecutive WriteFrame calls.
-func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFramePayload {
-		return dst, fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, len(payload), MaxFramePayload)
+// openFrame appends a frame header of type t to dst; closeFrame
+// backfills its length once the payload behind it is in place. Every
+// frame builder goes through this pair, so a frame is always appended
+// whole into the caller's buffer and the payload cap is checked in
+// one place.
+func openFrame(dst []byte, t FrameType) []byte {
+	return append(dst, byte(t), 0, 0, 0, 0)
+}
+
+// closeFrame completes the frame opened at dst[base:]: it backfills
+// the header's payload length, or refuses a payload over
+// MaxFramePayload and cuts dst back to base.
+func closeFrame(dst []byte, base int) ([]byte, error) {
+	n := len(dst) - base - frameHeaderLen
+	if n > MaxFramePayload {
+		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload)
 	}
-	var hdr [frameHeaderLen]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	return append(append(dst, hdr[:]...), payload...), nil
+	binary.BigEndian.PutUint32(dst[base+1:], uint32(n))
+	return dst, nil
+}
+
+// appendMessage appends msg's binary encoding behind a 4-byte length,
+// the nested-message shape of the seq-bearing frames. On error it
+// returns dst unchanged.
+func appendMessage(dst []byte, msg any) ([]byte, error) {
+	out, err := EncodeBinaryAppend(append(dst, 0, 0, 0, 0), msg)
+	if err != nil {
+		return dst, err
+	}
+	binary.BigEndian.PutUint32(out[len(dst):], uint32(len(out)-len(dst)-4))
+	return out, nil
+}
+
+// AppendFrame appends one whole frame carrying payload verbatim to dst
+// and returns the extended slice.
+func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
+	return closeFrame(append(openFrame(dst, t), payload...), len(dst))
+}
+
+// AppendMessageFrame appends a frame whose payload is one binary-codec
+// message: the hello, welcome and policy-push frames.
+func AppendMessageFrame(dst []byte, t FrameType, msg any) ([]byte, error) {
+	out, err := EncodeBinaryAppend(openFrame(dst, t), msg)
+	if err != nil {
+		return dst, err
+	}
+	return closeFrame(out, len(dst))
 }
 
 // ReadFrame reads one frame from r. The returned payload is freshly
@@ -185,44 +216,23 @@ type TouchBatch struct {
 // carry.
 const maxBatchRequests = 256
 
-// EncodeTouchBatch serializes a touch batch into a frame payload.
-func EncodeTouchBatch(seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
-	f, err := AppendTouchBatchFrame(nil, seq, now, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return f[frameHeaderLen:], nil
-}
-
-// AppendTouchBatchFrame appends a complete FrameTouchBatch frame —
-// header included — to dst and returns the extended slice: the
-// client-side mirror of AppendPageFrame, encoding each request once,
-// straight into the caller's buffer.
+// AppendTouchBatchFrame appends a FrameTouchBatch frame to dst,
+// encoding each request once, straight into the caller's buffer.
 func AppendTouchBatchFrame(dst []byte, seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
 	if len(reqs) == 0 || len(reqs) > maxBatchRequests {
 		return dst, fmt.Errorf("%w: batch of %d requests", ErrFrame, len(reqs))
 	}
-	base := len(dst)
-	dst = append(dst, byte(FrameTouchBatch), 0, 0, 0, 0)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(now))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(reqs)))
+	out := openFrame(dst, FrameTouchBatch)
+	out = binary.BigEndian.AppendUint64(out, seq)
+	out = binary.BigEndian.AppendUint64(out, uint64(now))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(reqs)))
 	for _, req := range reqs {
-		at := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		out, err := EncodeBinaryAppend(dst, req)
-		if err != nil {
-			return dst[:base], err
+		var err error
+		if out, err = appendMessage(out, req); err != nil {
+			return dst, err
 		}
-		dst = out
-		binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	payload := len(dst) - base - frameHeaderLen
-	if payload > MaxFramePayload {
-		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, payload, MaxFramePayload)
-	}
-	binary.BigEndian.PutUint32(dst[base+1:], uint32(payload))
-	return dst, nil
+	return closeFrame(out, len(dst))
 }
 
 // DecodeTouchBatch parses a touch-batch frame payload.
@@ -243,13 +253,9 @@ func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) 
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: touch-batch request %d", ErrFrame, i)
 		}
-		msg, err := decodeBinary(raw, intern)
+		req, err := decodeAs[PageRequest](raw, intern)
 		if err != nil {
 			return nil, err
-		}
-		req, ok := msg.(*PageRequest)
-		if !ok {
-			return nil, fmt.Errorf("%w: touch-batch carries %T", ErrFrame, msg)
 		}
 		tb.Requests = append(tb.Requests, req)
 	}
@@ -259,53 +265,19 @@ func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) 
 	return tb, nil
 }
 
-// EncodePageFrame serializes a page response: the echoed request frame
-// sequence, the index of the batched request it answers, and the
-// content page.
-func EncodePageFrame(seq uint64, index int, cp *ContentPage) ([]byte, error) {
-	body, err := EncodeBinary(cp)
-	if err != nil {
-		return nil, err
-	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer releaseWriter(w)
-	w.u64(seq)
-	w.u32(index)
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
-}
-
-// AppendPageFrame appends a complete FramePage frame — header included
-// — to dst and returns the extended slice. It is the zero-copy variant
-// of WriteFrame(w, FramePage, EncodePageFrame(...)): the content page
-// is encoded once, directly into dst, instead of being serialized into
-// an intermediate payload and copied twice more. The batch response
-// path builds its whole reply here before a single write.
+// AppendPageFrame appends a FramePage frame to dst: the echoed
+// request frame sequence, the index of the batched request it answers,
+// and the content page, encoded once, directly into dst. The batch
+// response path builds its whole reply here before a single write.
 func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte, error) {
-	base := len(dst)
-	// Frame header: type byte + 4-byte payload length, backfilled once
-	// the payload is in place.
-	dst = append(dst, byte(FramePage), 0, 0, 0, 0)
-	var fixed [12]byte
-	binary.BigEndian.PutUint64(fixed[:8], seq)
-	binary.BigEndian.PutUint32(fixed[8:], uint32(index))
-	dst = append(dst, fixed[:]...)
-	// Length-prefixed message body, length backfilled like the header.
-	bodyAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := EncodeBinaryAppend(dst, cp)
+	out := openFrame(dst, FramePage)
+	out = binary.BigEndian.AppendUint64(out, seq)
+	out = binary.BigEndian.AppendUint32(out, uint32(index))
+	out, err := appendMessage(out, cp)
 	if err != nil {
-		return dst[:base], err
+		return dst, err
 	}
-	dst = out
-	binary.BigEndian.PutUint32(dst[bodyAt:], uint32(len(dst)-bodyAt-4))
-	payload := len(dst) - base - frameHeaderLen
-	if payload > MaxFramePayload {
-		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, payload, MaxFramePayload)
-	}
-	binary.BigEndian.PutUint32(dst[base+1:], uint32(payload))
-	return dst, nil
+	return closeFrame(out, len(dst))
 }
 
 // DecodePageFrame parses a page-response frame payload.
@@ -321,13 +293,9 @@ func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int
 	if r.err != nil || r.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: page frame", ErrFrame)
 	}
-	msg, err := decodeBinary(raw, intern)
+	cp, err = decodeAs[ContentPage](raw, intern)
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	cp, ok := msg.(*ContentPage)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("%w: page frame carries %T", ErrFrame, msg)
 	}
 	return seq, index, cp, nil
 }
@@ -335,12 +303,11 @@ func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int
 // Heartbeat payload: a client-chosen sequence plus the virtual
 // timestamp; the server echoes both verbatim.
 
-// EncodeHeartbeat serializes a heartbeat (or its echo).
-func EncodeHeartbeat(seq uint64, now time.Duration) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], seq)
-	binary.BigEndian.PutUint64(b[8:], uint64(now))
-	return b[:]
+// AppendHeartbeatFrame appends a heartbeat (or its echo) to dst.
+func AppendHeartbeatFrame(dst []byte, seq uint64, now time.Duration) []byte {
+	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameHeartbeat), seq)
+	out, _ = closeFrame(binary.BigEndian.AppendUint64(out, uint64(now)), len(dst)) // 16 bytes: never over the cap
+	return out
 }
 
 // DecodeHeartbeat parses a heartbeat payload.
@@ -356,15 +323,12 @@ func DecodeHeartbeat(payload []byte) (seq uint64, now time.Duration, err error) 
 // same typed rejections as the HTTP path), and a human-readable
 // detail.
 
-// EncodeAck serializes an ack/error frame payload.
-func EncodeAck(seq uint64, code, detail string) []byte {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer releaseWriter(w)
-	w.u64(seq)
-	w.str(code)
-	w.str(detail)
-	return append([]byte(nil), w.buf.Bytes()...)
+// AppendAckFrame appends an ack/error frame to dst.
+func AppendAckFrame(dst []byte, seq uint64, code, detail string) ([]byte, error) {
+	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameAck), seq)
+	out = append(binary.BigEndian.AppendUint32(out, uint32(len(code))), code...)
+	out = append(binary.BigEndian.AppendUint32(out, uint32(len(detail))), detail...)
+	return closeFrame(out, len(dst))
 }
 
 // DecodeAck parses an ack/error frame payload.
@@ -379,22 +343,19 @@ func DecodeAck(payload []byte) (seq uint64, code, detail string, err error) {
 	return seq, code, detail, nil
 }
 
-// EncodeResumeFrame serializes a ticket fast login carried as a
-// stream's opening frame: the client frame sequence, the virtual
-// timestamp (a resume opens a connection, so unlike touch batches
-// there is no preceding hello to carry it), and the ResumeSubmit.
-func EncodeResumeFrame(seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
-	body, err := EncodeBinary(sub)
+// AppendResumeFrame appends a ticket fast login carried as a stream's
+// opening frame: the client frame sequence, the virtual timestamp (a
+// resume opens a connection, so unlike touch batches there is no
+// preceding hello to carry it), and the ResumeSubmit.
+func AppendResumeFrame(dst []byte, seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
+	out := openFrame(dst, FrameResume)
+	out = binary.BigEndian.AppendUint64(out, seq)
+	out = binary.BigEndian.AppendUint64(out, uint64(now))
+	out, err := appendMessage(out, sub)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer releaseWriter(w)
-	w.u64(seq)
-	w.u64(uint64(now))
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
+	return closeFrame(out, len(dst))
 }
 
 // DecodeResumeFrame parses a stream resume payload.
@@ -406,30 +367,22 @@ func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *Resu
 	if r.err != nil || r.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: resume frame", ErrFrame)
 	}
-	msg, err := DecodeBinary(raw)
+	sub, err = DecodeAs[ResumeSubmit](raw)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	rs, ok := msg.(*ResumeSubmit)
-	if !ok {
-		return 0, 0, nil, fmt.Errorf("%w: resume frame carries %T", ErrFrame, msg)
-	}
-	return seq, now, rs, nil
+	return seq, now, sub, nil
 }
 
-// EncodeResyncFrame serializes a resync carried on the stream: the
+// AppendResyncFrame appends a resync carried on the stream: the
 // client frame sequence plus the MAC-proof resync request.
-func EncodeResyncFrame(seq uint64, req *ResyncRequest) ([]byte, error) {
-	body, err := EncodeBinary(req)
+func AppendResyncFrame(dst []byte, seq uint64, req *ResyncRequest) ([]byte, error) {
+	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameResync), seq)
+	out, err := appendMessage(out, req)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	defer releaseWriter(w)
-	w.u64(seq)
-	w.bytes(body)
-	return append([]byte(nil), w.buf.Bytes()...), nil
+	return closeFrame(out, len(dst))
 }
 
 // DecodeResyncFrame parses a stream resync payload.
@@ -440,13 +393,9 @@ func DecodeResyncFrame(payload []byte) (seq uint64, req *ResyncRequest, err erro
 	if r.err != nil || r.off != len(payload) {
 		return 0, nil, fmt.Errorf("%w: resync frame", ErrFrame)
 	}
-	msg, err := DecodeBinary(raw)
+	req, err = DecodeAs[ResyncRequest](raw)
 	if err != nil {
 		return 0, nil, err
 	}
-	rr, ok := msg.(*ResyncRequest)
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: resync frame carries %T", ErrFrame, msg)
-	}
-	return seq, rr, nil
+	return seq, req, nil
 }

@@ -41,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := map[FrameType][]byte{
 		FrameHello:     []byte("hello payload"),
-		FrameHeartbeat: EncodeHeartbeat(7, 3*time.Second),
+		FrameHeartbeat: []byte("0123456789abcdef"),
 		FrameBye:       nil,
 	}
 	for ft, p := range payloads {
@@ -68,6 +68,12 @@ func TestFrameOversizedPayloadRejected(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized read: %v", err)
 	}
+	// A refused append leaves the destination as it was.
+	prefix := []byte("prefix")
+	got, err := AppendFrame(prefix, FramePage, make([]byte, MaxFramePayload+1))
+	if !errors.Is(err, ErrFrame) || !bytes.Equal(got, prefix) {
+		t.Fatalf("oversized append: %q..., %v", got[:min(len(got), 8)], err)
+	}
 }
 
 func TestFrameTruncatedPayload(t *testing.T) {
@@ -92,12 +98,11 @@ func TestFrameSurvivesTornWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer c2.Close()
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, FrameAck, EncodeAck(3, "bad-nonce", "detail")); err != nil {
+		raw, err := AppendAckFrame(nil, 3, "bad-nonce", "detail")
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		raw := buf.Bytes()
 		for i := 0; i < len(raw); i += 2 { // dribble 2 bytes at a time
 			end := i + 2
 			if end > len(raw) {
@@ -125,11 +130,11 @@ func TestFrameSurvivesTornWrites(t *testing.T) {
 
 func TestTouchBatchRoundTrip(t *testing.T) {
 	reqs := []*PageRequest{testPageRequest("home"), testPageRequest("view-statement")}
-	payload, err := EncodeTouchBatch(42, 9*time.Second, reqs)
+	f, err := AppendTouchBatchFrame(nil, 42, 9*time.Second, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := DecodeTouchBatch(payload)
+	tb, err := DecodeTouchBatch(f[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,33 +149,33 @@ func TestTouchBatchRoundTrip(t *testing.T) {
 }
 
 func TestTouchBatchBounds(t *testing.T) {
-	if _, err := EncodeTouchBatch(1, 0, nil); !errors.Is(err, ErrFrame) {
+	if _, err := AppendTouchBatchFrame(nil, 1, 0, nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("empty batch: %v", err)
 	}
 	big := make([]*PageRequest, maxBatchRequests+1)
 	for i := range big {
 		big[i] = testPageRequest("home")
 	}
-	if _, err := EncodeTouchBatch(1, 0, big); !errors.Is(err, ErrFrame) {
+	if _, err := AppendTouchBatchFrame(nil, 1, 0, big); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	// Trailing garbage after a valid batch must be rejected.
-	payload, err := EncodeTouchBatch(1, 0, big[:1])
+	f, err := AppendTouchBatchFrame(nil, 1, 0, big[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTouchBatch(append(payload, 0xff)); !errors.Is(err, ErrFrame) {
+	if _, err := DecodeTouchBatch(append(f[frameHeaderLen:], 0xff)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
 
 func TestPageFrameRoundTrip(t *testing.T) {
 	cp := testContentPage()
-	payload, err := EncodePageFrame(7, 2, cp)
+	f, err := AppendPageFrame(nil, 7, 2, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, index, got, err := DecodePageFrame(payload)
+	seq, index, got, err := DecodePageFrame(f[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,50 +184,13 @@ func TestPageFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendFrameWireEquivalence pins the append-path encoders to the
-// exact bytes the write-path encoders produce: the batch response loop
-// builds frames with AppendPageFrame/AppendFrame and must stay
-// indistinguishable on the wire from per-frame WriteFrame calls.
-func TestAppendFrameWireEquivalence(t *testing.T) {
-	cp := testContentPage()
-	payload, err := EncodePageFrame(7, 2, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := WriteFrame(&want, FramePage, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&want, FrameAck, EncodeAck(7, "revoked", "gone")); err != nil {
-		t.Fatal(err)
-	}
-	prefix := []byte("prefix")
-	got, err := AppendPageFrame(prefix, 7, 2, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = AppendFrame(got, FrameAck, EncodeAck(7, "revoked", "gone"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, prefix) {
-		t.Fatal("append encoders clobbered the destination prefix")
-	}
-	if !bytes.Equal(got[len(prefix):], want.Bytes()) {
-		t.Fatal("append-path frames differ from WriteFrame bytes")
-	}
-	if _, err := AppendFrame(nil, FramePage, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized append payload: %v", err)
-	}
-}
-
 func TestResyncFrameRoundTrip(t *testing.T) {
 	rr := &ResyncRequest{Domain: "www.xyz.com", Account: "acct", SessionID: "sess-1", MAC: []byte{5}}
-	payload, err := EncodeResyncFrame(11, rr)
+	f, err := AppendResyncFrame(nil, 11, rr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, got, err := DecodeResyncFrame(payload)
+	seq, got, err := DecodeResyncFrame(f[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}

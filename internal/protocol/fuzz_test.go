@@ -51,19 +51,21 @@ func FuzzDecodeBinary(f *testing.F) {
 
 // FuzzStreamFrames reads the input as a frame stream twice — with the
 // stateless ReadFrame and with one connection Decoder — and decodes
-// the touch-batch and page frames both ways. Oracles: no panic; read
+// every frame type that has a payload decoder. Oracles: no panic; read
 // errors are end of input or wrap ErrFrame, and a header claiming more
 // than MaxFramePayload is refused; decode errors wrap ErrFrame or
-// ErrBinaryDecode; accepted frames re-encode to their payload; the two
-// paths agree frame by frame, including on messages decoded from
-// earlier frames whose payload buffer the Decoder has since reused.
+// ErrBinaryDecode; an accepted frame rebuilt by its builder is the
+// frame read, byte for byte; and for the touch-batch and page frames
+// the connection Decoder agrees with the stateless one frame by frame,
+// including on messages decoded from earlier frames whose payload
+// buffer the Decoder has since reused.
 func FuzzStreamFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, conn := bytes.NewReader(data), bytes.NewReader(data)
 		var d Decoder
-		// Re-encoders of the connection-path messages, checked against
-		// the stateless encodings once the whole stream is read.
-		var reencode []func() ([]byte, error)
+		// Rebuilders of the connection-path messages, checked against
+		// the frames read once the whole stream is consumed.
+		var rebuild []func() ([]byte, error)
 		var want [][]byte
 		for {
 			left := data[len(data)-plain.Len():]
@@ -84,42 +86,109 @@ func FuzzStreamFrames(f *testing.F) {
 			if len(p) > MaxFramePayload {
 				t.Fatalf("%d-byte payload passed the cap", len(p))
 			}
+			read := left[:frameHeaderLen+len(p)]
+			re, derr := rebuildFrame(t, ft, p)
 			switch ft {
 			case FrameTouchBatch:
-				tb, err := DecodeTouchBatch(p)
 				ctb, cerr := d.DecodeTouchBatch(cp)
-				if checkDecodeErrs(t, err, cerr) {
+				if checkDecodeErrs(t, derr, cerr) {
 					continue
 				}
-				re, err := EncodeTouchBatch(tb.Seq, tb.Now, tb.Requests)
-				if err != nil || !bytes.Equal(re, p) {
-					t.Fatalf("touch batch re-encodes differently (%v):\n in %x\nout %x", err, p, re)
-				}
-				reencode = append(reencode, func() ([]byte, error) { return EncodeTouchBatch(ctb.Seq, ctb.Now, ctb.Requests) })
-				want = append(want, re)
+				rebuild = append(rebuild, func() ([]byte, error) { return AppendTouchBatchFrame(nil, ctb.Seq, ctb.Now, ctb.Requests) })
+				want = append(want, read)
 			case FramePage:
-				seq, index, page, err := DecodePageFrame(p)
 				cseq, cindex, cpage, cerr := d.DecodePageFrame(cp)
-				if checkDecodeErrs(t, err, cerr) {
+				if checkDecodeErrs(t, derr, cerr) {
 					continue
 				}
-				if seq != cseq || index != cindex {
-					t.Fatalf("page frame header %d/%d vs %d/%d", seq, index, cseq, cindex)
+				rebuild = append(rebuild, func() ([]byte, error) { return AppendPageFrame(nil, cseq, cindex, cpage) })
+				want = append(want, read)
+			default:
+				if checkDecodeErrs(t, derr, derr) {
+					continue
 				}
-				re, err := EncodePageFrame(seq, index, page)
-				if err != nil || !bytes.Equal(re, p) {
-					t.Fatalf("page frame re-encodes differently (%v):\n in %x\nout %x", err, p, re)
-				}
-				reencode = append(reencode, func() ([]byte, error) { return EncodePageFrame(cseq, cindex, cpage) })
-				want = append(want, re)
+			}
+			if re != nil && !bytes.Equal(re, read) {
+				t.Fatalf("%s frame rebuilds differently:\n in %x\nout %x", ft, read, re)
 			}
 		}
-		for i, enc := range reencode {
+		for i, enc := range rebuild {
 			if got, err := enc(); err != nil || !bytes.Equal(got, want[i]) {
-				t.Fatalf("connection-decoded frame %d differs from the stateless decode (%v)", i, err)
+				t.Fatalf("connection-decoded frame %d differs from the frame read (%v)", i, err)
 			}
 		}
 	})
+}
+
+// rebuildFrame decodes payload with the stateless decoder for ft and
+// rebuilds the whole frame from the result with ft's builder, failing
+// the test if an accepted frame does not rebuild. It returns the
+// decode error, or a nil frame for a type without a payload decoder
+// (bye, unknown types).
+func rebuildFrame(t *testing.T, ft FrameType, p []byte) ([]byte, error) {
+	must := func(f []byte, err error) ([]byte, error) {
+		if err != nil {
+			t.Fatalf("accepted %s frame does not rebuild: %v", ft, err)
+		}
+		return f, nil
+	}
+	switch ft {
+	case FrameHello:
+		m, err := DecodeAs[StreamHello](p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendMessageFrame(nil, ft, m))
+	case FrameWelcome:
+		m, err := DecodeAs[StreamWelcome](p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendMessageFrame(nil, ft, m))
+	case FramePolicyPush:
+		m, err := DecodeAs[PolicyPush](p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendMessageFrame(nil, ft, m))
+	case FrameTouchBatch:
+		tb, err := DecodeTouchBatch(p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendTouchBatchFrame(nil, tb.Seq, tb.Now, tb.Requests))
+	case FramePage:
+		seq, index, cp, err := DecodePageFrame(p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendPageFrame(nil, seq, index, cp))
+	case FrameHeartbeat:
+		seq, now, err := DecodeHeartbeat(p)
+		if err != nil {
+			return nil, err
+		}
+		return AppendHeartbeatFrame(nil, seq, now), nil
+	case FrameAck:
+		seq, code, detail, err := DecodeAck(p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendAckFrame(nil, seq, code, detail))
+	case FrameResync:
+		seq, req, err := DecodeResyncFrame(p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendResyncFrame(nil, seq, req))
+	case FrameResume:
+		seq, now, sub, err := DecodeResumeFrame(p)
+		if err != nil {
+			return nil, err
+		}
+		return must(AppendResumeFrame(nil, seq, now, sub))
+	}
+	return nil, nil
 }
 
 // checkDecodeErrs fails unless the stateless and connection decoders

@@ -63,11 +63,11 @@ func TestDecoderNeverInternsNoncesOrMACs(t *testing.T) {
 		req := testPageRequest("home")
 		req.Nonce = Nonce(fmt.Sprintf("nonce-%02d", i))
 		req.MAC = []byte(fmt.Sprintf("mac-%02d", i))
-		payload, err := EncodeTouchBatch(uint64(i), 0, []*PageRequest{req})
+		f, err := AppendTouchBatchFrame(nil, uint64(i), 0, []*PageRequest{req})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.DecodeTouchBatch(payload); err != nil {
+		if _, err := d.DecodeTouchBatch(f[frameHeaderLen:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,11 +110,11 @@ func TestDecoderMessagesOutliveThePayloadBuffer(t *testing.T) {
 		got = append(got, cp)
 	}
 	for i, cp := range got {
-		pp, err := EncodePageFrame(uint64(i), 0, cp)
+		f, err := AppendPageFrame(nil, uint64(i), 0, cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(pp, want[i]) {
+		if !bytes.Equal(f[frameHeaderLen:], want[i]) {
 			t.Fatalf("frame %d changed after later frames reused the payload buffer", i)
 		}
 	}

@@ -180,17 +180,78 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 // under a rekeyed session key is established and a replacement ticket
 // rides back on the response.
 func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
-	st, acct, err := s.verifyResume(now, sub)
+	cp, err := s.handleResume(now, sub, func(*session) protocol.Nonce { return s.mintNonce() })
 	if err != nil {
+		return nil, s.reject(err)
+	}
+	return cp, nil
+}
+
+// handleResume is the resume core behind both fronts: HandleResume and
+// the stream endpoint's resume opening frame. firstNonce supplies the
+// resumed session's first nonce, and with it the only difference
+// between the fronts: HTTP mints one from the entropy stream, the
+// stream binds the connection's nonce chain to the new session and
+// answers with its head. Entropy is drawn in one order on both: the
+// session id, then the nonce (or chain seed), then the ticket.
+//
+// Check order matters:
+//
+//   - the MAC is verified before the nonce is consumed, so presenting
+//     a stolen ticket without its key cannot burn the owner's ticket;
+//   - the ticket's single-use nonce is consumed last, immediately
+//     before the session is created, so of two concurrent
+//     presentations of one ticket exactly the consume winner proceeds
+//     (the nonce store serializes consume under its shard mutex).
+func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, firstNonce func(*session) protocol.Nonce) (*protocol.ContentPage, error) {
+	if sub == nil || sub.Domain != s.domain || len(sub.Ticket) == 0 {
+		return nil, fmt.Errorf("%w: resume", ErrMalformed)
+	}
+	if s.accounts.failures(sub.Account) >= s.MaxLoginFailures {
+		return nil, ErrRateLimited
+	}
+	st, err := s.openTicket(now, sub.Ticket)
+	if err != nil {
+		// Expired epochs land here: the device's normal fallback to a
+		// full login, not an attack — no failure charged.
 		return nil, err
 	}
+	if st.account != sub.Account {
+		return nil, ErrBadTicket
+	}
+	acct, ok := s.accounts.get(sub.Account)
+	if !ok {
+		s.accounts.addFailure(sub.Account)
+		return nil, ErrUnknownAccount
+	}
+	if acct.Gen != st.gen {
+		// Ticket from before a ResetIdentity + re-register: the old
+		// binding's tickets die with it.
+		return nil, ErrBadTicket
+	}
+	if !protocol.VerifyMAC(pki.NewMACer(st.key), sub, sub.MAC) {
+		s.accounts.addFailure(sub.Account)
+		return nil, ErrBadMAC
+	}
+	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
+		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow)
+	}
+	nonceAge, ok := s.nonces.consumeAge(st.nonce, now)
+	if !ok {
+		// Replayed (or evicted past the nonce TTL — same answer):
+		// single use is spent.
+		return nil, ErrBadTicket
+	}
+	s.tel.resumeLogins.Add(1)
+	s.tel.resume.Observe(nonceAge)
+
 	sess := &session{id: s.newSessionID(), account: acct.ID}
 	// Rekey: both sides derive the resumed session's key from the
 	// ticket-sealed key and the fresh session id, so a ticket observed
 	// in transit never equals a live session key, and two resumes from
 	// the same ticket epoch never share one.
 	sess.key = protocol.ResumeKey(st.key, sess.id)
-	cp := s.contentPage(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, sess.key))
+	cp := s.contentPage(sess, s.PageForAction("login"), firstNonce(sess), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)
 	// The resume's frame hash attests the login page the user touched,
@@ -200,64 +261,6 @@ func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 	return cp, nil
 }
 
-// verifyResume runs every resume-rejection check and burns the
-// ticket's single-use nonce; on success it returns the sealed ticket
-// state and the live account binding. Shared by the HTTP handler and
-// the stream endpoint's resume-first frame. Check order matters:
-//
-//   - the MAC is verified before the nonce is consumed, so presenting
-//     a stolen ticket without its key cannot burn the owner's ticket;
-//   - the nonce is consumed last, immediately before the caller
-//     creates a session, so of two concurrent presentations of one
-//     ticket exactly the consume winner proceeds (the nonce store
-//     serializes consume under its shard mutex).
-func (s *Server) verifyResume(now time.Duration, sub *protocol.ResumeSubmit) (*ticketState, *Account, error) {
-	if sub == nil || sub.Domain != s.domain || len(sub.Ticket) == 0 {
-		return nil, nil, s.reject(fmt.Errorf("%w: resume", ErrMalformed))
-	}
-	if s.accounts.failures(sub.Account) >= s.MaxLoginFailures {
-		return nil, nil, s.reject(ErrRateLimited)
-	}
-	st, err := s.openTicket(now, sub.Ticket)
-	if err != nil {
-		// Expired epochs land here: the device's normal fallback to a
-		// full login, not an attack — no failure charged.
-		return nil, nil, s.reject(err)
-	}
-	if st.account != sub.Account {
-		return nil, nil, s.reject(ErrBadTicket)
-	}
-	acct, ok := s.accounts.get(sub.Account)
-	if !ok {
-		s.accounts.addFailure(sub.Account)
-		return nil, nil, s.reject(ErrUnknownAccount)
-	}
-	if acct.Gen != st.gen {
-		// Ticket from before a ResetIdentity + re-register: the old
-		// binding's tickets die with it.
-		return nil, nil, s.reject(ErrBadTicket)
-	}
-	if !protocol.VerifyMAC(pki.NewMACer(st.key), sub, sub.MAC) {
-		s.accounts.addFailure(sub.Account)
-		return nil, nil, s.reject(ErrBadMAC)
-	}
-	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
-		return nil, nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow))
-	}
-	nonceAge, ok := s.nonces.consumeAge(st.nonce, now)
-	if !ok {
-		// Replayed (or evicted past the nonce TTL — same answer):
-		// single use is spent.
-		return nil, nil, s.reject(ErrBadTicket)
-	}
-	// Both resume fronts (HandleResume and the stream's resume frame)
-	// establish a session right after this point, so the success
-	// telemetry lives here once.
-	s.tel.resumeLogins.Add(1)
-	s.tel.resume.Observe(nonceAge)
-	return st, acct, nil
-}
-
 // HandlePageRequest is Fig 10 step 4: verify session MAC, nonce echo,
 // and the risk policy for every subsequent interaction; log the frame
 // hash; serve the next page under a fresh nonce. The whole check-and-
@@ -265,36 +268,42 @@ func (s *Server) verifyResume(now time.Duration, sub *protocol.ResumeSubmit) (*t
 // session serialize (the nonce echo demands it), requests on different
 // sessions run in parallel.
 func (s *Server) HandlePageRequest(now time.Duration, req *protocol.PageRequest) (*protocol.ContentPage, error) {
-	return s.handlePageRequest(now, req, s.mintNonce)
+	cp, err := s.handlePageRequest(now, req, s.mintNonce)
+	if err != nil {
+		return nil, s.reject(err)
+	}
+	return cp, nil
 }
 
 // handlePageRequest is the shared page-request core. nextNonce supplies
 // the response nonce and is consulted only on the success path: the
 // HTTP handlers mint from the entropy stream, the stream endpoint walks
 // its per-connection nonce chain (stream.go) so the streamed hot path
-// never touches the entropy lock.
+// never touches the entropy lock. Like every shared core it returns
+// rejections uncounted: the transport edge that answers one counts it
+// (HandlePageRequest here, the stream's reject).
 func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
 	if req == nil || req.Domain != s.domain {
-		return nil, s.reject(fmt.Errorf("%w: page request", ErrMalformed))
+		return nil, fmt.Errorf("%w: page request", ErrMalformed)
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		return nil, s.reject(ErrUnknownSession)
+		return nil, ErrUnknownSession
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		return nil, s.reject(ErrUnknownSession)
+		return nil, ErrUnknownSession
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		return nil, s.reject(ErrBadMAC)
+		return nil, ErrBadMAC
 	}
 	if subtle.ConstantTimeCompare([]byte(req.Nonce), []byte(sess.lastNonce)) != 1 {
-		return nil, s.reject(ErrBadNonce)
+		return nil, ErrBadNonce
 	}
 	if !s.riskPolicy().ok(req.RiskVerified, req.RiskWindow) {
 		sess.revoked = true // continuous auth failed: hard stop
-		return nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow))
+		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow)
 	}
 	sess.requests++
 	if sess.seen {
@@ -315,26 +324,30 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 // frame hash is logged and the risk policy is not consulted — resync
 // can recover a session's nonce state but never advance the session.
 func (s *Server) HandleResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
-	return s.handleResync(now, req, s.mintNonce)
+	cp, err := s.handleResync(now, req, s.mintNonce)
+	if err != nil {
+		return nil, s.reject(err)
+	}
+	return cp, nil
 }
 
 // handleResync is the shared resync core; see handlePageRequest for
-// the nextNonce split.
+// the nextNonce split and where rejections are counted.
 func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
 	if req == nil || req.Domain != s.domain {
-		return nil, s.reject(fmt.Errorf("%w: resync request", ErrMalformed))
+		return nil, fmt.Errorf("%w: resync request", ErrMalformed)
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		return nil, s.reject(ErrUnknownSession)
+		return nil, ErrUnknownSession
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		return nil, s.reject(ErrUnknownSession)
+		return nil, ErrUnknownSession
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		return nil, s.reject(ErrBadMAC)
+		return nil, ErrBadMAC
 	}
 	if sess.seen {
 		s.tel.resync.Observe(now - sess.lastSeen)

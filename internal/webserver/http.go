@@ -140,8 +140,18 @@ func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
 
 // decodeBody parses the request body into a freshly decoded *M. For
 // the binary codec the decoder's own pointer is routed straight to the
-// caller — no value copy in between.
-func decodeBody[M any](w http.ResponseWriter, r *http.Request) (*M, bool) {
+// caller — no value copy in between. A body that does not decode is a
+// typed, counted malformed rejection, answered like any other.
+func decodeBody[M any](s *Server, w http.ResponseWriter, r *http.Request) (*M, bool) {
+	m, err := readBody[M](w, r)
+	if err != nil {
+		writeError(w, s.reject(fmt.Errorf("%w: request body: %v", ErrMalformed, err)))
+		return nil, false
+	}
+	return m, true
+}
+
+func readBody[M any](w http.ResponseWriter, r *http.Request) (*M, error) {
 	// Parse the media type properly: "application/octet-stream;
 	// charset=x" must still route to the binary decoder.
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
@@ -150,27 +160,15 @@ func decodeBody[M any](w http.ResponseWriter, r *http.Request) (*M, bool) {
 		buf.Reset()
 		defer bodyPool.Put(buf)
 		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-			return nil, false
+			return nil, err
 		}
-		msg, err := protocol.DecodeBinary(buf.Bytes())
-		if err != nil {
-			http.Error(w, "bad binary body: "+err.Error(), http.StatusBadRequest)
-			return nil, false
-		}
-		m, ok := msg.(*M)
-		if !ok {
-			http.Error(w, "binary body has wrong message type", http.StatusBadRequest)
-			return nil, false
-		}
-		return m, true
+		return protocol.DecodeAs[M](buf.Bytes())
 	}
 	m := new(M)
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(m); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return nil, false
+		return nil, err
 	}
-	return m, true
+	return m, nil
 }
 
 // Handler exposes the server over HTTP for the networked examples and
@@ -189,7 +187,7 @@ func (s *Server) Handler() http.Handler {
 		writeResponse(w, r, s.ServeRegistrationPage(requestNow(r)))
 	})
 	mux.HandleFunc("POST /trust/register", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.RegistrationSubmit](w, r)
+		sub, ok := decodeBody[protocol.RegistrationSubmit](s, w, r)
 		if !ok {
 			return
 		}
@@ -199,7 +197,7 @@ func (s *Server) Handler() http.Handler {
 		writeResponse(w, r, s.ServeLoginPage(requestNow(r)))
 	})
 	mux.HandleFunc("POST /trust/login", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.LoginSubmit](w, r)
+		sub, ok := decodeBody[protocol.LoginSubmit](s, w, r)
 		if !ok {
 			return
 		}
@@ -211,7 +209,7 @@ func (s *Server) Handler() http.Handler {
 		writeResponse(w, r, cp)
 	})
 	mux.HandleFunc("POST /trust/resume", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.ResumeSubmit](w, r)
+		sub, ok := decodeBody[protocol.ResumeSubmit](s, w, r)
 		if !ok {
 			return
 		}
@@ -223,7 +221,7 @@ func (s *Server) Handler() http.Handler {
 		writeResponse(w, r, cp)
 	})
 	mux.HandleFunc("POST /trust/page", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.PageRequest](w, r)
+		req, ok := decodeBody[protocol.PageRequest](s, w, r)
 		if !ok {
 			return
 		}
@@ -235,7 +233,7 @@ func (s *Server) Handler() http.Handler {
 		writeResponse(w, r, cp)
 	})
 	mux.HandleFunc("POST /trust/resync", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.ResyncRequest](w, r)
+		req, ok := decodeBody[protocol.ResyncRequest](s, w, r)
 		if !ok {
 			return
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"trust/internal/frame"
 	"trust/internal/pki"
 	"trust/internal/protocol"
 )
@@ -55,7 +54,7 @@ type streamConn struct {
 	chain   *protocol.NonceChain // read loop only (created before the loop starts)
 	seq     uint64               // nonce-chain position, read loop only
 	lastNow time.Duration        // latest client-reported virtual time, read loop only
-	out     []byte               // batch-response scratch, read loop only
+	out     []byte               // outbound frame scratch, read loop only
 
 	wmu     sync.Mutex // serializes frame writes (responses vs policy push)
 	pushSeq uint64     // policy-push counter, under wmu
@@ -68,11 +67,18 @@ func (sc *streamConn) nextNonce() protocol.Nonce {
 	return sc.chain.At(sc.seq)
 }
 
-// write sends one frame under the write mutex.
-func (sc *streamConn) write(t protocol.FrameType, payload []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	return protocol.WriteFrame(sc.rwc, t, payload)
+// bind ties the connection to sess and draws its nonce-chain seed — the
+// only entropy draw a stream ever makes. It returns the chain head, the
+// nonce the session holds once the welcome is out. The caller owns
+// sess: it is fresh and unpublished, or its mutex is held.
+func (sc *streamConn) bind(sess *session) protocol.Nonce {
+	sc.sess = sess
+	sc.seed = make([]byte, 16)
+	sc.s.entropyMu.Lock()
+	sc.s.entropy.Read(sc.seed)
+	sc.s.entropyMu.Unlock()
+	sc.chain = protocol.NewNonceChain(sess.key, sc.seed)
+	return sc.chain.At(0)
 }
 
 // writeRaw flushes pre-framed bytes in a single write under the write
@@ -89,9 +95,38 @@ func (sc *streamConn) writeRaw(b []byte) error {
 	return err
 }
 
-// writeAck reports a request rejection (or acknowledges a bye).
-func (sc *streamConn) writeAck(seq uint64, code, detail string) error {
-	return sc.write(protocol.FrameAck, protocol.EncodeAck(seq, code, detail))
+// flush writes the frames the read loop appended to out and keeps out
+// as the connection's scratch.
+func (sc *streamConn) flush(out []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	sc.out = out[:0]
+	return sc.writeRaw(out)
+}
+
+// reject is the stream's one rejection path. It counts err — before the
+// ack goes out, since the peer may read the counter as soon as it holds
+// the ack — then appends the typed ack echoing seq to out (the pages a
+// batch answered before the rejection, or nothing) and flushes it. The
+// shared handler cores leave counting to the transport that answers, so
+// every rejection is counted exactly once. Callers that tear the
+// connection down after the ack drop the write error: the connection
+// closes either way.
+func (sc *streamConn) reject(out []byte, seq uint64, err error) error {
+	sc.s.reject(err)
+	return sc.flush(protocol.AppendAckFrame(out, seq, wireCode(err), err.Error()))
+}
+
+// malformed rejects a frame that does not decode, or that its place in
+// the stream does not allow, and returns the rejection. The ack echoes
+// the sequence the payload's leading bytes carry when the frame type
+// bears one — an undecodable frame usually still does — so the client
+// can match the rejection to the request it answers.
+func (sc *streamConn) malformed(ft protocol.FrameType, payload []byte, cause error) error {
+	err := fmt.Errorf("%w: %s frame: %v", ErrMalformed, ft, cause)
+	_ = sc.reject(sc.out[:0], protocol.FrameSeq(ft, payload), err)
+	return err
 }
 
 // ServeStream runs the per-connection read loop until the peer
@@ -108,75 +143,14 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	// would be its own syscall.
 	br := bufio.NewReaderSize(rwc, 32<<10)
 
-	// The first frame must bind the connection to a session: a hello
-	// proving an established session's key, or a resume presenting a
-	// ticket (which creates the session right here, saving the resumed
-	// login an HTTP round trip). Anything else is a protocol violation
-	// answered with a malformed ack.
 	ft, payload, err := protocol.ReadFrame(br)
 	if err != nil {
 		return err
 	}
-	var sc *streamConn
-	var opening []byte // pre-framed welcome (plus resume content page)
-	switch ft {
-	case protocol.FrameHello:
-		msg, err := protocol.DecodeBinary(payload)
-		if err != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", err.Error()))
-			return err
-		}
-		hello, ok := msg.(*protocol.StreamHello)
-		if !ok {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", fmt.Sprintf("hello frame carries %T", msg)))
-			return fmt.Errorf("%w: hello frame carries %T", ErrMalformed, msg)
-		}
-		conn, welcome, herr := s.acceptStreamHello(rwc, hello)
-		if herr != nil {
-			// Counted before the ack goes out: the peer may read the
-			// counter as soon as it holds the ack.
-			s.reject(herr)
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, wireCode(herr), herr.Error()))
-			return herr
-		}
-		wp, err := protocol.EncodeBinary(welcome)
-		if err != nil {
-			return err
-		}
-		if opening, err = protocol.AppendFrame(opening, protocol.FrameWelcome, wp); err != nil {
-			return err
-		}
-		sc = conn
-	case protocol.FrameResume:
-		seq, rnow, sub, err := protocol.DecodeResumeFrame(payload)
-		if err != nil {
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error()))
-			return err
-		}
-		conn, welcome, cp, herr := s.acceptStreamResume(rwc, rnow, sub)
-		if herr != nil {
-			// verifyResume already counted the rejection.
-			_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(seq, wireCode(herr), herr.Error()))
-			return herr
-		}
-		wp, err := protocol.EncodeBinary(welcome)
-		if err != nil {
-			return err
-		}
-		if opening, err = protocol.AppendFrame(opening, protocol.FrameWelcome, wp); err != nil {
-			return err
-		}
-		// The resumed session's first content page (nonce chain head,
-		// fresh ticket) rides directly behind the welcome, echoing the
-		// resume frame's sequence number.
-		if opening, err = protocol.AppendPageFrame(opening, seq, 0, cp); err != nil {
-			return err
-		}
-		conn.lastNow = rnow
-		sc = conn
-	default:
-		_ = protocol.WriteFrame(rwc, protocol.FrameAck, protocol.EncodeAck(0, "malformed", "expected hello or resume, got "+ft.String()))
-		return fmt.Errorf("%w: stream opened with %s frame", ErrMalformed, ft)
+	sc := &streamConn{s: s, rwc: rwc}
+	opening, err := sc.open(ft, payload)
+	if err != nil {
+		return err
 	}
 	// Register before the opening frames go out, holding the write
 	// mutex across both so no policy push can overtake the welcome on
@@ -209,8 +183,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		case protocol.FrameTouchBatch:
 			tb, err := dec.DecodeTouchBatch(payload)
 			if err != nil {
-				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
-				return err
+				return sc.malformed(ft, payload, err)
 			}
 			// Session time only moves forward: a batch stamped earlier
 			// than what this connection already saw is applied at its own
@@ -225,28 +198,21 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		case protocol.FrameResync:
 			seq, rr, err := protocol.DecodeResyncFrame(payload)
 			if err != nil {
-				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
-				return err
+				return sc.malformed(ft, payload, err)
 			}
 			cp, herr := s.handleResync(sc.lastNow, rr, sc.nextNonce)
 			if herr != nil {
-				if err := sc.writeAck(seq, wireCode(herr), herr.Error()); err != nil {
-					return err
-				}
-				continue
+				err = sc.reject(sc.out[:0], seq, herr)
+			} else {
+				err = sc.flush(protocol.AppendPageFrame(sc.out[:0], seq, 0, cp))
 			}
-			pp, err := protocol.EncodePageFrame(seq, 0, cp)
 			if err != nil {
-				return err
-			}
-			if err := sc.write(protocol.FramePage, pp); err != nil {
 				return err
 			}
 		case protocol.FrameHeartbeat:
 			seq, now, err := protocol.DecodeHeartbeat(payload)
 			if err != nil {
-				_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", err.Error())
-				return err
+				return sc.malformed(ft, payload, err)
 			}
 			// Heartbeat time advances the session clock under a
 			// monotonicity contract (docs/protocol.md): backwards values
@@ -260,23 +226,80 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 			case sc.lastNow > 0 && now > sc.lastNow+MaxHeartbeatSkew:
 				s.tel.hbRejected.Add(1)
 				err := fmt.Errorf("%w: heartbeat time %v jumps %v past session time %v", ErrMalformed, now, now-sc.lastNow, sc.lastNow)
-				_ = sc.writeAck(seq, wireCode(err), err.Error())
+				_ = sc.reject(sc.out[:0], seq, err)
 				return err
 			case now < sc.lastNow:
 				s.tel.hbClamped.Add(1)
 			default:
 				sc.lastNow = now
 			}
-			if err := sc.write(protocol.FrameHeartbeat, protocol.EncodeHeartbeat(seq, now)); err != nil {
+			if err := sc.flush(protocol.AppendHeartbeatFrame(sc.out[:0], seq, now), nil); err != nil {
 				return err
 			}
 		case protocol.FrameBye:
 			return nil
 		default:
-			_ = sc.writeAck(protocol.FrameSeq(ft, payload), "malformed", "unexpected "+ft.String()+" frame")
-			return fmt.Errorf("%w: unexpected %s frame on stream", ErrMalformed, ft)
+			return sc.malformed(ft, payload, errors.New("unexpected on a bound stream"))
 		}
 	}
+}
+
+// open binds a fresh connection from its opening frame and returns the
+// frames that answer it. The opening must be a hello proving an
+// established session's key, or a resume presenting a ticket — which
+// creates the session right here, saving the resumed login an HTTP
+// round trip. Anything else, and any opening the server refuses, is
+// rejected with an ack before the connection is registered.
+func (sc *streamConn) open(ft protocol.FrameType, payload []byte) ([]byte, error) {
+	switch ft {
+	case protocol.FrameHello:
+		hello, err := protocol.DecodeAs[protocol.StreamHello](payload)
+		if err != nil {
+			return nil, sc.malformed(ft, payload, err)
+		}
+		if err := sc.s.acceptStreamHello(sc, hello); err != nil {
+			_ = sc.reject(nil, 0, err)
+			return nil, err
+		}
+		return sc.appendWelcome(nil)
+	case protocol.FrameResume:
+		seq, now, sub, err := protocol.DecodeResumeFrame(payload)
+		if err != nil {
+			return nil, sc.malformed(ft, payload, err)
+		}
+		cp, err := sc.s.handleResume(now, sub, sc.bind)
+		if err != nil {
+			_ = sc.reject(nil, seq, err)
+			return nil, err
+		}
+		sc.lastNow = now
+		opening, err := sc.appendWelcome(nil)
+		if err != nil {
+			return nil, err
+		}
+		// The resumed session's first content page (nonce chain head,
+		// fresh ticket) rides directly behind the welcome, echoing the
+		// resume frame's sequence number.
+		return protocol.AppendPageFrame(opening, seq, 0, cp)
+	}
+	err := fmt.Errorf("%w: stream opened with %s frame", ErrMalformed, ft)
+	_ = sc.reject(nil, 0, err)
+	return nil, err
+}
+
+// appendWelcome appends the MAC'd welcome: the connection's nonce seed
+// and the current risk policy.
+func (sc *streamConn) appendWelcome(dst []byte) ([]byte, error) {
+	p := sc.s.riskPolicy()
+	w := &protocol.StreamWelcome{
+		Domain:      sc.s.domain,
+		SessionID:   sc.sess.id,
+		NonceSeed:   sc.seed,
+		Window:      p.Window,
+		MinVerified: p.MinVerified,
+	}
+	w.MAC = protocol.SealMAC(pki.NewMACer(sc.sess.key), w)
+	return protocol.AppendMessageFrame(dst, protocol.FrameWelcome, w)
 }
 
 // handleBatch applies a touch batch in order, answering each request
@@ -288,104 +311,43 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 // no intermediate payload copies.
 func (sc *streamConn) handleBatch(tb *protocol.TouchBatch) error {
 	out := sc.out[:0]
-	var err error
 	for i, req := range tb.Requests {
 		cp, herr := sc.s.handlePageRequest(tb.Now, req, sc.nextNonce)
 		if herr != nil {
-			// Flush the pages already answered, then the ack that ends
-			// the batch — the wire order a per-frame writer would have
+			// The pages already answered, then the ack that ends the
+			// batch — the wire order a per-frame writer would have
 			// produced.
-			out, err = protocol.AppendFrame(out, protocol.FrameAck, protocol.EncodeAck(tb.Seq, wireCode(herr), herr.Error()))
-			if err != nil {
-				return err
-			}
-			sc.out = out[:0]
-			return sc.writeRaw(out)
+			return sc.reject(out, tb.Seq, herr)
 		}
-		out, err = protocol.AppendPageFrame(out, tb.Seq, i, cp)
-		if err != nil {
+		var err error
+		if out, err = protocol.AppendPageFrame(out, tb.Seq, i, cp); err != nil {
 			return err
 		}
 	}
-	sc.out = out[:0]
-	return sc.writeRaw(out)
+	return sc.flush(out, nil)
 }
 
 // acceptStreamHello validates a hello against the session store and
-// resets the session's nonce to the head of a fresh per-connection
-// chain. The single entropy draw here (the seed) is the only one the
-// whole stream will ever make.
-func (s *Server) acceptStreamHello(rwc io.ReadWriteCloser, h *protocol.StreamHello) (*streamConn, *protocol.StreamWelcome, error) {
-	if h == nil || h.Domain != s.domain {
-		return nil, nil, fmt.Errorf("%w: stream hello", ErrMalformed)
+// binds the connection to the session, resetting the session's nonce
+// to the head of the connection's fresh chain.
+func (s *Server) acceptStreamHello(sc *streamConn, h *protocol.StreamHello) error {
+	if h.Domain != s.domain {
+		return fmt.Errorf("%w: stream hello", ErrMalformed)
 	}
 	sess, ok := s.sessions.get(h.SessionID)
 	if !ok || sess.account != h.Account {
-		return nil, nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
 	if !protocol.VerifyMAC(pki.NewMACer(sess.key), h, h.MAC) {
-		return nil, nil, ErrBadMAC
+		return ErrBadMAC
 	}
-	seed := make([]byte, 16)
 	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if sess.revoked {
-		sess.mu.Unlock()
-		return nil, nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
-	s.entropyMu.Lock()
-	s.entropy.Read(seed)
-	s.entropyMu.Unlock()
-	chain := protocol.NewNonceChain(sess.key, seed)
-	sess.lastNonce = chain.At(0)
-	sess.mu.Unlock()
-
-	p := s.riskPolicy()
-	welcome := &protocol.StreamWelcome{
-		Domain:      s.domain,
-		SessionID:   sess.id,
-		NonceSeed:   seed,
-		Window:      p.Window,
-		MinVerified: p.MinVerified,
-	}
-	welcome.MAC = protocol.SealMAC(pki.NewMACer(sess.key), welcome)
-	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, nil
-}
-
-// acceptStreamResume is the stream-first resume handshake: verify the
-// presented ticket exactly as the HTTP handler does (shared
-// verifyResume core), then create the resumed session already bound to
-// a per-connection nonce chain — the session's first nonce is the
-// chain head, so the device starts streaming page requests without any
-// interim HTTP hop. Returns the connection, the MAC'd welcome, and the
-// first content page (carrying the replacement ticket); the caller
-// writes welcome-then-page before registering the stream.
-func (s *Server) acceptStreamResume(rwc io.ReadWriteCloser, now time.Duration, sub *protocol.ResumeSubmit) (*streamConn, *protocol.StreamWelcome, *protocol.ContentPage, error) {
-	st, acct, err := s.verifyResume(now, sub)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sess := &session{id: s.newSessionID(), account: acct.ID}
-	sess.key = protocol.ResumeKey(st.key, sess.id)
-	seed := make([]byte, 16)
-	s.entropyMu.Lock()
-	s.entropy.Read(seed)
-	s.entropyMu.Unlock()
-	chain := protocol.NewNonceChain(sess.key, seed)
-	cp := s.contentPage(sess, s.PageForAction("login"), chain.At(0), s.issueTicket(now, acct, sess.key))
-	s.sessions.put(sess)
-	s.accounts.clearFailures(acct.ID)
-	s.audit.Append(frame.AuditEntry{Account: acct.ID, PageURL: s.loginURL, Hash: sub.FrameHash, At: now})
-	s.accepted.Add(1)
-	p := s.riskPolicy()
-	welcome := &protocol.StreamWelcome{
-		Domain:      s.domain,
-		SessionID:   sess.id,
-		NonceSeed:   seed,
-		Window:      p.Window,
-		MinVerified: p.MinVerified,
-	}
-	welcome.MAC = protocol.SealMAC(pki.NewMACer(sess.key), welcome)
-	return &streamConn{s: s, rwc: rwc, sess: sess, seed: seed, chain: chain}, welcome, cp, nil
+	sess.lastNonce = sc.bind(sess)
+	return nil
 }
 
 // registerStream adds a connection to the policy-push registry.
@@ -435,8 +397,8 @@ func (s *Server) pushPolicy(p RiskPolicy) {
 			Seq:         sc.pushSeq,
 		}
 		msg.MAC = protocol.SealMAC(pki.NewMACer(sc.sess.key), msg)
-		if payload, err := protocol.EncodeBinary(msg); err == nil {
-			_ = protocol.WriteFrame(sc.rwc, protocol.FramePolicyPush, payload)
+		if f, err := protocol.AppendMessageFrame(nil, protocol.FramePolicyPush, msg); err == nil {
+			_, _ = sc.rwc.Write(f)
 		}
 		sc.wmu.Unlock()
 	}

@@ -106,11 +106,11 @@ func TestServeStreamBatchHappyPath(t *testing.T) {
 		}
 		reqs = append(reqs, req)
 	}
-	payload, err := protocol.EncodeTouchBatch(1, r.now, reqs)
+	payload, err := protocol.AppendTouchBatchFrame(nil, 1, r.now, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, protocol.FrameTouchBatch, payload); err != nil {
+	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -184,7 +184,7 @@ func TestServeStreamHelloRejections(t *testing.T) {
 
 	// First frame is not a hello.
 	conn, exit = dial()
-	if err := protocol.WriteFrame(conn, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(1, 0)); err != nil {
+	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	expectAck(t, conn, "malformed")
@@ -214,11 +214,11 @@ func TestServeStreamDuplicateBatchIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := protocol.EncodeTouchBatch(1, r.now, []*protocol.PageRequest{req})
+	payload, err := protocol.AppendTouchBatchFrame(nil, 1, r.now, []*protocol.PageRequest{req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, protocol.FrameTouchBatch, payload); err != nil {
+	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	ft, pp, err := protocol.ReadFrame(conn)
@@ -235,7 +235,7 @@ func TestServeStreamDuplicateBatchIdempotent(t *testing.T) {
 
 	// Replay the identical frame: rejected, nothing applied.
 	before, _ := SessionRequestsForTest(r.server, sess.ID)
-	if err := protocol.WriteFrame(conn, protocol.FrameTouchBatch, payload); err != nil {
+	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	expectAck(t, conn, "bad-nonce")
@@ -249,11 +249,11 @@ func TestServeStreamDuplicateBatchIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := protocol.EncodeTouchBatch(2, r.now, []*protocol.PageRequest{req2})
+	p2, err := protocol.AppendTouchBatchFrame(nil, 2, r.now, []*protocol.PageRequest{req2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, protocol.FrameTouchBatch, p2); err != nil {
+	if _, err := conn.Write(p2); err != nil {
 		t.Fatal(err)
 	}
 	if ft, _, err := protocol.ReadFrame(conn); err != nil || ft != protocol.FramePage {
@@ -294,11 +294,11 @@ func TestServeStreamReplayedHelloStallsButNeverAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := protocol.EncodeTouchBatch(1, r.now, []*protocol.PageRequest{req})
+	payload, err := protocol.AppendTouchBatchFrame(nil, 1, r.now, []*protocol.PageRequest{req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(conn, protocol.FrameTouchBatch, payload); err != nil {
+	if _, err := conn.Write(payload); err != nil {
 		t.Fatal(err)
 	}
 	expectAck(t, conn, "bad-nonce")
@@ -315,7 +315,7 @@ func TestServeStreamHeartbeatEcho(t *testing.T) {
 	conn, _, _ := openStream(t, r, sess)
 	defer conn.Close()
 
-	if err := protocol.WriteFrame(conn, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(9, 4*time.Second)); err != nil {
+	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 9, 4*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := protocol.ReadFrame(conn)
@@ -416,7 +416,7 @@ func TestServeStreamWelcomeNonceMatchesChain(t *testing.T) {
 // response frame raw, for tests that inspect echo vs ack behavior.
 func sendHeartbeat(t *testing.T, conn io.ReadWriteCloser, seq uint64, now time.Duration) (protocol.FrameType, []byte) {
 	t.Helper()
-	if err := protocol.WriteFrame(conn, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(seq, now)); err != nil {
+	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, seq, now)); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := protocol.ReadFrame(conn)
@@ -466,7 +466,7 @@ func TestServeStreamHeartbeatBackwardsClamped(t *testing.T) {
 	// The clamp must not have dragged lastNow to 2s: a jump that is
 	// within MaxHeartbeatSkew of 2s but past it relative to 4s still
 	// kills the connection, proving session time held at 4s.
-	if err := protocol.WriteFrame(conn, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(3, 4*time.Second+MaxHeartbeatSkew+time.Second)); err != nil {
+	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 3, 4*time.Second+MaxHeartbeatSkew+time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if seq := expectAck(t, conn, "malformed"); seq != 3 {
@@ -494,7 +494,7 @@ func TestServeStreamHeartbeatFirstTimestampUnbounded(t *testing.T) {
 	ft, payload := sendHeartbeat(t, conn, 1, far)
 	expectHeartbeatEcho(t, ft, payload, 1, far)
 	// And from there the bound is armed.
-	if err := protocol.WriteFrame(conn, protocol.FrameHeartbeat, protocol.EncodeHeartbeat(2, far+MaxHeartbeatSkew+time.Second)); err != nil {
+	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 2, far+MaxHeartbeatSkew+time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if seq := expectAck(t, conn, "malformed"); seq != 2 {
