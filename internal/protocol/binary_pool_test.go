@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"trust/internal/pki"
 )
 
 func poolTestRequest(g, i int) *PageRequest {
@@ -68,6 +70,73 @@ func TestEncodeBinaryConcurrentIsolation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEncodeDoesNotWriteToMessage runs every encoding entry point from
+// eight goroutines on one message whose page or certificate they all
+// share, the way the server's page table is shared by its handlers:
+// encoding reads the message and never stores into it, even a value it
+// already holds, so the race detector stays silent.
+func TestEncodeDoesNotWriteToMessage(t *testing.T) {
+	msgs := goldenMessages()
+	cp := msgs[4].(*ContentPage)
+	rp := msgs[0].(*RegistrationPage)
+	key := bytes.Repeat([]byte{7}, pki.SessionKeySize)
+	cp.MAC = SealMAC(pki.NewMACer(key), cp)
+	want := map[any][]byte{}
+	for _, m := range []any{cp, rp} {
+		enc, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[m] = enc
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mc := pki.NewMACer(key)
+			var buf []byte
+			for i := 0; i < 50; i++ {
+				for _, m := range []any{cp, rp} {
+					enc, err := EncodeBinary(m)
+					if err != nil || !bytes.Equal(enc, want[m]) {
+						t.Errorf("%T: EncodeBinary (err %v) differs", m, err)
+						return
+					}
+					if buf, err = EncodeBinaryAppend(buf[:0], m); err != nil || !bytes.Equal(buf, want[m]) {
+						t.Errorf("%T: EncodeBinaryAppend (err %v) differs", m, err)
+						return
+					}
+				}
+				if _, err := rp.SigningBytes(); err != nil {
+					t.Errorf("SigningBytes: %v", err)
+					return
+				}
+				if tag := SealMAC(mc, cp); !bytes.Equal(tag, cp.MAC) || !VerifyMAC(mc, cp, tag) {
+					t.Error("SealMAC/VerifyMAC disagree on the shared page")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSigningInputLeavesAuthenticators pins that building LoginSubmit's
+// signing input, which empties both its authenticators, empties them
+// in the encoding only and not on the caller's message.
+func TestSigningInputLeavesAuthenticators(t *testing.T) {
+	ls := goldenMessages()[3].(*LoginSubmit)
+	sig, mac := bytes.Clone(ls.Signature), bytes.Clone(ls.MAC)
+	if _, err := ls.SigningBytes(); err != nil {
+		t.Fatal(err)
+	}
+	_ = ls.MACBytes()
+	if !bytes.Equal(ls.Signature, sig) || !bytes.Equal(ls.MAC, mac) {
+		t.Fatalf("authenticator input cleared the message: signature %x, MAC %x", ls.Signature, ls.MAC)
+	}
 }
 
 // TestEncodeBinaryOversizeNotPooled pins the pool's size cap: a message
