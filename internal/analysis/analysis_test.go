@@ -44,13 +44,13 @@ func loadRepo(t *testing.T) (*Loader, []*Unit) {
 }
 
 func TestFixtureNoWallClock(t *testing.T) { runFixture(t, "nowallclock") }
-func TestFixtureRNGStream(t *testing.T)  { runFixture(t, "rngstream") }
-func TestFixtureCTCompare(t *testing.T)  { runFixture(t, "ctcompare") }
-func TestFixtureMapOrder(t *testing.T)   { runFixture(t, "maporder") }
-func TestFixtureLockOrder(t *testing.T)  { runFixture(t, "lockorder") }
-func TestFixturePoolEscape(t *testing.T) { runFixture(t, "poolescape") }
-func TestFixtureSecretFlow(t *testing.T) { runFixture(t, "secretflow") }
-func TestFixtureSuppress(t *testing.T)   { runFixture(t, "suppress") }
+func TestFixtureRNGStream(t *testing.T)   { runFixture(t, "rngstream") }
+func TestFixtureCTCompare(t *testing.T)   { runFixture(t, "ctcompare") }
+func TestFixtureMapOrder(t *testing.T)    { runFixture(t, "maporder") }
+func TestFixtureLockOrder(t *testing.T)   { runFixture(t, "lockorder") }
+func TestFixturePoolEscape(t *testing.T)  { runFixture(t, "poolescape") }
+func TestFixtureSecretFlow(t *testing.T)  { runFixture(t, "secretflow") }
+func TestFixtureSuppress(t *testing.T)    { runFixture(t, "suppress") }
 
 // want is one expectation: a regexp that must match a finding on its
 // line.

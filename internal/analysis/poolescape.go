@@ -28,7 +28,7 @@ var PoolEscape = &Analyzer{
 // backing storage, so calling one on a pooled value yields another
 // alias. (String() and similar copy and are therefore laundering.)
 var aliasReturningMethods = map[string]bool{
-	"Bytes":           true, // bytes.Buffer.Bytes, the repo's binWriter path
+	"Bytes":           true, // bytes.Buffer.Bytes
 	"AvailableBuffer": true,
 	"Next":            true,
 }

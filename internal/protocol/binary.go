@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,16 +8,16 @@ import (
 	"sync"
 
 	"trust/internal/frame"
-	"trust/internal/geom"
 	"trust/internal/pki"
 )
 
 // Binary wire codec: the paper rides its fields in cookie extensions,
 // where every byte counts; this length-prefixed binary encoding is the
 // production alternative to the JSON transport (see the Fig 10 wire
-// overhead table for the size comparison). Its field writers are also
-// the one authenticator input (messages.go), so a message may arrive
-// over either encoding and verify identically.
+// overhead table for the size comparison). Each message's one field
+// list (its fields method) is also its decoder and its authenticator
+// input (messages.go), so a message may arrive over either encoding
+// and verify identically.
 
 const binVersion = 1
 
@@ -44,270 +43,258 @@ var ErrBinaryDecode = errors.New("protocol: malformed binary message")
 // outside a byte: written truncated, it would share another's encoding.
 var errUnencodable = errors.New("protocol: message field out of encodable range")
 
-// binWriter writes one encoding; bad records a field out of range.
-type binWriter struct {
-	buf bytes.Buffer
-	bad bool
-}
-
-func (w *binWriter) u8(v byte) { w.buf.WriteByte(v) }
-func (w *binWriter) u32(v int) {
-	if v < 0 || int64(v) > math.MaxUint32 {
-		w.bad = true
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(v))
-	w.buf.Write(b[:])
-}
-func (w *binWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-func (w *binWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *binWriter) bytes(b []byte) {
-	w.u32(len(b))
-	w.buf.Write(b)
-}
-func (w *binWriter) str(s string) {
-	w.u32(len(s))
-	w.buf.WriteString(s)
-}
-
-// auth writes an authenticator, empty in the authenticator input.
-func (w *binWriter) auth(tag []byte, input bool) {
-	if input {
-		tag = nil
-	}
-	w.bytes(tag)
-}
-
-func (w *binWriter) hash(h frame.Hash) {
-	w.buf.Write(h[:])
-}
-
-// binReader decodes one message. intern, when non-nil, is the stream
-// connection's intern table: istr fields are looked up there instead of
-// copied (see Decoder). The nil table is the stateless decoder.
-type binReader struct {
-	b      []byte
+// binCodec walks one message's field list in either direction. Each
+// field method encodes the field its pointer names by appending to buf,
+// or, when decode is set, decodes it from buf[off:] and stores it
+// there. So a message's fields method is at once its encoding, its
+// decoding and its authenticator input, and the decoder cannot drift
+// from what was signed. Encoding only reads through the pointers: the
+// messages it walks may be shared between goroutines.
+type binCodec struct {
+	buf    []byte
 	off    int
-	err    error
+	decode bool
+	// input walks the authenticator input: auth fields encode empty.
+	// inner empties innerAuth fields too, for the input of the
+	// signature a MAC covers (LoginSubmit's).
+	input, inner bool
+	err          error
+	// intern, when non-nil, is the stream connection's intern table:
+	// istr fields are looked up there instead of copied (see Decoder).
+	// The nil table is the stateless decoder.
 	intern *internTable
 }
 
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = ErrBinaryDecode
+func (c *binCodec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-}
-func (r *binReader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-func (r *binReader) u32() int {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(v)
-}
-func (r *binReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *binReader) bytes() []byte {
-	b := r.sub()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
-// sub returns a length-prefixed field as a subslice of the input, for
-// nested payloads decoded on the spot; nothing it returns may be kept.
-func (r *binReader) sub() []byte {
-	n := r.u32()
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
+// take consumes the next n input bytes, or fails and returns nil.
+func (c *binCodec) take(n int) []byte {
+	if c.err != nil || n < 0 || n > len(c.buf)-c.off {
+		c.fail(ErrBinaryDecode)
 		return nil
 	}
-	b := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n : c.off+n]
+	c.off += n
 	return b
 }
 
-// str decodes a string field in one copy: the string conversion
-// itself duplicates the input bytes, so routing through bytes() would
-// pay a second, throwaway allocation on every string field.
-func (r *binReader) str() string {
-	return string(r.sub())
-}
-
-// istr decodes a string field that tends to repeat from frame to frame
-// on one connection (domain, account, session id, action, page
-// fields), through the intern table when there is one. Nonces, MACs and
-// tickets never take this path: they are fresh on every message.
-func (r *binReader) istr() string {
-	return r.intern.get(r.sub())
-}
-func (r *binReader) hash() (h frame.Hash) {
-	if r.err != nil || r.off+len(h) > len(r.b) {
-		r.fail()
-		return
+func (c *binCodec) u8(v *byte) {
+	if !c.decode {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	copy(h[:], r.b[r.off:])
-	r.off += len(h)
-	return
 }
 
-// page encoding.
-
-func writePage(w *binWriter, p *frame.Page) {
-	if p == nil {
-		w.u8(0)
-		return
-	}
-	w.u8(1)
-	w.str(p.URL)
-	w.str(p.Title)
-	w.str(p.Body)
-	w.f64(p.HeightPX)
-	w.u32(len(p.Elements))
-	for _, e := range p.Elements {
-		w.str(e.ID)
-		if e.Kind < 0 || e.Kind > math.MaxUint8 {
-			w.bad = true
+func (c *binCodec) u32(v *int) {
+	if !c.decode {
+		if *v < 0 || int64(*v) > math.MaxUint32 {
+			c.fail(errUnencodable)
 		}
-		w.u8(byte(e.Kind))
-		w.str(e.Label)
-		w.str(e.Action)
-		w.f64(e.Bounds.Min.X)
-		w.f64(e.Bounds.Min.Y)
-		w.f64(e.Bounds.Max.X)
-		w.f64(e.Bounds.Max.Y)
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*v))
+	} else if b := c.take(4); b != nil {
+		*v = int(binary.BigEndian.Uint32(b))
 	}
+}
+
+func (c *binCodec) u64(v *uint64) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
+	}
+}
+
+func (c *binCodec) f64(v *float64) {
+	if !c.decode {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	} else if b := c.take(8); b != nil {
+		*v = math.Float64frombits(binary.BigEndian.Uint64(b))
+	}
+}
+
+func (c *binCodec) hash(h *frame.Hash) {
+	if !c.decode {
+		c.buf = append(c.buf, h[:]...)
+	} else if b := c.take(len(h)); b != nil {
+		copy(h[:], b)
+	}
+}
+
+// sub decodes a length-prefixed field as a subslice of the input, for
+// nested payloads decoded on the spot; nothing it returns may be kept.
+func (c *binCodec) sub() []byte {
+	var n int
+	c.u32(&n)
+	return c.take(n)
+}
+
+func (c *binCodec) bytes(v *[]byte) {
+	if !c.decode {
+		c.lenPrefix(len(*v))
+		c.buf = append(c.buf, *v...)
+	} else if b := c.sub(); c.err == nil {
+		*v = append(make([]byte, 0, len(b)), b...)
+	}
+}
+
+// str decodes a string field in one copy, the string conversion.
+func (c *binCodec) str(v *string) {
+	if !c.decode {
+		c.lenPrefix(len(*v))
+		c.buf = append(c.buf, *v...)
+	} else if b := c.sub(); c.err == nil {
+		*v = string(b)
+	}
+}
+
+// istr walks a string field that tends to repeat from frame to frame
+// on one connection (domain, account, session id, action, page
+// fields), decoding it through the intern table when there is one.
+// Nonces, MACs and tickets never take this path: they are fresh on
+// every message.
+func (c *binCodec) istr(v *string) {
+	if !c.decode {
+		c.str(v)
+	} else if b := c.sub(); c.err == nil {
+		*v = c.intern.get(b)
+	}
+}
+
+func (c *binCodec) lenPrefix(n int) { c.u32(&n) }
+
+// auth walks a message's own authenticator, empty in its
+// authenticator input.
+func (c *binCodec) auth(v *[]byte) {
+	if c.input {
+		v = new([]byte)
+	}
+	c.bytes(v)
+}
+
+// innerAuth walks an authenticator that the message's own one covers:
+// present in the MAC input, empty in the input it authenticates itself.
+func (c *binCodec) innerAuth(v *[]byte) {
+	if c.inner {
+		v = new([]byte)
+	}
+	c.bytes(v)
+}
+
+// head walks the version byte and the message tag. The decoder picks
+// the message type by tag before the walk, so here both only advance.
+func (c *binCodec) head(tag byte) {
+	v := byte(binVersion)
+	c.u8(&v)
+	c.u8(&tag)
+}
+
+// present walks an optional field's presence byte: 0 for absent, 1
+// for present. Anything else is malformed, so every decodable input
+// re-encodes to the bytes it came from.
+func (c *binCodec) present(has bool) bool {
+	b := byte(0)
+	if has {
+		b = 1
+	}
+	c.u8(&b)
+	if b > 1 {
+		c.fail(ErrBinaryDecode)
+	}
+	return b == 1
 }
 
 // minElementLen is the smallest encoded page element: three empty
 // strings (4-byte length each), the kind byte and four float64 bounds.
 const minElementLen = 3*4 + 1 + 4*8
 
-func readPage(r *binReader) *frame.Page {
-	if !r.present() {
-		return nil
+// page walks an optional page.
+func (c *binCodec) page(pp **frame.Page) {
+	if !c.present(*pp != nil) {
+		return
 	}
-	p := &frame.Page{
-		URL:      r.istr(),
-		Title:    r.istr(),
-		Body:     r.istr(),
-		HeightPX: r.f64(),
+	if c.decode {
+		*pp = new(frame.Page)
 	}
-	// A page height is a layout extent: anything non-finite or negative
-	// would make view enumeration loop and the canonical encoding's
-	// integer conversion undefined.
-	if math.IsNaN(p.HeightPX) || math.IsInf(p.HeightPX, 0) || p.HeightPX < 0 {
-		r.fail()
-		return nil
-	}
-	n := r.u32()
-	// The count is bounded by the bytes left, so a short payload cannot
-	// claim a large element slice.
-	if r.err != nil || n < 0 || n > 10000 || n > (len(r.b)-r.off)/minElementLen {
-		r.fail()
-		return nil
-	}
-	if n > 0 {
-		p.Elements = make([]frame.Element, n)
+	p := *pp
+	c.istr(&p.URL)
+	c.istr(&p.Title)
+	c.istr(&p.Body)
+	c.f64(&p.HeightPX)
+	n := len(p.Elements)
+	c.u32(&n)
+	if c.decode {
+		// A page height is a layout extent: anything non-finite or
+		// negative would make view enumeration loop and the canonical
+		// encoding's integer conversion undefined. The element count
+		// is bounded by the bytes left, so a short payload cannot
+		// claim a large element slice.
+		if h := p.HeightPX; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 ||
+			n < 0 || n > 10000 || n > (len(c.buf)-c.off)/minElementLen {
+			c.fail(ErrBinaryDecode)
+		}
+		if c.err != nil {
+			return
+		}
+		if n > 0 {
+			p.Elements = make([]frame.Element, n)
+		}
 	}
 	for i := range p.Elements {
 		e := &p.Elements[i]
-		e.ID = r.istr()
-		e.Kind = frame.ElementKind(r.u8())
-		e.Label = r.istr()
-		e.Action = r.istr()
-		e.Bounds = geom.Rect{
-			Min: geom.Point{X: r.f64(), Y: r.f64()},
-			Max: geom.Point{X: r.f64(), Y: r.f64()},
+		c.istr(&e.ID)
+		kind := byte(e.Kind)
+		if frame.ElementKind(kind) != e.Kind {
+			c.fail(errUnencodable)
 		}
+		c.u8(&kind)
+		if c.decode {
+			e.Kind = frame.ElementKind(kind)
+		}
+		c.istr(&e.Label)
+		c.istr(&e.Action)
+		c.f64(&e.Bounds.Min.X)
+		c.f64(&e.Bounds.Min.Y)
+		c.f64(&e.Bounds.Max.X)
+		c.f64(&e.Bounds.Max.Y)
 	}
-	return p
 }
 
-// present decodes an optional field's presence byte: 0 for absent, 1
-// for present. Anything else is malformed, so every decodable input
-// re-encodes to the bytes it came from.
-func (r *binReader) present() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	r.fail()
-	return false
-}
-
-// certificate encoding.
-
-func writeCert(w *binWriter, c *pki.Certificate) {
-	if c == nil {
-		w.u8(0)
+// cert walks an optional certificate.
+func (c *binCodec) cert(pc **pki.Certificate) {
+	if !c.present(*pc != nil) {
 		return
 	}
-	w.u8(1)
-	w.str(c.Subject)
-	w.str(string(c.Role))
-	w.bytes(c.PublicKey)
-	w.bytes(c.KemKey)
-	w.str(c.Issuer)
-	w.u64(c.Serial)
-	w.bytes(c.Signature)
+	if c.decode {
+		*pc = new(pki.Certificate)
+	}
+	x := *pc
+	c.str(&x.Subject)
+	c.str((*string)(&x.Role))
+	c.bytes(&x.PublicKey)
+	c.bytes(&x.KemKey)
+	c.str(&x.Issuer)
+	c.u64(&x.Serial)
+	c.bytes(&x.Signature)
 }
 
-func readCert(r *binReader) *pki.Certificate {
-	if !r.present() {
-		return nil
-	}
-	return &pki.Certificate{
-		Subject:   r.str(),
-		Role:      pki.Role(r.str()),
-		PublicKey: r.bytes(),
-		KemKey:    r.bytes(),
-		Issuer:    r.str(),
-		Serial:    r.u64(),
-		Signature: r.bytes(),
-	}
-}
-
-// writerPool recycles encode buffers across EncodeBinary calls (the
+// codecPool recycles encode buffers across EncodeBinary calls (the
 // per-request hot path re-encodes a ContentPage on every response).
 // Oversized buffers are dropped instead of pooled so one huge message
 // does not pin its allocation forever.
-var writerPool = sync.Pool{New: func() any { return new(binWriter) }}
+var codecPool = sync.Pool{New: func() any { return new(binCodec) }}
 
 const maxPooledEncodeBuf = 64 << 10
 
-// releaseWriter returns a borrowed writer to the pool unless it grew
-// past the pooling cap.
-func releaseWriter(w *binWriter) {
-	if w.buf.Cap() <= maxPooledEncodeBuf {
-		writerPool.Put(w)
+// releaseCodec returns a borrowed codec to the pool unless its buffer
+// grew past the pooling cap.
+func releaseCodec(c *binCodec) {
+	if cap(c.buf) <= maxPooledEncodeBuf {
+		codecPool.Put(c)
 	}
 }
 
@@ -321,7 +308,7 @@ func EncodeBinary(msg any) ([]byte, error) {
 // EncodeBinaryAppend appends msg's binary encoding to dst and returns
 // the extended slice — the allocation-free variant for callers that
 // recycle their own buffers (the device transport pools request
-// bodies this way, mirroring the writer pool here).
+// bodies this way, mirroring the codec pool here).
 func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
 	m, ok := msg.(encoder)
 	if !ok {
@@ -330,143 +317,145 @@ func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
 	return withEncoding(m, false, func(enc []byte) []byte { return append(dst, enc...) })
 }
 
-// encoder is a message with a field writer: encode writes its tag and
-// every field, its own authenticator empty when input is set.
+// encoder is a message with a field list: fields walks its version
+// byte, its tag and every field in wire order.
 type encoder interface {
-	encode(w *binWriter, input bool)
+	fields(c *binCodec)
 }
 
-// withEncoding writes the versioned encoding of m into a pooled writer,
-// as its authenticator input when input is set, and hands it to use,
-// which must not keep it. The codec and every authenticator share it.
+// withEncoding encodes m with a pooled codec, as its authenticator
+// input when input is set, and hands the encoding to use, which must
+// not keep it. The codec and every authenticator share it.
 func withEncoding[T any](m encoder, input bool, use func(enc []byte) T) (out T, err error) {
-	w := writerPool.Get().(*binWriter)
-	w.buf.Reset()
-	w.bad = false
-	defer releaseWriter(w)
-	w.u8(binVersion)
-	m.encode(w, input)
-	if w.bad {
-		return out, errUnencodable
+	c := codecPool.Get().(*binCodec)
+	defer releaseCodec(c)
+	if err := c.encode(m, input); err != nil {
+		return out, err
 	}
-	return use(w.buf.Bytes()), nil
+	return use(c.buf), nil
 }
 
-// Field writers: the tag, then every field in wire order.
-
-func (m *RegistrationPage) encode(w *binWriter, input bool) {
-	w.u8(tagRegistrationPage)
-	w.str(m.Domain)
-	w.str(string(m.Nonce))
-	writePage(w, m.Page)
-	writeCert(w, m.ServerCert)
-	w.auth(m.Signature, input)
+// encode walks m's field list into the codec's emptied buffer.
+func (c *binCodec) encode(m encoder, input bool) error {
+	*c = binCodec{buf: c.buf[:0], input: input}
+	m.fields(c)
+	return c.err
 }
 
-func (m *RegistrationSubmit) encode(w *binWriter, input bool) {
-	w.u8(tagRegistrationSubmit)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.str(string(m.Nonce))
-	w.bytes(m.UserPub)
-	w.hash(m.FrameHash)
-	writeCert(w, m.DeviceCert)
-	w.auth(m.Signature, input)
+// Field lists: the head, then every field in wire order.
+
+func (m *RegistrationPage) fields(c *binCodec) {
+	c.head(tagRegistrationPage)
+	c.istr(&m.Domain)
+	c.str((*string)(&m.Nonce))
+	c.page(&m.Page)
+	c.cert(&m.ServerCert)
+	c.auth(&m.Signature)
 }
 
-func (m *LoginPage) encode(w *binWriter, input bool) {
-	w.u8(tagLoginPage)
-	w.str(m.Domain)
-	w.str(string(m.Nonce))
-	writePage(w, m.Page)
-	w.auth(m.Signature, input)
+func (m *RegistrationSubmit) fields(c *binCodec) {
+	c.head(tagRegistrationSubmit)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.str((*string)(&m.Nonce))
+	c.bytes(&m.UserPub)
+	c.hash(&m.FrameHash)
+	c.cert(&m.DeviceCert)
+	c.auth(&m.Signature)
 }
 
-// LoginSubmit's MAC input covers its signature; loginSigning's covers neither.
-func (m *LoginSubmit) encode(w *binWriter, input bool) { m.fields(w, m.Signature, input) }
-
-func (m *LoginSubmit) fields(w *binWriter, sig []byte, input bool) {
-	w.u8(tagLoginSubmit)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.str(string(m.Nonce))
-	w.bytes(m.SessionKeyCT)
-	w.hash(m.FrameHash)
-	w.u32(m.RiskVerified)
-	w.u32(m.RiskWindow)
-	w.bytes(sig)
-	w.auth(m.MAC, input)
+func (m *LoginPage) fields(c *binCodec) {
+	c.head(tagLoginPage)
+	c.istr(&m.Domain)
+	c.str((*string)(&m.Nonce))
+	c.page(&m.Page)
+	c.auth(&m.Signature)
 }
 
-func (m *ContentPage) encode(w *binWriter, input bool) {
-	w.u8(tagContentPage)
-	w.str(m.Domain)
-	w.str(m.SessionID)
-	w.str(string(m.Nonce))
-	w.str(m.Account)
-	writePage(w, m.Page)
-	w.bytes(m.Ticket)
-	w.auth(m.MAC, input)
+// LoginSubmit's MAC input covers its signature; its signing input
+// (loginSigning) covers neither.
+func (m *LoginSubmit) fields(c *binCodec) {
+	c.head(tagLoginSubmit)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.str((*string)(&m.Nonce))
+	c.bytes(&m.SessionKeyCT)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.innerAuth(&m.Signature)
+	c.auth(&m.MAC)
 }
 
-func (m *PageRequest) encode(w *binWriter, input bool) {
-	w.u8(tagPageRequest)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.str(m.SessionID)
-	w.str(string(m.Nonce))
-	w.str(m.Action)
-	w.hash(m.FrameHash)
-	w.u32(m.RiskVerified)
-	w.u32(m.RiskWindow)
-	w.auth(m.MAC, input)
+func (m *ContentPage) fields(c *binCodec) {
+	c.head(tagContentPage)
+	c.istr(&m.Domain)
+	c.istr(&m.SessionID)
+	c.str((*string)(&m.Nonce))
+	c.istr(&m.Account)
+	c.page(&m.Page)
+	c.bytes(&m.Ticket)
+	c.auth(&m.MAC)
 }
 
-func (m *ResyncRequest) encode(w *binWriter, input bool) {
-	w.u8(tagResyncRequest)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.str(m.SessionID)
-	w.auth(m.MAC, input)
+func (m *PageRequest) fields(c *binCodec) {
+	c.head(tagPageRequest)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.istr(&m.SessionID)
+	c.str((*string)(&m.Nonce))
+	c.istr(&m.Action)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.auth(&m.MAC)
 }
 
-func (m *ResumeSubmit) encode(w *binWriter, input bool) {
-	w.u8(tagResumeSubmit)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.bytes(m.Ticket)
-	w.hash(m.FrameHash)
-	w.u32(m.RiskVerified)
-	w.u32(m.RiskWindow)
-	w.auth(m.MAC, input)
+func (m *ResyncRequest) fields(c *binCodec) {
+	c.head(tagResyncRequest)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.istr(&m.SessionID)
+	c.auth(&m.MAC)
 }
 
-func (m *StreamHello) encode(w *binWriter, input bool) {
-	w.u8(tagStreamHello)
-	w.str(m.Domain)
-	w.str(m.Account)
-	w.str(m.SessionID)
-	w.auth(m.MAC, input)
+func (m *ResumeSubmit) fields(c *binCodec) {
+	c.head(tagResumeSubmit)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.bytes(&m.Ticket)
+	c.hash(&m.FrameHash)
+	c.u32(&m.RiskVerified)
+	c.u32(&m.RiskWindow)
+	c.auth(&m.MAC)
 }
 
-func (m *StreamWelcome) encode(w *binWriter, input bool) {
-	w.u8(tagStreamWelcome)
-	w.str(m.Domain)
-	w.str(m.SessionID)
-	w.bytes(m.NonceSeed)
-	w.u32(m.Window)
-	w.u32(m.MinVerified)
-	w.auth(m.MAC, input)
+func (m *StreamHello) fields(c *binCodec) {
+	c.head(tagStreamHello)
+	c.istr(&m.Domain)
+	c.istr(&m.Account)
+	c.istr(&m.SessionID)
+	c.auth(&m.MAC)
 }
 
-func (m *PolicyPush) encode(w *binWriter, input bool) {
-	w.u8(tagPolicyPush)
-	w.str(m.Domain)
-	w.str(m.SessionID)
-	w.u32(m.Window)
-	w.u32(m.MinVerified)
-	w.u64(m.Seq)
-	w.auth(m.MAC, input)
+func (m *StreamWelcome) fields(c *binCodec) {
+	c.head(tagStreamWelcome)
+	c.istr(&m.Domain)
+	c.istr(&m.SessionID)
+	c.bytes(&m.NonceSeed)
+	c.u32(&m.Window)
+	c.u32(&m.MinVerified)
+	c.auth(&m.MAC)
+}
+
+func (m *PolicyPush) fields(c *binCodec) {
+	c.head(tagPolicyPush)
+	c.istr(&m.Domain)
+	c.istr(&m.SessionID)
+	c.u32(&m.Window)
+	c.u32(&m.MinVerified)
+	c.u64(&m.Seq)
+	c.auth(&m.MAC)
 }
 
 // DecodeBinary parses a binary message, returning one of the protocol
@@ -494,125 +483,71 @@ func decodeAs[M any](data []byte, intern *internTable) (*M, error) {
 	return m, nil
 }
 
-// decodeBinary is the one message decoder; intern is the calling
+// decodeBinary is the one message decoder: it picks the message type
+// by tag and walks that type's field list. intern is the calling
 // connection's intern table, or nil to copy every string field.
 func decodeBinary(data []byte, intern *internTable) (any, error) {
-	r := &binReader{b: data, intern: intern}
-	if v := r.u8(); v != binVersion {
+	c := binCodec{buf: data, decode: true, intern: intern}
+	var v, tag byte
+	if c.u8(&v); v != binVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBinaryDecode, v)
 	}
-	tag := r.u8()
+	c.u8(&tag)
+	c.off = 0 // the field list walks the head again
 	var out any
 	switch tag {
 	case tagRegistrationPage:
-		m := &RegistrationPage{}
-		m.Domain = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.Page = readPage(r)
-		m.ServerCert = readCert(r)
-		m.Signature = r.bytes()
+		m := new(RegistrationPage)
+		m.fields(&c)
 		out = m
 	case tagRegistrationSubmit:
-		m := &RegistrationSubmit{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.UserPub = r.bytes()
-		m.FrameHash = r.hash()
-		m.DeviceCert = readCert(r)
-		m.Signature = r.bytes()
+		m := new(RegistrationSubmit)
+		m.fields(&c)
 		out = m
 	case tagLoginPage:
-		m := &LoginPage{}
-		m.Domain = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.Page = readPage(r)
-		m.Signature = r.bytes()
+		m := new(LoginPage)
+		m.fields(&c)
 		out = m
 	case tagLoginSubmit:
-		m := &LoginSubmit{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.SessionKeyCT = r.bytes()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.Signature = r.bytes()
-		m.MAC = r.bytes()
+		m := new(LoginSubmit)
+		m.fields(&c)
 		out = m
 	case tagContentPage:
-		m := &ContentPage{}
-		m.Domain = r.istr()
-		m.SessionID = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.Account = r.istr()
-		m.Page = readPage(r)
-		m.Ticket = r.bytes()
-		m.MAC = r.bytes()
+		m := new(ContentPage)
+		m.fields(&c)
 		out = m
 	case tagPageRequest:
-		m := &PageRequest{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.SessionID = r.istr()
-		m.Nonce = Nonce(r.str())
-		m.Action = r.istr()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.MAC = r.bytes()
+		m := new(PageRequest)
+		m.fields(&c)
 		out = m
 	case tagResyncRequest:
-		m := &ResyncRequest{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.SessionID = r.istr()
-		m.MAC = r.bytes()
+		m := new(ResyncRequest)
+		m.fields(&c)
 		out = m
 	case tagResumeSubmit:
-		m := &ResumeSubmit{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.Ticket = r.bytes()
-		m.FrameHash = r.hash()
-		m.RiskVerified = r.u32()
-		m.RiskWindow = r.u32()
-		m.MAC = r.bytes()
+		m := new(ResumeSubmit)
+		m.fields(&c)
 		out = m
 	case tagStreamHello:
-		m := &StreamHello{}
-		m.Domain = r.istr()
-		m.Account = r.istr()
-		m.SessionID = r.istr()
-		m.MAC = r.bytes()
+		m := new(StreamHello)
+		m.fields(&c)
 		out = m
 	case tagStreamWelcome:
-		m := &StreamWelcome{}
-		m.Domain = r.istr()
-		m.SessionID = r.istr()
-		m.NonceSeed = r.bytes()
-		m.Window = r.u32()
-		m.MinVerified = r.u32()
-		m.MAC = r.bytes()
+		m := new(StreamWelcome)
+		m.fields(&c)
 		out = m
 	case tagPolicyPush:
-		m := &PolicyPush{}
-		m.Domain = r.istr()
-		m.SessionID = r.istr()
-		m.Window = r.u32()
-		m.MinVerified = r.u32()
-		m.Seq = r.u64()
-		m.MAC = r.bytes()
+		m := new(PolicyPush)
+		m.fields(&c)
 		out = m
 	default:
 		return nil, fmt.Errorf("%w: tag %d", ErrBinaryDecode, tag)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if c.err != nil {
+		return nil, c.err
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, len(data)-r.off)
+	if c.off != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, len(data)-c.off)
 	}
 	return out, nil
 }

@@ -241,16 +241,19 @@ func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
 }
 
 func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
-	r := &binReader{b: payload}
-	seq, now := r.u64(), time.Duration(r.u64())
-	n := r.u32()
-	if r.err != nil || n < 1 || n > maxBatchRequests {
+	c := binCodec{buf: payload, decode: true}
+	var seq, now uint64
+	var n int
+	c.u64(&seq)
+	c.u64(&now)
+	c.u32(&n)
+	if c.err != nil || n < 1 || n > maxBatchRequests {
 		return nil, fmt.Errorf("%w: touch-batch header", ErrFrame)
 	}
-	tb := &TouchBatch{Seq: seq, Now: now, Requests: make([]*PageRequest, 0, n)}
+	tb := &TouchBatch{Seq: seq, Now: time.Duration(now), Requests: make([]*PageRequest, 0, n)}
 	for i := 0; i < n; i++ {
-		raw := r.sub()
-		if r.err != nil {
+		raw := c.sub()
+		if c.err != nil {
 			return nil, fmt.Errorf("%w: touch-batch request %d", ErrFrame, i)
 		}
 		req, err := decodeAs[PageRequest](raw, intern)
@@ -259,8 +262,8 @@ func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) 
 		}
 		tb.Requests = append(tb.Requests, req)
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(payload)-r.off)
+	if c.off != len(payload) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(payload)-c.off)
 	}
 	return tb, nil
 }
@@ -286,11 +289,11 @@ func DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, er
 }
 
 func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int, cp *ContentPage, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	index = r.u32()
-	raw := r.sub()
-	if r.err != nil || r.off != len(payload) {
+	c := binCodec{buf: payload, decode: true}
+	c.u64(&seq)
+	c.u32(&index)
+	raw := c.sub()
+	if c.err != nil || c.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: page frame", ErrFrame)
 	}
 	cp, err = decodeAs[ContentPage](raw, intern)
@@ -333,11 +336,11 @@ func AppendAckFrame(dst []byte, seq uint64, code, detail string) ([]byte, error)
 
 // DecodeAck parses an ack/error frame payload.
 func DecodeAck(payload []byte) (seq uint64, code, detail string, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	code = r.str()
-	detail = r.str()
-	if r.err != nil || r.off != len(payload) {
+	c := binCodec{buf: payload, decode: true}
+	c.u64(&seq)
+	c.str(&code)
+	c.str(&detail)
+	if c.err != nil || c.off != len(payload) {
 		return 0, "", "", fmt.Errorf("%w: ack frame", ErrFrame)
 	}
 	return seq, code, detail, nil
@@ -360,13 +363,15 @@ func AppendResumeFrame(dst []byte, seq uint64, now time.Duration, sub *ResumeSub
 
 // DecodeResumeFrame parses a stream resume payload.
 func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *ResumeSubmit, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	now = time.Duration(r.u64())
-	raw := r.sub()
-	if r.err != nil || r.off != len(payload) {
+	c := binCodec{buf: payload, decode: true}
+	var at uint64
+	c.u64(&seq)
+	c.u64(&at)
+	raw := c.sub()
+	if c.err != nil || c.off != len(payload) {
 		return 0, 0, nil, fmt.Errorf("%w: resume frame", ErrFrame)
 	}
+	now = time.Duration(at)
 	sub, err = DecodeAs[ResumeSubmit](raw)
 	if err != nil {
 		return 0, 0, nil, err
@@ -387,10 +392,10 @@ func AppendResyncFrame(dst []byte, seq uint64, req *ResyncRequest) ([]byte, erro
 
 // DecodeResyncFrame parses a stream resync payload.
 func DecodeResyncFrame(payload []byte) (seq uint64, req *ResyncRequest, err error) {
-	r := &binReader{b: payload}
-	seq = r.u64()
-	raw := r.sub()
-	if r.err != nil || r.off != len(payload) {
+	c := binCodec{buf: payload, decode: true}
+	c.u64(&seq)
+	raw := c.sub()
+	if c.err != nil || c.off != len(payload) {
 		return 0, nil, fmt.Errorf("%w: resync frame", ErrFrame)
 	}
 	req, err = DecodeAs[ResyncRequest](raw)

@@ -59,7 +59,7 @@ func (t *internTable) get(b []byte) string {
 
 // Decoder decodes the frames of one stream connection. It reads each
 // payload into a buffer it reuses, and decodes through the connection's
-// intern table (fields listed at binReader.istr). Every field a decoded
+// intern table (fields listed at binCodec.istr). Every field a decoded
 // message keeps is copied or interned, so reusing the payload buffer is
 // safe. A Decoder belongs to the connection's single read-loop
 // goroutine; the zero value is ready to use. Its output is identical to

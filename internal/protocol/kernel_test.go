@@ -159,19 +159,19 @@ func TestDecodeRejectsBadPageHeight(t *testing.T) {
 // A short payload claiming many page elements fails before the element
 // slice is sized: the count is bounded by the bytes left.
 func TestDecodeElementCountBoundedByPayload(t *testing.T) {
-	var w binWriter
-	w.u8(binVersion)
-	w.u8(tagContentPage)
+	var c binCodec
+	c.head(tagContentPage)
+	empty, present, height, count := "", byte(1), 800.0, 10000
 	for i := 0; i < 4; i++ {
-		w.str("") // domain, session id, nonce, account
+		c.str(&empty) // domain, session id, nonce, account
 	}
-	w.u8(1) // page present
-	w.str("")
-	w.str("")
-	w.str("")
-	w.f64(800)
-	w.u32(10000)
-	claim := w.buf.Bytes()
+	c.u8(&present)
+	for i := 0; i < 3; i++ {
+		c.str(&empty) // URL, title, body
+	}
+	c.f64(&height)
+	c.u32(&count)
+	claim := c.buf
 	if _, err := DecodeBinary(claim); !errors.Is(err, ErrBinaryDecode) {
 		t.Fatalf("10,000-element claim in %d bytes: err %v", len(claim), err)
 	}

@@ -160,10 +160,13 @@ func (m *LoginPage) SigningBytes() ([]byte, error) { return authBytes(m) }
 // MAC (the signature is applied first, the MAC over the signed whole).
 func (m *LoginSubmit) SigningBytes() ([]byte, error) { return authBytes((*loginSigning)(m)) }
 
-// loginSigning writes a LoginSubmit with both authenticators empty.
+// loginSigning walks a LoginSubmit with both authenticators empty.
 type loginSigning LoginSubmit
 
-func (m *loginSigning) encode(w *binWriter, _ bool) { (*LoginSubmit)(m).fields(w, nil, true) }
+func (m *loginSigning) fields(c *binCodec) {
+	c.inner = true
+	(*LoginSubmit)(m).fields(c)
+}
 
 // Authenticated is a message MAC'd under a session key: LoginSubmit,
 // ContentPage, PageRequest, ResyncRequest, ResumeSubmit and the stream

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"trust/internal/chunk"
@@ -131,6 +132,18 @@ func appendFrame(buf []byte, seq uint64, rec Record) []byte {
 	}
 	chunk.End(buf, at)
 	return buf
+}
+
+// checkLengths refuses a record with a field longer than its 16-bit
+// length can state: written truncated, it would make every later open
+// refuse the whole log as corrupt.
+func checkLengths(rec Record) error {
+	for _, n := range [...]int{len(rec.Account), len(rec.PublicKey), len(rec.DeviceSubject)} {
+		if n > math.MaxUint16 {
+			return fmt.Errorf("%w: %d-byte record field exceeds its 16-bit length", ErrStorage, n)
+		}
+	}
+	return nil
 }
 
 func appendBytes16(buf, b []byte) []byte {

@@ -351,8 +351,12 @@ func (w *WAL) merged(dst []Record) []Record {
 // sync. On the first failure the WAL latches failed and every later
 // Append fails fast — appending past a torn write would bury damage
 // mid-file, turning a recoverable torn tail into unrecoverable
-// corruption.
+// corruption. A record with a field too long for the record grammar
+// is refused before anything is written, and does not latch failed.
 func (w *WAL) Append(rec Record) error {
+	if err := checkLengths(rec); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -321,6 +322,57 @@ func TestTornWriteThenFailFast(t *testing.T) {
 	}
 	if st.TornTailBytes == 0 {
 		t.Fatal("expected a discarded torn tail")
+	}
+}
+
+// TestAppendRefusesFieldsPastTheirLength: a record whose account,
+// public key or device subject overflows its 16-bit length is refused
+// before anything is written, without latching the WAL failed, so the
+// log stays openable and later appends still succeed.
+func TestAppendRefusesFieldsPastTheirLength(t *testing.T) {
+	long := strings.Repeat("x", 1<<16)
+	cases := map[string]func(*Record){
+		"account":        func(r *Record) { r.Account = long },
+		"public key":     func(r *Record) { r.PublicKey = []byte(long) },
+		"device subject": func(r *Record) { r.DeviceSubject = long },
+	}
+	for name, mutate := range cases {
+		fsys := NewMemFS()
+		w := mustOpen(t, fsys, WALOptions{SnapshotEvery: -1})
+		if err := w.Append(testRecord(0)); err != nil {
+			t.Fatal(err)
+		}
+		rec := testRecord(1)
+		mutate(&rec)
+		if err := w.Append(rec); !errors.Is(err, ErrStorage) {
+			t.Fatalf("%s of %d bytes: err %v, want ErrStorage", name, len(long), err)
+		}
+		if err := w.Append(testRecord(2)); err != nil {
+			t.Fatalf("%s: append after the refusal: %v", name, err)
+		}
+		w.Close()
+		r, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		if m := stateMap(r); len(m) != 2 || m["acct-0000"].Kind != KindEnroll || m["acct-0002"].Kind != KindEnroll {
+			t.Fatalf("%s: recovered %v, want acct-0000 and acct-0002", name, m)
+		}
+		r.Close()
+	}
+	// The longest field the record holds round-trips.
+	fsys := NewMemFS()
+	w := mustOpen(t, fsys, WALOptions{SnapshotEvery: -1})
+	rec := testRecord(0)
+	rec.Account = long[:1<<16-1]
+	if err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	r := mustOpen(t, fsys, WALOptions{SnapshotEvery: -1})
+	defer r.Close()
+	if _, ok := stateMap(r)[rec.Account]; !ok {
+		t.Fatal("65,535-byte account lost across reopen")
 	}
 }
 

@@ -68,6 +68,43 @@ func buildRegistration(t testing.TB, r *rig, account string) *protocol.Registrat
 	return sub
 }
 
+// An account id longer than the WAL record's 16-bit length is refused
+// as malformed before the claim, counted once, and leaves the server
+// undegraded and its log openable: a restart recovers the others.
+func TestRegistrationRejectsAccountTheLogCannotHold(t *testing.T) {
+	fsys := store.NewMemFS()
+	r := newDurableRig(t, fsys)
+	r.register(t, "alice")
+	long := strings.Repeat("a", 1<<16)
+	sub := buildRegistration(t, r, long)
+	rejected := r.server.RejectedRequests()
+	if res := r.server.HandleRegistration(r.now, sub, ""); res.OK || !strings.Contains(res.Reason, ErrMalformed.Error()) {
+		t.Fatalf("%d-byte account id: %+v, want a malformed rejection", len(long), res)
+	}
+	if got := r.server.RejectedRequests() - rejected; got != 1 {
+		t.Fatalf("rejection counted %d times, want 1", got)
+	}
+	if r.server.Degraded() {
+		t.Fatal("an oversized account id degraded the server")
+	}
+	if _, ok := r.server.Account(long); ok {
+		t.Fatal("oversized account id bound")
+	}
+	r.register(t, "bob")
+	restartDurable(t, r, fsys)
+	for _, id := range []string{"alice", "bob"} {
+		if _, ok := r.server.Account(id); !ok {
+			t.Fatalf("%s lost across restart", id)
+		}
+	}
+	// The longest id the record holds still enrolls and recovers.
+	r.register(t, long[:1<<16-1])
+	restartDurable(t, r, fsys)
+	if _, ok := r.server.Account(long[:1<<16-1]); !ok {
+		t.Fatal("65,535-byte account id lost across restart")
+	}
+}
+
 func TestDurableRestartRecoversAccounts(t *testing.T) {
 	fsys := store.NewMemFS()
 	r := newDurableRig(t, fsys)

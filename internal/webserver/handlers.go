@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"trust/internal/frame"
@@ -59,6 +60,10 @@ func (s *Server) HandleRegistration(now time.Duration, sub *protocol.Registratio
 	}
 	if len(sub.UserPub) != ed25519.PublicKeySize {
 		return fail(errors.New("malformed user key"))
+	}
+	// The durable enroll record states the id's length in 16 bits.
+	if len(sub.Account) > math.MaxUint16 {
+		return fail(fmt.Errorf("%w: %d-byte account id", ErrMalformed, len(sub.Account)))
 	}
 	acct := &Account{
 		ID:            sub.Account,

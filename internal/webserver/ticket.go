@@ -45,6 +45,8 @@ type ticketState struct {
 
 // encodeTicketState lays the state out as
 // [u16 len | account | u16 len | nonce | 8B gen | 32B session key].
+// Registration refuses an account id the u16 length cannot state, and
+// nonces are 32 hex digits, so neither length is ever truncated.
 func encodeTicketState(st *ticketState) []byte {
 	out := make([]byte, 0, 2+len(st.account)+2+len(st.nonce)+8+len(st.key))
 	out = binary.BigEndian.AppendUint16(out, uint16(len(st.account)))
