@@ -1,7 +1,7 @@
 package device
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -57,13 +57,23 @@ type faultyStreamConn struct {
 
 func (c *faultyStreamConn) Read(p []byte) (int, error) { return c.rwc.Read(p) }
 
-// isHeartbeatFrame matches a write that is exactly one heartbeat frame:
-// the 5-byte header (type + length 16) plus the fixed 16-byte payload.
-// The stream transport writes heartbeats as single whole frames, so
-// this is the only shape they take on the wire.
-func isHeartbeatFrame(p []byte) bool {
-	return len(p) == 21 && p[0] == byte(protocol.FrameHeartbeat) &&
-		binary.BigEndian.Uint32(p[1:5]) == 16
+// warpHeartbeat returns a copy of p with the heartbeat timestamp moved
+// back by w (floored at zero) when p is exactly one heartbeat frame,
+// and ok false otherwise. The stream transport writes heartbeats as
+// single whole frames, so that is the only shape they take on the wire.
+// The frame is parsed and rebuilt with the protocol's own codec, so a
+// change to the frame layout cannot silently turn the warp off.
+func warpHeartbeat(p []byte, w time.Duration) (q []byte, ok bool) {
+	r := bytes.NewReader(p)
+	t, payload, err := protocol.ReadFrame(r)
+	if err != nil || t != protocol.FrameHeartbeat || r.Len() != 0 {
+		return nil, false
+	}
+	seq, now, err := protocol.DecodeHeartbeat(payload)
+	if err != nil {
+		return nil, false
+	}
+	return protocol.AppendHeartbeatFrame(nil, seq, max(now-w, 0)), true
 }
 
 func (c *faultyStreamConn) Close() error { return c.rwc.Close() }
@@ -71,16 +81,11 @@ func (c *faultyStreamConn) Close() error { return c.rwc.Close() }
 func (c *faultyStreamConn) Write(p []byte) (int, error) {
 	c.writes++
 	if c.writes > 1 && len(p) > 0 {
-		if w := c.d.Profile.HeartbeatWarp; w > 0 && isHeartbeatFrame(p) {
-			c.d.Stats.Warps++
-			// Rewrite on a copy: the frame buffer belongs to the caller.
-			q := append([]byte(nil), p...)
-			now := time.Duration(binary.BigEndian.Uint64(q[13:21])) - w
-			if now < 0 {
-				now = 0
+		if w := c.d.Profile.HeartbeatWarp; w > 0 {
+			if q, ok := warpHeartbeat(p, w); ok {
+				c.d.Stats.Warps++
+				p = q
 			}
-			binary.BigEndian.PutUint64(q[13:21], uint64(now))
-			p = q
 		}
 		if r := c.d.Profile.CutRate; r > 0 && c.d.rng.Bool(r) {
 			c.d.Stats.Cuts++

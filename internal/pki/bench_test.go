@@ -3,6 +3,7 @@ package pki
 import (
 	"crypto/ed25519"
 	"testing"
+	"time"
 )
 
 func BenchmarkSign(b *testing.B) {
@@ -56,6 +57,26 @@ func BenchmarkIssueCertificate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ca.Issue("subject", RoleServer, keys.Public); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTicketSealOpen measures one ticket issue and redemption in
+// a warm epoch: the epoch AEAD comes from the cached table.
+func BenchmarkTicketSealOpen(b *testing.B) {
+	rand := NewDeterministicRand(2)
+	tk, _ := NewTicketKeys(rand, 5*time.Minute, 1)
+	aad := []byte("trust-ticket-v1|bank.example")
+	pt := make([]byte, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ticket, err := tk.Seal(time.Minute, pt, aad, rand)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tk.Open(time.Minute, ticket, aad); err != nil {
 			b.Fatal(err)
 		}
 	}

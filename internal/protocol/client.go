@@ -2,8 +2,6 @@ package protocol
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -42,9 +40,13 @@ type Session struct {
 	// transport's pipelining stays race-free: the device goroutine owns
 	// buildMAC (BuildPageRequestAt), the goroutine consuming inbound
 	// frames owns acceptMAC (AcceptContentPage). On the HTTP transport
-	// both run on the one device goroutine. Cold-path messages (hello,
-	// welcome, resync, policy push) use a fresh MACer each, so no
-	// MACer gains a second owner.
+	// both run on the one device goroutine. The login and resume
+	// submissions keep the MACer that sealed them as buildMAC, and
+	// AcceptResumePage keeps the one that verified the resumed page as
+	// acceptMAC: it runs on the device goroutine before the device
+	// hands the session to a stream's inbound reader. Cold-path
+	// messages (hello, welcome, resync, policy push) use a fresh MACer
+	// each, so no MACer gains a second owner.
 	buildMAC  *pki.MACer
 	acceptMAC *pki.MACer
 }
@@ -196,8 +198,9 @@ func (c *Client) HandleLoginPage(now time.Duration, msg *LoginPage, serverCert *
 		return nil, nil, err
 	}
 	submit.Signature = sig
-	submit.MAC = SealMAC(pki.NewMACer(key), submit)
-	sess := &Session{Domain: msg.Domain, Account: account, Key: key, LastNonce: msg.Nonce}
+	mc := pki.NewMACer(key)
+	submit.MAC = SealMAC(mc, submit)
+	sess := &Session{Domain: msg.Domain, Account: account, Key: key, LastNonce: msg.Nonce, buildMAC: mc}
 	return submit, sess, nil
 }
 
@@ -275,10 +278,16 @@ const resumeRekeyLabel = "trust-resume-rekey-v1"
 // derivation is one-way, so compromising a resumed session's key never
 // reveals the key of the session the ticket came from.
 func ResumeKey(ticketSessionKey []byte, sessionID string) []byte {
-	h := hmac.New(sha256.New, ticketSessionKey)
-	h.Write([]byte(resumeRekeyLabel))
-	h.Write([]byte(sessionID))
-	return h.Sum(nil)
+	return ResumeKeyFrom(pki.NewMACer(ticketSessionKey), sessionID)
+}
+
+// ResumeKeyFrom is ResumeKey computed with mc, an HMAC state already
+// keyed with the ticket's session key — the one that sealed or
+// verified the resume submission — so a resume keys that HMAC once.
+func ResumeKeyFrom(mc *pki.MACer, sessionID string) []byte {
+	in := make([]byte, 0, len(resumeRekeyLabel)+len(sessionID))
+	in = append(in, resumeRekeyLabel...)
+	return mc.MAC(append(in, sessionID...))
 }
 
 // BuildResumeSubmit builds the ticket fast login (docs/protocol.md,
@@ -311,8 +320,9 @@ func (c *Client) BuildResumeSubmit(now time.Duration, domain, account string, ti
 		RiskVerified: verified,
 		RiskWindow:   considered,
 	}
-	submit.MAC = SealMAC(pki.NewMACer(key), submit)
-	sess := &Session{Domain: domain, Account: account, Key: key}
+	mc := pki.NewMACer(key)
+	submit.MAC = SealMAC(mc, submit)
+	sess := &Session{Domain: domain, Account: account, Key: key, buildMAC: mc}
 	return submit, sess, nil
 }
 
@@ -335,14 +345,15 @@ func (c *Client) AcceptResumePage(sess *Session, msg *ContentPage) error {
 	if msg.SessionID == "" {
 		return errors.New("protocol: resume response lacks a session id")
 	}
-	key := ResumeKey(sess.Key, msg.SessionID)
-	if !VerifyMAC(pki.NewMACer(key), msg, msg.MAC) {
+	key := ResumeKeyFrom(sess.builder(), msg.SessionID)
+	mc := pki.NewMACer(key)
+	if !VerifyMAC(mc, msg, msg.MAC) {
 		return ErrServerAuth
 	}
 	sess.Key = key
 	sess.ID = msg.SessionID
 	sess.LastNonce = msg.Nonce
-	sess.buildMAC, sess.acceptMAC = nil, nil
+	sess.buildMAC, sess.acceptMAC = nil, mc
 	return nil
 }
 

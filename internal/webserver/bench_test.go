@@ -61,8 +61,12 @@ func BenchmarkLoginResume(b *testing.B) {
 
 // TestLoginResumeAllocBudget pins the resume round trip's allocation
 // count: the fast path must stay allocation-light or the "cold path as
-// cheap as the hot path" story regresses silently. The budget has
-// ~25% headroom over the measured 92 but is far below the full login's.
+// cheap as the hot path" story regresses silently. Each side keys one
+// HMAC per key and the ticket AEADs are cached per epoch, so most of
+// what is left is the four HMAC states (ticket key and resumed key on
+// each side) and the values the response keeps. The budget is the
+// measured 53 plus 10% headroom; the race detector defeats sync.Pool
+// reuse in the MAC and encoding buffers, which adds ~16 (measured 69).
 func TestLoginResumeAllocBudget(t *testing.T) {
 	r := newBenchRig(t)
 	r.register(t, "bench-acct")
@@ -82,8 +86,12 @@ func TestLoginResumeAllocBudget(t *testing.T) {
 		}
 		ticket, key = rcp.Ticket, rsess.Key
 	})
-	if allocs > 115 {
-		t.Fatalf("resume round trip costs %.0f allocs, budget 115", allocs)
+	budget := 58.0
+	if raceEnabled {
+		budget = 76
+	}
+	if allocs > budget {
+		t.Fatalf("resume round trip costs %.0f allocs, budget %.0f", allocs, budget)
 	}
 }
 

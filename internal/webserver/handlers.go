@@ -149,7 +149,8 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	if err != nil || len(key) != pki.SessionKeySize {
 		return nil, s.reject(ErrBadKey)
 	}
-	if !protocol.VerifyMAC(pki.NewMACer(key), sub, sub.MAC) {
+	mc := pki.NewMACer(key)
+	if !protocol.VerifyMAC(mc, sub, sub.MAC) {
 		return nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
@@ -160,6 +161,7 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 		id:      s.newSessionID(),
 		account: sub.Account,
 		key:     key,
+		macer:   mc,
 	}
 	// Build the response (rotating the session nonce) before the
 	// session becomes findable, so no request can observe it half
@@ -234,7 +236,8 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 		// binding's tickets die with it.
 		return nil, ErrBadTicket
 	}
-	if !protocol.VerifyMAC(pki.NewMACer(st.key), sub, sub.MAC) {
+	ticketMAC := pki.NewMACer(st.key)
+	if !protocol.VerifyMAC(ticketMAC, sub, sub.MAC) {
 		s.accounts.addFailure(sub.Account)
 		return nil, ErrBadMAC
 	}
@@ -255,7 +258,7 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 	// ticket-sealed key and the fresh session id, so a ticket observed
 	// in transit never equals a live session key, and two resumes from
 	// the same ticket epoch never share one.
-	sess.key = protocol.ResumeKey(st.key, sess.id)
+	sess.key = protocol.ResumeKeyFrom(ticketMAC, sess.id)
 	cp := s.contentPage(sess, s.PageForAction("login"), firstNonce(sess), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)

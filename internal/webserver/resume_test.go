@@ -2,11 +2,13 @@ package webserver
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"trust/internal/frame"
+	"trust/internal/pki"
 	"trust/internal/protocol"
 )
 
@@ -122,6 +124,56 @@ func TestResumeExactlyOnceUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := wins.load(); got != 1 {
 		t.Fatalf("%d of %d concurrent presentations of one ticket succeeded, want exactly 1", got, presenters)
+	}
+}
+
+// TestResumeAcrossEpochBoundaryUnderConcurrency resumes 16 accounts at
+// once, half just before a ticket-epoch boundary and half just after,
+// so the epoch AEAD table advances while callers on both sides of it
+// (the earlier ones now lagging the table) seal and open tickets. Every
+// ticket is inside every caller's window, so every resume must succeed
+// and every device must derive the server's resumed key.
+func TestResumeAcrossEpochBoundaryUnderConcurrency(t *testing.T) {
+	const presenters = 16
+	r := newRig(t)
+	subs := make([]*protocol.ResumeSubmit, presenters)
+	pending := make([]*protocol.Session, presenters)
+	for i := range subs {
+		account := fmt.Sprintf("acct-%02d", i)
+		r.register(t, account)
+		sess, cp := r.login(t, account)
+		subs[i], pending[i] = r.buildResume(t, account, cp.Ticket, sess.Key)
+	}
+	boundary := pki.DefaultTicketPeriod
+	if r.now >= boundary {
+		t.Fatalf("setup ran to %v, past the first epoch boundary %v", r.now, boundary)
+	}
+	pages := make([]*protocol.ContentPage, presenters)
+	var wg sync.WaitGroup
+	for i := range subs {
+		now := boundary + time.Duration(i/2+1)*time.Millisecond
+		if i%2 == 0 {
+			now = boundary - time.Duration(i/2+1)*time.Millisecond
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cp, err := r.server.HandleResume(now, subs[i])
+			if err != nil {
+				t.Errorf("resume %d at %v: %v", i, now, err)
+				return
+			}
+			pages[i] = cp
+		}()
+	}
+	wg.Wait()
+	for i, cp := range pages {
+		if cp == nil {
+			continue
+		}
+		if err := r.client.AcceptResumePage(pending[i], cp); err != nil {
+			t.Errorf("resume %d: device rejected the resumed page: %v", i, err)
+		}
 	}
 }
 

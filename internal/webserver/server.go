@@ -146,8 +146,11 @@ type Server struct {
 	degraded atomic.Bool
 
 	// tickets seals session-resumption tickets (ticket.go) under
-	// epoch-rotated keys; immutable after New, internally lock-free.
-	tickets *pki.TicketKeys
+	// epoch-rotated keys; internally lock-free. ticketAAD is the
+	// associated data every seal and open binds: ticketAADLabel
+	// followed by the domain. Both are immutable after New.
+	tickets   *pki.TicketKeys
+	ticketAAD []byte
 
 	pagesMu  sync.RWMutex
 	pages    map[string]*frame.Page // served pages by URL
@@ -221,6 +224,7 @@ func NewDurable(domain string, ca *pki.CA, seed uint64, backend store.AccountBac
 		sessions:         newSessionStore(),
 		nonces:           newNonceStore(DefaultNonceTTL, DefaultNonceCapacity),
 		tickets:          tickets,
+		ticketAAD:        append([]byte(ticketAADLabel), domain...),
 		pages:            make(map[string]*frame.Page),
 		backend:          backend,
 		screenPX:         800,
@@ -322,7 +326,9 @@ func (s *Server) mintNonce() protocol.Nonce {
 	s.entropyMu.Lock()
 	s.entropy.Read(b[:])
 	s.entropyMu.Unlock()
-	return protocol.Nonce(hex.EncodeToString(b[:]))
+	var h [2 * len(b)]byte
+	hex.Encode(h[:], b[:])
+	return protocol.Nonce(h[:])
 }
 
 // newNonce mints a fresh single-use nonce and registers it for a
@@ -339,7 +345,9 @@ func (s *Server) newSessionID() string {
 	s.entropyMu.Lock()
 	s.entropy.Read(b[:])
 	s.entropyMu.Unlock()
-	return hex.EncodeToString(b[:])
+	var h [2 * len(b)]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 func (s *Server) sign(data []byte, err error) []byte {

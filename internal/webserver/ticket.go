@@ -61,8 +61,8 @@ func encodeTicketState(st *ticketState) []byte {
 // truncated or oversized input. Malformed plaintext can only come from
 // a server bug (the AEAD already authenticated it), but the decoder
 // stays defensive anyway.
-func decodeTicketState(b []byte) (*ticketState, bool) {
-	st := &ticketState{}
+func decodeTicketState(b []byte) (ticketState, bool) {
+	var st ticketState
 	read := func(n int) ([]byte, bool) {
 		if len(b) < n {
 			return nil, false
@@ -80,29 +80,26 @@ func decodeTicketState(b []byte) (*ticketState, bool) {
 	}
 	acct, ok := readPrefixed()
 	if !ok {
-		return nil, false
+		return ticketState{}, false
 	}
 	st.account = string(acct)
 	nonce, ok := readPrefixed()
 	if !ok {
-		return nil, false
+		return ticketState{}, false
 	}
 	st.nonce = protocol.Nonce(nonce)
 	gb, ok := read(8)
 	if !ok {
-		return nil, false
+		return ticketState{}, false
 	}
 	st.gen = binary.BigEndian.Uint64(gb)
 	if len(b) != pki.SessionKeySize {
-		return nil, false
+		return ticketState{}, false
 	}
-	st.key = append([]byte(nil), b...)
+	// b is the tail of the plaintext pki's Open freshly allocated for
+	// this call, so the key may alias it.
+	st.key = b
 	return st, true
-}
-
-// ticketAAD binds the server's domain into every seal/open.
-func (s *Server) ticketAAD() []byte {
-	return append([]byte(ticketAADLabel), s.domain...)
 }
 
 // lockedEntropy adapts the server's entropy stream to io.Reader for
@@ -127,8 +124,8 @@ var _ io.Reader = lockedEntropy{}
 func (s *Server) issueTicket(now time.Duration, acct *Account, sessionKey []byte) []byte {
 	n := s.mintNonce()
 	s.nonces.issue(n, now)
-	st := &ticketState{account: acct.ID, gen: acct.Gen, nonce: n, key: sessionKey}
-	ticket, err := s.tickets.Seal(now, encodeTicketState(st), s.ticketAAD(), lockedEntropy{s})
+	st := ticketState{account: acct.ID, gen: acct.Gen, nonce: n, key: sessionKey}
+	ticket, err := s.tickets.Seal(now, encodeTicketState(&st), s.ticketAAD, lockedEntropy{s})
 	if err != nil {
 		return nil
 	}
@@ -140,14 +137,14 @@ func (s *Server) issueTicket(now time.Duration, acct *Account, sessionKey []byte
 // collapses to ErrBadTicket: the distinctions are not actionable for a
 // client beyond "fall back to full login", and a single code keeps the
 // rejection oracle narrow.
-func (s *Server) openTicket(now time.Duration, ticket []byte) (*ticketState, error) {
-	pt, err := s.tickets.Open(now, ticket, s.ticketAAD())
+func (s *Server) openTicket(now time.Duration, ticket []byte) (ticketState, error) {
+	pt, err := s.tickets.Open(now, ticket, s.ticketAAD)
 	if err != nil {
-		return nil, ErrBadTicket
+		return ticketState{}, ErrBadTicket
 	}
 	st, ok := decodeTicketState(pt)
 	if !ok {
-		return nil, ErrBadTicket
+		return ticketState{}, ErrBadTicket
 	}
 	return st, nil
 }
