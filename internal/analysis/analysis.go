@@ -41,6 +41,7 @@ func Analyzers() []*Analyzer {
 		LockOrder,
 		PoolEscape,
 		SecretFlow,
+		WireWidth,
 	}
 }
 

@@ -50,6 +50,7 @@ func TestFixtureMapOrder(t *testing.T)    { runFixture(t, "maporder") }
 func TestFixtureLockOrder(t *testing.T)   { runFixture(t, "lockorder") }
 func TestFixturePoolEscape(t *testing.T)  { runFixture(t, "poolescape") }
 func TestFixtureSecretFlow(t *testing.T)  { runFixture(t, "secretflow") }
+func TestFixtureWireWidth(t *testing.T)   { runFixture(t, "wirewidth") }
 func TestFixtureSuppress(t *testing.T)    { runFixture(t, "suppress") }
 
 // want is one expectation: a regexp that must match a finding on its
@@ -145,11 +146,11 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// TestRuleNamesAreRegistered pins the seven contract rules by name; the
+// TestRuleNamesAreRegistered pins the eight contract rules by name; the
 // //trustlint:allow directive and the docs reference them.
 func TestRuleNamesAreRegistered(t *testing.T) {
 	got := strings.Join(RuleNames(), ",")
-	wantNames := "nowallclock,rngstream,ctcompare,maporder,lockorder,poolescape,secretflow"
+	wantNames := "nowallclock,rngstream,ctcompare,maporder,lockorder,poolescape,secretflow,wirewidth"
 	if got != wantNames {
 		t.Fatalf("registered rules = %s, want %s", got, wantNames)
 	}

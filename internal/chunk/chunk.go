@@ -36,7 +36,8 @@ func End(buf []byte, at int) {
 	if len(payload) == 0 || len(payload) > MaxPayload {
 		panic(fmt.Sprintf("chunk: %d-byte payload is empty or over MaxPayload", len(payload)))
 	}
-	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	// The check above bounds the length at MaxPayload (1 MiB).
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload))) //trustlint:allow wirewidth
 	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
 }
 

@@ -105,7 +105,10 @@ func (p *Page) AppendCanonical(dst []byte) []byte {
 
 // appendField appends s with its 4-byte big-endian length prefix.
 func appendField(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	// Page strings arrive in messages under the 1 MiB frame and body
+	// caps, or come from the server's own page templates: far below
+	// the 2^32 the prefix states.
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s))) //trustlint:allow wirewidth
 	return append(dst, s...)
 }
 

@@ -124,8 +124,10 @@ func FrameBytesLen() int { return FBWidth * FBHeight * 4 }
 // byte stream self-describing for hashing.
 func EncodeDims(w, h int, pixels []byte) []byte {
 	out := make([]byte, 8+len(pixels))
-	binary.BigEndian.PutUint32(out[0:], uint32(w))
-	binary.BigEndian.PutUint32(out[4:], uint32(h))
+	// w and h are framebuffer dimensions (FBWidth x FBHeight): small
+	// and non-negative, so each fits its 4-byte field exactly.
+	binary.BigEndian.PutUint32(out[0:], uint32(w)) //trustlint:allow wirewidth
+	binary.BigEndian.PutUint32(out[4:], uint32(h)) //trustlint:allow wirewidth
 	copy(out[8:], pixels)
 	return out
 }

@@ -1,6 +1,7 @@
 package fuzzyvault
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -99,7 +100,7 @@ func DefaultParams() Params {
 func checkWords(words []Elem) (Elem, Elem) {
 	buf := make([]byte, 0, 2*len(words))
 	for _, w := range words {
-		buf = append(buf, byte(w>>8), byte(w))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(w))
 	}
 	c := crc32.ChecksumIEEE(buf)
 	return Elem(c >> 16), Elem(c)

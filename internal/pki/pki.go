@@ -7,7 +7,6 @@
 package pki
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -15,6 +14,7 @@ import (
 	"io"
 
 	"trust/internal/sim"
+	"trust/internal/wire"
 )
 
 // Role restricts what a certificate's subject may do.
@@ -54,24 +54,30 @@ type Certificate struct {
 	Signature []byte // CA signature over SigningBytes
 }
 
-// SigningBytes is the canonical byte encoding the signature covers.
+// SignedFields walks the certificate's field list, every field but
+// Signature, in the order the CA signs them (internal/wire, big-endian
+// with 4-byte lengths). SigningBytes encodes it, and the protocol codec
+// walks it to carry a certificate inside a message.
+func (c *Certificate) SignedFields(w *wire.Codec) {
+	w.Str(&c.Subject)
+	w.Str((*string)(&c.Role))
+	w.Bytes(&c.PublicKey)
+	w.Bytes(&c.KemKey)
+	w.Str(&c.Issuer)
+	w.U64(&c.Serial)
+}
+
+// SigningBytes is the canonical byte encoding the signature covers,
+// or nil for a certificate with a field its length cannot state; the
+// CA refuses to issue such a certificate, so nil never verifies.
 func (c *Certificate) SigningBytes() []byte {
-	var buf bytes.Buffer
-	writeField := func(b []byte) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-		buf.Write(l[:])
-		buf.Write(b)
+	// Room for two 32-byte keys, a role and the fixed-size fields, so
+	// the encoding allocates once.
+	w := wire.NewEncoder(wire.BigEndian32, make([]byte, 0, 128+len(c.Subject)+len(c.Issuer)))
+	if c.SignedFields(&w); w.Err() != nil {
+		return nil
 	}
-	writeField([]byte(c.Subject))
-	writeField([]byte(c.Role))
-	writeField(c.PublicKey)
-	writeField(c.KemKey)
-	writeField([]byte(c.Issuer))
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], c.Serial)
-	buf.Write(s[:])
-	return buf.Bytes()
+	return w.Data()
 }
 
 // Errors returned by certificate verification.
@@ -158,7 +164,11 @@ func (ca *CA) IssueWithKem(subject string, role Role, pub ed25519.PublicKey, kem
 		Issuer:    ca.name,
 		Serial:    ca.serial,
 	}
-	cert.Signature = ed25519.Sign(ca.keys.Private, cert.SigningBytes())
+	sb := cert.SigningBytes()
+	if sb == nil {
+		return nil, errors.New("pki: issuing a certificate field past its length")
+	}
+	cert.Signature = ed25519.Sign(ca.keys.Private, sb)
 	return cert, nil
 }
 

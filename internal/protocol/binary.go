@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +8,7 @@ import (
 
 	"trust/internal/frame"
 	"trust/internal/pki"
+	"trust/internal/wire"
 )
 
 // Binary wire codec: the paper rides its fields in cookie extensions,
@@ -39,117 +39,21 @@ const (
 // ErrBinaryDecode reports malformed binary input.
 var ErrBinaryDecode = errors.New("protocol: malformed binary message")
 
-// errUnencodable reports an int outside [0, 2^32) or an element kind
-// outside a byte: written truncated, it would share another's encoding.
-var errUnencodable = errors.New("protocol: message field out of encodable range")
-
-// binCodec walks one message's field list in either direction. Each
-// field method encodes the field its pointer names by appending to buf,
-// or, when decode is set, decodes it from buf[off:] and stores it
-// there. So a message's fields method is at once its encoding, its
-// decoding and its authenticator input, and the decoder cannot drift
-// from what was signed. Encoding only reads through the pointers: the
-// messages it walks may be shared between goroutines.
+// binCodec walks one message's field list in either direction on the
+// shared byte grammar (internal/wire), big-endian with 4-byte lengths.
+// A message's fields method is at once its encoding, its decoding and
+// its authenticator input, so the decoder cannot drift from what was
+// signed.
 type binCodec struct {
-	buf    []byte
-	off    int
-	decode bool
+	wire.Codec
 	// input walks the authenticator input: auth fields encode empty.
 	// inner empties innerAuth fields too, for the input of the
 	// signature a MAC covers (LoginSubmit's).
 	input, inner bool
-	err          error
 	// intern, when non-nil, is the stream connection's intern table:
 	// istr fields are looked up there instead of copied (see Decoder).
 	// The nil table is the stateless decoder.
 	intern *internTable
-}
-
-func (c *binCodec) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-}
-
-// take consumes the next n input bytes, or fails and returns nil.
-func (c *binCodec) take(n int) []byte {
-	if c.err != nil || n < 0 || n > len(c.buf)-c.off {
-		c.fail(ErrBinaryDecode)
-		return nil
-	}
-	b := c.buf[c.off : c.off+n : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *binCodec) u8(v *byte) {
-	if !c.decode {
-		c.buf = append(c.buf, *v)
-	} else if b := c.take(1); b != nil {
-		*v = b[0]
-	}
-}
-
-func (c *binCodec) u32(v *int) {
-	if !c.decode {
-		if *v < 0 || int64(*v) > math.MaxUint32 {
-			c.fail(errUnencodable)
-		}
-		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*v))
-	} else if b := c.take(4); b != nil {
-		*v = int(binary.BigEndian.Uint32(b))
-	}
-}
-
-func (c *binCodec) u64(v *uint64) {
-	if !c.decode {
-		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
-	} else if b := c.take(8); b != nil {
-		*v = binary.BigEndian.Uint64(b)
-	}
-}
-
-func (c *binCodec) f64(v *float64) {
-	if !c.decode {
-		c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*v))
-	} else if b := c.take(8); b != nil {
-		*v = math.Float64frombits(binary.BigEndian.Uint64(b))
-	}
-}
-
-func (c *binCodec) hash(h *frame.Hash) {
-	if !c.decode {
-		c.buf = append(c.buf, h[:]...)
-	} else if b := c.take(len(h)); b != nil {
-		copy(h[:], b)
-	}
-}
-
-// sub decodes a length-prefixed field as a subslice of the input, for
-// nested payloads decoded on the spot; nothing it returns may be kept.
-func (c *binCodec) sub() []byte {
-	var n int
-	c.u32(&n)
-	return c.take(n)
-}
-
-func (c *binCodec) bytes(v *[]byte) {
-	if !c.decode {
-		c.lenPrefix(len(*v))
-		c.buf = append(c.buf, *v...)
-	} else if b := c.sub(); c.err == nil {
-		*v = append(make([]byte, 0, len(b)), b...)
-	}
-}
-
-// str decodes a string field in one copy, the string conversion.
-func (c *binCodec) str(v *string) {
-	if !c.decode {
-		c.lenPrefix(len(*v))
-		c.buf = append(c.buf, *v...)
-	} else if b := c.sub(); c.err == nil {
-		*v = string(b)
-	}
 }
 
 // istr walks a string field that tends to repeat from frame to frame
@@ -158,14 +62,12 @@ func (c *binCodec) str(v *string) {
 // Nonces, MACs and tickets never take this path: they are fresh on
 // every message.
 func (c *binCodec) istr(v *string) {
-	if !c.decode {
-		c.str(v)
-	} else if b := c.sub(); c.err == nil {
+	if !c.Decoding() {
+		c.Str(v)
+	} else if b := c.Sub(); c.Err() == nil {
 		*v = c.intern.get(b)
 	}
 }
-
-func (c *binCodec) lenPrefix(n int) { c.u32(&n) }
 
 // auth walks a message's own authenticator, empty in its
 // authenticator input.
@@ -173,7 +75,7 @@ func (c *binCodec) auth(v *[]byte) {
 	if c.input {
 		v = new([]byte)
 	}
-	c.bytes(v)
+	c.Bytes(v)
 }
 
 // innerAuth walks an authenticator that the message's own one covers:
@@ -182,15 +84,15 @@ func (c *binCodec) innerAuth(v *[]byte) {
 	if c.inner {
 		v = new([]byte)
 	}
-	c.bytes(v)
+	c.Bytes(v)
 }
 
 // head walks the version byte and the message tag. The decoder picks
 // the message type by tag before the walk, so here both only advance.
 func (c *binCodec) head(tag byte) {
 	v := byte(binVersion)
-	c.u8(&v)
-	c.u8(&tag)
+	c.U8(&v)
+	c.U8(&tag)
 }
 
 // present walks an optional field's presence byte: 0 for absent, 1
@@ -201,9 +103,9 @@ func (c *binCodec) present(has bool) bool {
 	if has {
 		b = 1
 	}
-	c.u8(&b)
+	c.U8(&b)
 	if b > 1 {
-		c.fail(ErrBinaryDecode)
+		c.Fail(ErrBinaryDecode)
 	}
 	return b == 1
 }
@@ -217,27 +119,27 @@ func (c *binCodec) page(pp **frame.Page) {
 	if !c.present(*pp != nil) {
 		return
 	}
-	if c.decode {
+	if c.Decoding() {
 		*pp = new(frame.Page)
 	}
 	p := *pp
 	c.istr(&p.URL)
 	c.istr(&p.Title)
 	c.istr(&p.Body)
-	c.f64(&p.HeightPX)
+	c.F64(&p.HeightPX)
 	n := len(p.Elements)
-	c.u32(&n)
-	if c.decode {
+	c.U32(&n)
+	if c.Decoding() {
 		// A page height is a layout extent: anything non-finite or
 		// negative would make view enumeration loop and the canonical
 		// encoding's integer conversion undefined. The element count
 		// is bounded by the bytes left, so a short payload cannot
 		// claim a large element slice.
 		if h := p.HeightPX; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 ||
-			n < 0 || n > 10000 || n > (len(c.buf)-c.off)/minElementLen {
-			c.fail(ErrBinaryDecode)
+			n < 0 || n > 10000 || n > c.Rest()/minElementLen {
+			c.Fail(ErrBinaryDecode)
 		}
-		if c.err != nil {
+		if c.Err() != nil {
 			return
 		}
 		if n > 0 {
@@ -249,37 +151,32 @@ func (c *binCodec) page(pp **frame.Page) {
 		c.istr(&e.ID)
 		kind := byte(e.Kind)
 		if frame.ElementKind(kind) != e.Kind {
-			c.fail(errUnencodable)
+			c.Fail(wire.ErrRange) // a kind outside a byte
 		}
-		c.u8(&kind)
-		if c.decode {
+		c.U8(&kind)
+		if c.Decoding() {
 			e.Kind = frame.ElementKind(kind)
 		}
 		c.istr(&e.Label)
 		c.istr(&e.Action)
-		c.f64(&e.Bounds.Min.X)
-		c.f64(&e.Bounds.Min.Y)
-		c.f64(&e.Bounds.Max.X)
-		c.f64(&e.Bounds.Max.Y)
+		c.F64(&e.Bounds.Min.X)
+		c.F64(&e.Bounds.Min.Y)
+		c.F64(&e.Bounds.Max.X)
+		c.F64(&e.Bounds.Max.Y)
 	}
 }
 
-// cert walks an optional certificate.
+// cert walks an optional certificate: the certificate's own signed
+// field list (pki), then its CA signature.
 func (c *binCodec) cert(pc **pki.Certificate) {
 	if !c.present(*pc != nil) {
 		return
 	}
-	if c.decode {
+	if c.Decoding() {
 		*pc = new(pki.Certificate)
 	}
-	x := *pc
-	c.str(&x.Subject)
-	c.str((*string)(&x.Role))
-	c.bytes(&x.PublicKey)
-	c.bytes(&x.KemKey)
-	c.str(&x.Issuer)
-	c.u64(&x.Serial)
-	c.bytes(&x.Signature)
+	(*pc).SignedFields(&c.Codec)
+	c.Bytes(&(*pc).Signature)
 }
 
 // codecPool recycles encode buffers across EncodeBinary calls (the
@@ -293,7 +190,7 @@ const maxPooledEncodeBuf = 64 << 10
 // releaseCodec returns a borrowed codec to the pool unless its buffer
 // grew past the pooling cap.
 func releaseCodec(c *binCodec) {
-	if cap(c.buf) <= maxPooledEncodeBuf {
+	if cap(c.Data()) <= maxPooledEncodeBuf {
 		codecPool.Put(c)
 	}
 }
@@ -314,7 +211,9 @@ func EncodeBinaryAppend(dst []byte, msg any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("protocol: cannot binary-encode %T", msg)
 	}
-	return withEncoding(m, false, func(enc []byte) []byte { return append(dst, enc...) })
+	var out []byte
+	err := withEncoding(m.fields, false, func(enc []byte) { out = append(dst, enc...) })
+	return out, err
 }
 
 // encoder is a message with a field list: fields walks its version
@@ -323,23 +222,37 @@ type encoder interface {
 	fields(c *binCodec)
 }
 
-// withEncoding encodes m with a pooled codec, as its authenticator
-// input when input is set, and hands the encoding to use, which must
-// not keep it. The codec and every authenticator share it.
-func withEncoding[T any](m encoder, input bool, use func(enc []byte) T) (out T, err error) {
+// withEncoding walks a field list (a message's fields, or a whole
+// frame) on a pooled codec, as an authenticator input when input is
+// set, and hands the encoding to use, which must not keep it. The
+// codec, the frame builders and every authenticator share it, so a
+// nested message always encodes on the pooled codec.
+func withEncoding(walk func(*binCodec), input bool, use func(enc []byte)) error {
 	c := codecPool.Get().(*binCodec)
 	defer releaseCodec(c)
-	if err := c.encode(m, input); err != nil {
-		return out, err
+	*c = binCodec{Codec: wire.NewEncoder(wire.BigEndian32, c.Data()[:0]), input: input}
+	if walk(c); c.Err() != nil {
+		return c.Err()
 	}
-	return use(c.buf), nil
+	use(c.Data())
+	return nil
 }
 
-// encode walks m's field list into the codec's emptied buffer.
-func (c *binCodec) encode(m encoder, input bool) error {
-	*c = binCodec{buf: c.buf[:0], input: input}
-	m.fields(c)
-	return c.err
+// withDecoding walks a field list over data on a pooled codec, where
+// it may dispatch through an interface or a func value: a stack codec
+// would escape to the heap on every decode. It returns the codec's
+// failure and the bytes left after the walk. The borrowed codec gets
+// its own buffer back before it returns to the pool, so a later encode
+// never appends into data.
+func withDecoding(data []byte, intern *internTable, walk func(*binCodec)) (rest int, err error) {
+	c := codecPool.Get().(*binCodec)
+	own := c.Data()
+	*c = binCodec{Codec: wire.NewDecoder(wire.BigEndian32, data), intern: intern}
+	walk(c)
+	rest, err = c.Rest(), c.Err()
+	*c = binCodec{Codec: wire.NewEncoder(wire.BigEndian32, own)}
+	codecPool.Put(c)
+	return rest, err
 }
 
 // Field lists: the head, then every field in wire order.
@@ -347,7 +260,7 @@ func (c *binCodec) encode(m encoder, input bool) error {
 func (m *RegistrationPage) fields(c *binCodec) {
 	c.head(tagRegistrationPage)
 	c.istr(&m.Domain)
-	c.str((*string)(&m.Nonce))
+	c.Str((*string)(&m.Nonce))
 	c.page(&m.Page)
 	c.cert(&m.ServerCert)
 	c.auth(&m.Signature)
@@ -357,9 +270,9 @@ func (m *RegistrationSubmit) fields(c *binCodec) {
 	c.head(tagRegistrationSubmit)
 	c.istr(&m.Domain)
 	c.istr(&m.Account)
-	c.str((*string)(&m.Nonce))
-	c.bytes(&m.UserPub)
-	c.hash(&m.FrameHash)
+	c.Str((*string)(&m.Nonce))
+	c.Bytes(&m.UserPub)
+	c.Fixed(m.FrameHash[:])
 	c.cert(&m.DeviceCert)
 	c.auth(&m.Signature)
 }
@@ -367,7 +280,7 @@ func (m *RegistrationSubmit) fields(c *binCodec) {
 func (m *LoginPage) fields(c *binCodec) {
 	c.head(tagLoginPage)
 	c.istr(&m.Domain)
-	c.str((*string)(&m.Nonce))
+	c.Str((*string)(&m.Nonce))
 	c.page(&m.Page)
 	c.auth(&m.Signature)
 }
@@ -378,11 +291,11 @@ func (m *LoginSubmit) fields(c *binCodec) {
 	c.head(tagLoginSubmit)
 	c.istr(&m.Domain)
 	c.istr(&m.Account)
-	c.str((*string)(&m.Nonce))
-	c.bytes(&m.SessionKeyCT)
-	c.hash(&m.FrameHash)
-	c.u32(&m.RiskVerified)
-	c.u32(&m.RiskWindow)
+	c.Str((*string)(&m.Nonce))
+	c.Bytes(&m.SessionKeyCT)
+	c.Fixed(m.FrameHash[:])
+	c.U32(&m.RiskVerified)
+	c.U32(&m.RiskWindow)
 	c.innerAuth(&m.Signature)
 	c.auth(&m.MAC)
 }
@@ -391,10 +304,10 @@ func (m *ContentPage) fields(c *binCodec) {
 	c.head(tagContentPage)
 	c.istr(&m.Domain)
 	c.istr(&m.SessionID)
-	c.str((*string)(&m.Nonce))
+	c.Str((*string)(&m.Nonce))
 	c.istr(&m.Account)
 	c.page(&m.Page)
-	c.bytes(&m.Ticket)
+	c.Bytes(&m.Ticket)
 	c.auth(&m.MAC)
 }
 
@@ -403,11 +316,11 @@ func (m *PageRequest) fields(c *binCodec) {
 	c.istr(&m.Domain)
 	c.istr(&m.Account)
 	c.istr(&m.SessionID)
-	c.str((*string)(&m.Nonce))
+	c.Str((*string)(&m.Nonce))
 	c.istr(&m.Action)
-	c.hash(&m.FrameHash)
-	c.u32(&m.RiskVerified)
-	c.u32(&m.RiskWindow)
+	c.Fixed(m.FrameHash[:])
+	c.U32(&m.RiskVerified)
+	c.U32(&m.RiskWindow)
 	c.auth(&m.MAC)
 }
 
@@ -423,10 +336,10 @@ func (m *ResumeSubmit) fields(c *binCodec) {
 	c.head(tagResumeSubmit)
 	c.istr(&m.Domain)
 	c.istr(&m.Account)
-	c.bytes(&m.Ticket)
-	c.hash(&m.FrameHash)
-	c.u32(&m.RiskVerified)
-	c.u32(&m.RiskWindow)
+	c.Bytes(&m.Ticket)
+	c.Fixed(m.FrameHash[:])
+	c.U32(&m.RiskVerified)
+	c.U32(&m.RiskWindow)
 	c.auth(&m.MAC)
 }
 
@@ -442,9 +355,9 @@ func (m *StreamWelcome) fields(c *binCodec) {
 	c.head(tagStreamWelcome)
 	c.istr(&m.Domain)
 	c.istr(&m.SessionID)
-	c.bytes(&m.NonceSeed)
-	c.u32(&m.Window)
-	c.u32(&m.MinVerified)
+	c.Bytes(&m.NonceSeed)
+	c.U32(&m.Window)
+	c.U32(&m.MinVerified)
 	c.auth(&m.MAC)
 }
 
@@ -452,9 +365,9 @@ func (m *PolicyPush) fields(c *binCodec) {
 	c.head(tagPolicyPush)
 	c.istr(&m.Domain)
 	c.istr(&m.SessionID)
-	c.u32(&m.Window)
-	c.u32(&m.MinVerified)
-	c.u64(&m.Seq)
+	c.U32(&m.Window)
+	c.U32(&m.MinVerified)
+	c.U64(&m.Seq)
 	c.auth(&m.MAC)
 }
 
@@ -483,71 +396,40 @@ func decodeAs[M any](data []byte, intern *internTable) (*M, error) {
 	return m, nil
 }
 
+// newMessage makes an empty message of each tag for decodeBinary.
+var newMessage = [...]func() encoder{
+	tagRegistrationPage:   func() encoder { return new(RegistrationPage) },
+	tagRegistrationSubmit: func() encoder { return new(RegistrationSubmit) },
+	tagLoginPage:          func() encoder { return new(LoginPage) },
+	tagLoginSubmit:        func() encoder { return new(LoginSubmit) },
+	tagContentPage:        func() encoder { return new(ContentPage) },
+	tagPageRequest:        func() encoder { return new(PageRequest) },
+	tagResyncRequest:      func() encoder { return new(ResyncRequest) },
+	tagStreamHello:        func() encoder { return new(StreamHello) },
+	tagStreamWelcome:      func() encoder { return new(StreamWelcome) },
+	tagPolicyPush:         func() encoder { return new(PolicyPush) },
+	tagResumeSubmit:       func() encoder { return new(ResumeSubmit) },
+}
+
 // decodeBinary is the one message decoder: it picks the message type
-// by tag and walks that type's field list. intern is the calling
-// connection's intern table, or nil to copy every string field.
+// by tag and walks that type's field list, head included. intern is
+// the calling connection's intern table, or nil to copy every string
+// field.
 func decodeBinary(data []byte, intern *internTable) (any, error) {
-	c := binCodec{buf: data, decode: true, intern: intern}
+	head := wire.NewDecoder(wire.BigEndian32, data)
 	var v, tag byte
-	if c.u8(&v); v != binVersion {
+	if head.U8(&v); v != binVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBinaryDecode, v)
 	}
-	c.u8(&tag)
-	c.off = 0 // the field list walks the head again
-	var out any
-	switch tag {
-	case tagRegistrationPage:
-		m := new(RegistrationPage)
-		m.fields(&c)
-		out = m
-	case tagRegistrationSubmit:
-		m := new(RegistrationSubmit)
-		m.fields(&c)
-		out = m
-	case tagLoginPage:
-		m := new(LoginPage)
-		m.fields(&c)
-		out = m
-	case tagLoginSubmit:
-		m := new(LoginSubmit)
-		m.fields(&c)
-		out = m
-	case tagContentPage:
-		m := new(ContentPage)
-		m.fields(&c)
-		out = m
-	case tagPageRequest:
-		m := new(PageRequest)
-		m.fields(&c)
-		out = m
-	case tagResyncRequest:
-		m := new(ResyncRequest)
-		m.fields(&c)
-		out = m
-	case tagResumeSubmit:
-		m := new(ResumeSubmit)
-		m.fields(&c)
-		out = m
-	case tagStreamHello:
-		m := new(StreamHello)
-		m.fields(&c)
-		out = m
-	case tagStreamWelcome:
-		m := new(StreamWelcome)
-		m.fields(&c)
-		out = m
-	case tagPolicyPush:
-		m := new(PolicyPush)
-		m.fields(&c)
-		out = m
-	default:
+	if head.U8(&tag); int(tag) >= len(newMessage) || newMessage[tag] == nil {
 		return nil, fmt.Errorf("%w: tag %d", ErrBinaryDecode, tag)
 	}
-	if c.err != nil {
-		return nil, c.err
+	m := newMessage[tag]()
+	switch rest, err := withDecoding(data, intern, m.fields); {
+	case err != nil:
+		return nil, ErrBinaryDecode
+	case rest != 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, rest)
 	}
-	if c.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, len(data)-c.off)
-	}
-	return out, nil
+	return m, nil
 }

@@ -1,11 +1,12 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"trust/internal/wire"
 )
 
 // Length-prefixed frame codec for the streamed session transport. A
@@ -14,12 +15,12 @@ import (
 //	[1B type][4B big-endian payload length][payload]
 //
 // Payloads of the message-bearing frames (hello, welcome, touch-batch,
-// page, policy-push, resync) reuse the binary message codec, so a
-// message verifies identically whether it arrived framed or as an HTTP
-// body. Every frame is appended whole into the caller's buffer
-// (openFrame/closeFrame) and hits the connection in a single Write —
-// one syscall per frame, and a torn or cut write can never interleave
-// two frames.
+// page, policy-push, resync, resume) reuse the binary message codec, so
+// a message verifies identically whether it arrived framed or as an
+// HTTP body. Every frame is appended whole into the caller's buffer
+// (appendFrameOf) and hits the connection in a single Write — one
+// syscall per frame, and a torn or cut write can never interleave two
+// frames.
 
 // FrameType tags a stream frame.
 type FrameType byte
@@ -66,10 +67,12 @@ func (t FrameType) SeqBearing() bool {
 // payloads too short to carry a sequence report 0, the wire's
 // "no sequence" value.
 func FrameSeq(t FrameType, payload []byte) uint64 {
-	if !t.SeqBearing() || len(payload) < 8 {
-		return 0
+	var seq uint64
+	if t.SeqBearing() {
+		c := wire.NewDecoder(wire.BigEndian32, payload)
+		c.U64(&seq)
 	}
-	return binary.BigEndian.Uint64(payload)
+	return seq
 }
 
 func (t FrameType) String() string {
@@ -119,53 +122,77 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// openFrame appends a frame header of type t to dst; closeFrame
-// backfills its length once the payload behind it is in place. Every
-// frame builder goes through this pair, so a frame is always appended
-// whole into the caller's buffer and the payload cap is checked in
-// one place.
-func openFrame(dst []byte, t FrameType) []byte {
-	return append(dst, byte(t), 0, 0, 0, 0)
+// appendFrameOf appends one whole frame of type t to dst: the type
+// byte and the payload length, backfilled once payload has walked the
+// frame's payload fields behind it. Every frame builder goes through
+// it, so a frame is always appended whole into the caller's buffer and
+// the payload cap is checked in one place. On error it returns dst
+// unchanged.
+func appendFrameOf(dst []byte, t FrameType, payload func(c *binCodec)) ([]byte, error) {
+	out := dst
+	err := withEncoding(func(c *binCodec) {
+		c.U8((*byte)(&t))
+		at := c.Begin()
+		payload(c)
+		if n := c.Pos() - frameHeaderLen; n > MaxFramePayload {
+			c.Fail(fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload))
+		}
+		c.End(at)
+	}, false, func(enc []byte) { out = append(dst, enc...) })
+	return out, err
 }
 
-// closeFrame completes the frame opened at dst[base:]: it backfills
-// the header's payload length, or refuses a payload over
-// MaxFramePayload and cuts dst back to base.
-func closeFrame(dst []byte, base int) ([]byte, error) {
-	n := len(dst) - base - frameHeaderLen
-	if n > MaxFramePayload {
-		return dst[:base], fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload)
+// decodeFrame walks payload, a frame of type t, with its payload
+// fields. A payload they do not fit fails as ErrFrame; a nested message
+// that does not decode fails with the message codec's error.
+func decodeFrame(t FrameType, payload []byte, intern *internTable, fields func(c *binCodec)) error {
+	switch rest, err := withDecoding(payload, intern, fields); {
+	case errors.Is(err, ErrFrame) || errors.Is(err, ErrBinaryDecode):
+		return err
+	case err != nil:
+		return fmt.Errorf("%w: %s payload: %v", ErrFrame, t, err)
+	case rest != 0:
+		return fmt.Errorf("%w: %s payload: %d trailing bytes", ErrFrame, t, rest)
 	}
-	binary.BigEndian.PutUint32(dst[base+1:], uint32(n))
-	return dst, nil
+	return nil
 }
 
-// appendMessage appends msg's binary encoding behind a 4-byte length,
-// the nested-message shape of the seq-bearing frames. On error it
-// returns dst unchanged.
-func appendMessage(dst []byte, msg any) ([]byte, error) {
-	out, err := EncodeBinaryAppend(append(dst, 0, 0, 0, 0), msg)
-	if err != nil {
-		return dst, err
+// nested walks a message a frame payload carries behind its length:
+// encoded in place, and decoded by its own field list from the
+// length-prefixed bytes (through the connection's intern table, if
+// any).
+func nested[M any, PM interface {
+	*M
+	encoder
+}](c *binCodec, m **M) {
+	if !c.Decoding() {
+		at := c.Begin()
+		PM(*m).fields(c)
+		c.End(at)
+		return
 	}
-	binary.BigEndian.PutUint32(out[len(dst):], uint32(len(out)-len(dst)-4))
-	return out, nil
+	if raw := c.Sub(); c.Err() == nil {
+		var err error
+		if *m, err = decodeAs[M](raw, c.intern); err != nil {
+			c.Fail(err)
+		}
+	}
 }
 
 // AppendFrame appends one whole frame carrying payload verbatim to dst
 // and returns the extended slice.
 func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
-	return closeFrame(append(openFrame(dst, t), payload...), len(dst))
+	return appendFrameOf(dst, t, func(c *binCodec) { c.Fixed(payload) })
 }
 
 // AppendMessageFrame appends a frame whose payload is one binary-codec
 // message: the hello, welcome and policy-push frames.
 func AppendMessageFrame(dst []byte, t FrameType, msg any) ([]byte, error) {
-	out, err := EncodeBinaryAppend(openFrame(dst, t), msg)
-	if err != nil {
-		return dst, err
+	m, ok := msg.(encoder)
+	if !ok {
+		return dst, fmt.Errorf("protocol: cannot binary-encode %T", msg)
 	}
-	return closeFrame(out, len(dst))
+	return appendFrameOf(dst, t, m.fields)
 }
 
 // ReadFrame reads one frame from r. The returned payload is freshly
@@ -183,8 +210,11 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (FrameType, [
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	t := FrameType(hdr[0])
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	c := wire.NewDecoder(wire.BigEndian32, hdr[:])
+	var t FrameType
+	var n int
+	c.U8((*byte)(&t))
+	c.U32(&n)
 	if n > MaxFramePayload {
 		return 0, nil, fmt.Errorf("%w: %d-byte payload exceeds %d cap", ErrFrame, n, MaxFramePayload)
 	}
@@ -202,6 +232,9 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (FrameType, [
 	return t, payload, nil
 }
 
+// Frame payloads. Each seq-bearing frame's payload is one field list,
+// walked by its builder to encode and by its decoder to decode.
+
 // TouchBatch is the decoded payload of a FrameTouchBatch: the client's
 // frame sequence number (echoed by every response so a reordered or
 // replayed frame is detected immediately), the virtual timestamp, and
@@ -216,23 +249,29 @@ type TouchBatch struct {
 // carry.
 const maxBatchRequests = 256
 
+// fields walks the sequence, the timestamp, the request count and each
+// request.
+func (tb *TouchBatch) fields(c *binCodec) {
+	c.U64(&tb.Seq)
+	c.I64((*int64)(&tb.Now))
+	n := len(tb.Requests)
+	if c.U32(&n); n < 1 || n > maxBatchRequests {
+		c.Fail(fmt.Errorf("%w: batch of %d requests", ErrFrame, n))
+		return
+	}
+	if c.Decoding() {
+		tb.Requests = make([]*PageRequest, n)
+	}
+	for i := range tb.Requests {
+		nested(c, &tb.Requests[i])
+	}
+}
+
 // AppendTouchBatchFrame appends a FrameTouchBatch frame to dst,
-// encoding each request once, straight into the caller's buffer.
+// encoding each request once.
 func AppendTouchBatchFrame(dst []byte, seq uint64, now time.Duration, reqs []*PageRequest) ([]byte, error) {
-	if len(reqs) == 0 || len(reqs) > maxBatchRequests {
-		return dst, fmt.Errorf("%w: batch of %d requests", ErrFrame, len(reqs))
-	}
-	out := openFrame(dst, FrameTouchBatch)
-	out = binary.BigEndian.AppendUint64(out, seq)
-	out = binary.BigEndian.AppendUint64(out, uint64(now))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(reqs)))
-	for _, req := range reqs {
-		var err error
-		if out, err = appendMessage(out, req); err != nil {
-			return dst, err
-		}
-	}
-	return closeFrame(out, len(dst))
+	tb := TouchBatch{Seq: seq, Now: now, Requests: reqs}
+	return appendFrameOf(dst, FrameTouchBatch, tb.fields)
 }
 
 // DecodeTouchBatch parses a touch-batch frame payload.
@@ -241,46 +280,28 @@ func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
 }
 
 func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
-	c := binCodec{buf: payload, decode: true}
-	var seq, now uint64
-	var n int
-	c.u64(&seq)
-	c.u64(&now)
-	c.u32(&n)
-	if c.err != nil || n < 1 || n > maxBatchRequests {
-		return nil, fmt.Errorf("%w: touch-batch header", ErrFrame)
-	}
-	tb := &TouchBatch{Seq: seq, Now: time.Duration(now), Requests: make([]*PageRequest, 0, n)}
-	for i := 0; i < n; i++ {
-		raw := c.sub()
-		if c.err != nil {
-			return nil, fmt.Errorf("%w: touch-batch request %d", ErrFrame, i)
-		}
-		req, err := decodeAs[PageRequest](raw, intern)
-		if err != nil {
-			return nil, err
-		}
-		tb.Requests = append(tb.Requests, req)
-	}
-	if c.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(payload)-c.off)
+	tb := new(TouchBatch)
+	if err := decodeFrame(FrameTouchBatch, payload, intern, tb.fields); err != nil {
+		return nil, err
 	}
 	return tb, nil
 }
 
-// AppendPageFrame appends a FramePage frame to dst: the echoed
-// request frame sequence, the index of the batched request it answers,
-// and the content page, encoded once, directly into dst. The batch
-// response path builds its whole reply here before a single write.
-func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte, error) {
-	out := openFrame(dst, FramePage)
-	out = binary.BigEndian.AppendUint64(out, seq)
-	out = binary.BigEndian.AppendUint32(out, uint32(index))
-	out, err := appendMessage(out, cp)
-	if err != nil {
-		return dst, err
+// pageFields is a FramePage payload's field list: the echoed request
+// frame sequence, the index of the batched request it answers, and the
+// content page. The batch response path builds its whole reply before
+// a single write.
+func pageFields(seq *uint64, index *int, cp **ContentPage) func(*binCodec) {
+	return func(c *binCodec) {
+		c.U64(seq)
+		c.U32(index)
+		nested(c, cp)
 	}
-	return closeFrame(out, len(dst))
+}
+
+// AppendPageFrame appends a FramePage frame to dst.
+func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte, error) {
+	return appendFrameOf(dst, FramePage, pageFields(&seq, &index, &cp))
 }
 
 // DecodePageFrame parses a page-response frame payload.
@@ -289,118 +310,95 @@ func DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, er
 }
 
 func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int, cp *ContentPage, err error) {
-	c := binCodec{buf: payload, decode: true}
-	c.u64(&seq)
-	c.u32(&index)
-	raw := c.sub()
-	if c.err != nil || c.off != len(payload) {
-		return 0, 0, nil, fmt.Errorf("%w: page frame", ErrFrame)
-	}
-	cp, err = decodeAs[ContentPage](raw, intern)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return seq, index, cp, nil
+	err = decodeFrame(FramePage, payload, intern, pageFields(&seq, &index, &cp))
+	return seq, index, cp, err
 }
 
-// Heartbeat payload: a client-chosen sequence plus the virtual
-// timestamp; the server echoes both verbatim.
+// heartbeatFields is a FrameHeartbeat payload's field list: a
+// client-chosen sequence plus the virtual timestamp, which the server
+// echoes verbatim.
+func heartbeatFields(seq *uint64, now *time.Duration) func(*binCodec) {
+	return func(c *binCodec) {
+		c.U64(seq)
+		c.I64((*int64)(now))
+	}
+}
 
 // AppendHeartbeatFrame appends a heartbeat (or its echo) to dst.
 func AppendHeartbeatFrame(dst []byte, seq uint64, now time.Duration) []byte {
-	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameHeartbeat), seq)
-	out, _ = closeFrame(binary.BigEndian.AppendUint64(out, uint64(now)), len(dst)) // 16 bytes: never over the cap
+	out, _ := appendFrameOf(dst, FrameHeartbeat, heartbeatFields(&seq, &now)) // 16 bytes: never over the cap
 	return out
 }
 
 // DecodeHeartbeat parses a heartbeat payload.
 func DecodeHeartbeat(payload []byte) (seq uint64, now time.Duration, err error) {
-	if len(payload) != 16 {
-		return 0, 0, fmt.Errorf("%w: heartbeat of %d bytes", ErrFrame, len(payload))
-	}
-	return binary.BigEndian.Uint64(payload[:8]), time.Duration(binary.BigEndian.Uint64(payload[8:])), nil
+	err = decodeFrame(FrameHeartbeat, payload, nil, heartbeatFields(&seq, &now))
+	return seq, now, err
 }
 
-// Ack payload: the echoed frame sequence, a wire error code ("" = ok;
-// otherwise one of the X-Trust-Error codes, so the stream surfaces the
-// same typed rejections as the HTTP path), and a human-readable
-// detail.
+// ackFields is a FrameAck payload's field list: the echoed frame
+// sequence, a wire error code ("" = ok; otherwise one of the
+// X-Trust-Error codes, so the stream surfaces the same typed
+// rejections as the HTTP path), and a human-readable detail.
+func ackFields(seq *uint64, code, detail *string) func(*binCodec) {
+	return func(c *binCodec) {
+		c.U64(seq)
+		c.Str(code)
+		c.Str(detail)
+	}
+}
 
 // AppendAckFrame appends an ack/error frame to dst.
 func AppendAckFrame(dst []byte, seq uint64, code, detail string) ([]byte, error) {
-	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameAck), seq)
-	out = append(binary.BigEndian.AppendUint32(out, uint32(len(code))), code...)
-	out = append(binary.BigEndian.AppendUint32(out, uint32(len(detail))), detail...)
-	return closeFrame(out, len(dst))
+	return appendFrameOf(dst, FrameAck, ackFields(&seq, &code, &detail))
 }
 
 // DecodeAck parses an ack/error frame payload.
 func DecodeAck(payload []byte) (seq uint64, code, detail string, err error) {
-	c := binCodec{buf: payload, decode: true}
-	c.u64(&seq)
-	c.str(&code)
-	c.str(&detail)
-	if c.err != nil || c.off != len(payload) {
-		return 0, "", "", fmt.Errorf("%w: ack frame", ErrFrame)
-	}
-	return seq, code, detail, nil
+	err = decodeFrame(FrameAck, payload, nil, ackFields(&seq, &code, &detail))
+	return seq, code, detail, err
 }
 
-// AppendResumeFrame appends a ticket fast login carried as a stream's
-// opening frame: the client frame sequence, the virtual timestamp (a
-// resume opens a connection, so unlike touch batches there is no
-// preceding hello to carry it), and the ResumeSubmit.
-func AppendResumeFrame(dst []byte, seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
-	out := openFrame(dst, FrameResume)
-	out = binary.BigEndian.AppendUint64(out, seq)
-	out = binary.BigEndian.AppendUint64(out, uint64(now))
-	out, err := appendMessage(out, sub)
-	if err != nil {
-		return dst, err
+// resumeFields is a FrameResume payload's field list, a ticket fast
+// login carried as a stream's opening frame: the client frame
+// sequence, the virtual timestamp (a resume opens a connection, so
+// unlike touch batches there is no preceding hello to carry it), and
+// the ResumeSubmit.
+func resumeFields(seq *uint64, now *time.Duration, sub **ResumeSubmit) func(*binCodec) {
+	return func(c *binCodec) {
+		c.U64(seq)
+		c.I64((*int64)(now))
+		nested(c, sub)
 	}
-	return closeFrame(out, len(dst))
+}
+
+// AppendResumeFrame appends a resume frame to dst.
+func AppendResumeFrame(dst []byte, seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
+	return appendFrameOf(dst, FrameResume, resumeFields(&seq, &now, &sub))
 }
 
 // DecodeResumeFrame parses a stream resume payload.
 func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *ResumeSubmit, err error) {
-	c := binCodec{buf: payload, decode: true}
-	var at uint64
-	c.u64(&seq)
-	c.u64(&at)
-	raw := c.sub()
-	if c.err != nil || c.off != len(payload) {
-		return 0, 0, nil, fmt.Errorf("%w: resume frame", ErrFrame)
-	}
-	now = time.Duration(at)
-	sub, err = DecodeAs[ResumeSubmit](raw)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return seq, now, sub, nil
+	err = decodeFrame(FrameResume, payload, nil, resumeFields(&seq, &now, &sub))
+	return seq, now, sub, err
 }
 
-// AppendResyncFrame appends a resync carried on the stream: the
-// client frame sequence plus the MAC-proof resync request.
-func AppendResyncFrame(dst []byte, seq uint64, req *ResyncRequest) ([]byte, error) {
-	out := binary.BigEndian.AppendUint64(openFrame(dst, FrameResync), seq)
-	out, err := appendMessage(out, req)
-	if err != nil {
-		return dst, err
+// resyncFields is a FrameResync payload's field list: the client frame
+// sequence plus the MAC-proof resync request.
+func resyncFields(seq *uint64, req **ResyncRequest) func(*binCodec) {
+	return func(c *binCodec) {
+		c.U64(seq)
+		nested(c, req)
 	}
-	return closeFrame(out, len(dst))
+}
+
+// AppendResyncFrame appends a resync carried on the stream to dst.
+func AppendResyncFrame(dst []byte, seq uint64, req *ResyncRequest) ([]byte, error) {
+	return appendFrameOf(dst, FrameResync, resyncFields(&seq, &req))
 }
 
 // DecodeResyncFrame parses a stream resync payload.
 func DecodeResyncFrame(payload []byte) (seq uint64, req *ResyncRequest, err error) {
-	c := binCodec{buf: payload, decode: true}
-	c.u64(&seq)
-	raw := c.sub()
-	if c.err != nil || c.off != len(payload) {
-		return 0, nil, fmt.Errorf("%w: resync frame", ErrFrame)
-	}
-	req, err = DecodeAs[ResyncRequest](raw)
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, req, nil
+	err = decodeFrame(FrameResync, payload, nil, resyncFields(&seq, &req))
+	return seq, req, err
 }

@@ -163,15 +163,15 @@ func TestDecodeElementCountBoundedByPayload(t *testing.T) {
 	c.head(tagContentPage)
 	empty, present, height, count := "", byte(1), 800.0, 10000
 	for i := 0; i < 4; i++ {
-		c.str(&empty) // domain, session id, nonce, account
+		c.Str(&empty) // domain, session id, nonce, account
 	}
-	c.u8(&present)
+	c.U8(&present)
 	for i := 0; i < 3; i++ {
-		c.str(&empty) // URL, title, body
+		c.Str(&empty) // URL, title, body
 	}
-	c.f64(&height)
-	c.u32(&count)
-	claim := c.buf
+	c.F64(&height)
+	c.U32(&count)
+	claim := c.Data()
 	if _, err := DecodeBinary(claim); !errors.Is(err, ErrBinaryDecode) {
 		t.Fatalf("10,000-element claim in %d bytes: err %v", len(claim), err)
 	}

@@ -144,7 +144,9 @@ type PageRequest struct {
 // covers: its encoding with that authenticator empty (docs/protocol.md,
 // "Authenticator input"). A message with a field out of range has none.
 func authBytes(m encoder) ([]byte, error) {
-	return withEncoding(m, true, func(in []byte) []byte { return append([]byte(nil), in...) })
+	var in []byte
+	err := withEncoding(m.fields, true, func(b []byte) { in = append([]byte(nil), b...) })
+	return in, err
 }
 
 // SigningBytes of a RegistrationPage covers everything but Signature.
@@ -186,15 +188,16 @@ func macBytes(m Authenticated) []byte {
 // SealMAC returns m's MAC under mc, equal to
 // pki.MAC(key, m.MACBytes()), or nil if m has no MAC input. The
 // returned tag is its only allocation.
-func SealMAC(mc *pki.MACer, m Authenticated) []byte {
-	tag, _ := withEncoding(m, true, mc.MAC)
+func SealMAC(mc *pki.MACer, m Authenticated) (tag []byte) {
+	withEncoding(m.fields, true, func(in []byte) { tag = mc.MAC(in) })
 	return tag
 }
 
 // VerifyMAC reports, in constant time and without allocating, whether
 // tag is m's MAC under mc — pki.CheckMAC(key, m.MACBytes(), tag).
 func VerifyMAC(mc *pki.MACer, m Authenticated, tag []byte) bool {
-	ok, _ := withEncoding(m, true, func(in []byte) bool { return mc.Check(in, tag) })
+	ok := false
+	withEncoding(m.fields, true, func(in []byte) { ok = mc.Check(in, tag) })
 	return ok
 }
 

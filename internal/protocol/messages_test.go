@@ -13,6 +13,7 @@ import (
 	"trust/internal/frame"
 	"trust/internal/geom"
 	"trust/internal/pki"
+	"trust/internal/wire"
 )
 
 func TestSigningBytesExcludeAuthenticators(t *testing.T) {
@@ -148,10 +149,10 @@ func TestSigningBytesSensitiveToEveryField(t *testing.T) {
 			top := path[:strings.IndexAny(path+".", ".[+=")]
 			switch {
 			case outOfRange:
-				if !errors.Is(err, errUnencodable) {
-					t.Errorf("%s: %s out of range: input err %v, want errUnencodable", tc.name, path, err)
+				if !errors.Is(err, wire.ErrRange) {
+					t.Errorf("%s: %s out of range: input err %v, want wire.ErrRange", tc.name, path, err)
 				}
-				if _, err := EncodeBinary(m); !errors.Is(err, errUnencodable) {
+				if _, err := EncodeBinary(m); !errors.Is(err, wire.ErrRange) {
 					t.Errorf("%s: %s out of range: EncodeBinary err %v", tc.name, path, err)
 				}
 			case err != nil:

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
 	"trust/internal/chunk"
+	"trust/internal/wire"
 )
 
 // recoverImage opens a WAL over the given snapshot and log bytes (an
@@ -33,10 +35,13 @@ func recoverImage(t *testing.T, snapshot, log []byte) ([]Record, uint64, WALStat
 // strictly sorted, agree with Stats, survive a second recovery
 // unchanged, and be exactly the log's longest clean prefix: the torn
 // tail is everything after it, and recovering the log cut there gives
-// the same state with nothing torn. The committed corpus
-// (testdata/fuzz/FuzzOpenWAL) holds a clean image, a torn tail,
-// mid-file damage, an oversized snapshot count and an undecodable final
-// record, and replays on every plain go test.
+// the same state with nothing torn. Every log record and snapshot
+// entry it accepted, and the snapshot header, re-encodes to the bytes
+// it was read from: the grammar has one encoding per value. The
+// committed corpus (testdata/fuzz/FuzzOpenWAL) holds a clean image, a
+// torn tail, mid-file damage, an oversized snapshot count, an
+// undecodable final record and a snapshot entry with a non-zero seq,
+// and replays on every plain go test.
 func FuzzOpenWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, snapshot, log []byte) {
 		recs, gen, st, fsys, err := recoverImage(t, snapshot, log)
@@ -85,6 +90,7 @@ func FuzzOpenWAL(f *testing.F) {
 		if st.TornTailBytes != len(log)-prefix {
 			t.Fatalf("torn tail %d bytes, want %d past the %d-byte clean prefix", st.TornTailBytes, len(log)-prefix, prefix)
 		}
+		reencodes(t, snapshot, log[:prefix])
 		recs3, gen3, st3, _, err := recoverImage(t, snapshot, log[:prefix])
 		if err != nil {
 			t.Fatalf("recovery of the clean prefix: %v", err)
@@ -93,4 +99,44 @@ func FuzzOpenWAL(f *testing.F) {
 			t.Fatalf("clean prefix recovers %+v (gen %d, torn %d), want %+v (gen %d, torn 0)", recs3, gen3, st3.TornTailBytes, recs, gen)
 		}
 	})
+}
+
+// reencodes checks that the snapshot header and every entry of an
+// accepted snapshot, and every frame of an accepted log, re-encode to
+// the bytes they were decoded from.
+func reencodes(t *testing.T, snapshot, log []byte) {
+	t.Helper()
+	same := func(what string, payload []byte) error {
+		rec, seq, err := decodeEntry(payload)
+		if err != nil {
+			t.Fatalf("%s decoded in recovery, not here: %v", what, err)
+		}
+		re, err := appendFrame(nil, seq, rec)
+		if err != nil || !bytes.Equal(re[chunk.HeaderSize:], payload) {
+			t.Fatalf("%s re-encodes to %x (%v), read as %x", what, re, err, payload)
+		}
+		return nil
+	}
+	if len(snapshot) > 0 {
+		var seq, gen, count uint64
+		c := wire.NewDecoder(wire.LittleEndian16, snapshot)
+		snapHeaderFields(&c, &seq, &gen, &count)
+		e := wire.NewEncoder(wire.LittleEndian16, nil)
+		snapHeaderFields(&e, &seq, &gen, &count)
+		if c.Err() != nil || !bytes.Equal(e.Data(), snapshot[:c.Pos()]) {
+			t.Fatalf("snapshot header re-encodes to %x (%v), read as %x", e.Data(), c.Err(), snapshot[:c.Pos()])
+		}
+		rest := snapshot[c.Pos():]
+		for len(rest) > 0 {
+			payload, next, ok := chunk.Next(rest)
+			if !ok {
+				t.Fatalf("recovery accepted a snapshot whose entry at %d does not frame", len(snapshot)-len(rest))
+			}
+			same("snapshot entry", payload)
+			rest = next
+		}
+	}
+	if _, err := chunk.Scan(log, func(p []byte) error { return same("log record", p) }); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,13 +1,12 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"trust/internal/chunk"
+	"trust/internal/wire"
 )
 
 // ErrStorage is the typed failure every write-path error wraps: the
@@ -112,95 +111,61 @@ func (Memory) Close() error              { return nil }
 // little-endian; the encoding is fully deterministic, so identical
 // record streams produce byte-identical files.
 
-// minFrameSize is the smallest frame decodePayload accepts: a reset or
-// revoke with an empty account id.
-const minFrameSize = chunk.HeaderSize + 8 + 1 + 8 + 8 + 2
-
-// appendFrame encodes rec (with its sequence number) as one frame onto
-// buf and returns the extended slice.
-func appendFrame(buf []byte, seq uint64, rec Record) []byte {
-	buf, at := chunk.Begin(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = append(buf, byte(rec.Kind))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.At))
-	buf = binary.LittleEndian.AppendUint64(buf, rec.Gen)
-	buf = appendBytes16(buf, []byte(rec.Account))
-	if rec.Kind == KindEnroll {
-		buf = appendBytes16(buf, rec.PublicKey)
-		buf = appendBytes16(buf, []byte(rec.DeviceSubject))
-		buf = append(buf, rec.RecoveryDigest[:]...)
-	}
-	chunk.End(buf, at)
-	return buf
-}
-
-// checkLengths refuses a record with a field longer than its 16-bit
-// length can state: written truncated, it would make every later open
-// refuse the whole log as corrupt.
-func checkLengths(rec Record) error {
-	for _, n := range [...]int{len(rec.Account), len(rec.PublicKey), len(rec.DeviceSubject)} {
-		if n > math.MaxUint16 {
-			return fmt.Errorf("%w: %d-byte record field exceeds its 16-bit length", ErrStorage, n)
-		}
-	}
-	return nil
-}
-
-func appendBytes16(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b)))
-	return append(buf, b...)
-}
-
-// errBadFrame is a checksum-valid payload decodePayload cannot parse.
+// errBadFrame is a checksum-valid payload the record grammar refuses.
 var errBadFrame = errors.New("store: bad frame")
 
-func decodePayload(p []byte) (Record, uint64, error) {
-	var rec Record
-	if len(p) < 8+1+8+8 {
-		return rec, 0, errBadFrame
-	}
-	seq := binary.LittleEndian.Uint64(p)
-	rec.Kind = Kind(p[8])
-	rec.At = time.Duration(binary.LittleEndian.Uint64(p[9:]))
-	rec.Gen = binary.LittleEndian.Uint64(p[17:])
-	p = p[25:]
-	acct, p, ok := readBytes16(p)
-	if !ok {
-		return rec, 0, errBadFrame
-	}
-	rec.Account = string(acct)
-	switch rec.Kind {
+// recordFields is the record grammar's one field list (internal/wire,
+// little-endian with 2-byte lengths), walked by appendFrame to encode
+// and decodeEntry to decode. A kind outside the grammar is refused
+// either way.
+func recordFields(c *wire.Codec, seq *uint64, r *Record) {
+	c.U64(seq)
+	c.U8((*byte)(&r.Kind))
+	c.I64((*int64)(&r.At))
+	c.U64(&r.Gen)
+	c.Str(&r.Account)
+	switch r.Kind {
 	case KindEnroll:
-		var pub, subj []byte
-		if pub, p, ok = readBytes16(p); !ok {
-			return rec, 0, errBadFrame
-		}
-		if subj, p, ok = readBytes16(p); !ok {
-			return rec, 0, errBadFrame
-		}
-		if len(p) != 32 {
-			return rec, 0, errBadFrame
-		}
-		rec.PublicKey = append([]byte(nil), pub...)
-		rec.DeviceSubject = string(subj)
-		copy(rec.RecoveryDigest[:], p)
+		c.Bytes(&r.PublicKey)
+		c.Str(&r.DeviceSubject)
+		c.Fixed(r.RecoveryDigest[:])
 	case KindReset, KindRevoke:
-		if len(p) != 0 {
-			return rec, 0, errBadFrame
-		}
 	default:
-		return rec, 0, errBadFrame
+		c.Fail(errBadFrame)
+	}
+}
+
+// appendFrame encodes rec (with its sequence number) as one frame onto
+// buf and returns the extended slice. A record the grammar cannot
+// state — a field longer than its 16-bit length, an unknown kind — is
+// refused with buf unchanged: written, it would make every later open
+// refuse the whole log as corrupt.
+func appendFrame(buf []byte, seq uint64, rec Record) ([]byte, error) {
+	buf, at := chunk.Begin(buf)
+	c := wire.NewEncoder(wire.LittleEndian16, buf)
+	if recordFields(&c, &seq, &rec); c.Err() != nil {
+		return buf[:at], fmt.Errorf("%w: %v record for a %d-byte account: %v", ErrStorage, rec.Kind, len(rec.Account), c.Err())
+	}
+	buf = c.Data()
+	chunk.End(buf, at)
+	return buf, nil
+}
+
+// decodeEntry decodes one frame's payload: a record and its sequence
+// number.
+func decodeEntry(p []byte) (Record, uint64, error) {
+	var rec Record
+	var seq uint64
+	c := wire.NewDecoder(wire.LittleEndian16, p)
+	if recordFields(&c, &seq, &rec); c.Err() != nil || c.Rest() != 0 {
+		return Record{}, 0, errBadFrame
 	}
 	return rec, seq, nil
 }
 
-func readBytes16(p []byte) (b, rest []byte, ok bool) {
-	if len(p) < 2 {
-		return nil, nil, false
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	if len(p) < 2+n {
-		return nil, nil, false
-	}
-	return p[2 : 2+n], p[2+n:], true
-}
+// minFrameSize is the smallest frame decodeEntry accepts: a reset or
+// revoke with an empty account id.
+var minFrameSize = func() int {
+	b, _ := appendFrame(nil, 0, Record{Kind: KindRevoke})
+	return len(b)
+}()

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,6 +12,7 @@ import (
 	"sync"
 
 	"trust/internal/chunk"
+	"trust/internal/wire"
 )
 
 // File names inside the WAL's FS. There is exactly one live log and at
@@ -133,6 +133,26 @@ func OpenWAL(fsys FS, opts WALOptions) (*WAL, error) {
 	return w, nil
 }
 
+// snapHeaderFields is a snapshot file's header: the magic, the
+// sequence the snapshot covers through, the generation high-water mark
+// and the entry count, then a CRC-32 of those bytes. It walks a codec
+// at the start of the file, where the checksum's input begins.
+func snapHeaderFields(c *wire.Codec, seq, gen, count *uint64) {
+	var magic [len(snapMagic)]byte
+	copy(magic[:], snapMagic)
+	if c.Fixed(magic[:]); string(magic[:]) != snapMagic {
+		c.Fail(errBadFrame)
+	}
+	c.U64(seq)
+	c.U64(gen)
+	c.U64(count)
+	sum := int(crc32.ChecksumIEEE(c.Data()[:c.Pos()]))
+	crc := sum
+	if c.U32(&crc); crc != sum {
+		c.Fail(errBadFrame)
+	}
+}
+
 // loadSnapshot restores the compacted state, if a snapshot exists.
 //
 // Snapshot layout: magic || lastSeq(u64) || gen(u64) || count(u64) ||
@@ -148,17 +168,12 @@ func (w *WAL) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("%w: reading snapshot: %v", ErrStorage, err)
 	}
-	header := len(snapMagic) + 8 + 8 + 8
-	if len(data) < header+4 || string(data[:len(snapMagic)]) != snapMagic {
+	var count uint64
+	c := wire.NewDecoder(wire.LittleEndian16, data)
+	if snapHeaderFields(&c, &w.snapSeq, &w.gen, &count); c.Err() != nil {
 		return fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	if crc32.ChecksumIEEE(data[:header]) != binary.LittleEndian.Uint32(data[header:]) {
-		return fmt.Errorf("%w: snapshot header checksum", ErrCorrupt)
-	}
-	w.snapSeq = binary.LittleEndian.Uint64(data[len(snapMagic):])
-	w.gen = binary.LittleEndian.Uint64(data[len(snapMagic)+8:])
-	count := binary.LittleEndian.Uint64(data[len(snapMagic)+16:])
-	rest := data[header+4:]
+	rest := data[c.Pos():]
 	// Every entry takes at least minFrameSize bytes, so a count the
 	// file cannot hold is refused before it sizes an allocation.
 	if count > uint64(len(rest)/minFrameSize) {
@@ -170,9 +185,12 @@ func (w *WAL) loadSnapshot() error {
 		if !ok {
 			return fmt.Errorf("%w: snapshot entry %d: bad frame", ErrCorrupt, i)
 		}
-		rec, _, err := decodePayload(payload)
+		rec, seq, err := decodeEntry(payload)
 		if err != nil {
 			return fmt.Errorf("%w: snapshot entry %d: %v", ErrCorrupt, i, err)
+		}
+		if seq != 0 {
+			return fmt.Errorf("%w: snapshot entry %d has seq %d", ErrCorrupt, i, seq)
 		}
 		if rec.Kind == KindReset {
 			return fmt.Errorf("%w: snapshot entry %d is a reset", ErrCorrupt, i)
@@ -228,7 +246,7 @@ func scanLog(fsys FS, fn func(rec Record, seq uint64, end int)) ([]byte, int, er
 	}
 	end := 0
 	clean, err := chunk.Scan(data, func(payload []byte) error {
-		rec, seq, err := decodePayload(payload)
+		rec, seq, err := decodeEntry(payload)
 		if err != nil {
 			return err
 		}
@@ -351,19 +369,21 @@ func (w *WAL) merged(dst []Record) []Record {
 // sync. On the first failure the WAL latches failed and every later
 // Append fails fast — appending past a torn write would bury damage
 // mid-file, turning a recoverable torn tail into unrecoverable
-// corruption. A record with a field too long for the record grammar
-// is refused before anything is written, and does not latch failed.
+// corruption. A record the grammar cannot state (a field too long for
+// its length, an unknown kind) is refused before anything is written,
+// and does not latch failed.
 func (w *WAL) Append(rec Record) error {
-	if err := checkLengths(rec); err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed {
 		return fmt.Errorf("%w: backend latched failed by an earlier error", ErrStorage)
 	}
 	seq := w.seq + 1
-	w.buf = appendFrame(w.buf[:0], seq, rec)
+	buf, err := appendFrame(w.buf[:0], seq, rec)
+	if err != nil {
+		return err
+	}
+	w.buf = buf
 	if _, err := w.w.Write(w.buf); err != nil {
 		w.failed = true
 		return fmt.Errorf("%w: log append: %v", ErrStorage, err)
@@ -397,14 +417,15 @@ func (w *WAL) snapshotLocked() error {
 	// Merge into the previous base's array: compaction then allocates
 	// only when the state outgrows it.
 	recs := w.merged(w.spare)
-	buf := w.buf[:0]
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, w.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, w.gen)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(recs)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	count := uint64(len(recs))
+	c := wire.NewEncoder(wire.LittleEndian16, w.buf[:0])
+	snapHeaderFields(&c, &w.seq, &w.gen, &count)
+	buf := c.Data()
 	for _, rec := range recs {
-		buf = appendFrame(buf, 0, rec)
+		var err error
+		if buf, err = appendFrame(buf, 0, rec); err != nil {
+			return err
+		}
 	}
 	w.buf = buf
 

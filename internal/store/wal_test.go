@@ -36,6 +36,15 @@ func testRecord(i int) Record {
 	}
 }
 
+// mustFrame is appendFrame for records the grammar states.
+func mustFrame(buf []byte, seq uint64, rec Record) []byte {
+	out, err := appendFrame(buf, seq, rec)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func mustOpen(t *testing.T, fsys FS, opts WALOptions) *WAL {
 	t.Helper()
 	w, err := OpenWAL(fsys, opts)
@@ -199,7 +208,7 @@ func TestCrashViaSyncSemantics(t *testing.T) {
 		}
 	}
 	// Simulate an in-flight unsynced write at crash time.
-	raw := appendFrame(nil, 99, testRecord(99))
+	raw := mustFrame(nil, 99, testRecord(99))
 	w.mu.Lock()
 	w.w.Write(raw[:len(raw)-5])
 	w.mu.Unlock()
@@ -267,8 +276,11 @@ func TestTailChecksumCorruptionDiscarded(t *testing.T) {
 // OpenWAL refuses it with ErrCorrupt and leaves wal.log as it was
 // instead of discarding the frame as a torn tail.
 func TestUndecodableFinalFrameRefusesOpen(t *testing.T) {
-	log := appendFrame(nil, 1, testRecord(0))
-	log = appendFrame(log, 2, Record{Kind: 9})
+	// appendFrame refuses kind 9, so patch it into a reset's frame.
+	bad := mustFrame(nil, 2, Record{Kind: KindReset})
+	bad[chunk.HeaderSize+8] = 9 // the kind byte, behind the seq
+	chunk.End(bad, 0)
+	log := append(mustFrame(nil, 1, testRecord(0)), bad...)
 	fsys := NewMemFS()
 	writeFile(t, fsys, walName, log)
 	if _, err := OpenWAL(fsys, WALOptions{SnapshotEvery: -1}); !errors.Is(err, ErrCorrupt) {
@@ -546,7 +558,7 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 
 	// Fabricate the crash window: prepend the snapshotted records back
 	// onto the log, as if the log reset never happened.
-	old := appendFrame(nil, 1, testRecord(0))
+	old := mustFrame(nil, 1, testRecord(0))
 	cur, _ := fsys.Bytes(walName)
 	f, _ := fsys.Create(walName)
 	f.Write(append(old, cur...))
@@ -684,7 +696,7 @@ func snapshotImage(seq, gen, count uint64, recs []Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, count)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	for _, rec := range recs {
-		buf = appendFrame(buf, 0, rec)
+		buf = mustFrame(buf, 0, rec)
 	}
 	return buf
 }
@@ -809,6 +821,35 @@ func TestSnapshotLoaderRejectsMalformedEntries(t *testing.T) {
 				t.Fatalf("open: %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestSnapshotEntryWithSeqRefused: the grammar fixes a snapshot
+// entry's seq at 0, so a checksum-valid entry carrying any other seq
+// is damage, refused with ErrCorrupt.
+func TestSnapshotEntryWithSeqRefused(t *testing.T) {
+	img := mustFrame(snapshotImage(3, 3, 1, nil), 77, testRecord(1))
+	fsys := NewMemFS()
+	writeFile(t, fsys, snapName, img)
+	if _, err := OpenWAL(fsys, WALOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestAppendRefusesUnknownKind: a kind outside the record grammar is
+// refused before anything is written, without latching the WAL failed.
+func TestAppendRefusesUnknownKind(t *testing.T) {
+	fsys := NewMemFS()
+	w := mustOpen(t, fsys, WALOptions{SnapshotEvery: -1})
+	defer w.Close()
+	if err := w.Append(Record{Kind: 9, Account: "acct"}); !errors.Is(err, ErrStorage) {
+		t.Fatalf("kind 9: err %v, want ErrStorage", err)
+	}
+	if data, _ := fsys.Bytes(walName); len(data) != 0 {
+		t.Fatalf("refused record wrote %d bytes", len(data))
+	}
+	if err := w.Append(testRecord(1)); err != nil {
+		t.Fatalf("append after the refusal: %v", err)
 	}
 }
 

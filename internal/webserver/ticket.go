@@ -1,12 +1,12 @@
 package webserver
 
 import (
-	"encoding/binary"
 	"io"
 	"time"
 
 	"trust/internal/pki"
 	"trust/internal/protocol"
+	"trust/internal/wire"
 )
 
 // Session-resumption tickets, server side. Every successful login (and
@@ -43,63 +43,20 @@ type ticketState struct {
 	key     []byte         // the session key the ticket resumes from
 }
 
-// encodeTicketState lays the state out as
-// [u16 len | account | u16 len | nonce | 8B gen | 32B session key].
-// Registration refuses an account id the u16 length cannot state, and
-// nonces are 32 hex digits, so neither length is ever truncated.
-func encodeTicketState(st *ticketState) []byte {
-	out := make([]byte, 0, 2+len(st.account)+2+len(st.nonce)+8+len(st.key))
-	out = binary.BigEndian.AppendUint16(out, uint16(len(st.account)))
-	out = append(out, st.account...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(st.nonce)))
-	out = append(out, st.nonce...)
-	out = binary.BigEndian.AppendUint64(out, st.gen)
-	return append(out, st.key...)
-}
-
-// decodeTicketState parses an encodeTicketState layout, rejecting
-// truncated or oversized input. Malformed plaintext can only come from
-// a server bug (the AEAD already authenticated it), but the decoder
-// stays defensive anyway.
-func decodeTicketState(b []byte) (ticketState, bool) {
-	var st ticketState
-	read := func(n int) ([]byte, bool) {
-		if len(b) < n {
-			return nil, false
-		}
-		out := b[:n]
-		b = b[n:]
-		return out, true
-	}
-	readPrefixed := func() ([]byte, bool) {
-		lb, ok := read(2)
-		if !ok {
-			return nil, false
-		}
-		return read(int(binary.BigEndian.Uint16(lb)))
-	}
-	acct, ok := readPrefixed()
-	if !ok {
-		return ticketState{}, false
-	}
-	st.account = string(acct)
-	nonce, ok := readPrefixed()
-	if !ok {
-		return ticketState{}, false
-	}
-	st.nonce = protocol.Nonce(nonce)
-	gb, ok := read(8)
-	if !ok {
-		return ticketState{}, false
-	}
-	st.gen = binary.BigEndian.Uint64(gb)
-	if len(b) != pki.SessionKeySize {
-		return ticketState{}, false
-	}
-	// b is the tail of the plaintext pki's Open freshly allocated for
-	// this call, so the key may alias it.
-	st.key = b
-	return st, true
+// fields walks the sealed layout, big-endian with 2-byte lengths
+// (internal/wire):
+//
+//	len16(account) || account || len16(nonce) || nonce || gen(u64) ||
+//	session key (32 bytes)
+//
+// An account id the 2-byte length cannot state is refused, and no
+// ticket is issued for it. The decoded key aliases the plaintext,
+// which pki's Open allocates afresh for each ticket.
+func (st *ticketState) fields(c *wire.Codec) {
+	c.Str(&st.account)
+	c.Str((*string)(&st.nonce))
+	c.U64(&st.gen)
+	c.View(&st.key, pki.SessionKeySize)
 }
 
 // lockedEntropy adapts the server's entropy stream to io.Reader for
@@ -118,14 +75,18 @@ var _ io.Reader = lockedEntropy{}
 // issueTicket mints a fresh resumption ticket for an account binding
 // and the session key it should resume from: register a single-use
 // nonce, seal the state under the current epoch's ticket key. Returns
-// nil when sealing fails (deterministic entropy cannot fail in
-// practice); a nil ticket simply leaves the response without one and
-// the device falls back to full login.
+// nil when the state does not encode or sealing fails (deterministic
+// entropy cannot fail in practice); a nil ticket simply leaves the
+// response without one and the device falls back to full login.
 func (s *Server) issueTicket(now time.Duration, acct *Account, sessionKey []byte) []byte {
 	n := s.mintNonce()
 	s.nonces.issue(n, now)
 	st := ticketState{account: acct.ID, gen: acct.Gen, nonce: n, key: sessionKey}
-	ticket, err := s.tickets.Seal(now, encodeTicketState(&st), s.ticketAAD, lockedEntropy{s})
+	c := wire.NewEncoder(wire.BigEndian16, make([]byte, 0, 2+len(st.account)+2+len(st.nonce)+8+len(st.key)))
+	if st.fields(&c); c.Err() != nil {
+		return nil
+	}
+	ticket, err := s.tickets.Seal(now, c.Data(), s.ticketAAD, lockedEntropy{s})
 	if err != nil {
 		return nil
 	}
@@ -142,8 +103,9 @@ func (s *Server) openTicket(now time.Duration, ticket []byte) (ticketState, erro
 	if err != nil {
 		return ticketState{}, ErrBadTicket
 	}
-	st, ok := decodeTicketState(pt)
-	if !ok {
+	var st ticketState
+	c := wire.NewDecoder(wire.BigEndian16, pt)
+	if st.fields(&c); c.Err() != nil || c.Rest() != 0 {
 		return ticketState{}, ErrBadTicket
 	}
 	return st, nil
