@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // LockOrder machine-checks the documented lock hierarchy of
@@ -19,7 +21,9 @@ import (
 // on that lock. Both checks see through intra-package calls via the
 // call-graph core; calls through function values or interfaces are not
 // tracked, and mutexes outside the ordering table (per-connection write
-// locks, test-local mutexes) are invisible to the rule.
+// locks, test-local mutexes) are invisible to the rule. Because an
+// unranked lock goes unchecked, a table entry naming a lock its
+// package no longer declares is itself a finding.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the documented lock hierarchy (store shard → session → leaf) and forbid blocking calls under shard/session locks",
@@ -30,7 +34,7 @@ var LockOrder = &Analyzer{
 // docs/server-scaling.md ("Lock hierarchy"): a lock may only be
 // acquired while every held ranked lock has a strictly lower rank.
 const (
-	rankShard   = 10 // sessionStore/accountStore/nonceStore shard locks
+	rankShard   = 10 // the store shard lock: shard[S].mu, one type for every store
 	rankSession = 20 // one session's own mutex
 	rankLeaf    = 30 // entropy, audit log, page registry: leaves, no lock below them
 )
@@ -49,10 +53,10 @@ type lockClass struct {
 // "pkgpath.var" for package-level ones). Mutexes not listed here are
 // unranked and invisible to the rule.
 var lockHierarchy = map[string]lockClass{
-	// Store shard locks: one per shard, never two at once (same rank).
-	"trust/internal/webserver.sessionShard.mu": {rankShard, true},
-	"trust/internal/webserver.accountShard.mu": {rankShard, true},
-	"trust/internal/webserver.nonceShard.mu":   {rankShard, true},
+	// Store shard locks: the session, account and nonce stores all
+	// embed one generic table, so one entry ranks every shard of every
+	// store; never two at once (same rank).
+	"trust/internal/webserver.shard.mu": {rankShard, true},
 	// One session's own mutex: serializes requests on one session.
 	"trust/internal/webserver.session.mu": {rankSession, true},
 	// Leaf mutexes: nothing else may be acquired under them.
@@ -65,6 +69,9 @@ var lockHierarchy = map[string]lockClass{
 	"trust/internal/analysis/testdata/src/lockorder.shard.mu":    {rankShard, true},
 	"trust/internal/analysis/testdata/src/lockorder.session.mu":  {rankSession, true},
 	"trust/internal/analysis/testdata/src/lockorder.auditLog.mu": {rankLeaf, false},
+	"trust/internal/analysis/testdata/src/lockorder.gshard.mu":   {rankShard, true},
+	// A lock the fixture does not declare: the stale-entry finding.
+	"trust/internal/analysis/testdata/src/lockorder.retired.mu": {rankShard, true},
 }
 
 // externalLockEffects maps cross-package callees (by types.Func
@@ -115,6 +122,7 @@ const (
 )
 
 func runLockOrder(pass *Pass) {
+	reportStaleRanks(pass)
 	graph := pass.Graph()
 	summaries := graph.Propagate(func(n *FuncNode) Facts {
 		return lockOrderDirectFacts(pass.Info(), n)
@@ -134,6 +142,60 @@ func runLockOrder(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// reportStaleRanks reports the lockHierarchy entries of the pass's
+// package that name no declared mutex, at the package clause of its
+// first file. A renamed or retired lock leaves its entry behind while
+// the lock that replaced it goes unranked, and the rule then checks
+// nothing about it without saying so.
+func reportStaleRanks(pass *Pass) {
+	pkg := pass.Pkg()
+	var stale []string
+	for key := range lockHierarchy {
+		name, ok := strings.CutPrefix(key, pkg.Path()+".")
+		if ok && !strings.Contains(name, "/") && !declaresLock(pkg.Scope(), name) {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		pass.Reportf(pass.Files()[0].Package, "stale lock rank-table entry %s: the package declares no such sync.Mutex/RWMutex, so the lock it ranked goes unchecked; update lockHierarchy", lockName(key))
+	}
+}
+
+// declaresLock reports whether name ("Type.field" or "var", a
+// lockExprKey suffix) is a sync.Mutex/RWMutex the scope declares.
+func declaresLock(scope *types.Scope, name string) bool {
+	typeName, field, isField := strings.Cut(name, ".")
+	obj := scope.Lookup(typeName)
+	if !isField {
+		v, ok := obj.(*types.Var)
+		return ok && isMutex(v.Type())
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return false
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); f.Name() == field && isMutex(f.Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isMutex reports whether t is sync.Mutex or sync.RWMutex.
+func isMutex(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
 }
 
 // lockOrderDirectFacts collects one function's own lock acquisitions

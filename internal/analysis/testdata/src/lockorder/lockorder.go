@@ -1,8 +1,9 @@
 // Package lockfix exercises the lockorder rule: the documented lock
 // hierarchy (store shard → session → leaf, docs/server-scaling.md) is
-// mirrored here by shard.mu / session.mu / auditLog.mu entries in the
-// analyzer's ordering table.
-package lockfix
+// mirrored here by shard.mu / gshard.mu / session.mu / auditLog.mu
+// entries in the analyzer's ordering table. Its retired.mu entry names
+// no lock declared here, which is itself a finding.
+package lockfix // want "stale lock rank-table entry lockorder\\.retired\\.mu"
 
 import (
 	"net"
@@ -14,6 +15,13 @@ import (
 type shard struct {
 	mu       sync.RWMutex
 	sessions map[string]*session
+}
+
+// gshard mirrors the webserver's generic shard table: one lock field,
+// ranked once, for every instantiation.
+type gshard[S any] struct {
+	mu sync.RWMutex
+	s  S
 }
 
 // session mirrors one session's own mutex: rank 20, block-sensitive.
@@ -43,6 +51,24 @@ func TwoShards(a, b *shard) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	b.mu.RLock() // want "re-acquiring lockorder\\.shard\\.mu while one is already held"
+	b.mu.RUnlock()
+}
+
+// InvertedGeneric is Inverted on an instantiated generic shard: the
+// instance's lock is the generic type's one ranked entry.
+func InvertedGeneric(sh *gshard[map[string]*session], sess *session) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sh.mu.Lock() // want "acquiring lockorder\\.gshard\\.mu while holding lockorder\\.session\\.mu inverts the documented lock hierarchy"
+	sh.mu.Unlock()
+}
+
+// TwoShardsGeneric holds two shards of different instantiations — two
+// stores — at once.
+func TwoShardsGeneric(a *gshard[map[string]*session], b *gshard[map[string]int]) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.RLock() // want "re-acquiring lockorder\\.gshard\\.mu while one is already held"
 	b.mu.RUnlock()
 }
 

@@ -134,7 +134,6 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	}
 	acct, ok := s.accounts.get(sub.Account)
 	if !ok {
-		s.accounts.addFailure(sub.Account)
 		return nil, s.reject(ErrUnknownAccount)
 	}
 	if sb, err := sub.SigningBytes(); err != nil || !ed25519.Verify(acct.PublicKey, sb, sub.Signature) {
@@ -228,7 +227,6 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 	}
 	acct, ok := s.accounts.get(sub.Account)
 	if !ok {
-		s.accounts.addFailure(sub.Account)
 		return nil, ErrUnknownAccount
 	}
 	if acct.Gen != st.gen {

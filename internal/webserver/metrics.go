@@ -1,7 +1,6 @@
 package webserver
 
 import (
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -62,15 +61,9 @@ func (s *Server) MetricsSchema() []string {
 		"nonce_evictions", "streams",
 		"hb_clamped", "hb_rejected",
 	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("sessions_shard%02d", i))
-	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("accounts_shard%02d", i))
-	}
-	for i := 0; i < numShards; i++ {
-		names = append(names, fmt.Sprintf("nonces_shard%02d", i))
-	}
+	names = s.sessions.appendNames(names, "sessions")
+	names = s.accounts.appendNames(names, "accounts")
+	names = s.nonces.appendNames(names, "nonces")
 	names = ftdc.SummaryNames(names, "enroll")
 	names = ftdc.SummaryNames(names, "login")
 	names = ftdc.SummaryNames(names, "resume")
@@ -96,9 +89,9 @@ func (s *Server) AppendMetrics(vals []int64) []int64 {
 		s.nonces.evictions.Load(), int64(s.StreamCount()),
 		s.tel.hbClamped.Load(), s.tel.hbRejected.Load(),
 	)
-	vals = s.sessions.appendShardLens(vals)
-	vals = s.accounts.appendShardLens(vals)
-	vals = s.nonces.appendShardLens(vals)
+	vals = s.sessions.appendLens(vals)
+	vals = s.accounts.appendLens(vals)
+	vals = s.nonces.appendLens(vals)
 	vals = s.tel.enroll.AppendSummary(vals)
 	vals = s.tel.login.AppendSummary(vals)
 	vals = s.tel.resume.AppendSummary(vals)

@@ -2,6 +2,7 @@ package webserver
 
 import (
 	"crypto/ed25519"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,64 +39,98 @@ func shardIndex(key string) uint32 {
 	return h & (numShards - 1)
 }
 
-// sessionStore holds live sessions keyed by session id. The store's
-// shard locks cover only the map; per-session mutable state (nonce
-// echo, request count, revocation) is guarded by the session's own
-// mutex so two sessions never contend with each other.
-type sessionStore struct {
-	shards [numShards]sessionShard
-}
-
-type sessionShard struct {
+// shard is one shard of a store: its contents and the lock guarding
+// them. Every store's shards share this one lock field, which
+// trustlint's lockorder rule ranks as the store shard lock.
+type shard[S any] struct {
 	mu sync.RWMutex
-	m  map[string]*session
+	s  S
 }
 
-func newSessionStore() *sessionStore {
-	st := &sessionStore{}
-	for i := range st.shards {
-		st.shards[i].m = make(map[string]*session)
+// sized is what a shard's contents report to the telemetry capture:
+// their live entry count.
+type sized interface{ size() int }
+
+// shards is the shard table each store embeds: it places keys, and it
+// counts and names the per-shard depth columns (metrics.go).
+type shards[S sized] [numShards]shard[S]
+
+// fill gives every shard fresh contents.
+func (t *shards[S]) fill(contents func() S) {
+	for i := range t {
+		t[i].s = contents()
 	}
-	return st
 }
 
-func (st *sessionStore) get(id string) (*session, bool) {
-	sh := &st.shards[shardIndex(id)]
-	sh.mu.RLock()
-	s, ok := sh.m[id]
-	sh.mu.RUnlock()
-	return s, ok
+// of returns key's shard.
+func (t *shards[S]) of(key string) *shard[S] {
+	return &t[shardIndex(key)]
 }
 
-func (st *sessionStore) put(s *session) {
-	sh := &st.shards[shardIndex(s.id)]
-	sh.mu.Lock()
-	sh.m[s.id] = s
-	sh.mu.Unlock()
-}
-
-func (st *sessionStore) len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
+// appendLens appends each shard's live entry count — the capture's
+// per-shard depth columns.
+func (t *shards[S]) appendLens(out []int64) []int64 {
+	for i := range t {
+		sh := &t[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n := sh.s.size()
+		sh.mu.RUnlock()
+		out = append(out, int64(n))
+	}
+	return out
+}
+
+// appendNames appends the column names appendLens fills, in its order.
+func (t *shards[S]) appendNames(names []string, prefix string) []string {
+	for i := range t {
+		names = append(names, fmt.Sprintf("%s_shard%02d", prefix, i))
+	}
+	return names
+}
+
+// len is the live entry count over every shard.
+func (t *shards[S]) len() int {
+	n := 0
+	for i := range t {
+		sh := &t[i]
+		sh.mu.RLock()
+		n += sh.s.size()
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// appendShardLens appends each shard's live-session count — the
-// telemetry capture's per-shard depth columns (metrics.go).
-func (st *sessionStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n := len(sh.m)
-		sh.mu.RUnlock()
-		out = append(out, int64(n))
-	}
-	return out
+// sessionStore holds live sessions keyed by session id. The store's
+// shard locks cover only the map; per-session mutable state (nonce
+// echo, request count, revocation) is guarded by the session's own
+// mutex so two sessions never contend with each other.
+type sessionStore struct {
+	shards[sessionShard]
+}
+
+type sessionShard map[string]*session
+
+func (m sessionShard) size() int { return len(m) }
+
+func newSessionStore() *sessionStore {
+	st := &sessionStore{}
+	st.fill(func() sessionShard { return make(sessionShard) })
+	return st
+}
+
+func (st *sessionStore) get(id string) (*session, bool) {
+	sh := st.of(id)
+	sh.mu.RLock()
+	s, ok := sh.s[id]
+	sh.mu.RUnlock()
+	return s, ok
+}
+
+func (st *sessionStore) put(s *session) {
+	sh := st.of(s.id)
+	sh.mu.Lock()
+	sh.s[s.id] = s
+	sh.mu.Unlock()
 }
 
 // forEach visits every live session. The visit callback runs with the
@@ -106,7 +141,7 @@ func (st *sessionStore) forEach(visit func(*session)) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.m {
+		for _, s := range sh.s {
 			visit(s)
 		}
 		sh.mu.RUnlock()
@@ -129,13 +164,14 @@ type accountStore struct {
 	// gen numbers successful claims; each bound Account carries its
 	// claim's value so re-binding an id after ResetIdentity yields a
 	// distinguishable generation (resumption tickets check it).
-	gen    atomic.Uint64
-	shards [numShards]accountShard
+	gen atomic.Uint64
+	shards[accountShard]
 }
 
 type accountShard struct {
-	mu       sync.RWMutex
 	accounts map[string]*Account
+	// failures counts failed logins against bound ids only, so the
+	// map never outgrows accounts.
 	failures map[string]int
 	// pending marks ids mid-claim: reserved by beginClaim, not yet
 	// durable. Pending ids refuse concurrent claims.
@@ -145,14 +181,19 @@ type accountShard struct {
 	revoked map[string]struct{}
 }
 
+// size counts bindings: the accounts_shardNN columns.
+func (a accountShard) size() int { return len(a.accounts) }
+
 func newAccountStore() *accountStore {
 	st := &accountStore{}
-	for i := range st.shards {
-		st.shards[i].accounts = make(map[string]*Account)
-		st.shards[i].failures = make(map[string]int)
-		st.shards[i].pending = make(map[string]struct{})
-		st.shards[i].revoked = make(map[string]struct{})
-	}
+	st.fill(func() accountShard {
+		return accountShard{
+			accounts: make(map[string]*Account),
+			failures: make(map[string]int),
+			pending:  make(map[string]struct{}),
+			revoked:  make(map[string]struct{}),
+		}
+	})
 	return st
 }
 
@@ -165,11 +206,11 @@ func (st *accountStore) seed(recs []store.Record, gen uint64) {
 		// Size each shard up front so recovery does not grow the maps
 		// from empty; the hash spreads ids about evenly over shards.
 		for i := range st.shards {
-			st.shards[i].accounts = make(map[string]*Account, per)
+			st.shards[i].s.accounts = make(map[string]*Account, per)
 		}
 	}
 	for _, rec := range recs {
-		sh := &st.shards[shardIndex(rec.Account)]
+		sh := &st.of(rec.Account).s
 		switch rec.Kind {
 		case store.KindEnroll:
 			sh.accounts[rec.Account] = &Account{
@@ -187,23 +228,11 @@ func (st *accountStore) seed(recs []store.Record, gen uint64) {
 }
 
 func (st *accountStore) get(id string) (*Account, bool) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.RLock()
-	a, ok := sh.accounts[id]
+	a, ok := sh.s.accounts[id]
 	sh.mu.RUnlock()
 	return a, ok
-}
-
-// claim atomically binds an account, failing when the id is already
-// bound to a key (the paper's first-writer-wins account binding).
-// Equivalent to beginClaim+commitClaim with no durability step between;
-// the memory-backed fast path and direct store tests use it.
-func (st *accountStore) claim(a *Account) bool {
-	if !st.beginClaim(a) {
-		return false
-	}
-	st.commitClaim(a)
-	return true
 }
 
 // beginClaim reserves an id for claiming: it fails when the id is
@@ -211,106 +240,89 @@ func (st *accountStore) claim(a *Account) bool {
 // pending and a.Gen carries the fresh binding generation. The caller
 // must follow with exactly one commitClaim or abortClaim.
 func (st *accountStore) beginClaim(a *Account) bool {
-	sh := &st.shards[shardIndex(a.ID)]
+	sh := st.of(a.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, gone := sh.revoked[a.ID]; gone {
+	if _, gone := sh.s.revoked[a.ID]; gone {
 		return false
 	}
-	if _, busy := sh.pending[a.ID]; busy {
+	if _, busy := sh.s.pending[a.ID]; busy {
 		// A concurrent claim on the same id holds the reservation; this
 		// one loses (first-writer-wins extends to in-flight claims).
 		return false
 	}
-	if old, ok := sh.accounts[a.ID]; ok && len(old.PublicKey) != 0 {
+	if old, ok := sh.s.accounts[a.ID]; ok && len(old.PublicKey) != 0 {
 		return false
 	}
 	a.Gen = st.gen.Add(1)
-	sh.pending[a.ID] = struct{}{}
+	sh.s.pending[a.ID] = struct{}{}
 	return true
 }
 
 // commitClaim publishes a binding whose enroll record is durable.
 func (st *accountStore) commitClaim(a *Account) {
-	sh := &st.shards[shardIndex(a.ID)]
+	sh := st.of(a.ID)
 	sh.mu.Lock()
-	delete(sh.pending, a.ID)
-	sh.accounts[a.ID] = a
+	delete(sh.s.pending, a.ID)
+	sh.s.accounts[a.ID] = a
 	sh.mu.Unlock()
 }
 
 // abortClaim releases a reservation whose durability step failed; the
 // id becomes claimable again (by a later retry, once storage heals).
 func (st *accountStore) abortClaim(id string) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.Lock()
-	delete(sh.pending, id)
+	delete(sh.s.pending, id)
 	sh.mu.Unlock()
 }
 
 // remove deletes the binding and its failure counter.
 func (st *accountStore) remove(id string) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.Lock()
-	delete(sh.accounts, id)
-	delete(sh.failures, id)
+	delete(sh.s.accounts, id)
+	delete(sh.s.failures, id)
 	sh.mu.Unlock()
 }
 
 // revoke deletes the binding and tombstones the id permanently.
 func (st *accountStore) revoke(id string) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.Lock()
-	delete(sh.accounts, id)
-	delete(sh.failures, id)
-	sh.revoked[id] = struct{}{}
+	delete(sh.s.accounts, id)
+	delete(sh.s.failures, id)
+	sh.s.revoked[id] = struct{}{}
 	sh.mu.Unlock()
 }
 
 func (st *accountStore) failures(id string) int {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.RLock()
-	n := sh.failures[id]
+	n := sh.s.failures[id]
 	sh.mu.RUnlock()
 	return n
 }
 
+// addFailure charges one failed login to a bound id. An id with no
+// binding is not charged: a counter on it would lock out whoever
+// registers it next, and one per forged id would grow without bound.
+// The binding is checked under the shard lock, so a login failing
+// while a reset removes the binding leaves no counter behind.
 func (st *accountStore) addFailure(id string) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.Lock()
-	sh.failures[id]++
+	if _, bound := sh.s.accounts[id]; bound {
+		sh.s.failures[id]++
+	}
 	sh.mu.Unlock()
 }
 
 func (st *accountStore) clearFailures(id string) {
-	sh := &st.shards[shardIndex(id)]
+	sh := st.of(id)
 	sh.mu.Lock()
-	delete(sh.failures, id)
+	delete(sh.s.failures, id)
 	sh.mu.Unlock()
-}
-
-func (st *accountStore) len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.accounts)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// appendShardLens appends each shard's bound-account count for the
-// telemetry capture.
-func (st *accountStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n := len(sh.accounts)
-		sh.mu.RUnlock()
-		out = append(out, int64(n))
-	}
-	return out
 }
 
 // Nonce lifetime bounds. Issued-but-abandoned nonces used to
@@ -337,7 +349,7 @@ type nonceStore struct {
 	// pressure (not consumed, not lazily skipped stale queue entries) —
 	// a rising rate means served pages are outpacing completed flows.
 	evictions atomic.Int64
-	shards    [numShards]nonceShard
+	shards[nonceShard]
 }
 
 type nonceEntry struct {
@@ -346,13 +358,14 @@ type nonceEntry struct {
 }
 
 type nonceShard struct {
-	mu sync.Mutex
-	m  map[protocol.Nonce]time.Duration // nonce -> virtual issue time
+	m map[protocol.Nonce]time.Duration // nonce -> virtual issue time
 	// q records issue order for FIFO eviction. Consumed nonces leave
 	// stale entries behind; they are skipped (and compacted) lazily.
 	q    []nonceEntry
 	head int
 }
+
+func (n nonceShard) size() int { return len(n.m) }
 
 func newNonceStore(ttl time.Duration, capacity int) *nonceStore {
 	per := capacity / numShards
@@ -360,67 +373,34 @@ func newNonceStore(ttl time.Duration, capacity int) *nonceStore {
 		per = 1
 	}
 	st := &nonceStore{ttl: ttl, perShard: per}
-	for i := range st.shards {
-		st.shards[i].m = make(map[protocol.Nonce]time.Duration)
-	}
+	st.fill(func() nonceShard { return nonceShard{m: make(map[protocol.Nonce]time.Duration)} })
 	return st
 }
 
 // issue registers a freshly minted nonce, first evicting expired and
 // over-capacity entries oldest-first.
 func (st *nonceStore) issue(n protocol.Nonce, now time.Duration) {
-	sh := &st.shards[shardIndex(string(n))]
+	sh := st.of(string(n))
 	sh.mu.Lock()
-	sh.evict(now, st.ttl, st.perShard-1, &st.evictions)
-	sh.m[n] = now
-	sh.q = append(sh.q, nonceEntry{n: n, at: now})
+	sh.s.evict(now, st.ttl, st.perShard-1, &st.evictions)
+	sh.s.m[n] = now
+	sh.s.q = append(sh.s.q, nonceEntry{n: n, at: now})
 	sh.mu.Unlock()
 }
 
-// consume validates and burns a nonce; replayed, unknown, or expired
-// nonces fail.
-func (st *nonceStore) consume(n protocol.Nonce, now time.Duration) bool {
-	_, ok := st.consumeAge(n, now)
-	return ok
-}
-
-// consumeAge is consume, additionally reporting the nonce's age (issue
-// to consume, virtual time) on success — the handlers' flow-latency
-// sample for the telemetry capture.
+// consumeAge validates and burns a nonce, reporting its age (issue to
+// consume, virtual time) — the handlers' flow-latency sample for the
+// telemetry capture. Replayed, unknown, or expired nonces fail.
 func (st *nonceStore) consumeAge(n protocol.Nonce, now time.Duration) (time.Duration, bool) {
-	sh := &st.shards[shardIndex(string(n))]
+	sh := st.of(string(n))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	at, ok := sh.m[n]
+	at, ok := sh.s.m[n]
 	if !ok || now-at > st.ttl {
 		return 0, false
 	}
-	delete(sh.m, n)
+	delete(sh.s.m, n)
 	return now - at, true
-}
-
-func (st *nonceStore) len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// appendShardLens appends each shard's live-nonce count for the
-// telemetry capture.
-func (st *nonceStore) appendShardLens(out []int64) []int64 {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		n := len(sh.m)
-		sh.mu.Unlock()
-		out = append(out, int64(n))
-	}
-	return out
 }
 
 // evict drops queue-front entries that are stale (already consumed),
