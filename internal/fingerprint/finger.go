@@ -284,18 +284,6 @@ func (f *Finger) Minutiae() []Minutia {
 	return out
 }
 
-// MinutiaeIn returns the ground-truth minutiae lying inside the circle
-// of the given centre and radius (finger frame, mm).
-func (f *Finger) MinutiaeIn(center geom.Point, radius float64) []Minutia {
-	var out []Minutia
-	for _, m := range f.minutiae {
-		if m.Pos.Dist(center) <= radius {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // minutiaeCount is the nominal number of ground-truth minutiae on a
 // full print; real fingers carry 40-100.
 const minutiaeCount = 56

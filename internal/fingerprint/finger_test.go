@@ -130,21 +130,6 @@ func TestMinutiaeSeparation(t *testing.T) {
 	}
 }
 
-func TestMinutiaeInRadius(t *testing.T) {
-	f := Synthesize(13, Loop)
-	center := f.Bounds().Center()
-	got := f.MinutiaeIn(center, 4)
-	for _, m := range got {
-		if m.Pos.Dist(center) > 4 {
-			t.Fatalf("MinutiaeIn returned %v outside radius", m.Pos)
-		}
-	}
-	all := f.MinutiaeIn(center, 1000)
-	if len(all) != len(f.Minutiae()) {
-		t.Fatalf("huge radius returned %d of %d minutiae", len(all), len(f.Minutiae()))
-	}
-}
-
 func TestMinutiaeReturnsCopy(t *testing.T) {
 	f := Synthesize(1, Arch)
 	a := f.Minutiae()

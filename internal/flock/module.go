@@ -361,38 +361,40 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 
 	// Stage 3: drive the sensor — selective rows/columns around the
 	// touch point, parallel row addressing (the Fig 4 design). The
-	// image pipeline scans the whole patch instead: the CV matcher
-	// needs every ridge the contact left on the sensor, and an 8 mm
-	// patch is already the size of one selective window.
+	// statistical capture model never reads the image, so by default
+	// the sensor is only accounted: the Fig 4 cycles, time and energy
+	// depend on the cell window alone. The image pipeline images the
+	// whole patch instead: the CV matcher needs every ridge the contact
+	// left on the sensor, and an 8 mm patch is already the size of one
+	// selective window.
 	fingertipCenter := finger.Bounds().Center().Add(ev.FingerOffsetMM)
-	// The rotation's sincos is hoisted out of the per-cell closure: the
-	// sensor evaluates the field once per cell, and a Sincos per cell
-	// was a measurable slice of the whole-scan cost.
-	sinR, cosR := math.Sincos(-ev.FingerRotation)
-	field := func(p geom.Point) float64 {
-		// Sensor frame -> finger frame: translate so the contact point
-		// maps to the fingertip contact centre, then rotate.
-		d := p.Sub(sensorMM)
-		rel := geom.Point{X: d.X*cosR - d.Y*sinR, Y: d.X*sinR + d.Y*cosR}
-		return finger.RidgeValue(fingertipCenter.Add(rel))
-	}
-	region := arr.RegionAround(sensorMM, ev.RadiusMM)
+	opts := sensor.ScanOptions{Addressing: sensor.ParallelRow, Transfer: sensor.SelectiveTransfer}
+	var scanRes sensor.ScanResult
 	if m.cfg.UseImagePipeline {
-		region = arr.FullRegion()
+		// The rotation's sincos is hoisted out of the per-cell closure:
+		// the sensor evaluates the field once per cell, and a Sincos per
+		// cell was a measurable slice of the whole-scan cost.
+		sinR, cosR := math.Sincos(-ev.FingerRotation)
+		field := func(p geom.Point) float64 {
+			// Sensor frame -> finger frame: translate so the contact
+			// point maps to the fingertip contact centre, then rotate.
+			d := p.Sub(sensorMM)
+			rel := geom.Point{X: d.X*cosR - d.Y*sinR, Y: d.X*sinR + d.Y*cosR}
+			return finger.RidgeValue(fingertipCenter.Add(rel))
+		}
+		scanRes = arr.Scan(field, arr.FullRegion(), opts)
+	} else {
+		scanRes = arr.Account(arr.RegionAround(sensorMM, ev.RadiusMM), opts)
 	}
-	scanRes := arr.Scan(field, region, sensor.ScanOptions{
-		Addressing: sensor.ParallelRow,
-		Transfer:   sensor.SelectiveTransfer,
-	})
 	out.SensorScan = scanRes.Elapsed
 	m.energy.AddEvent("fingerprint-sensor", scanRes.Energy)
 	out.EnergySpent += scanRes.Energy
 
 	// Stage 4: acquire features and gate on quality (Fig 6, decision
-	// 2). By default feature extraction from the bit image is modelled
-	// statistically by fingerprint.Acquire; with UseImagePipeline the
-	// scanned window runs through the real CV stack (validated against
-	// the statistical model in experiment X10).
+	// 2). By default feature extraction is modelled statistically by
+	// fingerprint.Acquire; with UseImagePipeline the scanned patch runs
+	// through the real CV stack (validated against the statistical
+	// model in experiment X10).
 	contact := fingerprint.Contact{
 		Center:   fingertipCenter,
 		Radius:   ev.RadiusMM,
@@ -401,7 +403,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 		Rotation: ev.FingerRotation,
 	}
 	var cap *fingerprint.Capture
-	if m.cfg.UseImagePipeline && scanRes.Bits != nil {
+	if m.cfg.UseImagePipeline {
 		cap = m.imageCapture(contact, scanRes)
 	} else {
 		cap = fingerprint.Acquire(finger, contact, m.rng)
@@ -473,12 +475,15 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 }
 
 // record keeps a bounded trail of recent outcomes for risk queries.
+// A full trail shifts down in place, so once it holds keep entries
+// recording allocates nothing.
 func (m *Module) record(out TouchOutcome) {
 	const keep = 64
-	m.recentOutcomes = append(m.recentOutcomes, out.Kind)
-	if len(m.recentOutcomes) > keep {
-		m.recentOutcomes = m.recentOutcomes[len(m.recentOutcomes)-keep:]
+	if len(m.recentOutcomes) == keep {
+		copy(m.recentOutcomes, m.recentOutcomes[1:])
+		m.recentOutcomes = m.recentOutcomes[:keep-1]
 	}
+	m.recentOutcomes = append(m.recentOutcomes, out.Kind)
 }
 
 // RiskFactor implements the paper's identity-risk definition: of the
@@ -526,9 +531,9 @@ func (m *Module) DisplayFrame(frameBytes []byte) (frame.Hash, time.Duration) {
 // touch.
 func (m *Module) IdleSensorEnergy(d time.Duration) sim.Joule {
 	// An always-on sensor rescans continuously; energy = scans that fit
-	// in d times full-scan energy.
+	// in d times full-scan energy. Only the accounting is needed.
 	arr := m.arrays[0]
-	full := arr.Scan(func(geom.Point) float64 { return 0 }, arr.FullRegion(), sensor.ScanOptions{})
+	full := arr.Account(arr.FullRegion(), sensor.ScanOptions{})
 	if full.Elapsed <= 0 {
 		return 0
 	}

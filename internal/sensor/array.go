@@ -75,7 +75,8 @@ type ScanOptions struct {
 }
 
 // ScanResult is one completed scan: the binarized image plus exact
-// cycle accounting.
+// cycle accounting. Bits is nil for an empty region and for a scan that
+// was only accounted (Account).
 type ScanResult struct {
 	Bits      *BitImage
 	Region    Region
@@ -150,9 +151,11 @@ func (a *Array) RegionAround(center geom.Point, radiusMM float64) Region {
 }
 
 // Scan images the field over the region with the selected readout
-// architecture and returns the bit image plus cycle-exact timing.
+// architecture and returns the bit image plus cycle-exact timing. It
+// draws one comparator-noise sample per cell, in row-major order, from
+// the array's RNG; the accounting is Account's.
 func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
-	res := ScanResult{Region: region}
+	res := a.Account(region, opts)
 	if region.Empty() {
 		return res
 	}
@@ -171,6 +174,20 @@ func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
 				res.Bits.Set(c-region.Col0, r-region.Row0)
 			}
 		}
+	}
+	return res
+}
+
+// Account returns the Fig 4 cycle accounting of a scan of the region —
+// cycles, elapsed time, cells read, bits moved and energy — without
+// imaging it: every figure depends only on the region's geometry and
+// the readout architecture, so Bits is nil and the array's RNG does
+// not move. Callers that never read the image (the statistical capture
+// model, timing-only full scans) use it instead of Scan.
+func (a *Array) Account(region Region, opts ScanOptions) ScanResult {
+	res := ScanResult{Region: region}
+	if region.Empty() {
+		return res
 	}
 	res.CellsRead = region.Rows() * region.Cols()
 
@@ -208,7 +225,7 @@ func (a *Array) Scan(field Field, region Region, opts ScanOptions) ScanResult {
 // full scan selective and full coincide). This is the quantity Table II
 // reports.
 func (a *Array) ResponseFullScan() time.Duration {
-	return a.Scan(func(geom.Point) float64 { return 0 }, a.FullRegion(), ScanOptions{
+	return a.Account(a.FullRegion(), ScanOptions{
 		Addressing: ParallelRow,
 		Transfer:   SelectiveTransfer,
 	}).Elapsed

@@ -179,6 +179,71 @@ func TestScanEmptyRegion(t *testing.T) {
 	}
 }
 
+// TestAccountMatchesScan is the differential test between the two
+// ways to account a scan: Account (geometry only) and Scan (image, then
+// account). For every design, addressing and transfer mode and every
+// kind of region, every field but Bits must agree.
+func TestAccountMatchesScan(t *testing.T) {
+	field := func(p geom.Point) float64 { return math.Sin(p.X*9) * math.Cos(p.Y*7) }
+	for _, cfg := range append(TableIIConfigs(), FLockConfig()) {
+		a := mustArray(t, cfg)
+		w, h := cfg.WidthMM(), cfg.HeightMM()
+		regions := []struct {
+			name   string
+			region Region
+		}{
+			{"empty", Region{}},
+			{"inverted", Region{Row0: 3, Row1: 1, Col0: 0, Col1: 4}},
+			{"full", a.FullRegion()},
+			{"clipped-topleft", a.RegionAround(geom.Point{X: 0.2, Y: 0.3}, 2)},
+			{"clipped-bottom", a.RegionAround(geom.Point{X: w - 0.1, Y: h - 0.4}, 3)},
+			{"around", a.RegionAround(geom.Point{X: w / 2, Y: h / 2}, 1.5)},
+		}
+		for _, addr := range []AddressingMode{ParallelRow, SerialCell} {
+			for _, xfer := range []TransferMode{SelectiveTransfer, FullTransfer} {
+				opts := ScanOptions{Addressing: addr, Transfer: xfer}
+				for _, rc := range regions {
+					name, region := rc.name, rc.region
+					acc := a.Account(region, opts)
+					scan := a.Scan(field, region, opts)
+					if acc.Bits != nil {
+						t.Fatalf("%s %v/%v %s: Account imaged the region", cfg.Name, addr, xfer, name)
+					}
+					if (scan.Bits == nil) != region.Empty() {
+						t.Fatalf("%s %v/%v %s: Scan bits %v for empty=%v", cfg.Name, addr, xfer, name, scan.Bits, region.Empty())
+					}
+					scan.Bits = nil
+					if acc != scan {
+						t.Errorf("%s %v/%v %s: Account %+v, Scan %+v", cfg.Name, addr, xfer, name, acc, scan)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAccountLeavesRNG checks that accounting draws no comparator
+// noise: a scan after any number of Account calls images exactly what
+// a fresh array with the same stream images.
+func TestAccountLeavesRNG(t *testing.T) {
+	field := func(p geom.Point) float64 { return math.Sin(p.X * 5) }
+	a1, _ := New(FLockConfig(), sim.NewRNG(4))
+	a2, _ := New(FLockConfig(), sim.NewRNG(4))
+	for i := 0; i < 3; i++ {
+		a1.Account(a1.FullRegion(), ScanOptions{})
+	}
+	a1.ResponseFullScan()
+	r1 := a1.Scan(field, a1.FullRegion(), ScanOptions{})
+	r2 := a2.Scan(field, a2.FullRegion(), ScanOptions{})
+	for y := 0; y < r1.Bits.H(); y++ {
+		for x := 0; x < r1.Bits.W(); x++ {
+			if r1.Bits.Get(x, y) != r2.Bits.Get(x, y) {
+				t.Fatalf("bit (%d,%d) differs: accounting moved the array's RNG", x, y)
+			}
+		}
+	}
+}
+
 func TestScanEnergyComponents(t *testing.T) {
 	a := mustArray(t, FLockConfig())
 	small := a.Scan(func(geom.Point) float64 { return 1 }, a.RegionAround(geom.Point{X: 4, Y: 4}, 1), ScanOptions{})

@@ -88,11 +88,15 @@ type ScanResult struct {
 	Elapsed time.Duration
 }
 
-// Panel is one touch panel instance.
+// Panel is one touch panel instance. It is not safe for concurrent
+// use: a scan mutates its RNG and its electrode grid.
 type Panel struct {
 	cfg        Config
 	rng        *sim.RNG
 	rows, cols int
+	// grid is the mutual scan's rows×cols electrode signal, row-major,
+	// reused by every scan.
+	grid []float64
 }
 
 // New builds a panel. A nil rng gets a fixed-seed stream.
@@ -100,12 +104,9 @@ func New(cfg Config, rng *sim.RNG) *Panel {
 	if rng == nil {
 		rng = sim.NewRNG(0x70a6c)
 	}
-	return &Panel{
-		cfg:  cfg,
-		rng:  rng,
-		rows: int(math.Ceil(cfg.HeightMM/cfg.ElectrodePitchMM)) + 1,
-		cols: int(math.Ceil(cfg.WidthMM/cfg.ElectrodePitchMM)) + 1,
-	}
+	rows := int(math.Ceil(cfg.HeightMM/cfg.ElectrodePitchMM)) + 1
+	cols := int(math.Ceil(cfg.WidthMM/cfg.ElectrodePitchMM)) + 1
+	return &Panel{cfg: cfg, rng: rng, rows: rows, cols: cols, grid: make([]float64, rows*cols)}
 }
 
 // Config returns the panel configuration.
@@ -140,19 +141,19 @@ func (p *Panel) Sense(contacts []Contact) ScanResult {
 // maxima above threshold, centroid-refined.
 func (p *Panel) senseMutual(contacts []Contact) []Touch {
 	pitch := p.cfg.ElectrodePitchMM
-	grid := make([][]float64, p.rows)
-	for r := range grid {
-		grid[r] = make([]float64, p.cols)
-		for c := range grid[r] {
+	cols := p.cols
+	grid := p.grid
+	for r := 0; r < p.rows; r++ {
+		for c := 0; c < cols; c++ {
 			v := p.signalAt(float64(c)*pitch, float64(r)*pitch, contacts)
-			grid[r][c] = v + p.rng.Normal(0, p.cfg.NoiseSigma)
+			grid[r*cols+c] = v + p.rng.Normal(0, p.cfg.NoiseSigma)
 		}
 	}
 
 	var touches []Touch
 	for r := 1; r < p.rows-1; r++ {
-		for c := 1; c < p.cols-1; c++ {
-			v := grid[r][c]
+		for c := 1; c < cols-1; c++ {
+			v := grid[r*cols+c]
 			if v < p.cfg.DetectionThreshold {
 				continue
 			}
@@ -162,7 +163,7 @@ func (p *Panel) senseMutual(contacts []Contact) []Touch {
 					if dr == 0 && dc == 0 {
 						continue
 					}
-					if grid[r+dr][c+dc] > v {
+					if grid[(r+dr)*cols+c+dc] > v {
 						isPeak = false
 						break
 					}
@@ -175,7 +176,7 @@ func (p *Panel) senseMutual(contacts []Contact) []Touch {
 			var wsum, xsum, ysum float64
 			for dr := -1; dr <= 1; dr++ {
 				for dc := -1; dc <= 1; dc++ {
-					w := math.Max(grid[r+dr][c+dc], 0)
+					w := math.Max(grid[(r+dr)*cols+c+dc], 0)
 					wsum += w
 					xsum += w * float64(c+dc)
 					ysum += w * float64(r+dr)
