@@ -42,7 +42,7 @@ func newFixture(t *testing.T, mal *Malware) *fixture {
 	return &fixture{ca: ca, server: srv, dev: dev, finger: f}
 }
 
-func (fx *fixture) touchOwner(t *testing.T) {
+func (fx *fixture) touchOwner(t testing.TB) {
 	t.Helper()
 	at, err := testbed.TapUntilVerified(fx.dev.Module, fx.finger, fx.now)
 	if err != nil {
@@ -51,7 +51,7 @@ func (fx *fixture) touchOwner(t *testing.T) {
 	fx.now = at + testbed.TapInterval
 }
 
-func (fx *fixture) registerAndLogin(t *testing.T) {
+func (fx *fixture) registerAndLogin(t testing.TB) {
 	t.Helper()
 	fx.touchOwner(t)
 	if err := fx.dev.Register(fx.now, "acct", "recovery-pw"); err != nil {

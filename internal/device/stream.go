@@ -364,11 +364,13 @@ func (t *Stream) SubmitPageRequest(now time.Duration, req *protocol.PageRequest)
 		}
 		return nil, err
 	}
-	pages, err := conn.submitBatch(now, []*protocol.PageRequest{req})
+	w, err := conn.submitBatch(now, []*protocol.PageRequest{req})
 	if err != nil {
 		return nil, err
 	}
-	return pages[0], nil
+	cp := w.pages[0]
+	conn.recycle(w)
+	return cp, nil
 }
 
 // SubmitPageBatch sends several touch-authenticated requests in one
@@ -379,7 +381,13 @@ func (t *Stream) SubmitPageBatch(now time.Duration, reqs []*protocol.PageRequest
 	if err != nil {
 		return nil, err
 	}
-	return conn.submitBatch(now, reqs)
+	w, err := conn.submitBatch(now, reqs)
+	if err != nil {
+		return nil, err
+	}
+	// The pages slice is the caller's now, so the waiter is not
+	// recycled.
+	return w.pages, nil
 }
 
 // SubmitResync implements Transport: a resync frame on the stream, or
@@ -450,14 +458,50 @@ type streamClientConn struct {
 	wbuf    []byte     // outbound frame scratch, under wmu
 
 	mu      sync.Mutex
-	err     error          // first fatal error; conn is dead once set
-	waiters []*frameWaiter // FIFO of outstanding batches/resyncs
-	hbs     []*hbWaiter    // FIFO of outstanding heartbeats
-	served  uint64         // pages received = chain position of sess.LastNonce
-	pushSeq uint64         // highest policy-push sequence accepted
+	err     error              // first fatal error; conn is dead once set
+	waiters fifo[*frameWaiter] // outstanding batches/resyncs
+	hbs     fifo[*hbWaiter]    // outstanding heartbeats
+	spare   *frameWaiter       // a recycled waiter for the next request frame
+	served  uint64             // pages received = chain position of sess.LastNonce
+	pushSeq uint64             // highest policy-push sequence accepted
 }
 
-// frameWaiter collects the responses to one request frame.
+// fifo is a queue that reuses its backing array once drained, so a
+// connection with one request in flight at a time never reallocates
+// it.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
+// peek returns the head; the queue must not be empty.
+func (f *fifo[T]) peek() T { return f.q[f.head] }
+
+func (f *fifo[T]) push(v T) { f.q = append(f.q, v) }
+
+// pop removes and returns the head; the queue must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.q[f.head]
+	var zero T
+	f.q[f.head] = zero
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// take empties the queue and returns what it held, oldest first.
+func (f *fifo[T]) take() []T {
+	all := f.q[f.head:]
+	*f = fifo[T]{}
+	return all
+}
+
+// frameWaiter collects the responses to one request frame. done is
+// signalled once per use (buffered, never closed), so a waiter whose
+// pages were taken can serve the next frame.
 type frameWaiter struct {
 	seq   uint64
 	want  int
@@ -499,14 +543,13 @@ func (c *streamClientConn) fail(cause error) {
 		return
 	}
 	c.err = cause
-	waiters := c.waiters
-	hbs := c.hbs
-	c.waiters, c.hbs = nil, nil
+	waiters := c.waiters.take()
+	hbs := c.hbs.take()
 	c.mu.Unlock()
 	c.rwc.Close()
 	for _, w := range waiters {
 		w.err = fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
-		close(w.done)
+		w.done <- struct{}{}
 	}
 	for _, h := range hbs {
 		h.done <- fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
@@ -535,11 +578,11 @@ func (c *streamClientConn) send(build func(dst []byte, seq uint64) ([]byte, erro
 	}
 	if w != nil {
 		w.seq = seq
-		c.waiters = append(c.waiters, w)
+		c.waiters.push(w)
 	}
 	if h != nil {
 		h.seq = seq
-		c.hbs = append(c.hbs, h)
+		c.hbs.push(h)
 	}
 	c.mu.Unlock()
 	if _, err := c.rwc.Write(frame); err != nil {
@@ -549,37 +592,67 @@ func (c *streamClientConn) send(build func(dst []byte, seq uint64) ([]byte, erro
 	return nil
 }
 
-// submitBatch sends reqs as one touch-batch frame and waits for all
-// their pages (or the error ack that ended the batch).
-func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageRequest) ([]*protocol.ContentPage, error) {
-	w := &frameWaiter{want: len(reqs), done: make(chan struct{})}
-	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
-		return protocol.AppendTouchBatchFrame(dst, seq, now, reqs)
-	}, w, nil)
-	if err != nil {
+// waiter returns a waiter for a frame answered by want pages: the
+// recycled one if no other request frame holds it, else a new one.
+func (c *streamClientConn) waiter(want int) *frameWaiter {
+	c.mu.Lock()
+	w := c.spare
+	c.spare = nil
+	c.mu.Unlock()
+	if w == nil {
+		w = &frameWaiter{done: make(chan struct{}, 1)}
+	}
+	w.want = want
+	return w
+}
+
+// recycle hands back a completed waiter once its pages are taken, for
+// the next request frame to reuse with its pages slice emptied.
+func (c *streamClientConn) recycle(w *frameWaiter) {
+	clear(w.pages)
+	w.pages, w.err = w.pages[:0], nil
+	c.mu.Lock()
+	c.spare = w
+	c.mu.Unlock()
+}
+
+// exchange sends one request frame and waits for its pages (or the
+// error ack that ended the frame). On success the caller takes the
+// pages and may recycle the waiter. A waiter whose frame went out is
+// signalled exactly once, so it is recycled here after an ack; after a
+// failed send it may still be signalled and is dropped.
+func (c *streamClientConn) exchange(want int, build func(dst []byte, seq uint64) ([]byte, error)) (*frameWaiter, error) {
+	w := c.waiter(want)
+	if err := c.send(build, w, nil); err != nil {
 		return nil, err
 	}
 	<-w.done
-	if w.err != nil {
-		return nil, w.err
+	if err := w.err; err != nil {
+		c.recycle(w)
+		return nil, err
 	}
-	return w.pages, nil
+	return w, nil
+}
+
+// submitBatch sends reqs as one touch-batch frame and waits for all
+// their pages (or the error ack that ended the batch).
+func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageRequest) (*frameWaiter, error) {
+	return c.exchange(len(reqs), func(dst []byte, seq uint64) ([]byte, error) {
+		return protocol.AppendTouchBatchFrame(dst, seq, now, reqs)
+	})
 }
 
 // submitResync sends a resync frame and waits for the recovered page.
 func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
-	w := &frameWaiter{want: 1, done: make(chan struct{})}
-	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
+	w, err := c.exchange(1, func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendResyncFrame(dst, seq, req)
-	}, w, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	<-w.done
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.pages[0], nil
+	cp := w.pages[0]
+	c.recycle(w)
+	return cp, nil
 }
 
 // ping sends a heartbeat and waits for its echo.
@@ -655,11 +728,11 @@ func (c *streamClientConn) readLoop() {
 // gets paired with the wrong touch.
 func (c *streamClientConn) deliverPage(seq uint64, index int, cp *protocol.ContentPage) error {
 	c.mu.Lock()
-	if len(c.waiters) == 0 {
+	if c.waiters.len() == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("device: unsolicited page frame (seq %d)", seq)
 	}
-	w := c.waiters[0]
+	w := c.waiters.peek()
 	if seq != w.seq || index != len(w.pages) {
 		c.mu.Unlock()
 		return fmt.Errorf("device: page frame seq %d/%d does not match expected %d/%d", seq, index, w.seq, len(w.pages))
@@ -668,11 +741,11 @@ func (c *streamClientConn) deliverPage(seq uint64, index int, cp *protocol.Conte
 	c.served++
 	finished := len(w.pages) == w.want
 	if finished {
-		c.waiters = c.waiters[1:]
+		c.waiters.pop()
 	}
 	c.mu.Unlock()
 	if finished {
-		close(w.done)
+		w.done <- struct{}{}
 	}
 	return nil
 }
@@ -683,26 +756,25 @@ func (c *streamClientConn) deliverPage(seq uint64, index int, cp *protocol.Conte
 // heartbeat's sequence (a heartbeat past the server's skew bound).
 func (c *streamClientConn) deliverAck(seq uint64, code, detail string) error {
 	c.mu.Lock()
-	if len(c.hbs) > 0 && c.hbs[0].seq == seq {
-		h := c.hbs[0]
-		c.hbs = c.hbs[1:]
+	if c.hbs.len() > 0 && c.hbs.peek().seq == seq {
+		h := c.hbs.pop()
 		c.mu.Unlock()
 		h.done <- ackError(code, detail)
 		return nil
 	}
-	if len(c.waiters) == 0 {
+	if c.waiters.len() == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("device: unsolicited ack frame (%s)", code)
 	}
-	w := c.waiters[0]
+	w := c.waiters.peek()
 	if seq != w.seq {
 		c.mu.Unlock()
 		return fmt.Errorf("device: ack seq %d does not match expected %d", seq, w.seq)
 	}
-	c.waiters = c.waiters[1:]
+	c.waiters.pop()
 	c.mu.Unlock()
 	w.err = ackError(code, detail)
-	close(w.done)
+	w.done <- struct{}{}
 	return nil
 }
 
@@ -710,12 +782,11 @@ func (c *streamClientConn) deliverAck(seq uint64, code, detail string) error {
 // echo is verbatim.
 func (c *streamClientConn) deliverHeartbeat(seq uint64, now time.Duration) error {
 	c.mu.Lock()
-	if len(c.hbs) == 0 {
+	if c.hbs.len() == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("device: unsolicited heartbeat echo (seq %d)", seq)
 	}
-	h := c.hbs[0]
-	c.hbs = c.hbs[1:]
+	h := c.hbs.pop()
 	c.mu.Unlock()
 	if seq != h.seq || now != h.now {
 		h.done <- fmt.Errorf("device: heartbeat echo %d/%v does not match %d/%v", seq, now, h.seq, h.now)

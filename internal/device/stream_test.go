@@ -22,7 +22,7 @@ import (
 // dial opens a net.Pipe with a server read loop on the far end.
 // wrapDial, when non-nil, interposes on the dial function (fault
 // injection, dial failure).
-func newStreamFixture(t *testing.T, wrapDial func(func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error)) (*fixture, *Stream) {
+func newStreamFixture(t testing.TB, wrapDial func(func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error)) (*fixture, *Stream) {
 	t.Helper()
 	ca, err := pki.NewCA("trust-root", pki.NewDeterministicRand(1))
 	if err != nil {

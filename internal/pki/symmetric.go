@@ -55,10 +55,14 @@ func NewMACer(key []byte) *MACer {
 
 // MAC computes the tag over data. The returned slice is freshly
 // allocated and owned by the caller.
-func (m *MACer) MAC(data []byte) []byte {
+func (m *MACer) MAC(data []byte) []byte { return m.AppendMAC(nil, data) }
+
+// AppendMAC appends the tag over data to dst and returns the extended
+// slice: a caller that keeps its tag buffer pays no allocation.
+func (m *MACer) AppendMAC(dst, data []byte) []byte {
 	m.h.Reset()
 	m.h.Write(data)
-	return m.h.Sum(nil)
+	return m.h.Sum(dst)
 }
 
 // Check verifies a tag in constant time without allocating.

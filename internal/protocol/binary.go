@@ -87,12 +87,16 @@ func (c *binCodec) innerAuth(v *[]byte) {
 	c.Bytes(v)
 }
 
-// head walks the version byte and the message tag. The decoder picks
-// the message type by tag before the walk, so here both only advance.
+// head walks the version byte and the message tag. A decoder fails on
+// any other version or tag, so a field list only ever decodes its own
+// message type.
 func (c *binCodec) head(tag byte) {
-	v := byte(binVersion)
+	v, t := byte(binVersion), tag
 	c.U8(&v)
-	c.U8(&tag)
+	c.U8(&t)
+	if v != binVersion || t != tag {
+		c.Fail(ErrBinaryDecode)
+	}
 }
 
 // present walks an optional field's presence byte: 0 for absent, 1
@@ -381,11 +385,7 @@ func DecodeBinary(data []byte) (any, error) {
 // transport applies to a payload whose message type its context fixes
 // (a frame type, an HTTP route).
 func DecodeAs[M any](data []byte) (*M, error) {
-	return decodeAs[M](data, nil)
-}
-
-func decodeAs[M any](data []byte, intern *internTable) (*M, error) {
-	msg, err := decodeBinary(data, intern)
+	msg, err := decodeBinary(data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -425,11 +425,24 @@ func decodeBinary(data []byte, intern *internTable) (any, error) {
 		return nil, fmt.Errorf("%w: tag %d", ErrBinaryDecode, tag)
 	}
 	m := newMessage[tag]()
-	switch rest, err := withDecoding(data, intern, m.fields); {
-	case err != nil:
-		return nil, ErrBinaryDecode
-	case rest != 0:
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, rest)
+	if err := decodeInto(data, intern, m); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// decodeInto walks m's field list over data, head included, storing
+// each field into m: a byte string into m's own storage when it has
+// the capacity (wire.Codec.Bytes). It fails unless data encodes
+// exactly one message of m's type. An optional page or certificate
+// absent from data is not stored, so m must be fresh or a message
+// without them (the reused requests of a touch batch).
+func decodeInto(data []byte, intern *internTable, m encoder) error {
+	switch rest, err := withDecoding(data, intern, m.fields); {
+	case err != nil:
+		return ErrBinaryDecode
+	case rest != 0:
+		return fmt.Errorf("%w: %d trailing bytes", ErrBinaryDecode, rest)
+	}
+	return nil
 }

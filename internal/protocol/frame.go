@@ -160,7 +160,8 @@ func decodeFrame(t FrameType, payload []byte, intern *internTable, fields func(c
 // nested walks a message a frame payload carries behind its length:
 // encoded in place, and decoded by its own field list from the
 // length-prefixed bytes (through the connection's intern table, if
-// any).
+// any) — into *m when the caller left one there to reuse, else into a
+// fresh message, which a failed decode leaves nil.
 func nested[M any, PM interface {
 	*M
 	encoder
@@ -172,8 +173,14 @@ func nested[M any, PM interface {
 		return
 	}
 	if raw := c.Sub(); c.Err() == nil {
-		var err error
-		if *m, err = decodeAs[M](raw, c.intern); err != nil {
+		fresh := *m == nil
+		if fresh {
+			*m = new(M)
+		}
+		if err := decodeInto(raw, c.intern, PM(*m)); err != nil {
+			if fresh {
+				*m = nil
+			}
 			c.Fail(err)
 		}
 	}
@@ -250,7 +257,8 @@ type TouchBatch struct {
 const maxBatchRequests = 256
 
 // fields walks the sequence, the timestamp, the request count and each
-// request.
+// request. A decoder reuses the batch's request slots: the slice, the
+// requests it already holds and their MACs' storage.
 func (tb *TouchBatch) fields(c *binCodec) {
 	c.U64(&tb.Seq)
 	c.I64((*int64)(&tb.Now))
@@ -260,7 +268,11 @@ func (tb *TouchBatch) fields(c *binCodec) {
 		return
 	}
 	if c.Decoding() {
-		tb.Requests = make([]*PageRequest, n)
+		if n > cap(tb.Requests) {
+			// Growing keeps the slots already built.
+			tb.Requests = append(make([]*PageRequest, 0, n), tb.Requests[:cap(tb.Requests)]...)
+		}
+		tb.Requests = tb.Requests[:n]
 	}
 	for i := range tb.Requests {
 		nested(c, &tb.Requests[i])
@@ -274,17 +286,26 @@ func AppendTouchBatchFrame(dst []byte, seq uint64, now time.Duration, reqs []*Pa
 	return appendFrameOf(dst, FrameTouchBatch, tb.fields)
 }
 
-// DecodeTouchBatch parses a touch-batch frame payload.
+// DecodeTouchBatch parses a touch-batch frame payload into a fresh
+// batch.
 func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
-	return decodeTouchBatch(payload, nil)
+	return freshTouchBatch(payload, nil)
 }
 
-func decodeTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
+// freshTouchBatch decodes payload into a new batch.
+func freshTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
 	tb := new(TouchBatch)
-	if err := decodeFrame(FrameTouchBatch, payload, intern, tb.fields); err != nil {
+	if err := decodeTouchBatch(payload, intern, tb); err != nil {
 		return nil, err
 	}
 	return tb, nil
+}
+
+// decodeTouchBatch decodes payload into tb, reusing its request slots.
+// Every field of every request is overwritten; on error tb holds a
+// partial decode that only a later decode into it may use.
+func decodeTouchBatch(payload []byte, intern *internTable, tb *TouchBatch) error {
+	return decodeFrame(FrameTouchBatch, payload, intern, tb.fields)
 }
 
 // pageFields is a FramePage payload's field list: the echoed request

@@ -220,6 +220,19 @@ func TestStreamNonceDeterministicAndKeyed(t *testing.T) {
 	}
 }
 
+// NonceChain.At is on every streamed request of both ends: the
+// string it returns must be its only allocation.
+func TestNonceChainAtAllocs(t *testing.T) {
+	c := NewNonceChain(bytes.Repeat([]byte{7}, 32), []byte("seed-0123456789ab"))
+	seq := uint64(0)
+	if n := testing.AllocsPerRun(200, func() { seq++; c.At(seq) }); n != 1 {
+		t.Fatalf("NonceChain.At costs %.2f allocs, want exactly 1 (the returned string)", n)
+	}
+	if c.At(5) != StreamNonce(bytes.Repeat([]byte{7}, 32), []byte("seed-0123456789ab"), 5) {
+		t.Fatal("NonceChain.At disagrees with StreamNonce")
+	}
+}
+
 func TestStreamHelloWelcomeBinaryRoundTrip(t *testing.T) {
 	for _, msg := range []any{
 		&StreamHello{Domain: "www.xyz.com", Account: "acct", SessionID: "s", MAC: []byte{1}},

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -58,11 +59,14 @@ func FuzzDecodeBinary(f *testing.F) {
 // frame read, byte for byte; and for the touch-batch and page frames
 // the connection Decoder agrees with the stateless one frame by frame,
 // including on messages decoded from earlier frames whose payload
-// buffer the Decoder has since reused.
+// buffer the Decoder has since reused. Every touch batch is also
+// decoded into one reused TouchBatch, which must equal the stateless
+// decode of the same payload value for value.
 func FuzzStreamFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, conn := bytes.NewReader(data), bytes.NewReader(data)
 		var d Decoder
+		var reused TouchBatch
 		// Rebuilders of the connection-path messages, checked against
 		// the frames read once the whole stream is consumed.
 		var rebuild []func() ([]byte, error)
@@ -91,8 +95,13 @@ func FuzzStreamFrames(f *testing.F) {
 			switch ft {
 			case FrameTouchBatch:
 				ctb, cerr := d.DecodeTouchBatch(cp)
+				rerr := d.DecodeTouchBatchInto(cp, &reused)
+				checkDecodeErrs(t, derr, rerr)
 				if checkDecodeErrs(t, derr, cerr) {
 					continue
+				}
+				if tb, _ := DecodeTouchBatch(p); !reflect.DeepEqual(&reused, tb) {
+					t.Fatalf("touch batch decoded into a reused batch differs from a fresh decode:\n%+v\n%+v", reused.Requests, tb.Requests)
 				}
 				rebuild = append(rebuild, func() ([]byte, error) { return AppendTouchBatchFrame(nil, ctb.Seq, ctb.Now, ctb.Requests) })
 				want = append(want, read)

@@ -64,6 +64,12 @@ func (t *internTable) get(b []byte) string {
 // safe. A Decoder belongs to the connection's single read-loop
 // goroutine; the zero value is ready to use. Its output is identical to
 // the package-level ReadFrame, DecodeTouchBatch and DecodePageFrame.
+//
+// DecodeTouchBatch and DecodePageFrame return fresh messages, which stay
+// valid for as long as the caller keeps them. DecodeTouchBatchInto
+// instead decodes into a batch the caller owns and reuses — the server
+// keeps one per connection — so that batch, its requests and their
+// MACs are valid only until the next frame is decoded into it.
 type Decoder struct {
 	hdr    [frameHeaderLen]byte
 	buf    []byte // payload scratch, at most maxPooledEncodeBuf
@@ -85,7 +91,16 @@ func (d *Decoder) ReadFrame(r io.Reader) (FrameType, []byte, error) {
 // DecodeTouchBatch is the package-level DecodeTouchBatch through this
 // connection's intern table.
 func (d *Decoder) DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
-	return decodeTouchBatch(payload, &d.intern)
+	return freshTouchBatch(payload, &d.intern)
+}
+
+// DecodeTouchBatchInto decodes a touch-batch payload into tb, reusing
+// its request slice, the requests it holds and their MACs' storage;
+// the result equals DecodeTouchBatch's. Whatever tb held before is
+// overwritten, so nothing of it may still be in use. On error tb holds
+// a partial decode.
+func (d *Decoder) DecodeTouchBatchInto(payload []byte, tb *TouchBatch) error {
+	return decodeTouchBatch(payload, &d.intern, tb)
 }
 
 // DecodePageFrame is the package-level DecodePageFrame through this

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -136,5 +137,68 @@ func TestDecoderKeepsOnlyBoundedPayloadBuffers(t *testing.T) {
 		if cap(d.buf) > maxPooledEncodeBuf {
 			t.Fatalf("decoder kept a %d-byte buffer after a %d-byte frame", cap(d.buf), n)
 		}
+	}
+}
+
+// A batch decoded into a reused TouchBatch must equal the stateless
+// decode of the same payload: a shorter batch after a longer one, a
+// shorter MAC after longer ones and an empty MAC after a short one
+// would show a stale request, stale tag bytes or a stale count.
+func TestDecodeTouchBatchIntoLeavesNothingStale(t *testing.T) {
+	long := func(i int) []byte { return bytes.Repeat([]byte{byte(0xa0 + i)}, 48) }
+	var batches [][]*PageRequest
+	var three []*PageRequest
+	for i, action := range []string{"home", "view-statement", "transfer"} {
+		req := testPageRequest(action)
+		req.Nonce = Nonce(fmt.Sprintf("nonce-3-%d", i))
+		req.MAC = long(i)
+		three = append(three, req)
+	}
+	short := testPageRequest("home")
+	short.Nonce, short.MAC = "nonce-1", []byte{7, 7}
+	empty := testPageRequest("logout")
+	empty.Nonce, empty.MAC = "n", nil
+	batches = append(batches, three, []*PageRequest{short}, []*PageRequest{empty})
+
+	var d Decoder
+	var tb TouchBatch
+	var slot0 *PageRequest
+	for i, reqs := range batches {
+		f, err := AppendTouchBatchFrame(nil, uint64(i+1), 0, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := f[frameHeaderLen:]
+		want, err := DecodeTouchBatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.DecodeTouchBatchInto(payload, &tb); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(&tb, want) {
+			t.Fatalf("batch %d decoded into a reused batch differs:\n got %+v\nwant %+v", i, tb.Requests, want.Requests)
+		}
+		if i == 0 {
+			slot0 = tb.Requests[0]
+		} else if tb.Requests[0] != slot0 {
+			t.Fatalf("batch %d did not reuse request slot 0", i)
+		}
+	}
+	if m := tb.Requests[0].MAC; m == nil || len(m) != 0 {
+		t.Fatalf("empty MAC decoded as %#v, want non-nil empty like a fresh decode", m)
+	}
+
+	// Warm, with the strings interned, the reused decode keeps only the
+	// request's nonce string.
+	f, err := AppendTouchBatchFrame(nil, 9, 0, []*PageRequest{short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		return // the race detector defeats the codec pool
+	}
+	if n := testing.AllocsPerRun(100, func() { d.DecodeTouchBatchInto(f[frameHeaderLen:], &tb) }); n != 1 {
+		t.Fatalf("warm DecodeTouchBatchInto costs %.2f allocs, want 1 (the nonce)", n)
 	}
 }

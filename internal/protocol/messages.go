@@ -188,8 +188,15 @@ func macBytes(m Authenticated) []byte {
 // SealMAC returns m's MAC under mc, equal to
 // pki.MAC(key, m.MACBytes()), or nil if m has no MAC input. The
 // returned tag is its only allocation.
-func SealMAC(mc *pki.MACer, m Authenticated) (tag []byte) {
-	withEncoding(m.fields, true, func(in []byte) { tag = mc.MAC(in) })
+func SealMAC(mc *pki.MACer, m Authenticated) []byte { return AppendMAC(nil, mc, m) }
+
+// AppendMAC appends m's MAC under mc to dst, or returns dst unchanged
+// if m has no MAC input. Sealing a message into its own tag's storage
+// (m.MAC = AppendMAC(m.MAC[:0], mc, m)) allocates nothing: the MAC
+// input encodes the tag empty.
+func AppendMAC(dst []byte, mc *pki.MACer, m Authenticated) []byte {
+	tag := dst
+	withEncoding(m.fields, true, func(in []byte) { tag = mc.AppendMAC(dst, in) })
 	return tag
 }
 

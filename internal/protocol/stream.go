@@ -110,6 +110,7 @@ func StreamNonce(key, seed []byte, seq uint64) Nonce {
 type NonceChain struct {
 	mac  hash.Hash
 	seed []byte
+	ctr  [8]byte // At's counter bytes: a local would escape through hash.Hash
 	sum  [sha256.Size]byte
 	hex  [2 * 16]byte
 }
@@ -120,14 +121,14 @@ func NewNonceChain(key, seed []byte) *NonceChain {
 }
 
 // At derives position seq of the chain; identical output to
-// StreamNonce(key, seed, seq).
+// StreamNonce(key, seed, seq). The returned string is its only
+// allocation.
 func (c *NonceChain) At(seq uint64) Nonce {
 	c.mac.Reset()
 	c.mac.Write(streamNonceLabelBytes)
 	c.mac.Write(c.seed)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	c.mac.Write(b[:])
+	binary.BigEndian.PutUint64(c.ctr[:], seq)
+	c.mac.Write(c.ctr[:])
 	sum := c.mac.Sum(c.sum[:0])
 	hex.Encode(c.hex[:], sum[:16])
 	return Nonce(c.hex[:])

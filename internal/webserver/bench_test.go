@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"trust/internal/frame"
+	"trust/internal/protocol"
 )
 
 // BenchmarkLoginRoundTrip measures one full Fig 10 login: page serve,
@@ -127,6 +128,55 @@ func TestPageRequestAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, roundTrip)
 	if allocs > 8 {
 		t.Fatalf("page request round trip costs %.2f allocs, budget 8", allocs)
+	}
+}
+
+// TestServeStreamAllocBudget pins the server half of a streamed page
+// request: ServeStream over net.Pipe, fed pre-encoded single-request
+// batches whose chain nonces and MACs were computed up front, with the
+// responses read through a warm Decoder, so the only allocations left
+// are the server's. The connection reuses its batch, request, MAC
+// storage and content page, so what remains is the two nonce strings:
+// the request's, decoded from the frame, and the response's chain
+// nonce, which the session keeps as its last nonce.
+func TestServeStreamAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector intentionally defeats sync.Pool reuse")
+	}
+	r := newBenchRig(t)
+	r.register(t, "bench-acct")
+	sess, _ := r.login(t, "bench-acct")
+	conn, w, _ := openStream(t, r, sess)
+	defer conn.Close()
+
+	const warm, runs = 50, 200
+	frames := make([][]byte, warm+runs+1) // AllocsPerRun warms up once more
+	for i := range frames {
+		nonce := protocol.StreamNonce(sess.Key, w.NonceSeed, uint64(i))
+		req, err := r.client.BuildPageRequestAt(r.now, sess, "view-statement", 12, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frames[i], err = protocol.AppendTouchBatchFrame(nil, uint64(i+1), r.now, []*protocol.PageRequest{req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dec protocol.Decoder
+	next := 0
+	request := func() {
+		if _, err := conn.Write(frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if ft, _, err := dec.ReadFrame(conn); err != nil || ft != protocol.FramePage {
+			t.Fatalf("request %d answered with %s frame (%v)", next, ft, err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		request()
+	}
+	if allocs := testing.AllocsPerRun(runs, request); allocs > 2 {
+		t.Fatalf("streamed page request costs the server %.2f allocs, budget 2", allocs)
 	}
 }
 

@@ -166,7 +166,7 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 	// session becomes findable, so no request can observe it half
 	// initialized. The attached ticket lets the device's next login
 	// take the symmetric-only resume path (HandleResume).
-	cp := s.contentPage(sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, key))
+	cp := s.contentPage(new(protocol.ContentPage), sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(sub.Account)
 	s.audit.Append(frame.AuditEntry{Account: sub.Account, PageURL: s.loginURL, Hash: sub.FrameHash, At: now})
@@ -257,7 +257,7 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 	// in transit never equals a live session key, and two resumes from
 	// the same ticket epoch never share one.
 	sess.key = protocol.ResumeKeyFrom(ticketMAC, sess.id)
-	cp := s.contentPage(sess, s.PageForAction("login"), firstNonce(sess), s.issueTicket(now, acct, sess.key))
+	cp := s.contentPage(new(protocol.ContentPage), sess, s.PageForAction("login"), firstNonce(sess), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)
 	// The resume's frame hash attests the login page the user touched,
@@ -274,42 +274,43 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 // session serialize (the nonce echo demands it), requests on different
 // sessions run in parallel.
 func (s *Server) HandlePageRequest(now time.Duration, req *protocol.PageRequest) (*protocol.ContentPage, error) {
-	cp, err := s.handlePageRequest(now, req, s.mintNonce)
-	if err != nil {
+	cp := new(protocol.ContentPage)
+	if err := s.handlePageRequest(now, req, s.mintNonce, cp); err != nil {
 		return nil, s.reject(err)
 	}
 	return cp, nil
 }
 
-// handlePageRequest is the shared page-request core. nextNonce supplies
-// the response nonce and is consulted only on the success path: the
-// HTTP handlers mint from the entropy stream, the stream endpoint walks
-// its per-connection nonce chain (stream.go) so the streamed hot path
-// never touches the entropy lock. Like every shared core it returns
-// rejections uncounted: the transport edge that answers one counts it
+// handlePageRequest is the shared page-request core; on success it
+// fills cp with the response. nextNonce supplies the response nonce and
+// is consulted only on the success path: the HTTP handlers mint from
+// the entropy stream, the stream endpoint walks its per-connection
+// nonce chain (stream.go) so the streamed hot path never touches the
+// entropy lock. Like every shared core it returns rejections
+// uncounted: the transport edge that answers one counts it
 // (HandlePageRequest here, the stream's reject).
-func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
+func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest, nextNonce func() protocol.Nonce, cp *protocol.ContentPage) error {
 	if req == nil || req.Domain != s.domain {
-		return nil, fmt.Errorf("%w: page request", ErrMalformed)
+		return fmt.Errorf("%w: page request", ErrMalformed)
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		return nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		return nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		return nil, ErrBadMAC
+		return ErrBadMAC
 	}
 	if subtle.ConstantTimeCompare([]byte(req.Nonce), []byte(sess.lastNonce)) != 1 {
-		return nil, ErrBadNonce
+		return ErrBadNonce
 	}
 	if !s.riskPolicy().ok(req.RiskVerified, req.RiskWindow) {
 		sess.revoked = true // continuous auth failed: hard stop
-		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow)
+		return fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, req.RiskVerified, req.RiskWindow)
 	}
 	sess.requests++
 	if sess.seen {
@@ -320,7 +321,8 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 	// when touching — the page this session was last served.
 	s.audit.Append(frame.AuditEntry{Account: req.Account, PageURL: sess.lastPage, Hash: req.FrameHash, At: now})
 	s.accepted.Add(1)
-	return s.contentPage(sess, s.PageForAction(req.Action), nextNonce(), nil), nil
+	s.contentPage(cp, sess, s.PageForAction(req.Action), nextNonce(), nil)
+	return nil
 }
 
 // HandleResync re-serves a session's last page under a fresh nonce for
@@ -330,58 +332,64 @@ func (s *Server) handlePageRequest(now time.Duration, req *protocol.PageRequest,
 // frame hash is logged and the risk policy is not consulted — resync
 // can recover a session's nonce state but never advance the session.
 func (s *Server) HandleResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
-	cp, err := s.handleResync(now, req, s.mintNonce)
-	if err != nil {
+	cp := new(protocol.ContentPage)
+	if err := s.handleResync(now, req, s.mintNonce, cp); err != nil {
 		return nil, s.reject(err)
 	}
 	return cp, nil
 }
 
 // handleResync is the shared resync core; see handlePageRequest for
-// the nextNonce split and where rejections are counted.
-func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, nextNonce func() protocol.Nonce) (*protocol.ContentPage, error) {
+// the nextNonce split, the response target and where rejections are
+// counted.
+func (s *Server) handleResync(now time.Duration, req *protocol.ResyncRequest, nextNonce func() protocol.Nonce, cp *protocol.ContentPage) error {
 	if req == nil || req.Domain != s.domain {
-		return nil, fmt.Errorf("%w: resync request", ErrMalformed)
+		return fmt.Errorf("%w: resync request", ErrMalformed)
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		return nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.revoked || sess.account != req.Account {
-		return nil, ErrUnknownSession
+		return ErrUnknownSession
 	}
 	if !protocol.VerifyMAC(sess.macState(), req, req.MAC) {
-		return nil, ErrBadMAC
+		return ErrBadMAC
 	}
 	if sess.seen {
 		s.tel.resync.Observe(now - sess.lastSeen)
 	}
 	sess.lastSeen, sess.seen = now, true
 	s.accepted.Add(1)
-	return s.contentPage(sess, s.page(sess.lastPage), nextNonce(), nil), nil
+	s.contentPage(cp, sess, s.page(sess.lastPage), nextNonce(), nil)
+	return nil
 }
 
-// contentPage builds the MAC'd response and rotates the session nonce
-// to the given one. The caller must own the session: either it is
-// freshly created and not yet published, or its mutex is held. The
-// login and resume responses attach a fresh resumption ticket, which
-// must be in place before the MAC is computed (the MAC covers it);
-// other responses pass a nil ticket.
-func (s *Server) contentPage(sess *session, page *frame.Page, nonce protocol.Nonce, ticket []byte) *protocol.ContentPage {
+// contentPage fills cp with the MAC'd response and rotates the session
+// nonce to the given one. cp is the caller's: a fresh page on the
+// request/response paths, the connection's reused one on a stream,
+// which encodes it before the next request. Every field is overwritten
+// and the tag is sealed into cp's own MAC storage. The caller must own
+// the session: either it is freshly created and not yet published, or
+// its mutex is held. The login and resume responses attach a fresh
+// resumption ticket, which must be in place before the MAC is computed
+// (the MAC covers it); other responses pass a nil ticket.
+func (s *Server) contentPage(cp *protocol.ContentPage, sess *session, page *frame.Page, nonce protocol.Nonce, ticket []byte) *protocol.ContentPage {
 	sess.lastNonce = nonce
 	sess.lastPage = page.URL
-	msg := &protocol.ContentPage{
+	*cp = protocol.ContentPage{
 		Domain:    s.domain,
 		SessionID: sess.id,
 		Nonce:     nonce,
 		Account:   sess.account,
 		Page:      page,
 		Ticket:    ticket,
+		MAC:       cp.MAC[:0],
 	}
-	msg.MAC = protocol.SealMAC(sess.macState(), msg)
-	return msg
+	cp.MAC = protocol.AppendMAC(cp.MAC, sess.macState(), cp)
+	return cp
 }
 
 // SessionAlive reports whether a session exists and is not revoked.

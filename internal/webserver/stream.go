@@ -56,6 +56,12 @@ type streamConn struct {
 	lastNow time.Duration        // latest client-reported virtual time, read loop only
 	out     []byte               // outbound frame scratch, read loop only
 
+	// The read loop's reused messages: the touch batch each frame is
+	// decoded into (valid until the next frame) and the content page
+	// each answer is built in, framed into out before the next one.
+	batch protocol.TouchBatch
+	page  protocol.ContentPage
+
 	wmu     sync.Mutex // serializes frame writes (responses vs policy push)
 	pushSeq uint64     // policy-push counter, under wmu
 }
@@ -103,6 +109,39 @@ func (sc *streamConn) flush(out []byte, err error) error {
 	}
 	sc.out = out[:0]
 	return sc.writeRaw(out)
+}
+
+// batchSlots bounds the request slots a connection keeps between
+// frames. A frame may carry maxBatchRequests (256) requests; keeping
+// that many would cost an idle stream kilobytes, while the single
+// request of a touch needs one.
+const batchSlots = 4
+
+// maxKeptMAC bounds the MAC storage a kept request slot retains: a
+// SHA-256 tag is 32 bytes, and a forged request's longer MAC is not
+// worth holding on to.
+const maxKeptMAC = 64
+
+// releaseBatch ends the decoded batch's use and bounds what the
+// connection keeps of it: at most batchSlots empty requests, each with
+// at most maxKeptMAC bytes of MAC storage, so a long nonce or field a
+// peer sent is not held while the stream idles.
+func (sc *streamConn) releaseBatch() {
+	reqs := sc.batch.Requests
+	if cap(reqs) > batchSlots {
+		sc.batch = protocol.TouchBatch{}
+		return
+	}
+	for _, r := range reqs[:cap(reqs)] {
+		if r == nil {
+			continue
+		}
+		mac := r.MAC[:0]
+		if cap(mac) > maxKeptMAC {
+			mac = nil
+		}
+		*r = protocol.PageRequest{MAC: mac}
+	}
 }
 
 // reject is the stream's one rejection path. It counts err — before the
@@ -181,18 +220,19 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 		}
 		switch ft {
 		case protocol.FrameTouchBatch:
-			tb, err := dec.DecodeTouchBatch(payload)
-			if err != nil {
+			if err := dec.DecodeTouchBatchInto(payload, &sc.batch); err != nil {
 				return sc.malformed(ft, payload, err)
 			}
 			// Session time only moves forward: a batch stamped earlier
 			// than what this connection already saw is applied at its own
 			// timestamp (exactly like the HTTP path), but it cannot drag
 			// lastNow — and with it resync and expiry decisions — back.
-			if tb.Now > sc.lastNow {
-				sc.lastNow = tb.Now
+			if sc.batch.Now > sc.lastNow {
+				sc.lastNow = sc.batch.Now
 			}
-			if err := sc.handleBatch(tb); err != nil {
+			err := sc.handleBatch(&sc.batch)
+			sc.releaseBatch()
+			if err != nil {
 				return err
 			}
 		case protocol.FrameResync:
@@ -200,11 +240,10 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 			if err != nil {
 				return sc.malformed(ft, payload, err)
 			}
-			cp, herr := s.handleResync(sc.lastNow, rr, sc.nextNonce)
-			if herr != nil {
+			if herr := s.handleResync(sc.lastNow, rr, sc.nextNonce, &sc.page); herr != nil {
 				err = sc.reject(sc.out[:0], seq, herr)
 			} else {
-				err = sc.flush(protocol.AppendPageFrame(sc.out[:0], seq, 0, cp))
+				err = sc.flush(protocol.AppendPageFrame(sc.out[:0], seq, 0, &sc.page))
 			}
 			if err != nil {
 				return err
@@ -305,22 +344,22 @@ func (sc *streamConn) appendWelcome(dst []byte) ([]byte, error) {
 // handleBatch applies a touch batch in order, answering each request
 // with a page frame. The first rejection acks the error and abandons
 // the rest of the batch — later requests echo nonces the chain will
-// now never reach, so they could only fail too. Responses are framed
-// directly into the connection's scratch buffer and go out as one
+// now never reach, so they could only fail too. Each response is built
+// in the connection's one content page and framed at once, directly
+// into the connection's scratch buffer; the frames go out as one
 // write: same frames, same order, one syscall for the whole batch and
 // no intermediate payload copies.
 func (sc *streamConn) handleBatch(tb *protocol.TouchBatch) error {
 	out := sc.out[:0]
 	for i, req := range tb.Requests {
-		cp, herr := sc.s.handlePageRequest(tb.Now, req, sc.nextNonce)
-		if herr != nil {
+		if herr := sc.s.handlePageRequest(tb.Now, req, sc.nextNonce, &sc.page); herr != nil {
 			// The pages already answered, then the ack that ends the
 			// batch — the wire order a per-frame writer would have
 			// produced.
 			return sc.reject(out, tb.Seq, herr)
 		}
 		var err error
-		if out, err = protocol.AppendPageFrame(out, tb.Seq, i, cp); err != nil {
+		if out, err = protocol.AppendPageFrame(out, tb.Seq, i, &sc.page); err != nil {
 			return err
 		}
 	}

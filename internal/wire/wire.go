@@ -210,13 +210,19 @@ func (c *Codec) View(v *[]byte, n int) {
 	c.buf = append(c.buf, *v...)
 }
 
-// Bytes walks a length-prefixed byte string, decoded into a copy.
+// Bytes walks a length-prefixed byte string, decoded into a copy: into
+// *v's own storage when it has the capacity, so a decoder that reuses
+// its target reuses the slice too (the target's old bytes must not be
+// shared). A decoded string is never nil, even when empty.
 func (c *Codec) Bytes(v *[]byte) {
 	if !c.decode {
 		c.put(uint64(len(*v)), c.lenW)
 		c.buf = append(c.buf, *v...)
 	} else if b := c.Sub(); c.err == nil {
-		*v = append(make([]byte, 0, len(b)), b...)
+		if *v == nil {
+			*v = make([]byte, 0, len(b))
+		}
+		*v = append((*v)[:0], b...)
 	}
 }
 
