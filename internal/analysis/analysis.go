@@ -29,6 +29,9 @@ type Analyzer struct {
 	Doc string
 	// Run applies the rule to one compile unit.
 	Run func(*Pass)
+	// Module marks a rule that also reads Pass.Module; it runs only
+	// when the caller loaded the module.
+	Module bool
 }
 
 // Analyzers is the registry of rules, in reporting order.
@@ -42,6 +45,7 @@ func Analyzers() []*Analyzer {
 		PoolEscape,
 		SecretFlow,
 		WireWidth,
+		DeadExport,
 	}
 }
 
@@ -85,13 +89,12 @@ type Unit struct {
 
 // A Pass carries one unit through one analyzer.
 type Pass struct {
-	Unit     *Unit
+	Unit *Unit
+	// Module is the module the unit belongs to, for module rules.
+	Module   *Module
 	rule     string
 	findings *[]Finding
 }
-
-// Fset returns the unit's file set.
-func (p *Pass) Fset() *token.FileSet { return p.Unit.Fset }
 
 // Files returns the unit's parsed files.
 func (p *Pass) Files() []*ast.File { return p.Unit.Files }
@@ -116,35 +119,46 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return isTestFile(p.Unit.Fset.Position(pos).Filename)
 }
 
-// Run applies every registered analyzer to every unit, resolves
-// //trustlint:allow directives (dropping suppressed findings, adding
-// diagnostics for malformed and stale ones), and returns the surviving
-// findings sorted by position.
-func Run(units []*Unit) []Finding {
-	return RunRules(units, nil)
+// A Module is every unit of the module, whatever packages a run
+// lints, plus the identifiers spelled by the modules nested in it
+// (perfbench/), which import it but are built apart from it.
+type Module struct {
+	Units       []*Unit
+	ExternNames map[string]bool
+
+	// The deadexport rule's index, built on first use: where each
+	// export is used, and which methods an interface their receiver
+	// type implements requires (keyed by exportKey).
+	uses     map[string][]token.Pos
+	required map[string]bool
 }
 
-// RunRules is Run restricted to a subset of rules (nil or empty means
-// all). Stale-directive detection only applies when the full suite
-// runs: a filtered run cannot tell a stale allow from one whose rule
-// was simply not executed.
-func RunRules(units []*Unit, rules []string) []Finding {
+// RunRules applies the named rules (nil or empty means all) to every
+// unit, resolves //trustlint:allow directives (dropping suppressed
+// findings, adding diagnostics for malformed and stale ones), and
+// returns the surviving findings sorted by position. Module rules run
+// only when mod, the module the units belong to, is non-nil.
+// Stale-directive detection only applies to rules that ran in a full
+// run: a filtered run cannot tell a stale allow from one whose rule was
+// simply not executed.
+func RunRules(units []*Unit, mod *Module, rules []string) []Finding {
 	selected := make(map[string]bool)
 	for _, r := range rules {
 		selected[r] = true
 	}
 	full := len(selected) == 0
+	ran := make(map[string]bool)
 	var findings []Finding
 	for _, u := range units {
 		for _, a := range Analyzers() {
-			if !full && !selected[a.Name] {
+			if (!full && !selected[a.Name]) || (a.Module && mod == nil) {
 				continue
 			}
-			pass := &Pass{Unit: u, rule: a.Name, findings: &findings}
-			a.Run(pass)
+			a.Run(&Pass{Unit: u, Module: mod, rule: a.Name, findings: &findings})
+			ran[a.Name] = full
 		}
 	}
-	findings = applyDirectives(units, findings, full)
+	findings = applyDirectives(units, findings, ran)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -38,9 +38,8 @@ type FuncNode struct {
 	Calls []CallSite
 }
 
-// A CallGraph indexes every declared function of one unit.
+// A CallGraph lists every declared function of one unit.
 type CallGraph struct {
-	nodes map[*types.Func]*FuncNode
 	order []*FuncNode // declaration order: deterministic iteration
 }
 
@@ -56,12 +55,8 @@ func (p *Pass) Graph() *CallGraph {
 // Funcs returns the unit's function nodes in declaration order.
 func (g *CallGraph) Funcs() []*FuncNode { return g.order }
 
-// Node returns the node of a declared function, nil for functions
-// outside the unit.
-func (g *CallGraph) Node(fn *types.Func) *FuncNode { return g.nodes[fn] }
-
 func buildCallGraph(u *Unit) *CallGraph {
-	g := &CallGraph{nodes: make(map[*types.Func]*FuncNode)}
+	g := &CallGraph{}
 	for _, f := range u.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -78,7 +73,6 @@ func buildCallGraph(u *Unit) *CallGraph {
 					node.Calls = append(node.Calls, CallSite{Call: call, Callee: calleeFunc(u.Info, call)})
 				}
 			})
-			g.nodes[obj] = node
 			g.order = append(g.order, node)
 		}
 	}

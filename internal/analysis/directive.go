@@ -24,8 +24,8 @@ import (
 // contracts rot. So is a stale allow — a directive naming a rule that
 // no longer fires where the directive could suppress it — because a
 // suppression that outlives its violation hides the next real one.
-// Stale detection only runs when the full suite does (a -rules
-// filtered run cannot tell stale from not-executed) and skips
+// Stale detection only runs for the rules a full-suite run executed (a
+// -rules filtered run cannot tell stale from not-executed) and skips
 // generated files (conventional `// Code generated ... DO NOT EDIT.`
 // header), whose directives are owned by the generator.
 
@@ -109,9 +109,9 @@ func parseDirectives(fset *token.FileSet, file *ast.File, findings *[]Finding) [
 
 // applyDirectives parses every unit's suppression directives, drops
 // findings they cover, and appends diagnostics for malformed ones.
-// When fullRun is set (every rule executed), directives that suppressed
-// nothing are reported as stale — except in generated files.
-func applyDirectives(units []*Unit, findings []Finding, fullRun bool) []Finding {
+// Directives naming a rule in ran that suppressed nothing are reported
+// as stale — except in generated files.
+func applyDirectives(units []*Unit, findings []Finding, ran map[string]bool) []Finding {
 	type fileKey = string
 	byFile := make(map[fileKey][]directive)
 	generated := make(map[fileKey]bool)
@@ -133,20 +133,18 @@ func applyDirectives(units []*Unit, findings []Finding, fullRun bool) []Finding 
 			out = append(out, f)
 		}
 	}
-	if fullRun {
-		for _, name := range fileOrder {
-			if generated[name] {
-				continue
-			}
-			for _, d := range byFile[name] {
-				for i, r := range d.rules {
-					if !d.used[i] {
-						out = append(out, Finding{
-							Pos:  d.pos,
-							Rule: directiveRule,
-							Msg:  fmt.Sprintf("stale //trustlint:allow %s: the rule no longer fires here; remove the directive so it cannot hide a future violation", r),
-						})
-					}
+	for _, name := range fileOrder {
+		if generated[name] {
+			continue
+		}
+		for _, d := range byFile[name] {
+			for i, r := range d.rules {
+				if ran[r] && !d.used[i] {
+					out = append(out, Finding{
+						Pos:  d.pos,
+						Rule: directiveRule,
+						Msg:  fmt.Sprintf("stale //trustlint:allow %s: the rule no longer fires here; remove the directive so it cannot hide a future violation", r),
+					})
 				}
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -55,6 +56,9 @@ type Loader struct {
 	// its in-package test variant ("p [p.test]"), which additionally
 	// carries test-only symbols; external _test packages import it.
 	testExports map[string]string
+	// units maps an import path to its type-checked unit, so loading
+	// the module after a subset checks no package twice.
+	units map[string]*Unit
 }
 
 // NewLoader returns a loader rooted at dir.
@@ -64,6 +68,7 @@ func NewLoader(dir string) *Loader {
 		Fset:        token.NewFileSet(),
 		exports:     make(map[string]string),
 		testExports: make(map[string]string),
+		units:       make(map[string]*Unit),
 	}
 }
 
@@ -71,13 +76,13 @@ func NewLoader(dir string) *Loader {
 // the package stream, memoizing the result per module fingerprint
 // (listcache.go) so repeated runs over an unchanged tree skip the
 // re-export entirely.
-func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
-	if pkgs, ok := cachedList(l.Dir, patterns); ok {
+func (l *Loader) goList(dir string, patterns []string) ([]*listPkg, error) {
+	if pkgs, ok := cachedList(dir, patterns); ok {
 		return pkgs, nil
 	}
 	args := append([]string{"list", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = l.Dir
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -99,7 +104,7 @@ func (l *Loader) goList(patterns []string) ([]*listPkg, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	storeList(l.Dir, patterns, pkgs)
+	storeList(dir, patterns, pkgs)
 	return pkgs, nil
 }
 
@@ -125,7 +130,12 @@ func (l *Loader) record(p *listPkg) {
 // (non-test plus in-package test files) and one more per external
 // _test package.
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Unit, error) {
-	pkgs, err := l.goList(patterns)
+	return l.loadIn(l.Dir, patterns)
+}
+
+// loadIn is LoadPatterns run in dir.
+func (l *Loader) loadIn(dir string, patterns []string) ([]*Unit, error) {
+	pkgs, err := l.goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -158,26 +168,59 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Unit, error) {
 	return units, nil
 }
 
-// LoadDir loads one directory of Go files that go list does not see
-// (analyzer fixtures under testdata/). importPath names the resulting
-// unit; imports resolve against the export data gathered so far, with
-// on-demand `go list -export` for paths not yet indexed.
-func (l *Loader) LoadDir(dir, importPath string) (*Unit, error) {
-	entries, err := os.ReadDir(dir)
+// LoadModule loads the module that contains the loader's directory:
+// every package `go list ./...` finds at its root, plus the identifiers
+// of the modules nested in it.
+func (l *Loader) LoadModule() (*Module, error) {
+	root, ok := moduleRoot(l.Dir)
+	if !ok {
+		return nil, fmt.Errorf("no go.mod above %s", l.Dir)
+	}
+	units, err := l.loadIn(root, []string{"./..."})
 	if err != nil {
 		return nil, err
 	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
+	names, err := nestedModuleNames(root)
+	if err != nil {
+		return nil, err
+	}
+	return &Module{Units: units, ExternNames: names}, nil
+}
+
+// nestedModuleNames returns the identifiers in the Go files of the
+// modules nested below root (perfbench/), skipping the directories the
+// go command ignores.
+func nestedModuleNames(root string) (map[string]bool, error) {
+	names := make(map[string]bool)
+	nested := "\x00" // the nested module being walked
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
 		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	return l.check(importPath, dir, files, "")
+		name := d.Name()
+		if d.IsDir() && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		inNested := strings.HasPrefix(path, nested+string(filepath.Separator))
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && d.IsDir() && !inNested {
+			nested = path
+		}
+		if !inNested || d.IsDir() || !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	return names, err
 }
 
 // check parses and type-checks one compile unit. xtestOf, when
@@ -185,6 +228,9 @@ func (l *Loader) LoadDir(dir, importPath string) (*Unit, error) {
 // path, making the import of the base package resolve to its
 // test-variant export data.
 func (l *Loader) check(importPath, dir string, filenames []string, xtestOf string) (*Unit, error) {
+	if u := l.units[importPath]; u != nil {
+		return u, nil
+	}
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -207,7 +253,8 @@ func (l *Loader) check(importPath, dir string, filenames []string, xtestOf strin
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
 	}
-	return &Unit{ImportPath: importPath, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
+	l.units[importPath] = &Unit{ImportPath: importPath, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}
+	return l.units[importPath], nil
 }
 
 // open resolves an import path to its export data, listing it on demand
@@ -222,7 +269,7 @@ func (l *Loader) open(path, xtestOf string) (io.ReadCloser, error) {
 	if e, ok := l.exports[path]; ok {
 		return os.Open(e)
 	}
-	pkgs, err := l.goList([]string{path})
+	pkgs, err := l.goList(l.Dir, []string{path})
 	if err != nil {
 		return nil, fmt.Errorf("resolving import %q: %w", path, err)
 	}
@@ -245,9 +292,16 @@ func Lint(dir string, patterns ...string) ([]Finding, error) {
 // LintRules is Lint restricted to a subset of rules (nil means all);
 // the cmd/trustlint -rules flag routes here.
 func LintRules(dir string, rules []string, patterns ...string) ([]Finding, error) {
-	units, err := NewLoader(dir).LoadPatterns(patterns...)
+	l := NewLoader(dir)
+	units, err := l.LoadPatterns(patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return RunRules(units, rules), nil
+	var mod *Module
+	if len(rules) == 0 || slices.Contains(rules, DeadExport.Name) {
+		if mod, err = l.LoadModule(); err != nil {
+			return nil, err
+		}
+	}
+	return RunRules(units, mod, rules), nil
 }

@@ -7,16 +7,17 @@ import (
 )
 
 // NoWallClock forbids wall-clock time and global randomness. Every
-// timing result in this repository is derived from the virtual
-// sim.Clock and every random draw from a seeded sim.RNG, which is what
-// makes a whole run reproducible from one integer (docs/sweep-engine.md).
+// timing result in this repository is derived from the explicit virtual
+// instant (now time.Duration) each layer is passed, and every random
+// draw from a seeded sim.RNG, which is what makes a whole run
+// reproducible from one integer (docs/sweep-engine.md).
 // One stray time.Now or math/rand call silently re-introduces
 // run-to-run variance, so both are banned everywhere; deliberate
 // exceptions (e.g. a _test.go timeout helper) take a per-file
 // //trustlint:allow nowallclock directive.
 var NoWallClock = &Analyzer{
 	Name: "nowallclock",
-	Doc:  "forbid wall-clock time (time.Now/Since/Sleep/..., I/O deadlines, context timeouts) and math/rand; use sim.Clock and sim.RNG",
+	Doc:  "forbid wall-clock time (time.Now/Since/Sleep/..., I/O deadlines, context timeouts) and math/rand; pass virtual time (now) and use sim.RNG",
 	Run:  runNoWallClock,
 }
 
@@ -100,7 +101,7 @@ func runNoWallClock(pass *Pass) {
 				for _, field := range n.Fields.List {
 					if t := pass.Info().Types[field.Type].Type; t != nil {
 						if name, ok := timerType(t); ok {
-							pass.Reportf(field.Type.Pos(), "struct field of type %s smuggles a wall-clock timer: whoever built it called time.NewTimer/NewTicker; drive scheduling from the virtual sim.Clock", name)
+							pass.Reportf(field.Type.Pos(), "struct field of type %s smuggles a wall-clock timer: whoever built it called time.NewTimer/NewTicker; schedule from the virtual instant now each layer is passed", name)
 						}
 					}
 				}
@@ -111,7 +112,7 @@ func runNoWallClock(pass *Pass) {
 				for _, field := range n.Params.List {
 					if t := pass.Info().Types[field.Type].Type; t != nil {
 						if name, ok := timerType(t); ok {
-							pass.Reportf(field.Type.Pos(), "parameter of type %s accepts a wall-clock timer: the caller had to arm one with time.NewTimer/NewTicker; pass virtual-time state (sim.Clock) instead", name)
+							pass.Reportf(field.Type.Pos(), "parameter of type %s accepts a wall-clock timer: the caller had to arm one with time.NewTimer/NewTicker; pass the virtual instant (now time.Duration) instead", name)
 						}
 					}
 				}
@@ -126,9 +127,9 @@ func runNoWallClock(pass *Pass) {
 		}
 		switch {
 		case fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()]:
-			pass.Reportf(id.Pos(), "use of time.%s: wall time breaks run-to-run determinism; use the virtual sim.Clock", fn.Name())
+			pass.Reportf(id.Pos(), "use of time.%s: wall time breaks run-to-run determinism; use the virtual instant now each layer is passed", fn.Name())
 		case fn.Pkg().Path() == "context" && contextTimeouts[fn.Name()]:
-			pass.Reportf(id.Pos(), "use of context.%s: it arms a wall-clock timer, so cancellation depends on host load; drive teardown from the virtual sim.Clock or structural signals (closed connections)", fn.Name())
+			pass.Reportf(id.Pos(), "use of context.%s: it arms a wall-clock timer, so cancellation depends on host load; drive teardown from virtual time or structural signals (closed connections)", fn.Name())
 		case maybeReadBytePkgs[fn.Pkg().Path()] && fn.Name() == "GenerateKey":
 			pass.Reportf(id.Pos(), "use of %s.GenerateKey: it reads a scheduler-dependent number of bytes (randutil.MaybeReadByte), desynchronizing deterministic entropy streams; read a fixed-size seed and build the key explicitly", pathBase(fn.Pkg().Path()))
 		case deadlineSetters[fn.Name()] && isDeadlineSignature(fn):

@@ -9,9 +9,9 @@ import (
 
 // RNGStream enforces the sweep-engine determinism contract inside
 // parallel trial bodies (docs/sweep-engine.md rule 1): a function
-// literal handed to sim.ParMap/ParMapN/Sweep must derive its random
-// stream from its trial index (sim.TrialRNG or equivalent), never
-// capture a *sim.RNG or *sim.Clock from the enclosing scope. A shared
+// literal handed to sim.ParMap/ParMapN must derive its random stream
+// from its trial index (sim.TrialRNG or equivalent), never capture a
+// *sim.RNG from the enclosing scope. A shared
 // generator consumed by concurrently scheduled trials hands out draws
 // in scheduling order, so results vary with worker count and the
 // worker=1 vs worker=N byte-identity that harness/determinism_test.go
@@ -24,7 +24,7 @@ import (
 // its own seeded stream, or draw everything before spawning.
 var RNGStream = &Analyzer{
 	Name: "rngstream",
-	Doc:  "forbid capturing *sim.RNG / *sim.Clock in sim.ParMap/Sweep trial closures and go-statement closures; derive per-goroutine streams",
+	Doc:  "forbid capturing *sim.RNG in sim.ParMap trial closures and go-statement closures; derive per-goroutine streams",
 	Run:  runRNGStream,
 }
 
@@ -33,7 +33,6 @@ var RNGStream = &Analyzer{
 var parEntryPoints = map[string]bool{
 	"ParMap":  true,
 	"ParMapN": true,
-	"Sweep":   true,
 }
 
 func runRNGStream(pass *Pass) {
@@ -63,16 +62,16 @@ func runRNGStream(pass *Pass) {
 	}
 }
 
-// checkTrialBody flags free *sim.RNG / *sim.Clock variables used inside
-// a trial closure.
+// checkTrialBody flags free *sim.RNG variables used inside a trial
+// closure.
 func checkTrialBody(pass *Pass, entry string, lit *ast.FuncLit) {
 	checkClosure(pass, lit, func(obj types.Object, kind string) string {
 		return "sim." + entry + " trial closure captures " + kind + " " + strconv.Quote(obj.Name()) + " from the enclosing scope: derive a per-trial stream (sim.TrialRNG(seed, i)) so results do not depend on worker scheduling"
 	})
 }
 
-// checkClosure flags free *sim.RNG / *sim.Clock variables used inside
-// a function literal, formatting each finding with msg.
+// checkClosure flags free *sim.RNG variables used inside a function
+// literal, formatting each finding with msg.
 func checkClosure(pass *Pass, lit *ast.FuncLit, msg func(obj types.Object, kind string) string) {
 	info := pass.Info()
 	reported := make(map[types.Object]bool)
@@ -121,14 +120,11 @@ func isFree(obj *types.Var, lit *ast.FuncLit) bool {
 	return obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
 }
 
-// streamKind classifies a type as one of the deterministic stream types
-// the rule protects.
+// streamKind classifies a type as the deterministic stream type the
+// rule protects.
 func streamKind(t types.Type) (string, bool) {
-	switch {
-	case simType(t, "RNG"):
+	if simType(t, "RNG") {
 		return "*sim.RNG", true
-	case simType(t, "Clock"):
-		return "*sim.Clock", true
 	}
 	return "", false
 }

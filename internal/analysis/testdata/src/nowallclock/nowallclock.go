@@ -1,5 +1,6 @@
 // Package nwfix exercises the nowallclock rule: wall-clock reads and
-// global randomness are banned in favour of sim.Clock / sim.RNG.
+// global randomness are banned in favour of the virtual instant each
+// layer is passed and sim.RNG.
 package nwfix
 
 import (

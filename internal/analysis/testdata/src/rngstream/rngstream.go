@@ -1,17 +1,15 @@
 // Package rsfix exercises the rngstream rule: trial closures handed to
 // the sweep engine must derive their streams per trial index, never
-// capture a shared generator or clock.
+// capture a shared generator.
 package rsfix
 
 import "trust/internal/sim"
 
-// Bad shares one generator and one clock across concurrently scheduled
-// trials, so draws depend on worker scheduling.
+// Bad shares one generator across concurrently scheduled trials, so
+// draws depend on worker scheduling.
 func Bad(seed uint64, n int) ([]float64, error) {
 	rng := sim.NewRNG(seed)
-	clock := sim.NewClock()
 	return sim.ParMap(n, func(i int) (float64, error) {
-		_ = clock.Now()           // want "captures \\*sim\\.Clock \"clock\""
 		return rng.Float64(), nil // want "captures \\*sim\\.RNG \"rng\""
 	})
 }
@@ -24,8 +22,8 @@ type rig struct {
 // bug with one more hop.
 func BadField(seed uint64, params []int) ([]int, error) {
 	r := rig{rng: sim.NewRNG(seed)}
-	return sim.Sweep(params, func(i, p int) (int, error) {
-		return r.rng.Intn(p + 1), nil // want "captures \\*sim\\.RNG \"rng\""
+	return sim.ParMapN(2, len(params), func(i int) (int, error) {
+		return r.rng.Intn(params[i] + 1), nil // want "captures \\*sim\\.RNG \"rng\""
 	})
 }
 

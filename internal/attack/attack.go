@@ -120,16 +120,6 @@ func All(seed uint64) []Result {
 	return out
 }
 
-// Defended reports whether every attack in the results was defended.
-func Defended(results []Result) bool {
-	for _, r := range results {
-		if !r.Defended {
-			return false
-		}
-	}
-	return true
-}
-
 // replayLogin captures a login submission on the wire and replays it.
 func replayLogin(r *rig) Result {
 	d := Result{Description: "network attacker replays a captured login submission"}

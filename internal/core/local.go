@@ -47,9 +47,6 @@ func NewLocalDevice(m *flock.Module, policy LocalPolicy, firstSensor geom.Rect) 
 // Locked reports the lock state.
 func (d *LocalDevice) Locked() bool { return d.locked }
 
-// Halted reports whether interaction is paused pending verification.
-func (d *LocalDevice) Halted() bool { return d.halted }
-
 // LockEvents and HaltEvents report how many responses fired.
 func (d *LocalDevice) LockEvents() int { return d.lockEvents }
 func (d *LocalDevice) HaltEvents() int { return d.haltEvents }

@@ -124,40 +124,6 @@ func New(name string, m *flock.Module, t Transport) *Device {
 // Session returns the live session, if any.
 func (d *Device) Session() *protocol.Session { return d.session }
 
-// SetView changes the display transform (the user pinch-zoomed or
-// scrolled) and re-renders the current page through the FLock display
-// path, so the next request attests the view actually on screen. Zoom
-// snaps to the nearest standard stop and scroll to the standard step —
-// the finite view set the server audits against.
-func (d *Device) SetView(v frame.View) {
-	// Snap to the standard view lattice.
-	best := frame.ZoomStops[0]
-	for _, z := range frame.ZoomStops {
-		if abs(v.Zoom-z) < abs(v.Zoom-best) {
-			best = z
-		}
-	}
-	v.Zoom = best
-	if v.ScrollY < 0 {
-		v.ScrollY = 0
-	}
-	v.ScrollY = float64(int(v.ScrollY/frame.ScrollStepPX)) * frame.ScrollStepPX
-	d.view = v
-	if d.current != nil {
-		d.display(d.current)
-	}
-}
-
-// View returns the current display transform.
-func (d *Device) View() frame.View { return d.view }
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // CurrentPage returns the page the server believes is displayed.
 func (d *Device) CurrentPage() *frame.Page { return d.current }
 
@@ -250,9 +216,6 @@ func (d *Device) clearTicket() {
 	d.ticket = nil
 	d.ticketKey = nil
 }
-
-// HasTicket reports whether a resumption ticket is cached.
-func (d *Device) HasTicket() bool { return len(d.ticket) > 0 }
 
 // errNoTicket routes LoginResume straight to the full login.
 var errNoTicket = errors.New("device: no cached resumption ticket")
@@ -412,31 +375,6 @@ func (d *Device) browseSequential(now time.Duration, actions []string) error {
 		}
 	}
 	return nil
-}
-
-// ScheduleHeartbeats arranges `count` stream heartbeats every `every`
-// of virtual time on clock, starting one interval from now. Heartbeats
-// ride the streamed transport's Ping; on any other transport (or after
-// a downgrade) the events are no-ops. Virtual-time scheduling keeps
-// liveness probes deterministic — no wall-clock tickers in the stream
-// goroutines.
-func (d *Device) ScheduleHeartbeats(clock *sim.Clock, every time.Duration, count int) {
-	type pinger interface{ Ping(now time.Duration) error }
-	p, ok := d.transport.(pinger)
-	if !ok {
-		return
-	}
-	var schedule func(left int)
-	schedule = func(left int) {
-		if left <= 0 {
-			return
-		}
-		clock.After(every, func() {
-			_ = p.Ping(clock.Now())
-			schedule(left - 1)
-		})
-	}
-	schedule(count)
 }
 
 // InjectRequest models malware asserting a user action with NO backing

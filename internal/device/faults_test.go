@@ -13,6 +13,14 @@ import (
 	"trust/internal/webserver"
 )
 
+// DefaultRetryPolicy is a sane interactive policy: four tries, 50 ms
+// base, 800 ms cap, ±20 % jitter — worst case ~2 s of virtual waiting,
+// far inside the module's 30 s touch-authorization window so retries
+// can still re-sign.
+func DefaultRetryPolicy() RetryPolicy {
+	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 800 * time.Millisecond, JitterFrac: 0.2}
+}
+
 // armFaults wraps the fixture's transport in a FaultyTransport (clean
 // profile — tests flip faults on after the setup flows) and arms the
 // retry policy.

@@ -49,7 +49,7 @@ func TestServerRestartResumeFallsBackToFullLogin(t *testing.T) {
 	fx.dev.transport = ct
 
 	fx.registerAndLogin(t)
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("no ticket cached after full login")
 	}
 
@@ -86,7 +86,7 @@ func TestServerRestartResumeFallsBackToFullLogin(t *testing.T) {
 	if ct.logins != 2 {
 		t.Fatalf("logins=%d, want the pre-restart cold login plus exactly one fallback", ct.logins)
 	}
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("fallback login did not re-prime the ticket cache")
 	}
 

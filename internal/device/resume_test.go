@@ -47,7 +47,7 @@ func countFixture(t *testing.T) (*fixture, *countingTransport) {
 func TestLoginResumeSkipsColdPath(t *testing.T) {
 	fx, ct := countFixture(t)
 	fx.registerAndLogin(t)
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("no ticket cached after full login")
 	}
 	old := fx.dev.Session().ID
@@ -62,7 +62,7 @@ func TestLoginResumeSkipsColdPath(t *testing.T) {
 	if fx.dev.Session().ID == old {
 		t.Fatal("resume did not establish a fresh session")
 	}
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("resume response did not refresh the ticket cache")
 	}
 
@@ -105,7 +105,7 @@ func TestLoginResumeWithoutTicketRunsFullLogin(t *testing.T) {
 	if ct.resumes != 0 || ct.logins != 1 {
 		t.Fatalf("resumes=%d logins=%d, want the cold path straight away", ct.resumes, ct.logins)
 	}
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("cold login did not prime the ticket cache")
 	}
 }
@@ -125,7 +125,7 @@ func TestLoginResumeEpochExpiryFallsBack(t *testing.T) {
 	if ct.resumes != 1 || ct.logins != 2 {
 		t.Fatalf("resumes=%d logins=%d, want 1 rejected resume then a full login", ct.resumes, ct.logins)
 	}
-	if !fx.dev.HasTicket() {
+	if len(fx.dev.ticket) == 0 {
 		t.Fatal("fallback login did not re-prime the ticket cache")
 	}
 	// The re-primed ticket is live: the next resume takes the fast path.

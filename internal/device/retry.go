@@ -28,14 +28,6 @@ type RetryPolicy struct {
 	JitterFrac float64
 }
 
-// DefaultRetryPolicy is a sane interactive policy: four tries, 50 ms
-// base, 800 ms cap, ±20 % jitter — worst case ~2 s of virtual waiting,
-// far inside the module's 30 s touch-authorization window so retries
-// can still re-sign.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 800 * time.Millisecond, JitterFrac: 0.2}
-}
-
 // Retryable reports whether err is worth redelivering: only the
 // network-fault class is — the request may never have reached the
 // server. Typed server rejections are deliberate verdicts; retrying

@@ -404,8 +404,11 @@ func (t *Stream) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*
 }
 
 // Ping sends a heartbeat and waits for the server's echo, verifying it
-// round-tripped verbatim. Heartbeat cadence belongs to the caller
-// (virtual-time scheduled; see Device.ScheduleHeartbeats).
+// round-tripped verbatim. Heartbeat cadence belongs to the caller,
+// which stamps each heartbeat with the virtual instant now it is
+// passed; the server checks that instant against MaxHeartbeatSkew.
+//
+//trustlint:allow deadexport -- the device-side heartbeat through which the server's MaxHeartbeatSkew defence is tested end to end
 func (t *Stream) Ping(now time.Duration) error {
 	conn, err := t.live()
 	if err != nil {

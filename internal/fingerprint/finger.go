@@ -156,9 +156,6 @@ func synthesize(seed uint64, pattern PatternType) *Finger {
 // Seed returns the synthesis seed.
 func (f *Finger) Seed() uint64 { return f.seed }
 
-// Pattern returns the finger's ridge-flow class.
-func (f *Finger) Pattern() PatternType { return f.pattern }
-
 // Bounds returns the finger's domain in millimetres.
 func (f *Finger) Bounds() geom.Rect { return f.bounds }
 

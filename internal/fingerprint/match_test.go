@@ -8,6 +8,15 @@ import (
 	"trust/internal/sim"
 )
 
+// TransformAll applies Transform to every minutia in ms.
+func TransformAll(ms []Minutia, theta float64, t geom.Point) []Minutia {
+	out := make([]Minutia, len(ms))
+	for i, m := range ms {
+		out[i] = m.Transform(theta, t)
+	}
+	return out
+}
+
 // goodContact returns a clean, nominal contact near the finger centre.
 func goodContact(f *Finger, rng *sim.RNG) Contact {
 	c := f.Bounds().Center()

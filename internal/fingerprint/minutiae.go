@@ -44,15 +44,6 @@ func (m Minutia) Transform(theta float64, t geom.Point) Minutia {
 	}
 }
 
-// TransformAll applies Transform to every minutia in ms.
-func TransformAll(ms []Minutia, theta float64, t geom.Point) []Minutia {
-	out := make([]Minutia, len(ms))
-	for i, m := range ms {
-		out[i] = m.Transform(theta, t)
-	}
-	return out
-}
-
 // Template is an enrolled reference: the minutiae constellation the
 // FLock fingerprint processor stores in protected flash and matches
 // captures against. Positions are in the finger frame.

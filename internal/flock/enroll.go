@@ -55,16 +55,6 @@ func (m *Module) BeginEnrollment(name string) (*EnrollmentSession, error) {
 	return s, nil
 }
 
-// CancelEnrollment abandons the in-progress enrolment.
-func (m *Module) CancelEnrollment() {
-	m.enrollment = nil
-}
-
-// Progress reports collected and required capture counts.
-func (s *EnrollmentSession) Progress() (have, need int) {
-	return len(s.captures), s.needed
-}
-
 // Rejected reports how many touches failed the quality gate.
 func (s *EnrollmentSession) Rejected() int { return s.rejected }
 

@@ -11,6 +11,11 @@ import (
 	"trust/internal/touch"
 )
 
+// Progress reports collected and required capture counts.
+func (s *EnrollmentSession) Progress() (have, need int) {
+	return len(s.captures), s.needed
+}
+
 // enrollTouch builds a deliberate, clean enrolment press with natural
 // per-touch placement variation.
 func enrollTouch(at time.Duration, rng *sim.RNG) touch.Event {
@@ -156,7 +161,7 @@ func TestEnrollmentLifecycleErrors(t *testing.T) {
 	if err := s.Finish(); !errors.Is(err, ErrEnrollmentIncomplete) {
 		t.Fatalf("premature finish: %v", err)
 	}
-	m.CancelEnrollment()
+	m.enrollment = nil // the module drops the session
 	if _, err := s.AddTouch(enrollTouch(0, rng), finger); !errors.Is(err, ErrNoEnrollment) {
 		t.Fatalf("touch after cancel: %v", err)
 	}

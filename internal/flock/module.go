@@ -506,11 +506,6 @@ func (m *Module) RiskFactor(n int) (verified, considered int) {
 	return verified, len(window)
 }
 
-// LastVerified returns the time of the most recent verified touch.
-func (m *Module) LastVerified() (time.Duration, bool) {
-	return m.lastVerified, m.haveVerified
-}
-
 // TouchAuthorized reports whether a verified touch exists within the
 // freshness window ending at now — the gate for host-interface signing.
 func (m *Module) TouchAuthorized(now time.Duration) bool {

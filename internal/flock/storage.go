@@ -61,11 +61,6 @@ func (m *Module) Record(domain string) (*Record, error) {
 	return rec, nil
 }
 
-// DeleteRecord removes a service binding (identity reset, device side).
-func (m *Module) DeleteRecord(domain string) {
-	delete(m.records, domain)
-}
-
 // Domains lists bound services, sorted.
 func (m *Module) Domains() []string {
 	out := make([]string, 0, len(m.records))

@@ -70,14 +70,10 @@ type Page struct {
 	HeightPX float64
 }
 
-// Canonical returns the page's canonical byte encoding — the quantity
-// both device and server render from, so both ends derive identical
-// frames for identical views.
-func (p *Page) Canonical() []byte { return p.AppendCanonical(nil) }
-
-// AppendCanonical appends the page's canonical encoding (Canonical) to
-// dst and returns the extended slice; into a buffer with room it
-// allocates nothing.
+// AppendCanonical appends the page's canonical byte encoding to dst
+// and returns the extended slice; into a buffer with room it allocates
+// nothing. It is the quantity both device and server render from, so
+// both ends derive identical frames for identical views.
 func (p *Page) AppendCanonical(dst []byte) []byte {
 	dst = appendField(dst, p.URL)
 	dst = appendField(dst, p.Title)
@@ -117,18 +113,6 @@ func (p *Page) Clone() *Page {
 	out := *p
 	out.Elements = append([]Element(nil), p.Elements...)
 	return &out
-}
-
-// ElementAt returns the topmost interactive element containing the
-// point (page coordinates), or nil.
-func (p *Page) ElementAt(pt geom.Point) *Element {
-	for i := len(p.Elements) - 1; i >= 0; i-- {
-		e := &p.Elements[i]
-		if e.Bounds.Contains(pt) {
-			return e
-		}
-	}
-	return nil
 }
 
 // View is one display transform from the finite set: a zoom factor and
@@ -176,11 +160,6 @@ func (v View) PageToScreen(pt geom.Point) geom.Point {
 	return geom.Point{X: pt.X * v.Zoom, Y: pt.Y*v.Zoom - v.ScrollY}
 }
 
-// ScreenToPage inverts PageToScreen.
-func (v View) ScreenToPage(pt geom.Point) geom.Point {
-	return geom.Point{X: pt.X / v.Zoom, Y: (pt.Y + v.ScrollY) / v.Zoom}
-}
-
 // Render produces the deterministic display frame for a page under a
 // view. The "framebuffer" is a canonical serialization rather than RGB
 // pixels: what matters to the security argument is that identical
@@ -218,7 +197,6 @@ func (h Hash) Short() string { return h.Hex()[:8] }
 type HashEngine struct {
 	BytesPerCycle float64
 	ClockHz       float64
-	frames        uint64
 }
 
 // NewHashEngine returns an engine with representative mobile-SoC
@@ -230,14 +208,10 @@ func NewHashEngine() *HashEngine {
 // Sum hashes a frame and returns the digest plus the simulated engine
 // latency.
 func (e *HashEngine) Sum(frameBytes []byte) (Hash, time.Duration) {
-	e.frames++
 	cycles := float64(len(frameBytes)) / e.BytesPerCycle
 	latency := time.Duration(cycles / e.ClockHz * float64(time.Second))
 	return HashBytes(frameBytes), latency
 }
-
-// Frames reports how many frames the engine has digested.
-func (e *HashEngine) Frames() uint64 { return e.frames }
 
 // Repeater is the display repeater: it sits between the SoC's graphics
 // output and the panel, forwarding frames while handing a copy to the

@@ -97,29 +97,6 @@ func hash32(s string) uint32 {
 	return f.Sum32()
 }
 
-// PixelViewConflict is a guard used by tests: two views or two page
-// variants must produce different pixel buffers. It returns the first
-// differing byte offset or -1.
-func PixelViewConflict(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return n
-	}
-	return -1
-}
-
-// FrameBytesLen documents the raw framebuffer size the hardware hash
-// engine digests per displayed frame.
-func FrameBytesLen() int { return FBWidth * FBHeight * 4 }
-
 // EncodeDims prefixes a pixel buffer with its dimensions, making the
 // byte stream self-describing for hashing.
 func EncodeDims(w, h int, pixels []byte) []byte {

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -11,11 +12,11 @@ func TestRenderPixelsDeterministic(t *testing.T) {
 	p := loginPage()
 	a := RenderPixels(p, View{Zoom: 1}, FBWidth, FBHeight)
 	b := RenderPixels(p, View{Zoom: 1}, FBWidth, FBHeight)
-	if PixelViewConflict(a, b) != -1 {
+	if !bytes.Equal(a, b) {
 		t.Fatal("identical renders differ")
 	}
-	if len(a) != FrameBytesLen() {
-		t.Fatalf("framebuffer %d bytes, want %d", len(a), FrameBytesLen())
+	if len(a) != FBWidth*FBHeight*4 {
+		t.Fatalf("framebuffer %d bytes, want %d", len(a), FBWidth*FBHeight*4)
 	}
 }
 
@@ -25,13 +26,13 @@ func TestRenderPixelsSensitiveToContent(t *testing.T) {
 	q.Elements[1].Label = "Confirm transfer"
 	a := RenderPixels(p, View{Zoom: 1}, FBWidth, FBHeight)
 	b := RenderPixels(q, View{Zoom: 1}, FBWidth, FBHeight)
-	if PixelViewConflict(a, b) == -1 {
+	if bytes.Equal(a, b) {
 		t.Fatal("label change did not alter pixels")
 	}
 	q2 := loginPage()
 	q2.Body = "phishing text"
 	c := RenderPixels(q2, View{Zoom: 1}, FBWidth, FBHeight)
-	if PixelViewConflict(a, c) == -1 {
+	if bytes.Equal(a, c) {
 		t.Fatal("body change did not alter pixels")
 	}
 }
@@ -40,7 +41,7 @@ func TestRenderPixelsSensitiveToView(t *testing.T) {
 	p := longPage()
 	a := RenderPixels(p, View{Zoom: 1}, FBWidth, FBHeight)
 	b := RenderPixels(p, View{Zoom: 1.5, ScrollY: 200}, FBWidth, FBHeight)
-	if PixelViewConflict(a, b) == -1 {
+	if bytes.Equal(a, b) {
 		t.Fatal("view change did not alter pixels")
 	}
 }
@@ -57,7 +58,7 @@ func TestRenderPixelsClipping(t *testing.T) {
 		Bounds: geom.RectWH(FBWidth-10, FBHeight-10, 500, 500),
 	})
 	buf := RenderPixels(p, View{Zoom: 2, ScrollY: 400}, FBWidth, FBHeight)
-	if len(buf) != FrameBytesLen() {
+	if len(buf) != FBWidth*FBHeight*4 {
 		t.Fatalf("buffer size %d", len(buf))
 	}
 }
@@ -80,7 +81,7 @@ func TestEncodeDims(t *testing.T) {
 		t.Fatalf("encoded length %d", len(out))
 	}
 	a := EncodeDims(2, 1, px)
-	if PixelViewConflict(out, a) == -1 {
+	if bytes.Equal(out, a) {
 		t.Fatal("dimension change invisible")
 	}
 }

@@ -88,8 +88,8 @@ func TestAppendRenderMatchesFmtReference(t *testing.T) {
 		if got := AppendRender(prefix, p, v); !bytes.Equal(got, append([]byte("keep"), fmtRender(p, v)...)) {
 			t.Fatalf("AppendRender did not append after dst's bytes")
 		}
-		if got, want := p.Canonical(), fmtCanonical(p); !bytes.Equal(got, want) {
-			t.Fatalf("Canonical(%+v)\n got %q\nwant %q", p, got, want)
+		if got, want := p.AppendCanonical(nil), fmtCanonical(p); !bytes.Equal(got, want) {
+			t.Fatalf("AppendCanonical(nil, %+v)\n got %q\nwant %q", p, got, want)
 		}
 	}
 	for i := 0; i < 500; i++ {

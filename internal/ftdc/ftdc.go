@@ -71,14 +71,6 @@ func NewSchema(names []string) *Schema {
 	return s
 }
 
-// Names returns the registered column names (not aliased to the
-// schema's own storage).
-func (s *Schema) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
 // Len reports the number of registered columns.
 func (s *Schema) Len() int { return len(s.names) }
 

@@ -72,36 +72,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
 }
 
-// Intersect returns the overlap of r and s (possibly empty).
-func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
-// Overlaps reports whether r and s share any area.
-func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
-
-// Union returns the smallest rectangle containing both r and s. An
-// empty operand is ignored.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // Inset shrinks the rectangle by d on every side. A negative d grows
 // it.
 func (r Rect) Inset(d float64) Rect {

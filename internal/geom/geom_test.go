@@ -47,37 +47,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectIntersect(t *testing.T) {
-	a := RectWH(0, 0, 10, 10)
-	b := RectWH(5, 5, 10, 10)
-	got := a.Intersect(b)
-	if got != RectWH(5, 5, 5, 5) {
-		t.Fatalf("Intersect = %v", got)
-	}
-	c := RectWH(20, 20, 5, 5)
-	if !a.Intersect(c).Empty() {
-		t.Fatal("disjoint rects should intersect empty")
-	}
-	if a.Overlaps(c) {
-		t.Fatal("disjoint rects should not overlap")
-	}
-}
-
-func TestRectUnion(t *testing.T) {
-	a := RectWH(0, 0, 1, 1)
-	b := RectWH(5, 5, 1, 1)
-	u := a.Union(b)
-	if u != RectWH(0, 0, 6, 6) {
-		t.Fatalf("Union = %v", u)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Fatalf("Union with empty = %v", got)
-	}
-	if got := (Rect{}).Union(b); got != b {
-		t.Fatalf("empty Union b = %v", got)
-	}
-}
-
 func TestRectInset(t *testing.T) {
 	r := RectWH(0, 0, 10, 10).Inset(2)
 	if r != RectWH(2, 2, 6, 6) {
@@ -116,26 +85,5 @@ func TestAngleDiff(t *testing.T) {
 	}
 	if d := AngleDiff(-math.Pi+0.01, math.Pi-0.01); math.Abs(d-0.02) > 1e-9 {
 		t.Fatalf("wraparound diff = %v, want 0.02", d)
-	}
-}
-
-func TestIntersectCommutes(t *testing.T) {
-	if err := quick.Check(func(ax, ay, aw, ah, bx, by, bw, bh uint8) bool {
-		a := RectWH(float64(ax), float64(ay), float64(aw), float64(ah))
-		b := RectWH(float64(bx), float64(by), float64(bw), float64(bh))
-		return a.Intersect(b) == b.Intersect(a)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectAreaBounded(t *testing.T) {
-	if err := quick.Check(func(ax, ay, aw, ah, bx, by, bw, bh uint8) bool {
-		a := RectWH(float64(ax), float64(ay), float64(aw), float64(ah))
-		b := RectWH(float64(bx), float64(by), float64(bw), float64(bh))
-		in := a.Intersect(b).Area()
-		return in <= a.Area()+1e-9 && in <= b.Area()+1e-9
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }

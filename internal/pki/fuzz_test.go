@@ -98,7 +98,7 @@ func FuzzTicketOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ticket, gotAAD []byte) {
 		tries := [][]byte{ticket}
 		if len(ticket) >= 8 {
-			for e := tk.Epoch(now) - uint64(tk.Window()); e <= tk.Epoch(now); e++ {
+			for e := tk.Epoch(now) - uint64(tk.window); e <= tk.Epoch(now); e++ {
 				shifted := append([]byte(nil), ticket...)
 				binary.BigEndian.PutUint64(shifted, e)
 				tries = append(tries, shifted)

@@ -22,7 +22,6 @@ type Role string
 
 // Certificate roles in the TRUST deployment.
 const (
-	RoleCA     Role = "ca"
 	RoleServer Role = "web-server"
 	RoleFLock  Role = "flock-module"
 )
@@ -137,11 +136,6 @@ func (ca *CA) Name() string { return ca.name }
 // PublicKey returns the CA's verification key — the root of trust every
 // FLock module ships with.
 func (ca *CA) PublicKey() ed25519.PublicKey { return ca.keys.Public }
-
-// Issue signs a certificate binding subject/role to pub (no KEM key).
-func (ca *CA) Issue(subject string, role Role, pub ed25519.PublicKey) (*Certificate, error) {
-	return ca.IssueWithKem(subject, role, pub, nil)
-}
 
 // IssueWithKem signs a certificate binding subject/role to a signing
 // key and an X25519 key-agreement key.

@@ -2,9 +2,20 @@ package pki
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"crypto/hmac"
 	"testing"
 	"testing/quick"
 )
+
+// RoleCA names the certificate authority's own role, which it never
+// certifies: tests use it as a role no issued certificate carries.
+const RoleCA Role = "ca"
+
+// Issue signs a certificate binding subject/role to pub (no KEM key).
+func (ca *CA) Issue(subject string, role Role, pub ed25519.PublicKey) (*Certificate, error) {
+	return ca.IssueWithKem(subject, role, pub, nil)
+}
 
 func newTestCA(t *testing.T) *CA {
 	t.Helper()
@@ -129,13 +140,13 @@ func TestMACRoundTrip(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
 	data := []byte("domain=www.xyz.com&nonce=42")
 	tag := MAC(key, data)
-	if !CheckMAC(key, data, tag) {
+	if !hmac.Equal(MAC(key, data), tag) {
 		t.Fatal("valid MAC rejected")
 	}
-	if CheckMAC(key, append(data, 'x'), tag) {
+	if hmac.Equal(MAC(key, append(data, 'x')), tag) {
 		t.Fatal("tampered data accepted")
 	}
-	if CheckMAC([]byte("00000000000000000000000000000000"), data, tag) {
+	if hmac.Equal(MAC([]byte("00000000000000000000000000000000"), data), tag) {
 		t.Fatal("wrong key accepted")
 	}
 }

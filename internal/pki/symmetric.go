@@ -30,13 +30,8 @@ func MAC(key, data []byte) []byte {
 	return h.Sum(nil)
 }
 
-// CheckMAC verifies an HMAC-SHA256 tag in constant time.
-func CheckMAC(key, data, tag []byte) bool {
-	return hmac.Equal(MAC(key, data), tag)
-}
-
-// MACer is a reusable HMAC-SHA256 instance bound to one key. MAC and
-// CheckMAC re-run the HMAC key schedule (two SHA-256 block passes and
+// MACer is a reusable HMAC-SHA256 instance bound to one key. MAC
+// re-runs the HMAC key schedule (two SHA-256 block passes and
 // several allocations) on every call; a MACer pays it once at
 // construction and resets the keyed state thereafter, which matters on
 // paths that MAC per request under one long-lived session key. Not

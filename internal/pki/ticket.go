@@ -101,12 +101,6 @@ func (t *TicketKeys) Epoch(now time.Duration) uint64 {
 	return uint64(now / t.period)
 }
 
-// Period returns the epoch length.
-func (t *TicketKeys) Period() time.Duration { return t.period }
-
-// Window returns how many past epochs Open accepts.
-func (t *TicketKeys) Window() int { return int(t.window) }
-
 // epochAEAD derives the AES-GCM for one epoch: its key is
 // HMAC-SHA256(master, label || epoch).
 func (t *TicketKeys) epochAEAD(epoch uint64) (cipher.AEAD, error) {

@@ -25,9 +25,6 @@ type Client struct {
 // NewClient wires a protocol client to a module.
 func NewClient(m *flock.Module) *Client { return &Client{m: m} }
 
-// Module returns the underlying FLock module.
-func (c *Client) Module() *flock.Module { return c.m }
-
 // Session is the client's view of an authenticated session.
 type Session struct {
 	Domain    string
@@ -270,20 +267,16 @@ func (c *Client) BuildPageRequestAt(now time.Duration, sess *Session, action str
 // from every other HMAC use of a session key.
 const resumeRekeyLabel = "trust-resume-rekey-v1"
 
-// ResumeKey derives the resumed session's key from the key a ticket
-// sealed and the fresh session id the server chose for the resumed
-// session. Both sides compute it independently: the server right after
-// opening the ticket, the device from its cached ticket key when the
-// response (welcome or content page) reveals the new session id. The
-// derivation is one-way, so compromising a resumed session's key never
-// reveals the key of the session the ticket came from.
-func ResumeKey(ticketSessionKey []byte, sessionID string) []byte {
-	return ResumeKeyFrom(pki.NewMACer(ticketSessionKey), sessionID)
-}
-
-// ResumeKeyFrom is ResumeKey computed with mc, an HMAC state already
-// keyed with the ticket's session key — the one that sealed or
-// verified the resume submission — so a resume keys that HMAC once.
+// ResumeKeyFrom derives the resumed session's key from the key a
+// ticket sealed and the fresh session id the server chose for the
+// resumed session. Both sides compute it independently: the server
+// right after opening the ticket, the device from its cached ticket key
+// when the response (welcome or content page) reveals the new session
+// id. The derivation is one-way, so compromising a resumed session's
+// key never reveals the key of the session the ticket came from. mc is
+// an HMAC state already keyed with the ticket's session key — the one
+// that sealed or verified the resume submission — so a resume keys
+// that HMAC once.
 func ResumeKeyFrom(mc *pki.MACer, sessionID string) []byte {
 	in := make([]byte, 0, len(resumeRekeyLabel)+len(sessionID))
 	in = append(in, resumeRekeyLabel...)

@@ -50,13 +50,6 @@ func (fx *fixture) verify(t *testing.T) {
 	fx.now = at + testbed.TapInterval
 }
 
-func TestClientModuleAccessor(t *testing.T) {
-	fx := newFixture(t)
-	if fx.client.Module() != fx.module {
-		t.Fatal("Module() returns a different module")
-	}
-}
-
 func TestHandleRegistrationPageNilInputs(t *testing.T) {
 	fx := newFixture(t)
 	if _, err := fx.client.HandleRegistrationPage(0, nil, "a"); err == nil {

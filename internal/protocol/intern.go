@@ -65,11 +65,11 @@ func (t *internTable) get(b []byte) string {
 // goroutine; the zero value is ready to use. Its output is identical to
 // the package-level ReadFrame, DecodeTouchBatch and DecodePageFrame.
 //
-// DecodeTouchBatch and DecodePageFrame return fresh messages, which stay
-// valid for as long as the caller keeps them. DecodeTouchBatchInto
-// instead decodes into a batch the caller owns and reuses — the server
-// keeps one per connection — so that batch, its requests and their
-// MACs are valid only until the next frame is decoded into it.
+// DecodePageFrame returns a fresh message, which stays valid for as
+// long as the caller keeps it. DecodeTouchBatchInto instead decodes
+// into a batch the caller owns and reuses — the server keeps one per
+// connection — so that batch, its requests and their MACs are valid
+// only until the next frame is decoded into it.
 type Decoder struct {
 	hdr    [frameHeaderLen]byte
 	buf    []byte // payload scratch, at most maxPooledEncodeBuf
@@ -86,12 +86,6 @@ func (d *Decoder) ReadFrame(r io.Reader) (FrameType, []byte, error) {
 		d.buf = p[:0]
 	}
 	return t, p, err
-}
-
-// DecodeTouchBatch is the package-level DecodeTouchBatch through this
-// connection's intern table.
-func (d *Decoder) DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
-	return freshTouchBatch(payload, &d.intern)
 }
 
 // DecodeTouchBatchInto decodes a touch-batch payload into tb, reusing

@@ -11,6 +11,12 @@ import (
 	"trust/internal/frame"
 )
 
+// DecodeTouchBatch is the package-level DecodeTouchBatch through this
+// connection's intern table.
+func (d *Decoder) DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
+	return freshTouchBatch(payload, &d.intern)
+}
+
 func TestInternTableBounded(t *testing.T) {
 	var tab internTable
 	for i := 0; i < 10*internSlots; i++ {

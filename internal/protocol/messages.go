@@ -201,7 +201,7 @@ func AppendMAC(dst []byte, mc *pki.MACer, m Authenticated) []byte {
 }
 
 // VerifyMAC reports, in constant time and without allocating, whether
-// tag is m's MAC under mc — pki.CheckMAC(key, m.MACBytes(), tag).
+// tag is m's MAC under mc — hmac.Equal(pki.MAC(key, m.MACBytes()), tag).
 func VerifyMAC(mc *pki.MACer, m Authenticated, tag []byte) bool {
 	ok := false
 	withEncoding(m.fields, true, func(in []byte) { ok = mc.Check(in, tag) })

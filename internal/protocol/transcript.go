@@ -50,17 +50,6 @@ func (t *Transcript) Add(at time.Duration, dir Direction, msg, detail string, ok
 	t.Steps = append(t.Steps, Step{At: at, Dir: dir, Message: msg, Detail: detail, OK: ok})
 }
 
-// Failures counts steps whose verification failed.
-func (t *Transcript) Failures() int {
-	n := 0
-	for _, s := range t.Steps {
-		if !s.OK {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the transcript as an aligned text diagram.
 func (t *Transcript) String() string {
 	var sb strings.Builder

@@ -10,6 +10,10 @@ import (
 	"trust/internal/sim"
 )
 
+// WidthMM and HeightMM give the physical sensing area.
+func (c Config) WidthMM() float64  { return float64(c.Cols) * c.CellPitchUM / 1000 }
+func (c Config) HeightMM() float64 { return float64(c.Rows) * c.CellPitchUM / 1000 }
+
 func mustArray(t *testing.T, cfg Config) *Array {
 	t.Helper()
 	a, err := New(cfg, sim.NewRNG(1))

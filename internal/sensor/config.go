@@ -53,10 +53,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// WidthMM and HeightMM give the physical sensing area.
-func (c Config) WidthMM() float64  { return float64(c.Cols) * c.CellPitchUM / 1000 }
-func (c Config) HeightMM() float64 { return float64(c.Rows) * c.CellPitchUM / 1000 }
-
 // EffectiveClockHz returns the configured clock, or a clock derived
 // from the published response when the reference did not state one
 // (Table II "Not Mentioned" rows).

@@ -79,11 +79,6 @@ func (m *EnergyMeter) Breakdown() []ComponentEnergy {
 	return out
 }
 
-// Reset clears all accumulated energy.
-func (m *EnergyMeter) Reset() {
-	m.byComponent = make(map[string]Joule)
-}
-
 // ComponentEnergy is one row of an energy breakdown.
 type ComponentEnergy struct {
 	Component string

@@ -66,15 +66,6 @@ func TestEnergyMeterTotalBitStable(t *testing.T) {
 	}
 }
 
-func TestEnergyMeterReset(t *testing.T) {
-	m := NewEnergyMeter()
-	m.AddEvent("x", 1)
-	m.Reset()
-	if m.Total() != 0 {
-		t.Fatalf("total after reset = %v", m.Total())
-	}
-}
-
 func TestEnergyMeterNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

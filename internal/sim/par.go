@@ -18,7 +18,7 @@ import (
 //  1. A trial must derive every random stream it uses from its trial
 //     index (TrialRNG or an equivalent seed arithmetic) and must not
 //     touch state shared with other trials.
-//  2. ParMap/Sweep return results indexed by trial, in trial order,
+//  2. ParMap/ParMapN return results indexed by trial, in trial order,
 //     regardless of worker count and OS scheduling.
 //  3. On error, the error of the lowest-indexed failing trial is
 //     returned — the same one a serial loop would have hit first.
@@ -32,7 +32,7 @@ import (
 // sweep) can pin the pool size process-wide.
 var maxWorkers atomic.Int32
 
-// SetMaxWorkers pins the worker count used by ParMap and Sweep.
+// SetMaxWorkers pins the worker count used by ParMap.
 // n <= 0 restores the default (GOMAXPROCS). It returns the previous
 // setting.
 func SetMaxWorkers(n int) int {
@@ -111,13 +111,4 @@ func ParMapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// Sweep runs fn over a parameter slice on the worker pool and returns
-// one result per parameter, in parameter order. It is ParMap with the
-// parameter plumbed through — the shape every harness sweep has.
-func Sweep[P, T any](params []P, fn func(i int, p P) (T, error)) ([]T, error) {
-	return ParMap(len(params), func(i int) (T, error) {
-		return fn(i, params[i])
-	})
 }

@@ -102,14 +102,15 @@ func TestSetMaxWorkers(t *testing.T) {
 	if MaxWorkers() != 3 {
 		t.Fatalf("MaxWorkers = %d, want 3", MaxWorkers())
 	}
-	out, err := Sweep([]int{1, 2, 3, 4}, func(i int, p int) (int, error) { return p * 10, nil })
+	params := []int{1, 2, 3, 4}
+	out, err := ParMap(len(params), func(i int) (int, error) { return params[i] * 10, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int{10, 20, 30, 40}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("Sweep[%d] = %d, want %d", i, out[i], want[i])
+			t.Fatalf("ParMap[%d] = %d, want %d", i, out[i], want[i])
 		}
 	}
 	SetMaxWorkers(0)

@@ -1,3 +1,8 @@
+// Package sim provides the deterministic simulation substrate used by
+// every other package in this repository: a seeded random number
+// generator, a parallel sweep engine, and an energy meter. Time is the
+// explicit virtual `now time.Duration` each layer is passed, never wall
+// time, so runs are exactly reproducible.
 package sim
 
 import "math"

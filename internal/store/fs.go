@@ -216,47 +216,6 @@ func (h *memHandle) Sync() error {
 
 func (h *memHandle) Close() error { return nil }
 
-// Bytes returns a copy of a file's current content (synced or not);
-// the second result reports existence.
-func (m *MemFS) Bytes(name string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), f.data...), true
-}
-
-// TruncateTo cuts a file to n bytes — the crash matrix's knife, placed
-// at every record boundary (and inside records, for torn tails).
-func (m *MemFS) TruncateTo(name string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		return
-	}
-	if n < len(f.data) {
-		f.data = f.data[:n]
-	}
-	if f.synced > len(f.data) {
-		f.synced = len(f.data)
-	}
-}
-
-// CorruptByte XORs a mask into one byte of a file — the checksum-
-// corruption fault for the detection tests.
-func (m *MemFS) CorruptByte(name string, off int, mask byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok || off < 0 || off >= len(f.data) {
-		return
-	}
-	f.data[off] ^= mask
-}
-
 // Crash returns the directory as a fresh MemFS holding what stable
 // storage would hold after a power loss: each file truncated to its
 // synced watermark. The original is untouched.

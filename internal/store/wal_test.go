@@ -17,6 +17,38 @@ import (
 	"trust/internal/sim"
 )
 
+// TornWrites reports how many writes were torn (prefix written, error
+// returned).
+func (f *FaultFS) TornWrites() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.tornWrites
+}
+
+// Bytes returns a copy of a file's current content (synced or not);
+// the second result reports existence.
+func (m *MemFS) Bytes(name string) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[name]
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), f.data...), true
+}
+
+// CorruptByte XORs a mask into one byte of a file — the checksum-
+// corruption fault for the detection tests.
+func (m *MemFS) CorruptByte(name string, off int, mask byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, ok := m.files[name]
+	if !ok || off < 0 || off >= len(f.data) {
+		return
+	}
+	f.data[off] ^= mask
+}
+
 // testRecord builds a deterministic enroll record for account i.
 func testRecord(i int) Record {
 	var pub [32]byte

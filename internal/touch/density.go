@@ -39,9 +39,6 @@ func (g *DensityGrid) Size() (cols, rows int) { return g.cols, g.rows }
 // Screen returns the pixel rectangle the grid covers.
 func (g *DensityGrid) Screen() geom.Rect { return g.screen }
 
-// Total returns the number of accumulated touches.
-func (g *DensityGrid) Total() float64 { return g.total }
-
 // CellRect returns the pixel rectangle of cell (cx, cy).
 func (g *DensityGrid) CellRect(cx, cy int) geom.Rect {
 	cw := g.screen.W() / float64(g.cols)
@@ -86,32 +83,6 @@ func (g *DensityGrid) Count(cx, cy int) float64 {
 		panic("touch: density cell out of range")
 	}
 	return g.counts[cy*g.cols+cx]
-}
-
-// Prob returns the fraction of all touches that landed in cell (cx,
-// cy); zero when the grid is empty.
-func (g *DensityGrid) Prob(cx, cy int) float64 {
-	if g.total == 0 {
-		return 0
-	}
-	return g.Count(cx, cy) / g.total
-}
-
-// MassIn returns the fraction of touches inside the pixel rectangle r,
-// approximated by cell-centre membership.
-func (g *DensityGrid) MassIn(r geom.Rect) float64 {
-	if g.total == 0 {
-		return 0
-	}
-	mass := 0.0
-	for cy := 0; cy < g.rows; cy++ {
-		for cx := 0; cx < g.cols; cx++ {
-			if r.Contains(g.CellRect(cx, cy).Center()) {
-				mass += g.counts[cy*g.cols+cx]
-			}
-		}
-	}
-	return mass / g.total
 }
 
 // Overlap returns the Bhattacharyya coefficient between two grids of

@@ -84,7 +84,7 @@ func TestRegistrationRejectsAccountTheLogCannotHold(t *testing.T) {
 	if got := r.server.RejectedRequests() - rejected; got != 1 {
 		t.Fatalf("rejection counted %d times, want 1", got)
 	}
-	if r.server.Degraded() {
+	if r.server.degraded.Load() {
 		t.Fatal("an oversized account id degraded the server")
 	}
 	if _, ok := r.server.Account(long); ok {
@@ -192,7 +192,7 @@ func TestDegradedMode(t *testing.T) {
 	r := newDurableRig(t, ffs)
 
 	r.register(t, "durable") // consumes the write budget
-	if r.server.Degraded() {
+	if r.server.degraded.Load() {
 		t.Fatal("degraded before any failure")
 	}
 
@@ -210,7 +210,7 @@ func TestDegradedMode(t *testing.T) {
 	if res.Reason != ErrStorage.Error() {
 		t.Fatalf("reason %q, want ErrStorage", res.Reason)
 	}
-	if !r.server.Degraded() {
+	if !r.server.degraded.Load() {
 		t.Fatal("server not degraded after backend failure")
 	}
 	// Once degraded, every new enrollment is refused up front, before
@@ -365,7 +365,7 @@ func TestDegradedLatchConcurrent(t *testing.T) {
 	if n := storageCount.Load(); n != racers-budget {
 		t.Fatalf("%d storage rejections, want %d", n, racers-budget)
 	}
-	if !r.server.Degraded() {
+	if !r.server.degraded.Load() {
 		t.Fatal("server not degraded after the boundary")
 	}
 	if got := metricValue(t, r.server, "degraded_trips"); got != 1 {

@@ -403,32 +403,6 @@ func (s *Server) SessionAlive(id string) bool {
 	return !sess.revoked
 }
 
-// HumanOriginated is the paper's CAPTCHA replacement: "the use of real
-// finger touches prove that the user is human". A request whose
-// MAC-protected risk report carries at least one verified fingerprint
-// in its window was provably produced by physical touches on enrolled
-// skin — no distorted-text challenge needed. Callers invoke it on
-// requests that sites would otherwise CAPTCHA-gate (sign-ups, posts).
-func (s *Server) HumanOriginated(req *protocol.PageRequest) bool {
-	if req == nil {
-		return false
-	}
-	sess, ok := s.sessions.get(req.SessionID)
-	if !ok {
-		return false
-	}
-	sess.mu.Lock()
-	revoked := sess.revoked
-	sess.mu.Unlock()
-	if revoked || sess.account != req.Account {
-		return false
-	}
-	if !protocol.VerifyMAC(pki.NewMACer(sess.key), req, req.MAC) {
-		return false
-	}
-	return req.RiskWindow > 0 && req.RiskVerified >= 1
-}
-
 // ResetIdentity implements the paper's identity-reset flow: a user who
 // lost her device proves ownership with the recovery password; the
 // server removes the public-key binding (and kills live sessions) so a
@@ -467,6 +441,8 @@ func (s *Server) ResetIdentity(now time.Duration, account, recoveryPassword stri
 // the takeover block for a device reported stolen with no recovery
 // credential. The revoke record is made durable before the tombstone
 // takes effect.
+//
+//trustlint:allow deadexport -- the only writer of the WAL revoke record: the durable-restart tests check through it that the store's revoke replay keeps a revoked id unclaimable
 func (s *Server) RevokeAccount(now time.Duration, account string) error {
 	acct, ok := s.accounts.get(account)
 	if !ok {

@@ -1,11 +1,8 @@
 package webserver
 
 import (
-	"fmt"
-
 	"trust/internal/frame"
 	"trust/internal/geom"
-	"trust/internal/protocol"
 )
 
 // installDefaultPages builds the site: registration, login, home, and a
@@ -79,9 +76,6 @@ func (s *Server) installDefaultPages() {
 	}
 }
 
-// HomeURL returns the post-login landing page URL.
-func (s *Server) HomeURL() string { return s.homeURL }
-
 // page looks up a served page by URL.
 func (s *Server) page(url string) *frame.Page {
 	s.pagesMu.RLock()
@@ -102,19 +96,4 @@ func (s *Server) PageForAction(action string) *frame.Page {
 	default:
 		return s.page(s.homeURL)
 	}
-}
-
-// AddPage installs a custom page (examples build richer sites) that
-// the codec can encode, as every message serving it is authenticated.
-func (s *Server) AddPage(p *frame.Page) error {
-	if p == nil || p.URL == "" {
-		return fmt.Errorf("webserver: invalid page")
-	}
-	if _, err := protocol.EncodeBinary(&protocol.ContentPage{Page: p}); err != nil {
-		return fmt.Errorf("webserver: invalid page: %w", err)
-	}
-	s.pagesMu.Lock()
-	s.pages[p.URL] = p
-	s.pagesMu.Unlock()
-	return nil
 }

@@ -53,34 +53,41 @@ func TestLoginRateLimiting(t *testing.T) {
 	}
 }
 
-func TestHumanOriginated(t *testing.T) {
-	r := newRig(t)
-	r.register(t, "acct")
-	sess, cp := r.login(t, "acct")
-	r.client.DisplayPage(cp.Page, frame.View{Zoom: 1})
-	r.touchButton(t)
-	req, err := r.client.BuildPageRequest(r.now, sess, "home", 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.server.HumanOriginated(req) {
-		t.Fatal("touch-backed request not recognized as human")
-	}
-	// A bot forging the risk field breaks the MAC.
-	forged := *req
-	forged.RiskVerified = 12
-	if r.server.HumanOriginated(&forged) {
-		t.Fatal("risk-forged request accepted as human")
-	}
-	// A zero-verification report is not proof of humanity.
-	zero := *req
-	zero.RiskVerified = 0
-	zero.MAC = pki.MAC(sess.Key, zero.MACBytes())
-	if r.server.HumanOriginated(&zero) {
-		t.Fatal("verification-free request accepted as human")
-	}
-	if r.server.HumanOriginated(nil) {
-		t.Fatal("nil request accepted as human")
+// TestPageRequestNeedsVerifiedTouch is the paper's CAPTCHA replacement
+// ("the use of real finger touches prove that the user is human") on
+// the page-request path: an accepted request passed the session-key MAC
+// and the risk policy, and a policy with MinVerified >= 1 refuses a
+// report of zero verified touches even when its MAC is honest.
+func TestPageRequestNeedsVerifiedTouch(t *testing.T) {
+	for _, policy := range []RiskPolicy{DefaultRiskPolicy(), {Window: 12, MinVerified: 1}} {
+		r := newRig(t)
+		r.server.SetRiskPolicy(policy)
+		r.register(t, "acct")
+		sess, cp := r.login(t, "acct")
+		r.client.DisplayPage(cp.Page, frame.View{Zoom: 1})
+		r.touchButton(t)
+		req, err := r.client.BuildPageRequest(r.now, sess, "home", 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := r.server.AcceptedRequests()
+		// A bot forging the risk field breaks the MAC.
+		forged := *req
+		forged.RiskVerified = 12
+		if _, err := r.server.HandlePageRequest(r.now, &forged); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("policy %+v: risk-forged request: %v, want ErrBadMAC", policy, err)
+		}
+		// A zero-verification report is not proof of humanity, even
+		// sealed with the session key.
+		zero := *req
+		zero.RiskVerified = 0
+		zero.MAC = pki.MAC(sess.Key, zero.MACBytes())
+		if _, err := r.server.HandlePageRequest(r.now, &zero); !errors.Is(err, ErrRiskPolicy) {
+			t.Fatalf("policy %+v: verification-free request: %v, want ErrRiskPolicy", policy, err)
+		}
+		if got := r.server.AcceptedRequests(); got != accepted {
+			t.Fatalf("policy %+v: accepted went %d -> %d on refused requests", policy, accepted, got)
+		}
 	}
 }
 

@@ -107,8 +107,7 @@ type session struct {
 
 // macState returns the session's reusable HMAC instance, building it
 // on first use. The caller must own the session (mutex held, or the
-// session not yet published) — the instance is single-owner state,
-// which is why HumanOriginated's unlocked MAC check builds its own.
+// session not yet published) — the instance is single-owner state.
 func (sess *session) macState() *pki.MACer {
 	if sess.macer == nil {
 		sess.macer = pki.NewMACer(sess.key)
@@ -237,17 +236,9 @@ func NewDurable(domain string, ca *pki.CA, seed uint64, backend store.AccountBac
 	return s, nil
 }
 
-// Degraded reports whether a backend write failed: the server is
-// rejecting new enrollments (ErrStorage) while continuing to serve
-// already-durable accounts.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
 // Close releases the account backend's file handles. The server must
 // not serve traffic afterwards.
 func (s *Server) Close() error { return s.backend.Close() }
-
-// Domain returns the server's domain.
-func (s *Server) Domain() string { return s.domain }
 
 // Certificate returns the server's CA-signed certificate.
 func (s *Server) Certificate() *pki.Certificate { return s.cert.Clone() }
@@ -302,19 +293,8 @@ func (s *Server) reject(err error) error {
 	return err
 }
 
-// NonceCount reports the live (issued, unconsumed, unexpired-at-issue)
-// nonce count — bounded by the store's capacity.
-func (s *Server) NonceCount() int { return s.nonces.len() }
-
 // SessionCount reports the number of established sessions.
 func (s *Server) SessionCount() int { return s.sessions.len() }
-
-// SetNonceLimits replaces the nonce store's TTL (virtual time) and
-// total capacity. Call before serving traffic: outstanding nonces are
-// dropped.
-func (s *Server) SetNonceLimits(ttl time.Duration, capacity int) {
-	s.nonces = newNonceStore(ttl, capacity)
-}
 
 // mintNonce draws a fresh nonce value from the entropy stream without
 // registering it for consumption — session-echo nonces (rotated on

@@ -173,7 +173,7 @@ func TestLoginAndContinuousRequests(t *testing.T) {
 	r := newRig(t)
 	r.register(t, "ab12xyom")
 	sess, cp := r.login(t, "ab12xyom")
-	if cp.Page.URL != r.server.HomeURL() {
+	if cp.Page.URL != r.server.homeURL {
 		t.Fatalf("login landed on %s", cp.Page.URL)
 	}
 

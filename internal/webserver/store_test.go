@@ -132,14 +132,14 @@ func TestNonceStoreDeterministicEviction(t *testing.T) {
 func TestServeLoginPageNonceBounded(t *testing.T) {
 	r := newRig(t)
 	const capacity = 64
-	r.server.SetNonceLimits(DefaultNonceTTL, capacity)
+	r.server.nonces = newNonceStore(DefaultNonceTTL, capacity)
 	for i := 0; i < 2_000; i++ {
 		if lp := r.server.ServeLoginPage(r.now); lp.Nonce == "" {
 			t.Fatal("empty nonce")
 		}
 		r.now += time.Millisecond
 	}
-	if n := r.server.NonceCount(); n > capacity {
+	if n := r.server.nonces.len(); n > capacity {
 		t.Fatalf("live nonces = %d after abandoned logins, capacity %d", n, capacity)
 	}
 	// The freshest nonces are the surviving ones: a full flow still
@@ -336,8 +336,8 @@ func TestShardColumnsMatchCounts(t *testing.T) {
 	if got, want := sums["sessions"], r.server.SessionCount(); got != want || want == 0 {
 		t.Errorf("sessions columns sum to %d, SessionCount %d", got, want)
 	}
-	if got, want := sums["nonces"], r.server.NonceCount(); got != want || want == 0 {
-		t.Errorf("nonces columns sum to %d, NonceCount %d", got, want)
+	if got, want := sums["nonces"], r.server.nonces.len(); got != want || want == 0 {
+		t.Errorf("nonces columns sum to %d, live nonces %d", got, want)
 	}
 	if got := sums["accounts"]; got != bound {
 		t.Errorf("accounts columns sum to %d, want %d bound", got, bound)

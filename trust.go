@@ -9,26 +9,21 @@
 //   - LocalDevice / RunLocalSession — the local identity management
 //     scenario: unlock flow, opportunistic capture, k-of-n risk engine,
 //     pre-defined responses.
-//   - Attack suite, experiment harness, and the sensor-placement
-//     optimizer for design exploration.
+//   - The attack suite and the sensor-placement optimizer for design
+//     exploration.
 //
 // See examples/ for runnable entry points and DESIGN.md for the system
 // inventory.
 package trust
 
 import (
-	"time"
-
 	"trust/internal/attack"
-	"trust/internal/baseline"
 	"trust/internal/core"
 	"trust/internal/device"
 	"trust/internal/extract"
 	"trust/internal/fingerprint"
 	"trust/internal/flock"
-	"trust/internal/frame"
 	"trust/internal/geom"
-	"trust/internal/harness"
 	"trust/internal/pki"
 	"trust/internal/placement"
 	"trust/internal/sensor"
@@ -43,20 +38,14 @@ type (
 	// World wires a CA, web servers, and FLock devices into the remote
 	// scenario of the paper's Fig 8.
 	World = core.World
-	// User couples a touch-behaviour model with a synthetic fingertip.
-	User = core.User
 	// LocalDevice is the local identity management scenario.
 	LocalDevice = core.LocalDevice
 	// LocalPolicy is the k-of-n window policy with responses.
 	LocalPolicy = core.LocalPolicy
 	// SessionReport summarizes a simulated local session.
 	SessionReport = core.SessionReport
-	// Decision is a risk-engine verdict.
-	Decision = core.Decision
 	// Device is the untrusted phone host embedding a FLock module.
 	Device = device.Device
-	// Malware models a compromised browser/software stack.
-	Malware = device.Malware
 	// Server is a TRUST-enabled web service.
 	Server = webserver.Server
 	// Module is the FLock trusted hardware block.
@@ -65,12 +54,8 @@ type (
 	Finger = fingerprint.Finger
 	// Placement is a chosen sensor layout.
 	Placement = placement.Placement
-	// Page is a served hyper-text page.
-	Page = frame.Page
 	// AttackResult is one attack outcome from the security suite.
 	AttackResult = attack.Result
-	// ExperimentResult is one regenerated table/figure.
-	ExperimentResult = harness.Result
 	// TouchEvent is one physical touch-down.
 	TouchEvent = touch.Event
 	// UserModel is a touch-behaviour model (hot-spots + gestures).
@@ -151,45 +136,12 @@ func NewDensityGrid(screen Rect, cols, rows int) *DensityGrid {
 // deployments and reports per-attack outcomes.
 func RunAttackSuite(seed uint64) []AttackResult { return attack.All(seed) }
 
-// AllExperiments regenerates every table and figure of the paper (see
-// DESIGN.md section 4).
-func AllExperiments(seed uint64) ([]ExperimentResult, error) {
-	return harness.AllResults(seed)
-}
-
-// CompareTableI quantifies the paper's Table I given measured
-// integrated-scheme numbers.
-func CompareTableI(sessions int, integratedCoverage float64, integratedLogin time.Duration, seed uint64) []baseline.Metrics {
-	return baseline.Compare(sessions, integratedCoverage, integratedLogin, seed)
-}
-
-// DefaultExperimentSeed is the seed the shipped EXPERIMENTS.md numbers
-// were produced with.
-const DefaultExperimentSeed = harness.Seed
-
-// RunLocalSessionOnClock is the event-driven variant of
-// RunLocalSession: touches are scheduled on a sim.Clock, composing with
-// other clock-driven activity.
-func RunLocalSessionOnClock(clock *sim.Clock, d *LocalDevice, s *touch.Session, owner, impostor *Finger, impostorStart int) (SessionReport, error) {
-	return core.RunLocalSessionOnClock(clock, d, s, owner, impostor, impostorStart)
-}
-
-// NewClock returns a fresh virtual clock for event-driven simulations.
-func NewClock() *sim.Clock { return sim.NewClock() }
-
-// Clock is the deterministic discrete-event clock.
-type Clock = sim.Clock
-
 // ExtractMinutiae runs the image-based CV extraction pipeline
 // (smoothing, thinning, crossing-number detection) on a sensor bit
 // image; pitchMM is millimetres per pixel.
 func ExtractMinutiae(img *sensor.BitImage, pitchMM float64) []fingerprint.Minutia {
 	return extract.Minutiae(img, pitchMM, extract.DefaultOptions())
 }
-
-// ImageMatcher returns the matcher operating point calibrated for
-// image-extracted feature sets.
-func ImageMatcher() fingerprint.MatcherConfig { return extract.Matcher() }
 
 // ImageModuleConfig returns a FLock configuration that runs the real
 // CV extraction on every capture (see experiment X10).

@@ -2,7 +2,6 @@ package trust
 
 import (
 	"testing"
-	"time"
 )
 
 // The facade tests exercise the public API the examples use, end to
@@ -78,13 +77,6 @@ func TestPublicAttackSuite(t *testing.T) {
 		if !r.Defended {
 			t.Errorf("attack %s not defended", r.Name)
 		}
-	}
-}
-
-func TestPublicTableI(t *testing.T) {
-	rows := CompareTableI(50, 0.3, 20*time.Millisecond, 1)
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
 	}
 }
 
