@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +38,7 @@ func main() {
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		table      = flag.Int("table", 0, "regenerate Table N (1 or 2)")
 		fig        = flag.Int("fig", 0, "regenerate Figure N (1..10)")
-		ext        = flag.String("x", "", "extension experiment: "+extensionNames())
+		ext        = flag.String("x", "", "extension experiment: "+artifactIDs("x-"))
 		seed       = flag.Uint64("seed", harness.Seed, "deterministic experiment seed")
 		out        = flag.String("out", "", "also write each artifact to <out>/<id>.txt")
 		jsonPath   = flag.String("json", "", "measure every artifact generator and write {name: {ns_per_op, allocs_per_op}} to the given file ('' = off; '-' = BENCH_harness.json)")
@@ -71,6 +70,16 @@ func main() {
 			os.Exit(1)
 		}
 		emit(r)
+	}
+	runID := func(id string) {
+		for _, a := range harness.Artifacts {
+			if a.ID == id {
+				run(a.Run(*seed))
+				return
+			}
+		}
+		fmt.Fprintf(os.Stderr, "benchtab: unknown artifact %q (want %s)\n", id, artifactIDs(""))
+		os.Exit(2)
 	}
 
 	readCapture := func(path string) *ftdc.Data {
@@ -133,39 +142,15 @@ func main() {
 			os.Exit(1)
 		}
 	case *all:
-		results, err := harness.AllResults(*seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
+		for _, a := range harness.Artifacts {
+			run(a.Run(*seed))
 		}
-		for _, r := range results {
-			emit(r)
-		}
-	case *table == 1:
-		run(harness.Table1(*seed))
-	case *table == 2:
-		run(harness.Table2())
-	case *fig >= 1 && *fig <= 10:
-		gens := map[int]func() (harness.Result, error){
-			1:  func() (harness.Result, error) { return harness.Fig1(*seed) },
-			2:  func() (harness.Result, error) { return harness.Fig2(*seed) },
-			3:  func() (harness.Result, error) { return harness.Fig3() },
-			4:  func() (harness.Result, error) { return harness.Fig4(*seed) },
-			5:  func() (harness.Result, error) { return harness.Fig5(*seed) },
-			6:  func() (harness.Result, error) { return harness.Fig6(*seed) },
-			7:  func() (harness.Result, error) { return harness.Fig7(*seed) },
-			8:  func() (harness.Result, error) { return harness.Fig8(*seed) },
-			9:  func() (harness.Result, error) { return harness.Fig9(*seed) },
-			10: func() (harness.Result, error) { return harness.Fig10(*seed) },
-		}
-		run(gens[*fig]())
+	case *table != 0:
+		runID(fmt.Sprintf("table%d", *table))
+	case *fig != 0:
+		runID(fmt.Sprintf("fig%d", *fig))
 	case *ext != "":
-		gen, ok := extensions[*ext]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtab: unknown extension %q (want %s)\n", *ext, extensionNames())
-			os.Exit(2)
-		}
-		run(gen(*seed))
+		runID("x-" + *ext)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -280,33 +265,15 @@ func benchFTDCSample(b *testing.B) {
 	}
 }
 
-// extensions maps each -x name to its extension experiment.
-var extensions = map[string]func(seed uint64) (harness.Result, error){
-	"placement":       harness.XPlacement,
-	"window":          harness.XWindow,
-	"attacks":         harness.XAttacks,
-	"energy":          harness.XEnergy,
-	"frameaudit":      harness.XFrameAudit,
-	"transfer":        harness.XTransfer,
-	"fuzzyvault":      harness.XFuzzyVault,
-	"modalities":      harness.XModalities,
-	"hijack":          harness.XHijack,
-	"imagepipeline":   harness.XImagePipeline,
-	"adaptation":      harness.XAdaptation,
-	"noise":           harness.XNoise,
-	"personalization": harness.XPersonalization,
-	"chaos":           harness.XChaos,
-	"streamchaos":     harness.XStreamChaos,
-}
-
-// extensionNames lists the -x names, sorted and '|'-separated, so the
-// flag's help text and the unknown-name error always match the map.
-func extensionNames() string {
-	names := make([]string, 0, len(extensions))
-	for name := range extensions {
-		names = append(names, name)
+// artifactIDs lists the registry IDs that start with prefix, prefix
+// cut, '|'-separated in paper order.
+func artifactIDs(prefix string) string {
+	var names []string
+	for _, a := range harness.Artifacts {
+		if name, ok := strings.CutPrefix(a.ID, prefix); ok {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
 	return strings.Join(names, "|")
 }
 
@@ -316,113 +283,64 @@ type benchEntry struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 }
 
-// writeBenchJSON measures every artifact generator with
-// testing.Benchmark and writes the machine-readable timing report. The
-// names mirror the Benchmark* functions in bench_test.go, so CI can
-// diff this file against `go test -bench` output.
+// writeBenchJSON measures every registered artifact generator with
+// testing.Benchmark and writes the machine-readable timing report,
+// keyed by artifact ID like the BenchmarkArtifacts/<id> sub-benchmarks
+// in bench_test.go, plus the trustlint sweep and the FTDC sampling hot
+// path.
 func writeBenchJSON(path string, seed uint64) error {
-	gens := []struct {
-		name string
-		fn   func() (harness.Result, error)
-	}{
-		{"Table1", func() (harness.Result, error) { return harness.Table1(seed) }},
-		{"Table2", func() (harness.Result, error) { return harness.Table2() }},
-		{"Fig1", func() (harness.Result, error) { return harness.Fig1(seed) }},
-		{"Fig2", func() (harness.Result, error) { return harness.Fig2(seed) }},
-		{"Fig3", func() (harness.Result, error) { return harness.Fig3() }},
-		{"Fig4", func() (harness.Result, error) { return harness.Fig4(seed) }},
-		{"Fig5", func() (harness.Result, error) { return harness.Fig5(seed) }},
-		{"Fig6", func() (harness.Result, error) { return harness.Fig6(seed) }},
-		{"Fig7", func() (harness.Result, error) { return harness.Fig7(seed) }},
-		{"Fig8", func() (harness.Result, error) { return harness.Fig8(seed) }},
-		{"Fig9", func() (harness.Result, error) { return harness.Fig9(seed) }},
-		{"Fig10", func() (harness.Result, error) { return harness.Fig10(seed) }},
-		{"Placement", func() (harness.Result, error) { return harness.XPlacement(seed) }},
-		{"WindowPolicy", func() (harness.Result, error) { return harness.XWindow(seed) }},
-		{"Attacks", func() (harness.Result, error) { return harness.XAttacks(seed) }},
-		{"Energy", func() (harness.Result, error) { return harness.XEnergy(seed) }},
-		{"FrameAudit", func() (harness.Result, error) { return harness.XFrameAudit(seed) }},
-		{"Transfer", func() (harness.Result, error) { return harness.XTransfer(seed) }},
-		{"FuzzyVault", func() (harness.Result, error) { return harness.XFuzzyVault(seed) }},
-		{"Modalities", func() (harness.Result, error) { return harness.XModalities(seed) }},
-		{"Hijack", func() (harness.Result, error) { return harness.XHijack(seed) }},
-		{"ImagePipeline", func() (harness.Result, error) { return harness.XImagePipeline(seed) }},
-		{"Adaptation", func() (harness.Result, error) { return harness.XAdaptation(seed) }},
-		{"Noise", func() (harness.Result, error) { return harness.XNoise(seed) }},
-		{"Personalization", func() (harness.Result, error) { return harness.XPersonalization(seed) }},
-		{"Chaos", func() (harness.Result, error) { return harness.XChaos(seed) }},
-		{"StreamChaos", func() (harness.Result, error) { return harness.XStreamChaos(seed) }},
-	}
 	// Fail on an unwritable path before spending minutes measuring.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
 	f.Close()
-	report := make(map[string]benchEntry, len(gens))
-	for _, g := range gens {
+	report := make(map[string]benchEntry, len(harness.Artifacts)+2)
+	record := func(name string, res testing.BenchmarkResult) {
+		report[name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
+		fmt.Fprintf(os.Stderr, "%-18s %12d ns/op %12d allocs/op\n", name, res.NsPerOp(), res.AllocsPerOp())
+	}
+	for _, a := range harness.Artifacts {
 		var genErr error
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.fn(); err != nil {
+				if _, err := a.Run(seed); err != nil {
 					genErr = err
 					b.FailNow()
 				}
 			}
 		})
 		if genErr != nil {
-			return fmt.Errorf("%s: %w", g.name, genErr)
+			return fmt.Errorf("%s: %w", a.ID, genErr)
 		}
-		report[g.name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", g.name, res.NsPerOp(), res.AllocsPerOp())
+		record(a.ID, res)
 	}
 	// The static-analysis sweep runs on every verify, so its cost is
-	// tracked alongside the artifact generators (BenchmarkTrustlint /
-	// BenchmarkTrustlintColdList in bench_test.go mirror these entries).
-	// TrustlintColdList drops the package-list cache each iteration —
-	// the first-run cost of a fresh process; Trustlint keeps it warm.
-	lints := []struct {
-		name string
-		cold bool
-	}{
-		{"TrustlintColdList", true},
-		{"Trustlint", false},
-	}
-	for _, l := range lints {
-		var lintErr error
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if l.cold {
-					analysis.ResetListCache()
-				}
-				findings, err := analysis.Lint(".", "./...")
-				if err != nil {
-					lintErr = err
-					b.FailNow()
-				}
-				if len(findings) > 0 {
-					lintErr = fmt.Errorf("tree has %d trustlint finding(s)", len(findings))
-					b.FailNow()
-				}
+	// tracked alongside the artifact generators (BenchmarkTrustlint in
+	// bench_test.go mirrors this entry).
+	var lintErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			findings, err := analysis.Lint(".", "./...")
+			if err == nil && len(findings) > 0 {
+				err = fmt.Errorf("tree has %d trustlint finding(s)", len(findings))
 			}
-		})
-		if lintErr != nil {
-			return fmt.Errorf("%s: %w", l.name, lintErr)
+			if err != nil {
+				lintErr = err
+				b.FailNow()
+			}
 		}
-		report[l.name] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", l.name, res.NsPerOp(), res.AllocsPerOp())
+	})
+	if lintErr != nil {
+		return fmt.Errorf("Trustlint: %w", lintErr)
 	}
+	record("Trustlint", res)
 	// The telemetry sampling hot path: one server-sized delta row per
-	// op (mirrors BenchmarkFTDCSample in bench_test.go and
-	// BenchmarkSample in internal/ftdc). Its allocs/op entry is the
-	// recorded form of the package's zero-alloc claim.
-	{
-		res := testing.Benchmark(benchFTDCSample)
-		report["FTDCSample"] = benchEntry{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-16s %12d ns/op %12d allocs/op\n", "FTDCSample", res.NsPerOp(), res.AllocsPerOp())
-	}
+	// op (mirrors BenchmarkSample in internal/ftdc). Its allocs/op entry
+	// is the recorded form of the package's zero-alloc claim.
+	record("FTDCSample", testing.Benchmark(benchFTDCSample))
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err

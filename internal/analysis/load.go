@@ -59,6 +59,9 @@ type Loader struct {
 	// units maps an import path to its type-checked unit, so loading
 	// the module after a subset checks no package twice.
 	units map[string]*Unit
+	// lists memoizes goList by directory and patterns, so LoadModule
+	// after a `./...` run at the module root reuses that listing.
+	lists map[string][]*listPkg
 }
 
 // NewLoader returns a loader rooted at dir.
@@ -69,15 +72,20 @@ func NewLoader(dir string) *Loader {
 		exports:     make(map[string]string),
 		testExports: make(map[string]string),
 		units:       make(map[string]*Unit),
+		lists:       make(map[string][]*listPkg),
 	}
 }
 
-// goList runs `go list -export -deps -test -json args...` and decodes
-// the package stream, memoizing the result per module fingerprint
-// (listcache.go) so repeated runs over an unchanged tree skip the
-// re-export entirely.
+// goList runs `go list -export -deps -test -json args...` in dir and
+// decodes the package stream, once per loader for each dir and
+// patterns.
 func (l *Loader) goList(dir string, patterns []string) ([]*listPkg, error) {
-	if pkgs, ok := cachedList(dir, patterns); ok {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	key := abs + "\x00" + strings.Join(patterns, "\x00")
+	if pkgs, ok := l.lists[key]; ok {
 		return pkgs, nil
 	}
 	args := append([]string{"list", "-export", "-deps", "-test", "-json"}, patterns...)
@@ -104,7 +112,7 @@ func (l *Loader) goList(dir string, patterns []string) ([]*listPkg, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	storeList(dir, patterns, pkgs)
+	l.lists[key] = pkgs
 	return pkgs, nil
 }
 
@@ -185,6 +193,24 @@ func (l *Loader) LoadModule() (*Module, error) {
 		return nil, err
 	}
 	return &Module{Units: units, ExternNames: names}, nil
+}
+
+// moduleRoot walks up from dir to the enclosing go.mod.
+func moduleRoot(dir string) (string, bool) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", false
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(abs, "go.mod")); err == nil {
+			return abs, true
+		}
+		parent := filepath.Dir(abs)
+		if parent == abs {
+			return "", false
+		}
+		abs = parent
+	}
 }
 
 // nestedModuleNames returns the identifiers in the Go files of the

@@ -5,9 +5,9 @@ import "sync/atomic"
 // deviceTel counts the device's recovery machinery firing: every
 // counter here is an event the happy path never produces, so a capture
 // of a healthy run is all zeros and a chaos run's counters localize
-// which fallback absorbed the faults. Counters are atomic because the
-// heartbeat scheduler can drive transport recovery from its own
-// goroutine while the interaction loop browses.
+// which fallback absorbed the faults. Only the goroutine driving the
+// device writes them; they are atomic so a sampler on another
+// goroutine may read them.
 type deviceTel struct {
 	// retries counts backoff-then-redeliver rounds across the
 	// *Resilient flows (one per wait, not per attempt).

@@ -138,15 +138,27 @@ func TestRigArtifactsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("..", "..", "artifacts", r.ID+".txt")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.String() + "\n"; got != string(want) {
-				t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", e.name, path, got, want)
-			}
+			checkArtifactFile(t, r)
 		})
+	}
+}
+
+// artifactDir holds the committed artifacts, one <id>.txt per entry of
+// Artifacts.
+var artifactDir = filepath.Join("..", "..", "artifacts")
+
+// checkArtifactFile fails t unless r renders byte-for-byte as its
+// committed file, the way `benchtab -out` writes it.
+func checkArtifactFile(t *testing.T, r Result) {
+	t.Helper()
+	path := filepath.Join(artifactDir, r.ID+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if got := r.String() + "\n"; got != string(want) {
+		t.Errorf("%s drifted from %s:\n--- got ---\n%s--- want ---\n%s", r.ID, path, got, want)
 	}
 }
 

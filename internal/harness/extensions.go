@@ -360,48 +360,3 @@ func XTransfer(seed uint64) (Result, error) {
 		},
 	}, nil
 }
-
-// AllResults regenerates every artifact, in paper order.
-func AllResults(seed uint64) ([]Result, error) {
-	type gen struct {
-		fn func() (Result, error)
-	}
-	gens := []func() (Result, error){
-		func() (Result, error) { return Table1(seed) },
-		func() (Result, error) { return Table2() },
-		func() (Result, error) { return Fig1(seed) },
-		func() (Result, error) { return Fig2(seed) },
-		func() (Result, error) { return Fig3() },
-		func() (Result, error) { return Fig4(seed) },
-		func() (Result, error) { return Fig5(seed) },
-		func() (Result, error) { return Fig6(seed) },
-		func() (Result, error) { return Fig7(seed) },
-		func() (Result, error) { return Fig8(seed) },
-		func() (Result, error) { return Fig9(seed) },
-		func() (Result, error) { return Fig10(seed) },
-		func() (Result, error) { return XPlacement(seed) },
-		func() (Result, error) { return XWindow(seed) },
-		func() (Result, error) { return XAttacks(seed) },
-		func() (Result, error) { return XEnergy(seed) },
-		func() (Result, error) { return XFrameAudit(seed) },
-		func() (Result, error) { return XTransfer(seed) },
-		func() (Result, error) { return XFuzzyVault(seed) },
-		func() (Result, error) { return XModalities(seed) },
-		func() (Result, error) { return XHijack(seed) },
-		func() (Result, error) { return XImagePipeline(seed) },
-		func() (Result, error) { return XAdaptation(seed) },
-		func() (Result, error) { return XNoise(seed) },
-		func() (Result, error) { return XPersonalization(seed) },
-		func() (Result, error) { return XChaos(seed) },
-		func() (Result, error) { return XStreamChaos(seed) },
-	}
-	var out []Result
-	for _, g := range gens {
-		r, err := g()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

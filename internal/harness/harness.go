@@ -40,6 +40,46 @@ func (r Result) String() string {
 	return fmt.Sprintf("=== %s: %s ===\n%s", strings.ToUpper(r.ID), r.Title, r.Text)
 }
 
+// Artifact is one entry of the artifact registry. ID is the artifact's
+// file stem under artifacts/ and the Result.ID that Run returns.
+type Artifact struct {
+	ID  string
+	Run func(seed uint64) (Result, error)
+}
+
+// Artifacts lists every artifact once, in paper order: the tables, the
+// figures, then the extension experiments. benchtab (-all, -table,
+// -fig, -x, -json) and the root benchmarks all read it.
+var Artifacts = []Artifact{
+	{"table1", Table1},
+	{"table2", func(uint64) (Result, error) { return Table2() }},
+	{"fig1", Fig1},
+	{"fig2", Fig2},
+	{"fig3", func(uint64) (Result, error) { return Fig3() }},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"x-placement", XPlacement},
+	{"x-window", XWindow},
+	{"x-attacks", XAttacks},
+	{"x-energy", XEnergy},
+	{"x-frameaudit", XFrameAudit},
+	{"x-transfer", XTransfer},
+	{"x-fuzzyvault", XFuzzyVault},
+	{"x-modalities", XModalities},
+	{"x-hijack", XHijack},
+	{"x-imagepipeline", XImagePipeline},
+	{"x-adaptation", XAdaptation},
+	{"x-noise", XNoise},
+	{"x-personalization", XPersonalization},
+	{"x-chaos", XChaos},
+	{"x-stream-chaos", XStreamChaos},
+}
+
 // stdRig builds the standard single-user deployment used by several
 // experiments: optimized placement from the reference users, one
 // device enrolled for user1, one bank server.

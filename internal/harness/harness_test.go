@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -457,25 +458,43 @@ func TestXStreamChaosCutsNeverLoseSessions(t *testing.T) {
 	}
 }
 
+// TestAllResultsComplete regenerates every registered artifact and
+// checks the registry against the committed artifacts/ directory: IDs
+// are unique, each generator returns its entry's ID, every file has an
+// entry and every entry a file, and each one renders byte-for-byte as
+// `benchtab -all -out` writes it.
 func TestAllResultsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full regeneration is slow")
 	}
-	results, err := AllResults(Seed)
+	files, err := filepath.Glob(filepath.Join(artifactDir, "*.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 27 {
-		t.Fatalf("%d artifacts, want 27 (2 tables + 10 figures + 15 extensions)", len(results))
+	unlisted := map[string]bool{}
+	for _, f := range files {
+		unlisted[strings.TrimSuffix(filepath.Base(f), ".txt")] = true
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
-		if r.ID == "" || r.Title == "" || r.Text == "" {
-			t.Errorf("artifact %q incomplete", r.ID)
+	for _, a := range Artifacts {
+		if seen[a.ID] {
+			t.Errorf("duplicate artifact id %q", a.ID)
 		}
-		if seen[r.ID] {
-			t.Errorf("duplicate artifact id %q", r.ID)
+		seen[a.ID] = true
+		delete(unlisted, a.ID)
+		r, err := a.Run(Seed)
+		if err != nil {
+			t.Fatalf("%s: %v", a.ID, err)
 		}
-		seen[r.ID] = true
+		if r.ID != a.ID {
+			t.Errorf("entry %q returns artifact id %q", a.ID, r.ID)
+		}
+		if r.Title == "" || r.Text == "" {
+			t.Errorf("artifact %q incomplete", a.ID)
+		}
+		checkArtifactFile(t, r)
+	}
+	for id := range unlisted {
+		t.Errorf("artifacts/%s.txt has no registry entry", id)
 	}
 }

@@ -78,8 +78,6 @@ func (s *Server) installDefaultPages() {
 
 // page looks up a served page by URL.
 func (s *Server) page(url string) *frame.Page {
-	s.pagesMu.RLock()
-	defer s.pagesMu.RUnlock()
 	return s.pages[url]
 }
 

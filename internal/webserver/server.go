@@ -151,8 +151,7 @@ type Server struct {
 	tickets   *pki.TicketKeys
 	ticketAAD []byte
 
-	pagesMu  sync.RWMutex
-	pages    map[string]*frame.Page // served pages by URL
+	pages    map[string]*frame.Page // served pages by URL; fixed in New, read unlocked
 	homeURL  string
 	loginURL string
 	regURL   string
@@ -262,8 +261,6 @@ func (s *Server) Account(id string) (*Account, bool) {
 
 // Pages returns the served pages keyed by URL (the audit input).
 func (s *Server) Pages() map[string]*frame.Page {
-	s.pagesMu.RLock()
-	defer s.pagesMu.RUnlock()
 	out := make(map[string]*frame.Page, len(s.pages))
 	for k, v := range s.pages {
 		out[k] = v
@@ -331,7 +328,7 @@ func (s *Server) newSessionID() string {
 }
 
 func (s *Server) sign(data []byte, err error) []byte {
-	if err != nil { // the server's pages all encode (AddPage checks)
+	if err != nil { // the server's own messages all encode (its pages are fixed at New)
 		panic(fmt.Sprintf("webserver: signing own message: %v", err))
 	}
 	return ed25519.Sign(s.keys.Private, data)
