@@ -28,6 +28,24 @@ type HTTP struct {
 
 const binaryMIME = "application/octet-stream"
 
+// binaryHeader is the Content-Type and Accept value for binaryMIME,
+// shared by every request instead of a fresh one-element slice per
+// Header.Set. net/http never writes into a header's value slice.
+var binaryHeader = []string{binaryMIME}
+
+// isBinaryType reports whether a response Content-Type selects the
+// binary decoder. The exact value the server sends is matched
+// directly; anything else is parsed, so a parameterized
+// "application/octet-stream; charset=..." or a mixed-case spelling
+// still selects the binary decoder, not JSON.
+func isBinaryType(ct string) bool {
+	if ct == binaryMIME {
+		return true
+	}
+	mt, _, _ := mime.ParseMediaType(ct)
+	return mt == binaryMIME
+}
+
 var _ Transport = (*HTTP)(nil)
 
 func (t *HTTP) client() *http.Client {
@@ -57,7 +75,7 @@ func get[M any](t *HTTP, path string, now time.Duration, out *M) error {
 		return err
 	}
 	if t.Binary {
-		req.Header.Set("Accept", binaryMIME)
+		req.Header["Accept"] = binaryHeader
 	}
 	resp, err := t.client().Do(req)
 	if err != nil {
@@ -86,11 +104,9 @@ var postBodyPool = sync.Pool{New: func() any { return new(postBody) }}
 func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in any, out *M) error {
 	pb := postBodyPool.Get().(*postBody)
 	defer postBodyPool.Put(pb)
-	contentType := "application/json"
 	var err error
 	if t.Binary {
 		pb.buf, err = protocol.EncodeBinaryAppend(pb.buf[:0], in)
-		contentType = binaryMIME
 	} else {
 		var body []byte
 		body, err = json.Marshal(in)
@@ -104,9 +120,11 @@ func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in a
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
 	if t.Binary {
-		req.Header.Set("Accept", binaryMIME)
+		req.Header["Content-Type"] = binaryHeader
+		req.Header["Accept"] = binaryHeader
+	} else {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := t.client().Do(req)
 	if err != nil {
@@ -133,10 +151,7 @@ func decodeResponse[M any](resp *http.Response, out *M) error {
 		}
 		return fmt.Errorf("device: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	// Parse the media type properly: a parameterized
-	// "application/octet-stream; charset=..." must still select the
-	// binary decoder, not fall through to JSON.
-	ct, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+	binary := isBinaryType(resp.Header.Get("Content-Type"))
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer respBufPool.Put(buf)
@@ -144,7 +159,7 @@ func decodeResponse[M any](resp *http.Response, out *M) error {
 		return err
 	}
 	data := buf.Bytes()
-	if ct == binaryMIME {
+	if binary {
 		m, err := protocol.DecodeAs[M](data)
 		if err != nil {
 			return err

@@ -82,7 +82,6 @@ func XAdaptation(seed uint64) (Result, error) {
 	lastStatic := float64(stats[epochs-1].static) / total
 	lastAdaptive := float64(stats[epochs-1].adaptive) / total
 	return Result{
-		ID:    "x-adaptation",
 		Title: "Template aging and confident-match adaptation (X11)",
 		Text:  text,
 		Metrics: map[string]float64{

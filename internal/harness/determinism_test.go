@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"trust/internal/ftdc"
@@ -125,16 +126,17 @@ func TestXChaosCaptureByteIdentical(t *testing.T) {
 // the fault injectors or the sweep driver that moves a single byte
 // fails here rather than in a manual diff.
 func TestRigArtifactsGolden(t *testing.T) {
-	for _, e := range []struct {
-		name string
-		fn   func(uint64) (Result, error)
-	}{
-		{"XChaos", XChaos},
-		{"XStreamChaos", XStreamChaos},
-		{"XAttacks", XAttacks},
+	for _, e := range []struct{ name, id string }{
+		{"XChaos", "x-chaos"},
+		{"XStreamChaos", "x-stream-chaos"},
+		{"XAttacks", "x-attacks"},
 	} {
 		t.Run(e.name, func(t *testing.T) {
-			r, err := e.fn(Seed)
+			i := slices.IndexFunc(Artifacts, func(a Artifact) bool { return a.ID == e.id })
+			if i < 0 {
+				t.Fatalf("no registry entry %q", e.id)
+			}
+			r, err := Artifacts[i].Run(Seed)
 			if err != nil {
 				t.Fatal(err)
 			}

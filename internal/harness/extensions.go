@@ -48,7 +48,6 @@ func XPlacement(seed uint64) (Result, error) {
 	}
 	text := fmtTable([]string{"sensor size", "sensors", "touch coverage", "area fraction", "leverage"}, rows)
 	return Result{
-		ID:      "x-placement",
 		Title:   "Sensor placement: coverage vs sensor count and size (X1)",
 		Text:    text,
 		Metrics: metrics,
@@ -156,7 +155,6 @@ func XWindow(seed uint64) (Result, error) {
 	text := fmtTable([]string{"policy", "thefts detected", "mean detection latency", "owner false locks", "owner halts"}, rows)
 	text += fmt.Sprintf("\n%d theft trials and %d owner-only trials per policy; 160 touches each, takeover at touch 60\n", trials, trials)
 	return Result{
-		ID:      "x-window",
 		Title:   "k-of-n window policy: detection latency vs false responses (X2)",
 		Text:    text,
 		Metrics: metrics,
@@ -184,7 +182,6 @@ func XAttacks(seed uint64) (Result, error) {
 	text := fmtTable([]string{"attack", "adversary capability", "outcome", "defence mechanism"}, rows)
 	text += fmt.Sprintf("\n%d/%d attacks defended\n", defended, len(results))
 	return Result{
-		ID:      "x-attacks",
 		Title:   "Security analysis attack suite (X3, Sec IV-B)",
 		Text:    text,
 		Metrics: map[string]float64{"defended": float64(defended), "total": float64(len(results))},
@@ -249,7 +246,6 @@ func XEnergy(seed uint64) (Result, error) {
 	}
 	text := fmtTable([]string{"metric", "value"}, rows)
 	return Result{
-		ID:      "x-energy",
 		Title:   "Opportunistic capture vs always-on sensing (X4)",
 		Text:    text,
 		Metrics: map[string]float64{"ratio": ratio},
@@ -288,7 +284,6 @@ func XFrameAudit(seed uint64) (Result, error) {
 	text := fmtTable([]string{"page height", "standard views", "distinct hashes", "hashes computed", "entries verified"}, rows)
 	text += "\nthe view set stays small and grows linearly with page height — offline audit is cheap\n"
 	return Result{
-		ID:      "x-frameaudit",
 		Title:   "Frame-hash audit cost over the finite view set (X5)",
 		Text:    text,
 		Metrics: metrics,
@@ -350,7 +345,6 @@ func XTransfer(seed uint64) (Result, error) {
 
 	text := fmtTable([]string{"step", "outcome"}, rows)
 	return Result{
-		ID:    "x-transfer",
 		Title: "Identity transfer and reset (X6, Sec IV-B)",
 		Text:  text,
 		Metrics: map[string]float64{

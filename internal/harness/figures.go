@@ -55,7 +55,6 @@ func Fig1(seed uint64) (Result, error) {
 		{"p95 localization error", fmt.Sprintf("%.1f px (%.2f mm)", p95, p95/cfg.PXPerMM())},
 	})
 	return Result{
-		ID:    "fig1",
 		Title: "Capacitive touchscreen sensing (Fig 1): localization and response",
 		Text:  text,
 		Metrics: map[string]float64{
@@ -105,7 +104,6 @@ func Fig2(seed uint64) (Result, error) {
 	sb.WriteString("\nimaged patch (downsampled):\n")
 	sb.WriteString(res.Bits.ASCII(4))
 	return Result{
-		ID:    "fig2",
 		Title: "TFT fingerprint sensor imaging (Fig 2)",
 		Text:  sb.String(),
 		Metrics: map[string]float64{
@@ -136,7 +134,6 @@ func Fig3() (Result, error) {
 	metrics["optical_over_tft_thickness"] = techs[0].ThicknessMM / techs[2].ThicknessMM
 	text := fmtTable([]string{"technology", "response", "thickness", "transparent", "scales to display area", "relative cost"}, rows)
 	return Result{
-		ID:      "fig3",
 		Title:   "Fingerprint sensing technologies (Fig 3 context): optical vs capacitive vs TFT",
 		Text:    text,
 		Metrics: metrics,
@@ -191,7 +188,6 @@ func Fig4(seed uint64) (Result, error) {
 	text := fmtTable([]string{"architecture", "touch-window scan", "bits moved", "full-array scan", "touch-window energy"}, rows)
 	text += fmt.Sprintf("\npaper design speedup over strawman (touch window): %.1fx\n", metrics["speedup_touch_window"])
 	return Result{
-		ID:      "fig4",
 		Title:   "Readout architecture ablation (Fig 4): parallel addressing and selective transfer",
 		Text:    text,
 		Metrics: metrics,
@@ -244,7 +240,6 @@ func Fig5(seed uint64) (Result, error) {
 	}
 	text += fmtTable([]string{"component", "energy"}, erows)
 	return Result{
-		ID:    "fig5",
 		Title: "FLock module (Fig 5): end-to-end latency and energy",
 		Text:  text,
 		Metrics: map[string]float64{
@@ -336,7 +331,6 @@ func Fig6(seed uint64) (Result, error) {
 		frr = float64(st.Mismatched) / float64(definitive)
 	}
 	return Result{
-		ID:    "fig6",
 		Title: "Continuous and opportunistic authentication flow (Fig 6)",
 		Text:  text,
 		Metrics: map[string]float64{
@@ -388,7 +382,6 @@ func Fig7(seed uint64) (Result, error) {
 	}
 	sb.WriteString(fmtTable([]string{"user A", "user B", "overlap"}, rows))
 	return Result{
-		ID:      "fig7",
 		Title:   "Distributions of touches from three users (Fig 7)",
 		Text:    sb.String(),
 		Metrics: metrics,
@@ -447,7 +440,6 @@ func Fig8(seed uint64) (Result, error) {
 	text += fmt.Sprintf("\n%d/%d (user, server) bindings established; one CA, %d servers, %d devices\n",
 		success, total, len(domains), total)
 	return Result{
-		ID:      "fig8",
 		Title:   "Components for remote identity management (Fig 8): CA + servers + devices",
 		Text:    text,
 		Metrics: map[string]float64{"bindings_ok": float64(success), "bindings_total": float64(total)},

@@ -129,7 +129,6 @@ func XFuzzyVault(seed uint64) (Result, error) {
 	text := fmtTable([]string{"scheme / probe", "accept rate", "note"}, rows)
 	text += "\nthe vault collapses exactly where continuous touch authentication lives:\nsmall, unaligned, varying captures — reproducing the paper's Sec V argument\n"
 	return Result{
-		ID:    "x-fuzzyvault",
 		Title: "Fuzzy vault vs TRUST matcher on touch captures (X7, Sec V)",
 		Text:  text,
 		Metrics: map[string]float64{

@@ -41,7 +41,8 @@ func (r Result) String() string {
 }
 
 // Artifact is one entry of the artifact registry. ID is the artifact's
-// file stem under artifacts/ and the Result.ID that Run returns.
+// file stem under artifacts/ and the Result.ID that Run returns: the
+// registry stamps it on every Result, so generators leave ID unset.
 type Artifact struct {
 	ID  string
 	Run func(seed uint64) (Result, error)
@@ -50,7 +51,7 @@ type Artifact struct {
 // Artifacts lists every artifact once, in paper order: the tables, the
 // figures, then the extension experiments. benchtab (-all, -table,
 // -fig, -x, -json) and the root benchmarks all read it.
-var Artifacts = []Artifact{
+var Artifacts = stampIDs([]Artifact{
 	{"table1", Table1},
 	{"table2", func(uint64) (Result, error) { return Table2() }},
 	{"fig1", Fig1},
@@ -78,6 +79,19 @@ var Artifacts = []Artifact{
 	{"x-personalization", XPersonalization},
 	{"x-chaos", XChaos},
 	{"x-stream-chaos", XStreamChaos},
+})
+
+// stampIDs wraps each entry's Run so that the Result it returns carries
+// the entry's ID, which is then written once, in the registry.
+func stampIDs(artifacts []Artifact) []Artifact {
+	for i, a := range artifacts {
+		artifacts[i].Run = func(seed uint64) (Result, error) {
+			r, err := a.Run(seed)
+			r.ID = a.ID
+			return r, err
+		}
+	}
+	return artifacts
 }
 
 // stdRig builds the standard single-user deployment used by several

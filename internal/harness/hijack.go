@@ -86,7 +86,6 @@ func XHijack(seed uint64) (Result, error) {
 	text := fmtTable([]string{"scheme", "mean hijack window", "attacker requests", "what ends it"}, rows)
 	text += "\nTRUST bounds post-compromise exposure to seconds without any expiry timer;\nthe paper's \"cookie expiration control is no longer needed\"\n"
 	return Result{
-		ID:    "x-hijack",
 		Title: "Post-theft session hijack window: cookies vs continuous auth (X9)",
 		Text:  text,
 		Metrics: map[string]float64{

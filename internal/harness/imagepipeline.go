@@ -130,7 +130,6 @@ func XImagePipeline(seed uint64) (Result, error) {
 	text := fmtTable([]string{"extraction pipeline", "genuine accept", "impostor accept", "truth recall", "rescan stability"}, rows)
 	text += "\nboth pipelines reject every impostor; the CV pipeline's genuine accept is a\nconservative lower bound (zero-FAR operating point), and the statistical model\nbrackets it from above — licensing the fast model for session-scale runs\n"
 	return Result{
-		ID:    "x-imagepipeline",
 		Title: "Image-based extraction vs statistical model (X10, validates DESIGN.md §2)",
 		Text:  text,
 		Metrics: map[string]float64{

@@ -89,7 +89,6 @@ func XModalities(seed uint64) (Result, error) {
 	text += fmt.Sprintf("\nkeystroke evaluated over %d genuine / %d impostor windows; fingerprint over %d / %d quality-passing captures\n",
 		ks.Genuine, ks.Impostor, len(genuineLow), len(impostorLow))
 	return Result{
-		ID:    "x-modalities",
 		Title: "Implicit-auth modalities: keystroke dynamics vs fingerprint touch (X8, Sec V)",
 		Text:  text,
 		Metrics: map[string]float64{

@@ -121,7 +121,6 @@ func XNoise(seed uint64) (Result, error) {
 	text := fmtTable([]string{"comparator noise sigma", "imaging accuracy", "genuine accept (image pipeline)", "impostor accept"}, rows)
 	text += "\nthe design point (sigma = 0.12) sits on a wide plateau; accuracy and accepts\ncollapse together once noise approaches the ridge signal amplitude\n"
 	return Result{
-		ID:      "x-noise",
 		Title:   "Comparator-noise robustness sweep (X12)",
 		Text:    text,
 		Metrics: metrics,

@@ -86,7 +86,6 @@ func XPersonalization(seed uint64) (Result, error) {
 	text := fmtTable([]string{"user", "personalized placement", "shared placement (factory)", "uniform grid"}, rows)
 	text += "\nhot-spot overlap (Fig 7) lets one factory placement capture most of the\npersonalized coverage — and both beat behaviour-blind uniform placement\n"
 	return Result{
-		ID:      "x-personalization",
 		Title:   "Sensor placement personalization (X13, Fig 7 overlap argument)",
 		Text:    text,
 		Metrics: metrics,

@@ -95,7 +95,6 @@ func Fig9(seed uint64) (Result, error) {
 
 	text := tr.String() + fmt.Sprintf("\ntamper matrix: %d/%d mutated submissions rejected\n", rejected, tampered)
 	return Result{
-		ID:    "fig9",
 		Title: "Process of registration using FLock (Fig 9)",
 		Text:  text,
 		Metrics: map[string]float64{
@@ -197,7 +196,6 @@ func Fig10(seed uint64) (Result, error) {
 	text := tr.String() + "\nper-message wire overhead:\n" + sizes +
 		fmt.Sprintf("\noffline audit: %d entries checked, %d flagged\n", audit.Checked, audit.Tampered)
 	return Result{
-		ID:    "fig10",
 		Title: "Process of continuous authentication using FLock (Fig 10)",
 		Text:  text,
 		Metrics: map[string]float64{

@@ -36,7 +36,6 @@ func Table1(seed uint64) (Result, error) {
 		table,
 	)
 	return Result{
-		ID:    "table1",
 		Title: "Comparison of three mobile user authentication approaches (Table I, quantified)",
 		Text:  text,
 		Metrics: map[string]float64{
@@ -99,7 +98,6 @@ func Table2() (Result, error) {
 		rows,
 	)
 	return Result{
-		ID:      "table2",
 		Title:   "Performance of several fingerprint sensors (Table II, regenerated)",
 		Text:    text,
 		Metrics: metrics,

@@ -7,7 +7,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 )
 
@@ -24,28 +23,58 @@ func NewSessionKey(rand io.Reader) ([]byte, error) {
 }
 
 // MAC computes an HMAC-SHA256 tag over data.
-func MAC(key, data []byte) []byte {
-	h := hmac.New(sha256.New, key)
-	h.Write(data)
-	return h.Sum(nil)
-}
+func MAC(key, data []byte) []byte { return NewMACer(key).MAC(data) }
 
-// MACer is a reusable HMAC-SHA256 instance bound to one key. MAC
-// re-runs the HMAC key schedule (two SHA-256 block passes and
-// several allocations) on every call; a MACer pays it once at
-// construction and resets the keyed state thereafter, which matters on
-// paths that MAC per request under one long-lived session key. Not
-// safe for concurrent use — each owner serializes access (the
-// webserver under its session mutex, the device client by goroutine
-// ownership).
+// macStateSize is the length of a marshaled crypto/sha256 digest: a
+// 4-byte magic, the eight 32-bit chaining words, one block of pending
+// input and the 64-bit message length.
+const macStateSize = 4 + 8*4 + sha256.BlockSize + 8
+
+// MACer is a reusable HMAC-SHA256 instance bound to one key. It keys
+// itself once, the way crypto/hmac does with precomputed pads: at
+// construction it hashes the key's inner and outer pad blocks and
+// saves the two SHA-256 states that result in arrays inside the MACer.
+// Each tag restores the inner state, hashes the message, restores the
+// outer state and hashes the inner digest, so one digest serves both
+// passes. A key costs two allocations (the MACer and its digest) when
+// built with Go 1.24 or later; a tag costs none beyond growing the
+// caller's dst. Not safe for concurrent use — each owner serializes
+// access (the webserver under its session mutex, the device client by
+// goroutine ownership).
 type MACer struct {
-	h   hash.Hash
-	sum [sha256.Size]byte
+	h          savedHash
+	innerState [macStateSize]byte
+	outerState [macStateSize]byte
+	sum        [sha256.Size]byte
 }
 
-// NewMACer builds a reusable HMAC-SHA256 instance for key.
+// NewMACer builds a reusable HMAC-SHA256 instance for key. A key longer
+// than a block is hashed first, as RFC 2104 specifies.
 func NewMACer(key []byte) *MACer {
-	return &MACer{h: hmac.New(sha256.New, key)}
+	m := &MACer{h: sha256.New().(savedHash)}
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	m.keyState(&m.innerState, key, 0x36)
+	m.keyState(&m.outerState, key, 0x5c)
+	return m
+}
+
+// keyState hashes one pad block, key XOR pad, and saves the digest's
+// state in buf. The block is laid out in buf itself: Write has consumed
+// it by the time saveState overwrites it.
+func (m *MACer) keyState(buf *[macStateSize]byte, key []byte, pad byte) {
+	block := buf[:sha256.BlockSize]
+	for i := range block {
+		block[i] = pad
+	}
+	for i, b := range key {
+		block[i] ^= b
+	}
+	m.h.Reset()
+	m.h.Write(block)
+	saveState(m.h, buf)
 }
 
 // MAC computes the tag over data. The returned slice is freshly
@@ -55,16 +84,19 @@ func (m *MACer) MAC(data []byte) []byte { return m.AppendMAC(nil, data) }
 // AppendMAC appends the tag over data to dst and returns the extended
 // slice: a caller that keeps its tag buffer pays no allocation.
 func (m *MACer) AppendMAC(dst, data []byte) []byte {
-	m.h.Reset()
+	// The saved states came from this digest's own AppendBinary, so
+	// restoring them cannot fail.
+	m.h.UnmarshalBinary(m.innerState[:])
 	m.h.Write(data)
+	inner := m.h.Sum(m.sum[:0])
+	m.h.UnmarshalBinary(m.outerState[:])
+	m.h.Write(inner)
 	return m.h.Sum(dst)
 }
 
 // Check verifies a tag in constant time without allocating.
 func (m *MACer) Check(data, tag []byte) bool {
-	m.h.Reset()
-	m.h.Write(data)
-	return hmac.Equal(m.h.Sum(m.sum[:0]), tag)
+	return hmac.Equal(m.AppendMAC(m.sum[:0], data), tag)
 }
 
 // ErrDecrypt is returned when an AEAD open fails (tampered or

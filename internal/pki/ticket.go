@@ -2,8 +2,6 @@ package pki
 
 import (
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -104,12 +102,7 @@ func (t *TicketKeys) Epoch(now time.Duration) uint64 {
 // epochAEAD derives the AES-GCM for one epoch: its key is
 // HMAC-SHA256(master, label || epoch).
 func (t *TicketKeys) epochAEAD(epoch uint64) (cipher.AEAD, error) {
-	var e [8]byte
-	binary.BigEndian.PutUint64(e[:], epoch)
-	h := hmac.New(sha256.New, t.master[:])
-	h.Write([]byte(ticketEpochLabel))
-	h.Write(e[:])
-	return newGCM(h.Sum(nil))
+	return newGCM(MAC(t.master[:], binary.BigEndian.AppendUint64([]byte(ticketEpochLabel), epoch)))
 }
 
 // aead returns the AEAD for epoch on behalf of a caller at epoch cur

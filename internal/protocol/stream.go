@@ -1,11 +1,11 @@
 package protocol
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
+
+	"trust/internal/pki"
 )
 
 // Streamed session transport messages. The paper's continuous
@@ -84,8 +84,6 @@ func (m *PolicyPush) MACBytes() []byte { return macBytes(m) }
 // use of the session key.
 const streamNonceLabel = "trust-stream-nonce-v1"
 
-var streamNonceLabelBytes = []byte(streamNonceLabel)
-
 // StreamNonce derives position seq of a connection's nonce chain:
 // HMAC-SHA256(key, label || seed || seq), truncated to the same
 // 16-byte/32-hex shape as minted nonces. Knowing the seed without the
@@ -93,43 +91,38 @@ var streamNonceLabelBytes = []byte(streamNonceLabel)
 // the chain in lockstep so batched requests can be built ahead of the
 // responses they will be answered with.
 //
-// Each call re-runs the HMAC key schedule; per-connection hot paths
-// should hold a NonceChain instead.
+// Each call keys a fresh HMAC; per-connection hot paths should hold a
+// NonceChain instead.
 func StreamNonce(key, seed []byte, seq uint64) Nonce {
-	c := NonceChain{mac: hmac.New(sha256.New, key), seed: seed}
-	return c.At(seq)
+	return NewNonceChain(key, seed).At(seq)
 }
 
-// NonceChain walks one connection's nonce chain without re-keying:
-// hmac.Reset restores the keyed initial state, so At pays only the
-// message blocks — profiling showed the per-call key schedule in
-// StreamNonce was among the largest allocation sources on the streamed
-// hot path. Not safe for concurrent use; each side's stream connection
-// owns one (single read-loop goroutine on the server, the conn's
-// owning goroutine on the client).
+// NonceChain walks one connection's nonce chain without re-keying: it
+// holds the session key's MACer and the MAC input label || seed ||
+// counter, of which At rewrites only the counter, so a position costs
+// the message blocks and the returned string. Not safe for concurrent
+// use; each side's stream connection owns one (single read-loop
+// goroutine on the server, the conn's owning goroutine on the client).
 type NonceChain struct {
-	mac  hash.Hash
-	seed []byte
-	ctr  [8]byte // At's counter bytes: a local would escape through hash.Hash
-	sum  [sha256.Size]byte
-	hex  [2 * 16]byte
+	mac *pki.MACer
+	msg []byte // label || seed || 8-byte big-endian position
+	sum [sha256.Size]byte
+	hex [2 * 16]byte
 }
 
 // NewNonceChain binds a chain to a session key and a welcome's seed.
 func NewNonceChain(key, seed []byte) *NonceChain {
-	return &NonceChain{mac: hmac.New(sha256.New, key), seed: append([]byte(nil), seed...)}
+	msg := make([]byte, 0, len(streamNonceLabel)+len(seed)+8)
+	msg = append(append(msg, streamNonceLabel...), seed...)
+	return &NonceChain{mac: pki.NewMACer(key), msg: binary.BigEndian.AppendUint64(msg, 0)}
 }
 
 // At derives position seq of the chain; identical output to
 // StreamNonce(key, seed, seq). The returned string is its only
 // allocation.
 func (c *NonceChain) At(seq uint64) Nonce {
-	c.mac.Reset()
-	c.mac.Write(streamNonceLabelBytes)
-	c.mac.Write(c.seed)
-	binary.BigEndian.PutUint64(c.ctr[:], seq)
-	c.mac.Write(c.ctr[:])
-	sum := c.mac.Sum(c.sum[:0])
+	binary.BigEndian.PutUint64(c.msg[len(c.msg)-8:], seq)
+	sum := c.mac.AppendMAC(c.sum[:0], c.msg)
 	hex.Encode(c.hex[:], sum[:16])
 	return Nonce(c.hex[:])
 }

@@ -78,6 +78,35 @@ func TestStreamWireGolden(t *testing.T) {
 	}
 }
 
+// TestStreamNonceGolden pins chain nonces for fixed keys and seed, at
+// the first positions and one past 32 bits, through both StreamNonce
+// and a reused NonceChain. Client and server derive the chain
+// independently, so a change to the derivation (label, input order,
+// HMAC keying) that moves a byte desynchronizes every live stream.
+// Keys of 0 and 65 bytes cover the empty and hashed-first HMAC keys.
+func TestStreamNonceGolden(t *testing.T) {
+	seed := []byte("seed-0123456789ab")
+	for _, tc := range []struct {
+		keyLen int
+		want   [3]Nonce // positions 0, 1 and 1<<40
+	}{
+		{32, [3]Nonce{"58b46ca67e027254230592eb8d33b4d8", "5935d506eb1ab38040acc6f1e060af20", "dd8889ca41ac916dc331c6d6d9435d30"}},
+		{0, [3]Nonce{"0ecf9cff4bc58d35a8423caf1161b638", "7b97c05746825b70f3301365832357a1", "6b35139285c50f92c55b5272f4f027c9"}},
+		{65, [3]Nonce{"d888f485973bc4e2b227bef23c4f2b91", "92ee23c3b2d0cf6c62be6b90df7fb270", "4f02c5e580fbca4867c7882047c22eeb"}},
+	} {
+		key := bytes.Repeat([]byte{7}, tc.keyLen)
+		chain := NewNonceChain(key, seed)
+		for i, seq := range []uint64{0, 1, 1 << 40} {
+			if got := StreamNonce(key, seed, seq); got != tc.want[i] {
+				t.Errorf("%d-byte key: StreamNonce(%d) = %s, want %s", tc.keyLen, seq, got, tc.want[i])
+			}
+			if got := chain.At(seq); got != tc.want[i] {
+				t.Errorf("%d-byte key: NonceChain.At(%d) = %s, want %s", tc.keyLen, seq, got, tc.want[i])
+			}
+		}
+	}
+}
+
 // goldenMessages builds one message of every tag from fixed inputs,
 // with every optional field present: a page with elements, a
 // certificate, and both LoginSubmit authenticators.

@@ -8,7 +8,9 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,6 +20,23 @@ import (
 
 // binaryMIME selects the compact binary codec on the HTTP transport.
 const binaryMIME = "application/octet-stream"
+
+// binaryHeader is the header value for binaryMIME, shared by every
+// response instead of a fresh one-element slice per Header().Set.
+// net/http never writes into a header's value slice, only replaces it.
+var binaryHeader = []string{binaryMIME}
+
+// isBinaryType reports whether a Content-Type value selects the binary
+// codec. The exact value clients send is matched directly; anything
+// else is parsed, so "application/octet-stream; charset=x" and
+// mixed-case spellings still route to the binary decoder.
+func isBinaryType(ct string) bool {
+	if ct == binaryMIME {
+		return true
+	}
+	mt, _, _ := mime.ParseMediaType(ct)
+	return mt == binaryMIME
+}
 
 // maxBodyBytes bounds request bodies on every POST route.
 const maxBodyBytes = 1 << 20
@@ -113,8 +132,34 @@ func ErrorFromCode(code string) error {
 // requestNow extracts the virtual timestamp from the "now" query
 // parameter (nanoseconds); omitted, it defaults to zero.
 func requestNow(r *http.Request) time.Duration {
-	ns, _ := strconv.ParseInt(r.URL.Query().Get("now"), 10, 64)
+	ns, _ := strconv.ParseInt(queryValue(r.URL.RawQuery, "now"), 10, 64)
 	return time.Duration(ns)
+}
+
+// queryValue returns url.ParseQuery(query).Get(name) without building
+// the url.Values map: the first pair named name wins, pairs are split
+// on '&' only, a pair holding ';' is skipped, and so is a pair whose
+// name or value does not unescape.
+func queryValue(query, name string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		n, v, _ := strings.Cut(pair, "=")
+		var err error
+		if n, err = url.QueryUnescape(n); err != nil {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		if n == name {
+			return v
+		}
+	}
+	return ""
 }
 
 // writeResponse applies content negotiation: JSON by default; the
@@ -125,7 +170,7 @@ func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
 	if r.Header.Get("Accept") == binaryMIME {
 		data, err := protocol.EncodeBinary(v)
 		if err == nil {
-			w.Header().Set("Content-Type", binaryMIME)
+			w.Header()["Content-Type"] = binaryHeader
 			w.Write(data)
 			return
 		}
@@ -152,10 +197,7 @@ func decodeBody[M any](s *Server, w http.ResponseWriter, r *http.Request) (*M, b
 }
 
 func readBody[M any](w http.ResponseWriter, r *http.Request) (*M, error) {
-	// Parse the media type properly: "application/octet-stream;
-	// charset=x" must still route to the binary decoder.
-	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if ct == binaryMIME {
+	if isBinaryType(r.Header.Get("Content-Type")) {
 		buf := bodyPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		defer bodyPool.Put(buf)
@@ -191,7 +233,7 @@ func (s *Server) Handler() http.Handler {
 		if !ok {
 			return
 		}
-		writeResponse(w, r, s.HandleRegistration(requestNow(r), sub, r.URL.Query().Get("recovery")))
+		writeResponse(w, r, s.HandleRegistration(requestNow(r), sub, queryValue(r.URL.RawQuery, "recovery")))
 	})
 	mux.HandleFunc("GET /trust/login", func(w http.ResponseWriter, r *http.Request) {
 		writeResponse(w, r, s.ServeLoginPage(requestNow(r)))
@@ -257,7 +299,7 @@ func (s *Server) Handler() http.Handler {
 	// atomic load (metrics.go).
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mux.ServeHTTP(w, r)
-		s.observeFTDC(requestNow(r))
+		s.observeFTDC(r)
 	})
 }
 

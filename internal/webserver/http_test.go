@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -233,4 +235,71 @@ func TestHTTPFTDCEndpoint(t *testing.T) {
 	if got, want := data.Names, r.server.MetricsSchema(); len(got) != len(want) {
 		t.Fatalf("capture schema %d columns, server schema %d", len(got), len(want))
 	}
+}
+
+// TestHTTPBinaryContentTypeVariants pins the server's media-type
+// routing: the exact binary type, a parameterized one and a mixed-case
+// one all reach the binary decoder, so a binary page request for an
+// unknown session is refused as unknown-session, not as a malformed
+// JSON body. The same bytes labelled JSON are malformed.
+func TestHTTPBinaryContentTypeVariants(t *testing.T) {
+	_, ts := httpRig(t)
+	body, err := protocol.EncodeBinary(&protocol.PageRequest{Domain: "www.xyz.com", Account: "g", SessionID: "nope"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ct, want := range map[string]string{
+		"application/octet-stream":            "unknown-session",
+		"application/octet-stream; charset=x": "unknown-session",
+		"Application/Octet-Stream":            "unknown-session",
+		"application/json":                    "malformed",
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/trust/page?now=1", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if code := resp.Header.Get(ErrorHeader); code != want {
+			t.Errorf("Content-Type %q: error code %q, want %q", ct, code, want)
+		}
+	}
+}
+
+// TestFTDCHookDisabledAllocs pins the hook Handler runs after every
+// request: with capture disabled it is one atomic load and adds no
+// allocation, even for a query that parsing would have to unescape.
+func TestFTDCHookDisabledAllocs(t *testing.T) {
+	r := newRig(t)
+	req := httptest.NewRequest(http.MethodPost, "/trust/register?recovery=a%20b+c&n%6Fw=5", nil)
+	if n := testing.AllocsPerRun(100, func() { r.server.observeFTDC(req) }); n != 0 {
+		t.Fatalf("disabled FTDC hook costs %.2f allocs per request, want 0", n)
+	}
+}
+
+// FuzzRequestNow is the differential oracle for the HTTP front's query
+// scan: on any raw query, requestNow and queryValue must agree with
+// url.Values parsing — the first matching pair wins, pairs split on '&'
+// only, a pair holding ';' is skipped, escapes are decoded and a pair
+// that does not unescape is skipped.
+func FuzzRequestNow(f *testing.F) {
+	for _, q := range []string{
+		"", "now=5", "now=5&now=7", "x=1&now=-9", "now=1;x=2&now=3", "now;=1&now=2",
+		"n%6Fw=12", "now=%31%32", "now=+4", "now+=3&now=4", "now=%zz&now=6", "%zz=1&now=8",
+		"&&now=2&", "=&now", "now", "now=9223372036854775807", "recovery=a%20b+c&now=1",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		ref, _ := url.ParseQuery(query)
+		for _, name := range []string{"now", "recovery"} {
+			if got, want := queryValue(query, name), ref.Get(name); got != want {
+				t.Fatalf("queryValue(%q, %q) = %q, url.Values says %q", query, name, got, want)
+			}
+		}
+		r := &http.Request{URL: &url.URL{RawQuery: query}}
+		want, _ := strconv.ParseInt(r.URL.Query().Get("now"), 10, 64)
+		if got := requestNow(r); int64(got) != want {
+			t.Fatalf("requestNow on %q = %d, want %d", query, got, want)
+		}
+	})
 }

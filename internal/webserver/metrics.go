@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"trust/internal/ftdc"
 )
@@ -137,8 +136,10 @@ func (s *Server) FTDCBytes() []byte {
 	return append([]byte(nil), st.capture.Bytes()...)
 }
 
-// observeFTDC is the per-request sampling hook Handler installs.
-func (s *Server) observeFTDC(now time.Duration) {
+// observeFTDC is the per-request sampling hook Handler installs. With
+// capture disabled it is one atomic load: r's virtual time is parsed
+// only for a request that is sampled.
+func (s *Server) observeFTDC(r *http.Request) {
 	st := s.ftdc.Load()
 	if st == nil {
 		return
@@ -150,7 +151,7 @@ func (s *Server) observeFTDC(now time.Duration) {
 		return
 	}
 	st.scratch = s.AppendMetrics(st.scratch[:0])
-	st.capture.Sample(int64(now), st.scratch)
+	st.capture.Sample(int64(requestNow(r)), st.scratch)
 }
 
 // handleFTDC serves the capture as an octet stream; 404 until
@@ -161,6 +162,6 @@ func (s *Server) handleFTDC(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ftdc capture not enabled", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", binaryMIME)
+	w.Header()["Content-Type"] = binaryHeader
 	w.Write(data)
 }
