@@ -108,14 +108,29 @@ type Capture struct {
 	trueCenter   geom.Point
 }
 
-// Acquire simulates capturing the finger under the given contact.
-// Noise grows as quality drops: positions jitter, angles jitter,
-// genuine minutiae drop out, and spurious minutiae appear.
+// Acquire simulates capturing the finger under the given contact and
+// returns a new Capture. Callers that keep their captures (enrolment,
+// attack models) use it; a per-touch pipeline that drops each capture
+// after matching reuses one through AcquireInto.
 func Acquire(f *Finger, c Contact, rng *sim.RNG) *Capture {
+	var dst Capture
+	AcquireInto(&dst, f, c, rng)
+	return &dst
+}
+
+// AcquireInto is Acquire writing into *dst: it overwrites every field
+// and reuses dst.Minutiae's backing array when it has room, so a warm
+// dst makes a clean capture allocate nothing. Noise grows as quality
+// drops: positions jitter, angles jitter, genuine minutiae drop out,
+// and spurious minutiae appear. Quality.Reasons is always fresh (nil
+// for a capture that passes), never storage carried over from dst, so
+// a caller may keep it after dst is reused.
+func AcquireInto(dst *Capture, f *Finger, c Contact, rng *sim.RNG) {
 	q := assessQuality(f, c)
-	cap := &Capture{
+	*dst = Capture{
 		Contact:      c,
 		Quality:      q,
+		Minutiae:     dst.Minutiae[:0],
 		trueRotation: c.Rotation,
 		trueCenter:   c.Center,
 	}
@@ -138,7 +153,9 @@ func Acquire(f *Finger, c Contact, rng *sim.RNG) *Capture {
 			inCircle++
 		}
 	}
-	cap.Minutiae = make([]Minutia, 0, inCircle+spuriousHeadroom)
+	if cap(dst.Minutiae) < inCircle+spuriousHeadroom {
+		dst.Minutiae = make([]Minutia, 0, inCircle+spuriousHeadroom)
+	}
 	for _, m := range f.minutiae {
 		if !c.covers(m) {
 			continue
@@ -163,7 +180,7 @@ func Acquire(f *Finger, c Contact, rng *sim.RNG) *Capture {
 				local.Type = Ending
 			}
 		}
-		cap.Minutiae = append(cap.Minutiae, local)
+		dst.Minutiae = append(dst.Minutiae, local)
 	}
 
 	// Spurious minutiae from smear and weak coupling.
@@ -175,20 +192,19 @@ func Acquire(f *Finger, c Contact, rng *sim.RNG) *Capture {
 		if rng.Bool(0.5) {
 			typ = Bifurcation
 		}
-		cap.Minutiae = append(cap.Minutiae, Minutia{
+		dst.Minutiae = append(dst.Minutiae, Minutia{
 			Pos:   geom.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)},
 			Angle: geom.WrapAngle(rng.Float64()*2*math.Pi - math.Pi),
 			Type:  typ,
 		})
 	}
 
-	if len(cap.Minutiae) < MinProbeMinutiae {
-		cap.Quality.Reasons = appendReason(cap.Quality.Reasons, RejectFewFeatures)
+	if len(dst.Minutiae) < MinProbeMinutiae {
+		dst.Quality.Reasons = appendReason(dst.Quality.Reasons, RejectFewFeatures)
 	}
-	return cap
 }
 
-// spuriousHeadroom is the capacity Acquire reserves for spurious
+// spuriousHeadroom is the capacity AcquireInto reserves for spurious
 // minutiae beyond the in-circle count. Their number is Exp-distributed
 // with a mean of 0.25-2.25 and dropped genuine minutiae free room, so
 // with four the slice grows on under 3% of captures even past the

@@ -174,15 +174,6 @@ func (f *Finger) flow(p geom.Point) float64 {
 // comparator noise floor.
 const rasterStepMM = 0.075
 
-// phaseAt is the full ridge phase including the minutia dislocations.
-func (f *Finger) phaseAt(p geom.Point) float64 {
-	phi := 2*math.Pi*f.flow(p)/f.pitch + f.phase
-	for _, m := range f.minutiae {
-		phi += math.Atan2(p.Y-m.Pos.Y, p.X-m.Pos.X)
-	}
-	return phi
-}
-
 // buildRaster evaluates cos(phase) over the finger once.
 //
 // The naive evaluation is cos(base + sum over minutiae of

@@ -194,3 +194,14 @@ func TestRasterMatchesAnalyticPhase(t *testing.T) {
 		t.Fatalf("raster deviates from analytic phase by %g", worst)
 	}
 }
+
+// phaseAt is the full ridge phase including the minutia dislocations:
+// the analytic reference that buildRaster's complex-product form is
+// checked against.
+func (f *Finger) phaseAt(p geom.Point) float64 {
+	phi := 2*math.Pi*f.flow(p)/f.pitch + f.phase
+	for _, m := range f.minutiae {
+		phi += math.Atan2(p.Y-m.Pos.Y, p.X-m.Pos.X)
+	}
+	return phi
+}

@@ -109,6 +109,12 @@ type matchScratch struct {
 	touched []int32 // indices of non-zero votes
 	top     [maxHyps]hyp
 
+	// rotTab holds the sine and cosine of every Hough rotation bin's
+	// angle (bin b at index b+rotHalf) for the bin width rotTabBin, so
+	// the vote rotates each probe minutia without a Sincos per pair.
+	rotTab    []sincos
+	rotTabBin float64
+
 	// Spatial grid over template minutiae for countMatches: cellStart
 	// is CSR-style offsets into cellItems, cells are PosTolMM-sized.
 	cellStart []int32
@@ -119,6 +125,22 @@ type matchScratch struct {
 	gridMinX, gridMinY float64
 	gridCell           float64
 	gridCols, gridRows int
+}
+
+type sincos struct{ sin, cos float64 }
+
+// fillRotTab makes sc.rotTab hold the 2*rotHalf+1 bins of width binRad,
+// recomputing it only when either changed since the last match.
+func (sc *matchScratch) fillRotTab(binRad float64, rotHalf int) {
+	if sc.rotTabBin == binRad && len(sc.rotTab) == 2*rotHalf+1 {
+		return
+	}
+	sc.rotTab = grow(sc.rotTab, 2*rotHalf+1)
+	for i := range sc.rotTab {
+		s, c := math.Sincos(float64(i-rotHalf) * binRad)
+		sc.rotTab[i] = sincos{sin: s, cos: c}
+	}
+	sc.rotTabBin = binRad
 }
 
 var scratchPool = sync.Pool{New: func() any { return &matchScratch{} }}
@@ -237,8 +259,12 @@ func (cfg MatcherConfig) Match(t *Template, c *Capture) MatchResult {
 // houghVote casts one vote per compatible (template, probe) minutia
 // pair: the angle difference proposes a rotation bin, and within it
 // the positions propose a translation bin. Votes land in the dense
-// accumulator with first-touch indices recorded for sparse reset.
+// accumulator with first-touch indices recorded for sparse reset. The
+// rotation comes from the per-bin table in the same X*c-Y*s, X*s+Y*c
+// form as geom.Point.Rotate, so every vote lands where a per-pair
+// Rotate would put it.
 func (cfg MatcherConfig) houghVote(sc *matchScratch, tms, probe []Minutia, rotHalf, posHalf, posSpan int) {
+	sc.fillRotTab(cfg.RotBinRad, rotHalf)
 	for _, tm := range tms {
 		for _, pm := range probe {
 			if !cfg.IgnoreType && tm.Type != pm.Type {
@@ -249,8 +275,8 @@ func (cfg MatcherConfig) houghVote(sc *matchScratch, tms, probe []Minutia, rotHa
 				continue
 			}
 			rotBin := int(math.Round(dTheta / cfg.RotBinRad))
-			rot := float64(rotBin) * cfg.RotBinRad
-			moved := pm.Pos.Rotate(rot)
+			r := sc.rotTab[rotBin+rotHalf]
+			moved := geom.Point{X: pm.Pos.X*r.cos - pm.Pos.Y*r.sin, Y: pm.Pos.X*r.sin + pm.Pos.Y*r.cos}
 			shift := tm.Pos.Sub(moved)
 			tx := int(math.Round(shift.X / cfg.PosBinMM))
 			ty := int(math.Round(shift.Y / cfg.PosBinMM))

@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"trust/internal/geom"
@@ -268,6 +269,89 @@ func TestRejectReasonStrings(t *testing.T) {
 	for _, r := range []RejectReason{RejectNone, RejectTooFast, RejectLowPressure, RejectSmallArea, RejectFewFeatures} {
 		if r.String() == "" {
 			t.Errorf("empty string for reason %d", int(r))
+		}
+	}
+}
+
+// houghVoteRef is the per-pair form of houghVote the rotation table
+// replaced: one Point.Rotate (one Sincos) per compatible minutia pair.
+func houghVoteRef(cfg MatcherConfig, sc *matchScratch, tms, probe []Minutia, rotHalf, posHalf, posSpan int) {
+	for _, tm := range tms {
+		for _, pm := range probe {
+			if !cfg.IgnoreType && tm.Type != pm.Type {
+				continue
+			}
+			dTheta := cfg.angleDelta(tm.Angle, pm.Angle)
+			if math.Abs(dTheta) > cfg.MaxRotRad {
+				continue
+			}
+			rotBin := int(math.Round(dTheta / cfg.RotBinRad))
+			shift := tm.Pos.Sub(pm.Pos.Rotate(float64(rotBin) * cfg.RotBinRad))
+			tx := int(math.Round(shift.X / cfg.PosBinMM))
+			ty := int(math.Round(shift.Y / cfg.PosBinMM))
+			idx := int32(((rotBin+rotHalf)*posSpan+(tx+posHalf))*posSpan + (ty + posHalf))
+			if sc.votes[idx] == 0 {
+				sc.touched = append(sc.touched, idx)
+			}
+			sc.votes[idx]++
+		}
+	}
+}
+
+// TestHoughVoteMatchesPerPairRotate checks the table-driven vote
+// against houghVoteRef: the same touched cells in the same order with
+// the same counts, for genuine and impostor captures under the default
+// matcher and under a config with other rotation bins, orientation-only
+// angles and type-agnostic pairing. One scratch serves every config in
+// turn, so a stale rotation table would show. Each table entry must also
+// be bit-equal to the Sincos that Point.Rotate computes for its bin, as
+// a rounding slip would rarely move a vote across a bin edge.
+func TestHoughVoteMatchesPerPairRotate(t *testing.T) {
+	other := DefaultMatcher()
+	other.RotBinRad, other.MaxRotRad = 0.07, 1.2
+	other.OrientationOnly, other.IgnoreType = true, true
+	configs := []MatcherConfig{DefaultMatcher(), other, DefaultMatcher()}
+
+	rng := sim.NewRNG(4711)
+	owner, impostor := Synthesize(41, Whorl), Synthesize(42, Loop)
+	tpl := NewTemplate(owner)
+	var probes [][]Minutia
+	for i := 0; i < 12; i++ {
+		c := goodContact(owner, rng)
+		c.Rotation = rng.Normal(0, 0.4)
+		probes = append(probes, Acquire(owner, c, rng).Minutiae)
+		probes = append(probes, Acquire(impostor, goodContact(impostor, rng), rng).Minutiae)
+	}
+
+	table, ref := &matchScratch{}, &matchScratch{}
+	const posHalf = 64
+	const posSpan = 2*posHalf + 1
+	for ci, cfg := range configs {
+		rotHalf := int(cfg.MaxRotRad/cfg.RotBinRad) + 1
+		n := (2*rotHalf + 1) * posSpan * posSpan
+		table.votes, ref.votes = make([]int32, n), make([]int32, n)
+		for pi, probe := range probes {
+			table.touched, ref.touched = table.touched[:0], ref.touched[:0]
+			cfg.houghVote(table, tpl.Minutiae, probe, rotHalf, posHalf, posSpan)
+			houghVoteRef(cfg, ref, tpl.Minutiae, probe, rotHalf, posHalf, posSpan)
+			if len(ref.touched) == 0 {
+				t.Fatalf("config %d probe %d: no votes cast", ci, pi)
+			}
+			if !reflect.DeepEqual(table.touched, ref.touched) {
+				t.Fatalf("config %d probe %d: touched cells differ (%d vs %d)", ci, pi, len(table.touched), len(ref.touched))
+			}
+			for _, idx := range ref.touched {
+				if table.votes[idx] != ref.votes[idx] {
+					t.Fatalf("config %d probe %d: cell %d has %d votes, reference %d", ci, pi, idx, table.votes[idx], ref.votes[idx])
+				}
+				table.votes[idx], ref.votes[idx] = 0, 0
+			}
+		}
+		for b := -rotHalf; b <= rotHalf; b++ {
+			sin, cos := math.Sincos(float64(b) * cfg.RotBinRad)
+			if r := table.rotTab[b+rotHalf]; r.sin != sin || r.cos != cos {
+				t.Fatalf("config %d bin %d: table holds (%v, %v), Sincos gives (%v, %v)", ci, b, r.sin, r.cos, sin, cos)
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ func BenchmarkHandleTouchOnSensor(b *testing.B) {
 	if err := m.Enroll(fingerprint.NewTemplate(f)); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.HandleTouch(onSensorEvent(time.Duration(i)*time.Second), f)
@@ -34,6 +35,7 @@ func BenchmarkHandleTouchOffSensor(b *testing.B) {
 	}
 	ev := onSensorEvent(0)
 	ev.Pos.X, ev.Pos.Y = 60, 100
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.At = time.Duration(i) * time.Second

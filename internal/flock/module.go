@@ -153,7 +153,8 @@ func (s Stats) CaptureRate() float64 {
 	return float64(s.Matched) / float64(s.Touches)
 }
 
-// Module is one FLock instance.
+// Module is one FLock instance. It is not safe for concurrent use: a
+// touch mutates its RNG, its panel's buffers and its capture.
 type Module struct {
 	cfg    Config
 	rng    *sim.RNG
@@ -161,6 +162,11 @@ type Module struct {
 
 	panel  *touchscreen.Panel
 	arrays []*sensor.Array
+	// capture is the statistical path's capture, rewritten in place by
+	// every on-sensor touch (fingerprint.AcquireInto) and dropped once
+	// the touch is matched; only its Quality.Reasons, always freshly
+	// allocated, leaves the module in a TouchOutcome.
+	capture fingerprint.Capture
 
 	// templates holds the enrolled users, in enrolment order. The
 	// paper's fingerprint processor matches captures against "the
@@ -324,6 +330,8 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 	m.stats.Touches++
 
 	// Stage 1: the touchscreen controller locates the touch (~4 ms).
+	// scan.Touches is the panel's buffer, read here before the next
+	// Sense reuses it.
 	scan := m.panel.Sense([]touchscreen.Contact{{
 		Pos:      ev.Pos,
 		Pressure: ev.Pressure,
@@ -392,7 +400,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 
 	// Stage 4: acquire features and gate on quality (Fig 6, decision
 	// 2). By default feature extraction is modelled statistically by
-	// fingerprint.Acquire; with UseImagePipeline the scanned patch runs
+	// fingerprint.AcquireInto; with UseImagePipeline the scanned patch runs
 	// through the real CV stack (validated against the statistical
 	// model in experiment X10).
 	contact := fingerprint.Contact{
@@ -406,7 +414,8 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 	if m.cfg.UseImagePipeline {
 		cap = m.imageCapture(contact, scanRes)
 	} else {
-		cap = fingerprint.Acquire(finger, contact, m.rng)
+		fingerprint.AcquireInto(&m.capture, finger, contact, m.rng)
+		cap = &m.capture
 	}
 	out.Reasons = cap.Quality.Reasons
 	if !cap.Quality.OK() {

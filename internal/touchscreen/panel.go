@@ -82,7 +82,9 @@ type Touch struct {
 	Ghost    bool       // true for self-capacitance ghost points
 }
 
-// ScanResult is one controller scan.
+// ScanResult is one controller scan. Touches lives in the panel's own
+// buffer: it is valid until the panel's next Sense, which overwrites
+// it, so a caller that keeps touches past that copies them.
 type ScanResult struct {
 	Touches []Touch
 	Elapsed time.Duration
@@ -97,6 +99,19 @@ type Panel struct {
 	// grid is the mutual scan's rows×cols electrode signal, row-major,
 	// reused by every scan.
 	grid []float64
+	// sources holds the current scan's contacts in electrode terms and
+	// touches its detected touches (ScanResult.Touches); both are
+	// refilled from [:0] by every scan.
+	sources []source
+	touches []Touch
+}
+
+// source is one contact as the electrode sum sees it: its centre in mm
+// and the constants of its Gaussian falloff, computed once per scan.
+type source struct {
+	mm       geom.Point
+	pressure float64
+	twoVar   float64 // 2*sigma*sigma, sigma = max(radius, 1 mm)
 }
 
 // New builds a panel. A nil rng gets a fixed-seed stream.
@@ -116,41 +131,46 @@ func (p *Panel) Config() Config { return p.cfg }
 func (p *Panel) Electrodes() (rows, cols int) { return p.rows, p.cols }
 
 // signalAt returns the coupled capacitance change at an electrode
-// intersection (mm coordinates) from every contact: a Gaussian falloff
-// with the contact radius as spatial constant.
-func (p *Panel) signalAt(xMM, yMM float64, contacts []Contact) float64 {
+// intersection (mm coordinates) from every contact of the scan (the
+// sources Sense filled): a Gaussian falloff with the contact radius as
+// spatial constant.
+func (p *Panel) signalAt(xMM, yMM float64) float64 {
 	s := 0.0
-	for _, c := range contacts {
-		mm := p.cfg.PXToMM(c.Pos)
-		sigma := math.Max(c.RadiusMM, 1.0)
-		d2 := (mm.X-xMM)*(mm.X-xMM) + (mm.Y-yMM)*(mm.Y-yMM)
-		s += c.Pressure * math.Exp(-d2/(2*sigma*sigma))
+	for _, c := range p.sources {
+		d2 := (c.mm.X-xMM)*(c.mm.X-xMM) + (c.mm.Y-yMM)*(c.mm.Y-yMM)
+		s += c.pressure * math.Exp(-d2/c.twoVar)
 	}
 	return s
 }
 
-// Sense performs one controller scan over the current contacts.
+// Sense performs one controller scan over the current contacts. The
+// result's Touches is valid until the next Sense (see ScanResult).
 func (p *Panel) Sense(contacts []Contact) ScanResult {
-	if p.cfg.Mutual {
-		return ScanResult{Touches: p.senseMutual(contacts), Elapsed: p.cfg.ScanTime}
+	p.sources = p.sources[:0]
+	for _, c := range contacts {
+		sigma := math.Max(c.RadiusMM, 1.0)
+		p.sources = append(p.sources, source{mm: p.cfg.PXToMM(c.Pos), pressure: c.Pressure, twoVar: 2 * sigma * sigma})
 	}
-	return ScanResult{Touches: p.senseSelf(contacts), Elapsed: p.cfg.ScanTime}
+	if p.cfg.Mutual {
+		return ScanResult{Touches: p.senseMutual(), Elapsed: p.cfg.ScanTime}
+	}
+	return ScanResult{Touches: p.senseSelf(), Elapsed: p.cfg.ScanTime}
 }
 
 // senseMutual scans every row/column intersection and reports local
 // maxima above threshold, centroid-refined.
-func (p *Panel) senseMutual(contacts []Contact) []Touch {
+func (p *Panel) senseMutual() []Touch {
 	pitch := p.cfg.ElectrodePitchMM
 	cols := p.cols
 	grid := p.grid
 	for r := 0; r < p.rows; r++ {
 		for c := 0; c < cols; c++ {
-			v := p.signalAt(float64(c)*pitch, float64(r)*pitch, contacts)
+			v := p.signalAt(float64(c)*pitch, float64(r)*pitch)
 			grid[r*cols+c] = v + p.rng.Normal(0, p.cfg.NoiseSigma)
 		}
 	}
 
-	var touches []Touch
+	touches := p.touches[:0]
 	for r := 1; r < p.rows-1; r++ {
 		for c := 1; c < cols-1; c++ {
 			v := grid[r*cols+c]
@@ -187,6 +207,7 @@ func (p *Panel) senseMutual(contacts []Contact) []Touch {
 			touches = append(touches, Touch{Pos: p.cfg.BoundsPX().Clamp(px), Strength: v})
 		}
 	}
+	p.touches = touches
 	return touches
 }
 
@@ -194,20 +215,20 @@ func (p *Panel) senseMutual(contacts []Contact) []Touch {
 // Fig 1 description) and pairs the peaks. With k row peaks and k column
 // peaks it reports all k*k candidates, marking combinations beyond the
 // strongest diagonal pairing as ghosts.
-func (p *Panel) senseSelf(contacts []Contact) []Touch {
+func (p *Panel) senseSelf() []Touch {
 	pitch := p.cfg.ElectrodePitchMM
 	rowProf := make([]float64, p.rows)
 	colProf := make([]float64, p.cols)
 	for r := 0; r < p.rows; r++ {
 		// A row electrode integrates signal along its length.
 		for c := 0; c < p.cols; c++ {
-			rowProf[r] += p.signalAt(float64(c)*pitch, float64(r)*pitch, contacts)
+			rowProf[r] += p.signalAt(float64(c)*pitch, float64(r)*pitch)
 		}
 		rowProf[r] += p.rng.Normal(0, p.cfg.NoiseSigma*math.Sqrt(float64(p.cols)))
 	}
 	for c := 0; c < p.cols; c++ {
 		for r := 0; r < p.rows; r++ {
-			colProf[c] += p.signalAt(float64(c)*pitch, float64(r)*pitch, contacts)
+			colProf[c] += p.signalAt(float64(c)*pitch, float64(r)*pitch)
 		}
 		colProf[c] += p.rng.Normal(0, p.cfg.NoiseSigma*math.Sqrt(float64(p.rows)))
 	}
@@ -215,7 +236,7 @@ func (p *Panel) senseSelf(contacts []Contact) []Touch {
 	rowPeaks := profilePeaks(rowProf, p.cfg.DetectionThreshold)
 	colPeaks := profilePeaks(colProf, p.cfg.DetectionThreshold)
 
-	var touches []Touch
+	touches := p.touches[:0]
 	for ri, r := range rowPeaks {
 		for ci, c := range colPeaks {
 			mm := geom.Point{X: c.pos * pitch, Y: r.pos * pitch}
@@ -230,6 +251,7 @@ func (p *Panel) senseSelf(contacts []Contact) []Touch {
 			})
 		}
 	}
+	p.touches = touches
 	return touches
 }
 

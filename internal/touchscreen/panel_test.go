@@ -160,3 +160,60 @@ func TestDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchesValidUntilNextSense checks ScanResult.Touches' lifetime:
+// a scan's touches equal those of a same-seeded twin panel and stay
+// unchanged while another panel senses other contacts, until the
+// panel's own next Sense refills the buffer. Both scan modes, with
+// zero, one and two contacts.
+func TestTouchesValidUntilNextSense(t *testing.T) {
+	steps := [][]Contact{
+		{press(200, 300)},
+		{press(100, 150), press(350, 650)},
+		nil,
+		{press(420, 90)},
+		{press(240, 400), press(60, 700)},
+	}
+	for _, mutual := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.Mutual = mutual
+		p := New(cfg, sim.NewRNG(21))
+		twin := New(cfg, sim.NewRNG(21))
+		other := New(cfg, sim.NewRNG(22))
+		for i, cs := range steps {
+			res := p.Sense(cs)
+			want := twin.Sense(cs).Touches
+			held := append([]Touch(nil), res.Touches...)
+			if !touchesEqual(held, want) {
+				t.Fatalf("mutual=%v step %d: touches %v, twin panel %v", mutual, i, held, want)
+			}
+			other.Sense([]Contact{press(300, 500)})
+			if !touchesEqual(res.Touches, held) {
+				t.Fatalf("mutual=%v step %d: touches changed before the panel's next Sense", mutual, i)
+			}
+		}
+	}
+}
+
+func touchesEqual(a, b []Touch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSenseAllocFree pins that a warm mutual-capacitance scan reuses
+// the panel's electrode grid, contact constants and touch list.
+func TestSenseAllocFree(t *testing.T) {
+	p := New(DefaultConfig(), sim.NewRNG(23))
+	contacts := []Contact{press(240, 400), press(100, 150)}
+	p.Sense(contacts)
+	if n := testing.AllocsPerRun(50, func() { p.Sense(contacts) }); n != 0 {
+		t.Errorf("warm Sense costs %.0f allocs, want 0", n)
+	}
+}
