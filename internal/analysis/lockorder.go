@@ -61,7 +61,6 @@ var lockHierarchy = map[string]lockClass{
 	"trust/internal/webserver.session.mu": {rankSession, true},
 	// Leaf mutexes: nothing else may be acquired under them.
 	"trust/internal/webserver.Server.entropyMu": {rankLeaf, false},
-	"trust/internal/webserver.Server.streamsMu": {rankLeaf, false},
 	"trust/internal/frame.AuditLog.mu":          {rankLeaf, false},
 
 	// Fixture mirror of the hierarchy (testdata/src/lockorder).

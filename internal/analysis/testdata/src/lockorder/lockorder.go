@@ -143,7 +143,7 @@ func DocumentedOrder(sh *shard, log *auditLog, id string) {
 }
 
 // ReleaseBeforeBlocking copies state out under the lock and blocks only
-// after releasing it — the pushPolicy idiom. No findings.
+// after releasing it. No findings.
 func ReleaseBeforeBlocking(sh *shard, conn net.Conn, payload []byte) {
 	sh.mu.RLock()
 	n := len(sh.sessions)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -24,26 +23,6 @@ type HTTP struct {
 	// Binary selects the compact binary codec (application/octet-
 	// stream) instead of JSON on every request and response.
 	Binary bool
-}
-
-const binaryMIME = "application/octet-stream"
-
-// binaryHeader is the Content-Type and Accept value for binaryMIME,
-// shared by every request instead of a fresh one-element slice per
-// Header.Set. net/http never writes into a header's value slice.
-var binaryHeader = []string{binaryMIME}
-
-// isBinaryType reports whether a response Content-Type selects the
-// binary decoder. The exact value the server sends is matched
-// directly; anything else is parsed, so a parameterized
-// "application/octet-stream; charset=..." or a mixed-case spelling
-// still selects the binary decoder, not JSON.
-func isBinaryType(ct string) bool {
-	if ct == binaryMIME {
-		return true
-	}
-	mt, _, _ := mime.ParseMediaType(ct)
-	return mt == binaryMIME
 }
 
 var _ Transport = (*HTTP)(nil)
@@ -75,7 +54,7 @@ func get[M any](t *HTTP, path string, now time.Duration, out *M) error {
 		return err
 	}
 	if t.Binary {
-		req.Header["Accept"] = binaryHeader
+		req.Header["Accept"] = webserver.BinaryHeader
 	}
 	resp, err := t.client().Do(req)
 	if err != nil {
@@ -121,8 +100,8 @@ func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in a
 		return err
 	}
 	if t.Binary {
-		req.Header["Content-Type"] = binaryHeader
-		req.Header["Accept"] = binaryHeader
+		req.Header["Content-Type"] = webserver.BinaryHeader
+		req.Header["Accept"] = webserver.BinaryHeader
 	} else {
 		req.Header.Set("Content-Type", "application/json")
 	}
@@ -151,7 +130,7 @@ func decodeResponse[M any](resp *http.Response, out *M) error {
 		}
 		return fmt.Errorf("device: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	binary := isBinaryType(resp.Header.Get("Content-Type"))
+	binary := webserver.IsBinaryType(resp.Header.Get("Content-Type"))
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer respBufPool.Put(buf)

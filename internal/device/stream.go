@@ -37,9 +37,6 @@ type Stream struct {
 	// Fallback carries everything the stream cannot: pre-session flows
 	// always, and all traffic after a downgrade.
 	Fallback Transport
-	// OnPolicy, when non-nil, observes every server-pushed risk policy
-	// (welcome and policy-push frames) after MAC verification.
-	OnPolicy func(window, minVerified int)
 
 	mu      sync.Mutex
 	sess    *protocol.Session
@@ -239,8 +236,8 @@ func (t *Stream) redialLocked() error {
 // handshake is both openings' one exchange: dial, write the opening
 // frame (hello or resume) as the connection's first write, and read the
 // server's answer — the welcome, or the typed ack that refused the
-// opening. It runs before any read loop exists, so it cannot race
-// pushed frames. The returned buffered reader serves every later read
+// opening. It runs before any read loop exists, so it alone reads the
+// connection. The returned buffered reader serves every later read
 // on the connection, halving the syscall count of ReadFrame's
 // header+payload read pairs.
 func (t *Stream) handshake(opening []byte) (io.ReadWriteCloser, *bufio.Reader, *protocol.StreamWelcome, error) {
@@ -285,23 +282,15 @@ func exchangeOpening(w io.Writer, br *bufio.Reader, opening []byte) (*protocol.S
 // the frame sequence the opening spent. A welcome that fails
 // verification closes the connection. Caller holds t.mu.
 func (t *Stream) adoptLocked(rwc io.ReadWriteCloser, br *bufio.Reader, w *protocol.StreamWelcome, sess *protocol.Session, lastSeq uint64) error {
-	window, minVerified, err := protocol.AcceptStreamWelcome(sess, w)
-	if err != nil {
+	if err := protocol.AcceptStreamWelcome(sess, w); err != nil {
 		rwc.Close()
 		return err
 	}
-	if t.OnPolicy != nil {
-		t.OnPolicy(window, minVerified)
-	}
-	seed := append([]byte(nil), w.NonceSeed...)
 	c := &streamClientConn{
-		rwc:      rwc,
-		br:       br,
-		chain:    protocol.NewNonceChain(sess.Key, seed),
-		sess:     sess,
-		seed:     seed,
-		onPolicy: t.OnPolicy,
-		nextSeq:  lastSeq,
+		rwc:     rwc,
+		br:      br,
+		chain:   protocol.NewNonceChain(sess.Key, w.NonceSeed),
+		nextSeq: lastSeq,
 	}
 	t.conn = c
 	t.dials++
@@ -448,13 +437,10 @@ func (t *Stream) downgraded() bool {
 // mismatch (a reordered, replayed, or misdirected frame) kills the
 // connection rather than risk pairing a response with the wrong touch.
 type streamClientConn struct {
-	rwc      io.ReadWriteCloser
-	br       *bufio.Reader        // buffers rwc; read-loop goroutine only
-	dec      protocol.Decoder     // frame payloads + intern table; read-loop goroutine only
-	chain    *protocol.NonceChain // nonce prediction; device goroutine only
-	sess     *protocol.Session
-	seed     []byte // the welcome's nonce-chain seed
-	onPolicy func(window, minVerified int)
+	rwc   io.ReadWriteCloser
+	br    *bufio.Reader        // buffers rwc; read-loop goroutine only
+	dec   protocol.Decoder     // frame payloads + intern table; read-loop goroutine only
+	chain *protocol.NonceChain // nonce prediction; device goroutine only
 
 	wmu     sync.Mutex // serializes writes AND waiter-enqueue ordering
 	nextSeq uint64     // frame sequence counter, under wmu
@@ -466,7 +452,6 @@ type streamClientConn struct {
 	hbs     fifo[*hbWaiter]    // outstanding heartbeats
 	spare   *frameWaiter       // a recycled waiter for the next request frame
 	served  uint64             // pages received = chain position of sess.LastNonce
-	pushSeq uint64             // highest policy-push sequence accepted
 }
 
 // fifo is a queue that reuses its backing array once drained, so a
@@ -671,9 +656,9 @@ func (c *streamClientConn) ping(now time.Duration) error {
 }
 
 // readLoop is the connection's single reader: it dispatches pages and
-// acks to the head request waiter, heartbeat echoes to the head
-// heartbeat waiter, and policy pushes to the OnPolicy callback, until
-// the connection dies.
+// acks to the head request waiter and heartbeat echoes to the head
+// heartbeat waiter until the connection dies; any other frame kills
+// it.
 func (c *streamClientConn) readLoop() {
 	for {
 		ft, payload, err := c.dec.ReadFrame(c.br)
@@ -709,11 +694,6 @@ func (c *streamClientConn) readLoop() {
 				return
 			}
 			if err := c.deliverHeartbeat(seq, now); err != nil {
-				c.fail(err)
-				return
-			}
-		case protocol.FramePolicyPush:
-			if err := c.acceptPolicyPush(payload); err != nil {
 				c.fail(err)
 				return
 			}
@@ -796,30 +776,5 @@ func (c *streamClientConn) deliverHeartbeat(seq uint64, now time.Duration) error
 		return errors.New("device: heartbeat echo mismatch")
 	}
 	h.done <- nil
-	return nil
-}
-
-// acceptPolicyPush verifies a server-initiated policy update (MAC plus
-// monotonic sequence, so a tightened policy cannot be rolled back by
-// replaying an older push) and hands it to the OnPolicy callback.
-func (c *streamClientConn) acceptPolicyPush(payload []byte) error {
-	p, err := protocol.DecodeAs[protocol.PolicyPush](payload)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	last := c.pushSeq
-	c.mu.Unlock()
-	if err := protocol.VerifyPolicyPush(c.sess, p, last); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if p.Seq > c.pushSeq {
-		c.pushSeq = p.Seq
-	}
-	c.mu.Unlock()
-	if c.onPolicy != nil {
-		c.onPolicy(p.Window, p.MinVerified)
-	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,26 +118,27 @@ func TestStreamBadNonceRecoversViaStreamResync(t *testing.T) {
 	}
 }
 
-func TestStreamPolicyPushReachesDevice(t *testing.T) {
+// TestStreamServerPolicyAppliesToLiveStream changes the server's risk
+// policy under a live stream: the server checks every request against
+// its own policy, so the next streamed request meets the new one with
+// nothing sent to the device.
+func TestStreamServerPolicyAppliesToLiveStream(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
-	var got atomic.Int64
-	tr.OnPolicy = func(window, minVerified int) {
-		got.Store(int64(window)<<16 | int64(minVerified))
-	}
 	fx.registerAndLogin(t)
 	fx.server.SetRiskPolicy(webserver.RiskPolicy{Window: 8, MinVerified: 3})
-	// The push is written synchronously by SetRiskPolicy but consumed by
-	// the reader goroutine; a heartbeat round trip flushes behind it.
-	if err := tr.Ping(fx.now); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if v := got.Load(); v != 8<<16|3 {
-		t.Fatalf("policy push not observed: got %#x", v)
-	}
-	// The tightened policy applies to streamed requests immediately.
 	fx.touchOwner(t)
 	if err := fx.dev.Browse(fx.now, "home"); err != nil {
-		t.Fatalf("browse under pushed policy: %v", err)
+		t.Fatalf("browse under the changed policy: %v", err)
+	}
+	// No module history can meet this policy: the next request on the
+	// same connection is refused with a typed ack.
+	fx.server.SetRiskPolicy(webserver.RiskPolicy{Window: 1, MinVerified: 1000})
+	fx.touchOwner(t)
+	if err := fx.dev.Browse(fx.now, "home"); !errors.Is(err, webserver.ErrRiskPolicy) {
+		t.Fatalf("browse under an impossible policy: %v, want ErrRiskPolicy", err)
+	}
+	if st := tr.Stats(); st.Dials != 1 || st.Redials != 0 {
+		t.Fatalf("the policy change redialed the stream: %+v", st)
 	}
 }
 
@@ -393,13 +393,39 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 	}
 }
 
+// TestStreamRetiredFrameKillsConnection sends the retired policy-push
+// frame type (6) to a device with a request in flight: like any other
+// unexpected frame it ends the connection, and the request fails with
+// the retryable ErrNetwork.
+func TestStreamRetiredFrameKillsConnection(t *testing.T) {
+	sess := fakeSession()
+	tr, fs := startFakeStreamServer(t, sess)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if ft, _, err := protocol.ReadFrame(fs.conn); err != nil || ft != protocol.FrameTouchBatch {
+			t.Errorf("fake server: batch: %v (%v)", ft, err)
+			return
+		}
+		if err := protocol.WriteFrame(fs.conn, protocol.FrameType(6), []byte{1, 2, 3}); err != nil {
+			t.Errorf("fake server: write: %v", err)
+		}
+	}()
+	_, err := tr.SubmitPageRequest(0, fakeRequest(sess))
+	<-done
+	if !errors.Is(err, ErrNetwork) {
+		t.Fatalf("retired frame produced %v, want retryable ErrNetwork", err)
+	}
+	if tr.Streaming() {
+		t.Fatal("connection survived a retired frame type")
+	}
+}
+
 // TestStreamConcurrentWritersRace exercises the stream under -race:
-// heartbeats, server policy pushes, and browsing all in flight at
-// once, then teardown with a ping mid-air.
+// heartbeats and browsing in flight at once, then teardown with a ping
+// mid-air.
 func TestStreamConcurrentWritersRace(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
-	var pushes atomic.Int64
-	tr.OnPolicy = func(window, minVerified int) { pushes.Add(1) }
 	fx.registerAndLogin(t)
 	fx.touchOwner(t)
 
@@ -415,13 +441,6 @@ func TestStreamConcurrentWritersRace(t *testing.T) {
 			default:
 				_ = tr.Ping(fx.now)
 			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // server-initiated pushes racing client requests
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			fx.server.SetRiskPolicy(webserver.RiskPolicy{Window: 12, MinVerified: 1 + i%2})
 		}
 	}()
 	for i := 0; i < 30; i++ {

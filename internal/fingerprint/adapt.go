@@ -35,11 +35,11 @@ func (f *Finger) Drifted(sigmaMM float64, seed uint64) *Finger {
 // AdaptTemplate performs template aging compensation: when a capture
 // matches confidently (score >= minScore), the matched template
 // minutiae are nudged toward the aligned observation with weight alpha
-// (an exponential moving average). It reports whether an adaptation
-// happened. Only confident matches adapt — otherwise an impostor could
-// slowly walk the template toward their own finger.
-func (cfg MatcherConfig) AdaptTemplate(t *Template, c *Capture, minScore, alpha float64) bool {
-	res := cfg.Match(t, c)
+// (an exponential moving average). res is cfg.Match(t, c), which the
+// caller has already run. It reports whether an adaptation happened.
+// Only confident matches adapt — otherwise an impostor could slowly
+// walk the template toward their own finger.
+func (cfg MatcherConfig) AdaptTemplate(t *Template, c *Capture, res MatchResult, minScore, alpha float64) bool {
 	if !res.Accepted || res.Score < minScore {
 		return false
 	}

@@ -450,6 +450,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 	}
 	bestAccepted := -1.0
 	var bestTpl *fingerprint.Template
+	var bestRes fingerprint.MatchResult
 	for _, e := range m.templates {
 		res := m.cfg.Matcher.Match(e.tpl, cap)
 		if res.Score > out.Score {
@@ -459,7 +460,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 			bestAccepted = res.Score
 			out.Kind = Matched
 			out.Template = e.name
-			bestTpl = e.tpl
+			bestTpl, bestRes = e.tpl, res
 		}
 	}
 	if out.Kind == Matched && m.cfg.AdaptScoreMin > 0 && bestAccepted >= m.cfg.AdaptScoreMin {
@@ -467,7 +468,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 		if alpha == 0 {
 			alpha = 0.3
 		}
-		if m.cfg.Matcher.AdaptTemplate(bestTpl, cap, m.cfg.AdaptScoreMin, alpha) {
+		if m.cfg.Matcher.AdaptTemplate(bestTpl, cap, bestRes, m.cfg.AdaptScoreMin, alpha) {
 			m.energy.AddEvent("flash-write", 0.5e-6)
 		}
 	}

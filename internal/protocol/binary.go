@@ -32,7 +32,7 @@ const (
 	tagResyncRequest
 	tagStreamHello
 	tagStreamWelcome
-	tagPolicyPush
+	_ // 10: retired (a server-to-device policy push); an unknown tag
 	tagResumeSubmit
 )
 
@@ -365,16 +365,6 @@ func (m *StreamWelcome) fields(c *binCodec) {
 	c.auth(&m.MAC)
 }
 
-func (m *PolicyPush) fields(c *binCodec) {
-	c.head(tagPolicyPush)
-	c.istr(&m.Domain)
-	c.istr(&m.SessionID)
-	c.U32(&m.Window)
-	c.U32(&m.MinVerified)
-	c.U64(&m.Seq)
-	c.auth(&m.MAC)
-}
-
 // DecodeBinary parses a binary message, returning one of the protocol
 // message pointer types.
 func DecodeBinary(data []byte) (any, error) {
@@ -407,7 +397,6 @@ var newMessage = [...]func() encoder{
 	tagResyncRequest:      func() encoder { return new(ResyncRequest) },
 	tagStreamHello:        func() encoder { return new(StreamHello) },
 	tagStreamWelcome:      func() encoder { return new(StreamWelcome) },
-	tagPolicyPush:         func() encoder { return new(PolicyPush) },
 	tagResumeSubmit:       func() encoder { return new(ResumeSubmit) },
 }
 

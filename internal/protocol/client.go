@@ -42,7 +42,7 @@ type Session struct {
 	// AcceptResumePage keeps the one that verified the resumed page as
 	// acceptMAC: it runs on the device goroutine before the device
 	// hands the session to a stream's inbound reader. Cold-path
-	// messages (hello, welcome, resync, policy push) use a fresh MACer
+	// messages (hello, welcome, resync) use a fresh MACer
 	// each, so no MACer gains a second owner.
 	buildMAC  *pki.MACer
 	acceptMAC *pki.MACer
@@ -381,39 +381,19 @@ func BuildStreamHello(sess *Session) (*StreamHello, error) {
 
 // AcceptStreamWelcome verifies the server's hello acknowledgment and
 // resets the session's nonce to the head of the connection's nonce
-// chain. It returns the server-pushed risk policy (window,
-// min-verified).
-func AcceptStreamWelcome(sess *Session, w *StreamWelcome) (window, minVerified int, err error) {
+// chain. The welcome's risk-policy fields are informational: the
+// server applies its policy to every request itself.
+func AcceptStreamWelcome(sess *Session, w *StreamWelcome) error {
 	if w == nil || len(w.NonceSeed) == 0 {
-		return 0, 0, errors.New("protocol: empty stream welcome")
+		return errors.New("protocol: empty stream welcome")
 	}
 	if w.Domain != sess.Domain || w.SessionID != sess.ID {
-		return 0, 0, fmt.Errorf("protocol: stream welcome for %s/%s on session %s/%s", w.Domain, w.SessionID, sess.Domain, sess.ID)
+		return fmt.Errorf("protocol: stream welcome for %s/%s on session %s/%s", w.Domain, w.SessionID, sess.Domain, sess.ID)
 	}
 	if !VerifyMAC(pki.NewMACer(sess.Key), w, w.MAC) {
-		return 0, 0, ErrServerAuth
-	}
-	sess.LastNonce = StreamNonce(sess.Key, w.NonceSeed, 0)
-	return w.Window, w.MinVerified, nil
-}
-
-// VerifyPolicyPush authenticates a server-initiated policy update
-// against the session. lastSeq is the highest push sequence already
-// accepted on this connection; stale or replayed pushes fail so a
-// tightened policy can never be rolled back by replay.
-func VerifyPolicyPush(sess *Session, p *PolicyPush, lastSeq uint64) error {
-	if p == nil {
-		return errors.New("protocol: empty policy push")
-	}
-	if p.Domain != sess.Domain || p.SessionID != sess.ID {
-		return fmt.Errorf("protocol: policy push for %s/%s on session %s/%s", p.Domain, p.SessionID, sess.Domain, sess.ID)
-	}
-	if !VerifyMAC(pki.NewMACer(sess.Key), p, p.MAC) {
 		return ErrServerAuth
 	}
-	if p.Seq <= lastSeq {
-		return fmt.Errorf("protocol: policy push seq %d not after %d", p.Seq, lastSeq)
-	}
+	sess.LastNonce = StreamNonce(sess.Key, w.NonceSeed, 0)
 	return nil
 }
 

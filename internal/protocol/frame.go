@@ -15,7 +15,7 @@ import (
 //	[1B type][4B big-endian payload length][payload]
 //
 // Payloads of the message-bearing frames (hello, welcome, touch-batch,
-// page, policy-push, resync, resume) reuse the binary message codec, so
+// page, resync, resume) reuse the binary message codec, so
 // a message verifies identically whether it arrived framed or as an
 // HTTP body. Every frame is appended whole into the caller's buffer
 // (appendFrameOf) and hits the connection in a single Write — one
@@ -27,9 +27,8 @@ type FrameType byte
 
 // Frame types. Hello/Welcome bind a connection to a session,
 // TouchBatch carries 1..n batched touch authenticators, Page answers
-// one of them, Heartbeat is echoed for liveness, PolicyPush is the
-// server-initiated risk-policy update, Ack carries request errors and
-// hello rejections, Resync recovers a lost page, Bye is clean
+// one of them, Heartbeat is echoed for liveness, Ack carries request
+// errors and hello rejections, Resync recovers a lost page, Bye is clean
 // teardown. Resume opens a connection with a ticket fast login instead
 // of a hello: the server answers with a welcome (seeding the nonce
 // chain under the resumed key) followed by the login content page, so
@@ -40,7 +39,7 @@ const (
 	FrameTouchBatch
 	FramePage
 	FrameHeartbeat
-	FramePolicyPush
+	_ // 6: retired (a server-to-device policy push); an unknown type
 	FrameAck
 	FrameResync
 	FrameBye
@@ -49,8 +48,8 @@ const (
 
 // SeqBearing reports whether t's payload leads with an 8-byte
 // big-endian sequence number (touch-batch, page, heartbeat, ack,
-// resync, resume). Hello/welcome/policy-push carry binary-codec
-// messages instead, and bye has no payload.
+// resync, resume). Hello/welcome carry binary-codec messages instead,
+// and bye has no payload.
 func (t FrameType) SeqBearing() bool {
 	switch t {
 	case FrameTouchBatch, FramePage, FrameHeartbeat, FrameAck, FrameResync, FrameResume:
@@ -87,8 +86,6 @@ func (t FrameType) String() string {
 		return "page"
 	case FrameHeartbeat:
 		return "heartbeat"
-	case FramePolicyPush:
-		return "policy-push"
 	case FrameAck:
 		return "ack"
 	case FrameResync:
@@ -193,7 +190,7 @@ func AppendFrame(dst []byte, t FrameType, payload []byte) ([]byte, error) {
 }
 
 // AppendMessageFrame appends a frame whose payload is one binary-codec
-// message: the hello, welcome and policy-push frames.
+// message: the hello and welcome frames.
 func AppendMessageFrame(dst []byte, t FrameType, msg any) ([]byte, error) {
 	m, ok := msg.(encoder)
 	if !ok {

@@ -237,7 +237,6 @@ func TestStreamHelloWelcomeBinaryRoundTrip(t *testing.T) {
 	for _, msg := range []any{
 		&StreamHello{Domain: "www.xyz.com", Account: "acct", SessionID: "s", MAC: []byte{1}},
 		&StreamWelcome{Domain: "www.xyz.com", SessionID: "s", NonceSeed: []byte("0123456789abcdef"), Window: 12, MinVerified: 2, MAC: []byte{2}},
-		&PolicyPush{Domain: "www.xyz.com", SessionID: "s", Window: 8, MinVerified: 3, Seq: 4, MAC: []byte{3}},
 	} {
 		data, err := EncodeBinary(msg)
 		if err != nil {
@@ -283,7 +282,7 @@ func TestFrameSeq(t *testing.T) {
 	seqBearing := map[FrameType]bool{
 		FrameTouchBatch: true, FramePage: true, FrameHeartbeat: true,
 		FrameAck: true, FrameResync: true, FrameResume: true,
-		FrameHello: false, FrameWelcome: false, FramePolicyPush: false,
+		FrameHello: false, FrameWelcome: false, retiredFrame: false,
 		FrameBye: false,
 	}
 	for ft, want := range seqBearing {

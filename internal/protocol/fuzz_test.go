@@ -154,12 +154,6 @@ func rebuildFrame(t *testing.T, ft FrameType, p []byte) ([]byte, error) {
 			return nil, err
 		}
 		return must(AppendMessageFrame(nil, ft, m))
-	case FramePolicyPush:
-		m, err := DecodeAs[PolicyPush](p)
-		if err != nil {
-			return nil, err
-		}
-		return must(AppendMessageFrame(nil, ft, m))
 	case FrameTouchBatch:
 		tb, err := DecodeTouchBatch(p)
 		if err != nil {

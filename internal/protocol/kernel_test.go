@@ -39,8 +39,7 @@ func authMessages(rng *sim.RNG) (mac, signed [][2]any) {
 	rs := &ResumeSubmit{Domain: str(), Account: str(), Ticket: raw(), FrameHash: h, RiskVerified: rng.Intn(20), RiskWindow: rng.Intn(20), MAC: raw()}
 	sh := &StreamHello{Domain: str(), Account: str(), SessionID: str(), MAC: raw()}
 	sw := &StreamWelcome{Domain: str(), SessionID: str(), NonceSeed: raw(), Window: rng.Intn(20), MinVerified: rng.Intn(20), MAC: raw()}
-	pp := &PolicyPush{Domain: str(), SessionID: str(), Window: rng.Intn(20), MinVerified: rng.Intn(20), Seq: rng.Uint64(), MAC: raw()}
-	for _, m := range []any{ls, cp, pr, rr, rs, sh, sw, pp} {
+	for _, m := range []any{ls, cp, pr, rr, rs, sh, sw} {
 		mac = append(mac, [2]any{m, clearedCopy(m, "MAC")})
 	}
 	rp := &RegistrationPage{Domain: str(), Nonce: Nonce(str()), Page: page, ServerCert: cert, Signature: raw()}

@@ -121,9 +121,6 @@ func authInputs() []authInput {
 		{"StreamWelcome", tagStreamWelcome, []string{"MAC"}, func() any {
 			return &StreamWelcome{Domain: "d", SessionID: "s", NonceSeed: []byte{11}, Window: 12, MinVerified: 3, MAC: []byte{9}}
 		}, mac},
-		{"PolicyPush", tagPolicyPush, []string{"MAC"}, func() any {
-			return &PolicyPush{Domain: "d", SessionID: "s", Window: 12, MinVerified: 3, Seq: 4, MAC: []byte{9}}
-		}, mac},
 	}
 }
 

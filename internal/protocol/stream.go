@@ -21,7 +21,6 @@ import (
 //	  | <-- Page / Ack(error) ------- |     verify, advance chain
 //	  | --- Heartbeat --------------> |
 //	  | <-- Heartbeat (echo) -------- |
-//	  | <-- PolicyPush -------------- |   server-initiated, any time
 //
 // Registration and login stay on the request/response path; the
 // stream carries the steady-state hot path (docs/protocol.md,
@@ -42,8 +41,9 @@ type StreamHello struct {
 }
 
 // StreamWelcome is the server's hello acknowledgment: the fresh nonce
-// seed anchoring this connection's nonce chain, plus the current risk
-// policy so a reconnecting device starts with up-to-date requirements.
+// seed anchoring this connection's nonce chain, plus the server's
+// current risk policy. The policy fields are informational: the server
+// checks every request against its own policy.
 type StreamWelcome struct {
 	Domain    string
 	SessionID string
@@ -58,27 +58,11 @@ type StreamWelcome struct {
 	MAC         []byte
 }
 
-// PolicyPush is a server-initiated risk-policy update on a live
-// stream — the continuous-auth requirement can tighten without waiting
-// for the device's next request. Seq increases per connection so a
-// replayed (or reordered) push can never roll a tightened policy back.
-type PolicyPush struct {
-	Domain      string
-	SessionID   string
-	Window      int
-	MinVerified int
-	Seq         uint64
-	MAC         []byte
-}
-
 // MACBytes of a StreamHello covers everything but MAC.
 func (m *StreamHello) MACBytes() []byte { return macBytes(m) }
 
 // MACBytes of a StreamWelcome covers everything but MAC.
 func (m *StreamWelcome) MACBytes() []byte { return macBytes(m) }
-
-// MACBytes of a PolicyPush covers everything but MAC.
-func (m *PolicyPush) MACBytes() []byte { return macBytes(m) }
 
 // streamNonceLabel domain-separates chain derivation from every other
 // use of the session key.

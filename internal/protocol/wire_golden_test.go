@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -37,9 +38,6 @@ func TestStreamWireGolden(t *testing.T) {
 		}, 245, "605b29866bd6a6a5a5615397f018b26f515164148b099ec18e6264dfa46153fe"},
 		{FramePage, func(dst []byte) ([]byte, error) { return AppendPageFrame(dst, 7, 2, testContentPage()) }, 137, "7713b6eff730b1f31813299150e37252d5fe338738f2c97d907a79ed42c779d7"},
 		{FrameHeartbeat, func(dst []byte) ([]byte, error) { return AppendHeartbeatFrame(dst, 5, 3*time.Second), nil }, 21, "9a15462069b5523aa247b0ef0db487b4e94b8631e3bc10f0f1d9e2bf54405cff"},
-		{FramePolicyPush, func(dst []byte) ([]byte, error) {
-			return AppendMessageFrame(dst, FramePolicyPush, &PolicyPush{Domain: "www.xyz.com", SessionID: "sess-1", Window: 8, MinVerified: 3, Seq: 4, MAC: []byte{4}})
-		}, 53, "6142066a69808bcffe4243e486e272549200baa0cc740fe9d993bf43861d4fed"},
 		{FrameAck, func(dst []byte) ([]byte, error) {
 			return AppendAckFrame(dst, 7, "bad-nonce", "nonce does not match")
 		}, 50, "4ae1592f734d729f92fb3751fd2eea82917542b95bcc70ef65ce9310e7c4a968"},
@@ -72,9 +70,33 @@ func TestStreamWireGolden(t *testing.T) {
 		}
 	}
 	for ft := FrameHello; ft <= FrameResume; ft++ {
-		if !seen[ft] {
+		if !seen[ft] && ft != retiredFrame {
 			t.Errorf("no golden for %s frames", ft)
 		}
+	}
+}
+
+// The frame type and message tag of the retired server-to-device
+// policy push. Neither value may be reused: a peer that still sends
+// one must be refused, not misread.
+const (
+	retiredFrame FrameType = 6
+	retiredTag   byte      = 10
+)
+
+// TestRetiredFrameAndTagRefused checks that the retired frame type and
+// message tag read as unknown: the frame type prints as a bare number
+// (TestFrameSeq checks it bears no sequence), and a message with the
+// tag is refused.
+func TestRetiredFrameAndTagRefused(t *testing.T) {
+	if got := retiredFrame.String(); got != "frame(6)" {
+		t.Errorf("retired frame type reads as %q", got)
+	}
+	// The retired push's old encoding: version, tag, then the fields
+	// of the push (domain, session id, window, min, seq, MAC).
+	old := []byte{binVersion, retiredTag, 0, 0, 0, 1, 'd', 0, 0, 0, 1, 's', 0, 0, 0, 8, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 1, 9}
+	if _, err := DecodeBinary(old); !errors.Is(err, ErrBinaryDecode) {
+		t.Fatalf("retired message tag decoded: %v", err)
 	}
 }
 
@@ -127,7 +149,6 @@ func goldenMessages() []any {
 		&ResyncRequest{Domain: "www.xyz.com", Account: "acct", SessionID: "sess-1", MAC: []byte{5}},
 		&StreamHello{Domain: "www.xyz.com", Account: "acct", SessionID: "sess-1", MAC: []byte{1, 2}},
 		&StreamWelcome{Domain: "www.xyz.com", SessionID: "sess-1", NonceSeed: []byte("0123456789abcdef"), Window: 12, MinVerified: 2, MAC: []byte{3}},
-		&PolicyPush{Domain: "www.xyz.com", SessionID: "sess-1", Window: 8, MinVerified: 3, Seq: 4, MAC: []byte{4}},
 		&ResumeSubmit{Domain: "www.xyz.com", Account: "acct", Ticket: []byte("ticket"), FrameHash: hash, RiskVerified: 2, RiskWindow: 12, MAC: []byte{6}},
 	}
 }
@@ -166,7 +187,6 @@ func TestMessageWireGolden(t *testing.T) {
 		"*protocol.ResyncRequest":      {{40, "a35769ce7b444ac63743a5b59496d8c90b9b86c84efe41f6d42a87b886b75211"}, {}, {39, "e44b4683fd5273675414a98e04102415c6dd164ff21a9f1df6ee2d360e3848fa"}},
 		"*protocol.StreamHello":        {{41, "6b2049761e6254c7f2aeca88e279a0f02b29bcc5bdec6c4957bbf0ea7d1ef3fa"}, {}, {39, "426ca784964525f1312fe1c6bfe8c35aaa53bd094b94ecd4543a573c6f66a0bf"}},
 		"*protocol.StreamWelcome":      {{60, "61e039e5d611fc33c05ffe7037b1c971961c7021ab9ea1702bc526c2fb84096f"}, {}, {59, "1900363f49f3c40b4f148b0b842e5c2dc678fdf6961795d84026a771a2b2d8e8"}},
-		"*protocol.PolicyPush":         {{48, "7698fa8883082c354bded1a24cbe25b175b40c5943e7750e603153d419c07a0a"}, {}, {47, "3d054985e840bb553f175f25a3b5ddbc7f6e89123856108afaaca9d0ee4fa277"}},
 		"*protocol.ResumeSubmit":       {{80, "5211fabefff2ec59be23677e32469f38838834dcca879b602b215a4344039d7c"}, {}, {79, "30587f2cd0a29ab2fa2b2d7a93224020d1b892badfa479c4e9059f0d7fee8735"}},
 	}
 	seen := map[byte]bool{}
@@ -211,7 +231,7 @@ func TestMessageWireGolden(t *testing.T) {
 		}
 	}
 	for tag := tagRegistrationPage; tag <= tagResumeSubmit; tag++ {
-		if !seen[tag] {
+		if !seen[tag] && tag != retiredTag {
 			t.Errorf("no golden for message tag %d", tag)
 		}
 	}

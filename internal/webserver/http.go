@@ -18,24 +18,26 @@ import (
 	"trust/internal/protocol"
 )
 
-// binaryMIME selects the compact binary codec on the HTTP transport.
-const binaryMIME = "application/octet-stream"
+// BinaryMIME selects the compact binary codec on the HTTP transport,
+// in both directions.
+const BinaryMIME = "application/octet-stream"
 
-// binaryHeader is the header value for binaryMIME, shared by every
-// response instead of a fresh one-element slice per Header().Set.
-// net/http never writes into a header's value slice, only replaces it.
-var binaryHeader = []string{binaryMIME}
+// BinaryHeader is the header value for BinaryMIME, shared by every
+// request and response instead of a fresh one-element slice per
+// Header.Set. net/http never writes into a header's value slice, only
+// replaces it; no caller may write into it either.
+var BinaryHeader = []string{BinaryMIME}
 
-// isBinaryType reports whether a Content-Type value selects the binary
-// codec. The exact value clients send is matched directly; anything
+// IsBinaryType reports whether a Content-Type value selects the binary
+// codec. The exact value both ends send is matched directly; anything
 // else is parsed, so "application/octet-stream; charset=x" and
-// mixed-case spellings still route to the binary decoder.
-func isBinaryType(ct string) bool {
-	if ct == binaryMIME {
+// mixed-case spellings still select the binary decoder, not JSON.
+func IsBinaryType(ct string) bool {
+	if ct == BinaryMIME {
 		return true
 	}
 	mt, _, _ := mime.ParseMediaType(ct)
-	return mt == binaryMIME
+	return mt == BinaryMIME
 }
 
 // maxBodyBytes bounds request bodies on every POST route.
@@ -167,10 +169,10 @@ func queryValue(query, name string) string {
 // application/octet-stream (the cookie-extension deployment's
 // encoding).
 func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
-	if r.Header.Get("Accept") == binaryMIME {
+	if r.Header.Get("Accept") == BinaryMIME {
 		data, err := protocol.EncodeBinary(v)
 		if err == nil {
-			w.Header()["Content-Type"] = binaryHeader
+			w.Header()["Content-Type"] = BinaryHeader
 			w.Write(data)
 			return
 		}
@@ -197,7 +199,7 @@ func decodeBody[M any](s *Server, w http.ResponseWriter, r *http.Request) (*M, b
 }
 
 func readBody[M any](w http.ResponseWriter, r *http.Request) (*M, error) {
-	if isBinaryType(r.Header.Get("Content-Type")) {
+	if IsBinaryType(r.Header.Get("Content-Type")) {
 		buf := bodyPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		defer bodyPool.Put(buf)
@@ -211,6 +213,25 @@ func readBody[M any](w http.ResponseWriter, r *http.Request) (*M, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// sessionRoute is the one shape of the POST routes that answer with a
+// content page (login, resume, page, resync): decode the body, run the
+// handler at the request's virtual time, and answer with the page or
+// the handler's typed rejection.
+func sessionRoute[M any](s *Server, handle func(time.Duration, *M) (*protocol.ContentPage, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m, ok := decodeBody[M](s, w, r)
+		if !ok {
+			return
+		}
+		cp, err := handle(requestNow(r), m)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeResponse(w, r, cp)
+	}
 }
 
 // Handler exposes the server over HTTP for the networked examples and
@@ -238,54 +259,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /trust/login", func(w http.ResponseWriter, r *http.Request) {
 		writeResponse(w, r, s.ServeLoginPage(requestNow(r)))
 	})
-	mux.HandleFunc("POST /trust/login", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.LoginSubmit](s, w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleLogin(requestNow(r), sub)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/resume", func(w http.ResponseWriter, r *http.Request) {
-		sub, ok := decodeBody[protocol.ResumeSubmit](s, w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleResume(requestNow(r), sub)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/page", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.PageRequest](s, w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandlePageRequest(requestNow(r), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
-	mux.HandleFunc("POST /trust/resync", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBody[protocol.ResyncRequest](s, w, r)
-		if !ok {
-			return
-		}
-		cp, err := s.HandleResync(requestNow(r), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeResponse(w, r, cp)
-	})
+	mux.HandleFunc("POST /trust/login", sessionRoute(s, s.HandleLogin))
+	mux.HandleFunc("POST /trust/resume", sessionRoute(s, s.HandleResume))
+	mux.HandleFunc("POST /trust/page", sessionRoute(s, s.HandlePageRequest))
+	mux.HandleFunc("POST /trust/resync", sessionRoute(s, s.HandleResync))
 	mux.HandleFunc("GET /trust/audit", func(w http.ResponseWriter, r *http.Request) {
 		report := s.RunAudit()
 		writeResponse(w, r, map[string]any{

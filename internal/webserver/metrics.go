@@ -12,7 +12,8 @@ import (
 // atomic or an ftdc.Hist (itself atomic), so handlers bump them
 // lock-free on the hot path; the capture side reads them through
 // AppendMetrics. Counters only ever increase — the capture's delta
-// encoding turns a flat counter into a run of zero bytes.
+// encoding turns a flat counter into a run of zero bytes — except
+// streams, a gauge of live connections.
 type telemetry struct {
 	fullLogins    atomic.Int64 // HandleLogin successes (Fig 10 cold path)
 	resumeLogins  atomic.Int64 // ticket-resume successes (HTTP + stream)
@@ -20,6 +21,7 @@ type telemetry struct {
 	storageErrors atomic.Int64 // requests rejected with ErrStorage
 	hbClamped     atomic.Int64 // stream heartbeats that tried to move time backwards
 	hbRejected    atomic.Int64 // stream heartbeats rejected for an absurd forward jump
+	streams       atomic.Int64 // live device streams: up once opened, down at teardown
 
 	// Flow-latency histograms on the virtual clock. The enroll/login/
 	// resume samples measure page-served to submission (the consumed
@@ -85,7 +87,7 @@ func (s *Server) AppendMetrics(vals []int64) []int64 {
 		s.accepted.Load(), s.rejected.Load(),
 		s.tel.fullLogins.Load(), s.tel.resumeLogins.Load(),
 		degraded, s.tel.degradedTrips.Load(), s.tel.storageErrors.Load(),
-		s.nonces.evictions.Load(), int64(s.StreamCount()),
+		s.nonces.evictions.Load(), s.tel.streams.Load(),
 		s.tel.hbClamped.Load(), s.tel.hbRejected.Load(),
 	)
 	vals = s.sessions.appendLens(vals)
@@ -162,6 +164,6 @@ func (s *Server) handleFTDC(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ftdc capture not enabled", http.StatusNotFound)
 		return
 	}
-	w.Header()["Content-Type"] = binaryHeader
+	w.Header()["Content-Type"] = BinaryHeader
 	w.Write(data)
 }

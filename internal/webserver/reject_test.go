@@ -98,8 +98,8 @@ func TestHTTPMalformedBodyTypedAndCounted(t *testing.T) {
 		body        []byte
 	}{
 		{"bad json", "application/json", []byte("{")},
-		{"bad binary", binaryMIME, []byte{1, 2, 3}},
-		{"wrong binary type", binaryMIME, hello},
+		{"bad binary", BinaryMIME, []byte{1, 2, 3}},
+		{"wrong binary type", BinaryMIME, hello},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

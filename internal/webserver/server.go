@@ -160,11 +160,6 @@ type Server struct {
 	audit    frame.AuditLog
 	screenPX float64
 
-	// streams is the live device-stream registry (stream.go): touched at
-	// connect/teardown and on policy pushes, never on the request path.
-	streamsMu sync.Mutex
-	streams   map[*streamConn]struct{}
-
 	// MaxLoginFailures is the per-account failure budget; accounts lock
 	// after this many failures until ResetIdentity or a successful
 	// login within the budget. Set it before serving traffic.
@@ -242,14 +237,9 @@ func (s *Server) Close() error { return s.backend.Close() }
 // Certificate returns the server's CA-signed certificate.
 func (s *Server) Certificate() *pki.Certificate { return s.cert.Clone() }
 
-// SetRiskPolicy overrides the continuous-auth policy. Devices on the
-// streamed transport learn the new policy immediately via a MAC'd
-// server push; HTTP devices pick it up the usual way, on their next
-// rejected-or-accepted request.
-func (s *Server) SetRiskPolicy(p RiskPolicy) {
-	s.policy.Store(&p)
-	s.pushPolicy(p)
-}
+// SetRiskPolicy overrides the continuous-auth policy. Every request
+// after the call is checked against it, on every transport.
+func (s *Server) SetRiskPolicy(p RiskPolicy) { s.policy.Store(&p) }
 
 // riskPolicy returns the active policy.
 func (s *Server) riskPolicy() RiskPolicy { return *s.policy.Load() }

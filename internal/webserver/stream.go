@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"trust/internal/pki"
@@ -18,9 +16,9 @@ import (
 // one long-lived connection and one read-loop goroutine; all state the
 // loop touches lives in the existing sharded stores (sessions,
 // accounts, nonces) plus a per-connection struct owned by the loop, so
-// streams add no locks to the request hot path. The only cross-
-// connection structure is the stream registry, touched at
-// connect/teardown and on policy pushes — never per request.
+// streams add no locks to the request hot path. The read loop is the
+// only writer of its connection; the only cross-connection state is the
+// live-stream counter, moved at connect and teardown.
 //
 // Wire shape (docs/protocol.md, "Stream framing"): the first frame
 // must be a MAC-proof hello binding the connection to an established
@@ -42,9 +40,8 @@ import (
 // as-is, whatever the device's clock says.
 const MaxHeartbeatSkew = 24 * time.Hour
 
-// streamConn is one live device stream. The read loop owns rwc reads,
-// seq, and lastNow; writes are serialized by wmu because policy pushes
-// arrive from other goroutines.
+// streamConn is one live device stream, owned by its read loop: the
+// loop alone reads and writes rwc and moves seq and lastNow.
 type streamConn struct {
 	s    *Server
 	rwc  io.ReadWriteCloser
@@ -61,9 +58,6 @@ type streamConn struct {
 	// each answer is built in, framed into out before the next one.
 	batch protocol.TouchBatch
 	page  protocol.ContentPage
-
-	wmu     sync.Mutex // serializes frame writes (responses vs policy push)
-	pushSeq uint64     // policy-push counter, under wmu
 }
 
 // nextNonce advances the connection's nonce chain; handlePageRequest
@@ -87,28 +81,21 @@ func (sc *streamConn) bind(sess *session) protocol.Nonce {
 	return sc.chain.At(0)
 }
 
-// writeRaw flushes pre-framed bytes in a single write under the write
-// mutex. Frames are self-delimiting, so concatenating a whole batch's
-// responses into one write keeps the wire identical while paying one
-// syscall instead of one per page.
-func (sc *streamConn) writeRaw(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	_, err := sc.rwc.Write(b)
-	return err
-}
-
-// flush writes the frames the read loop appended to out and keeps out
-// as the connection's scratch.
+// flush writes the frames the read loop appended to out in a single
+// write and keeps out as the connection's scratch. Frames are
+// self-delimiting, so concatenating a whole batch's responses into one
+// write keeps the wire identical while paying one syscall instead of
+// one per page.
 func (sc *streamConn) flush(out []byte, err error) error {
 	if err != nil {
 		return err
 	}
 	sc.out = out[:0]
-	return sc.writeRaw(out)
+	if len(out) == 0 {
+		return nil
+	}
+	_, err = sc.rwc.Write(out)
+	return err
 }
 
 // batchSlots bounds the request slots a connection keeps between
@@ -191,17 +178,12 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	if err != nil {
 		return err
 	}
-	// Register before the opening frames go out, holding the write
-	// mutex across both so no policy push can overtake the welcome on
-	// the wire — and so a connection whose client has seen the welcome
-	// is guaranteed to be in the push registry.
-	sc.wmu.Lock()
-	s.registerStream(sc)
-	_, werr := sc.rwc.Write(opening)
-	sc.wmu.Unlock()
-	defer s.unregisterStream(sc)
-	if werr != nil {
-		return werr
+	// Count the stream live before the opening frames go out, so a
+	// client that has seen its welcome always finds itself counted.
+	s.tel.streams.Add(1)
+	defer s.tel.streams.Add(-1)
+	if _, err := sc.rwc.Write(opening); err != nil {
+		return err
 	}
 
 	// The loop's decoder reuses one payload buffer and interns the
@@ -288,7 +270,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 // established session's key, or a resume presenting a ticket — which
 // creates the session right here, saving the resumed login an HTTP
 // round trip. Anything else, and any opening the server refuses, is
-// rejected with an ack before the connection is registered.
+// rejected with an ack before the connection counts as live.
 func (sc *streamConn) open(ft protocol.FrameType, payload []byte) ([]byte, error) {
 	switch ft {
 	case protocol.FrameHello:
@@ -389,59 +371,8 @@ func (s *Server) acceptStreamHello(sc *streamConn, h *protocol.StreamHello) erro
 	return nil
 }
 
-// registerStream adds a connection to the policy-push registry.
-func (s *Server) registerStream(sc *streamConn) {
-	s.streamsMu.Lock()
-	if s.streams == nil {
-		s.streams = make(map[*streamConn]struct{})
-	}
-	s.streams[sc] = struct{}{}
-	s.streamsMu.Unlock()
-}
-
-// unregisterStream removes a connection from the registry.
-func (s *Server) unregisterStream(sc *streamConn) {
-	s.streamsMu.Lock()
-	delete(s.streams, sc)
-	s.streamsMu.Unlock()
-}
-
 // StreamCount reports the number of live device streams.
-func (s *Server) StreamCount() int {
-	s.streamsMu.Lock()
-	defer s.streamsMu.Unlock()
-	return len(s.streams)
-}
-
-// pushPolicy sends a MAC'd policy update to every live stream, in
-// session-id order so the push sequence is deterministic. A write
-// error just means that connection is already dying; its read loop
-// will notice and tear it down.
-func (s *Server) pushPolicy(p RiskPolicy) {
-	s.streamsMu.Lock()
-	conns := make([]*streamConn, 0, len(s.streams))
-	for sc := range s.streams {
-		conns = append(conns, sc)
-	}
-	s.streamsMu.Unlock()
-	sort.Slice(conns, func(i, j int) bool { return conns[i].sess.id < conns[j].sess.id })
-	for _, sc := range conns {
-		sc.wmu.Lock()
-		sc.pushSeq++
-		msg := &protocol.PolicyPush{
-			Domain:      s.domain,
-			SessionID:   sc.sess.id,
-			Window:      p.Window,
-			MinVerified: p.MinVerified,
-			Seq:         sc.pushSeq,
-		}
-		msg.MAC = protocol.SealMAC(pki.NewMACer(sc.sess.key), msg)
-		if f, err := protocol.AppendMessageFrame(nil, protocol.FramePolicyPush, msg); err == nil {
-			_, _ = sc.rwc.Write(f)
-		}
-		sc.wmu.Unlock()
-	}
-}
+func (s *Server) StreamCount() int { return int(s.tel.streams.Load()) }
 
 // ServeStreamListener accepts stream connections until the listener is
 // closed, running one ServeStream goroutine per connection. It is the

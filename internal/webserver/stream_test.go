@@ -45,7 +45,7 @@ func openStream(t *testing.T, r *rig, sess *protocol.Session) (io.ReadWriteClose
 	if !ok {
 		t.Fatalf("welcome carries %T", msg)
 	}
-	if _, _, err := protocol.AcceptStreamWelcome(sess, w); err != nil {
+	if err := protocol.AcceptStreamWelcome(sess, w); err != nil {
 		t.Fatalf("welcome rejected by client: %v", err)
 	}
 	return c1, w, exit
@@ -505,7 +505,9 @@ func TestServeStreamHeartbeatFirstTimestampUnbounded(t *testing.T) {
 // TestServeStreamMalformedFrameAcksEchoSeq pins ack/sequence
 // correlation on the undecodable-frame paths: a payload that fails to
 // decode still leads with its 8-byte sequence, and the malformed ack
-// must echo it rather than a hardcoded zero.
+// must echo it rather than a hardcoded zero. The retired policy-push
+// type (6) bears no sequence and is refused like any unknown type.
+// Each refusal counts one rejection.
 func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 	r := newRig(t)
 	r.register(t, "acct")
@@ -517,15 +519,18 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 		{"touch-batch", protocol.FrameTouchBatch, 77},
 		{"resync", protocol.FrameResync, 88},
 		{"heartbeat", protocol.FrameHeartbeat, 99},
+		{"retired", protocol.FrameType(6), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, _ := r.login(t, "acct")
 			conn, _, exit := openStream(t, r, sess)
 			defer conn.Close()
+			rejected := r.server.RejectedRequests()
 			// A valid sequence prefix followed by garbage the decoder
-			// must reject (a bare seq is itself undecodable for all
-			// three: each payload carries required fields beyond it).
+			// must reject (a bare seq is itself undecodable for the
+			// three known types: each payload carries required fields
+			// beyond it).
 			payload := binary.BigEndian.AppendUint64(nil, tc.seq)
 			payload = append(payload, 0xde, 0xad)
 			if err := protocol.WriteFrame(conn, tc.ft, payload); err != nil {
@@ -534,8 +539,11 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 			if seq := expectAck(t, conn, "malformed"); seq != tc.seq {
 				t.Fatalf("malformed ack correlates to seq %d, want %d", seq, tc.seq)
 			}
-			if err := <-exit; err == nil {
-				t.Fatal("read loop survived an undecodable frame")
+			if err := <-exit; !errors.Is(err, ErrMalformed) {
+				t.Fatalf("read loop ended with %v, want ErrMalformed", err)
+			}
+			if got := r.server.RejectedRequests() - rejected; got != 1 {
+				t.Fatalf("%d rejections counted, want 1", got)
 			}
 		})
 	}
