@@ -108,8 +108,8 @@ var externalBlocking = map[string]string{
 	"(*os.File).Sync":  "file sync (disk I/O)",
 	"(trust/internal/store.AccountBackend).Append": "durable WAL append (disk I/O)",
 	"(*trust/internal/store.WAL).Append":           "durable WAL append (disk I/O)",
-	// The per-connection decoder's read, which the stream read loops
-	// use in place of ReadFrame.
+	// The per-connection decoder's read, which the device's stream
+	// exchange and the server's read loop use in place of ReadFrame.
 	"(*trust/internal/protocol.Decoder).ReadFrame": "frame read",
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // TestStreamBrowseAllocBudget pins the streamed continuous-auth round
-// trip — Browse over a live stream, both read loops included — after
-// warm-up (interned fields cached, scratch buffers grown, waiter and
-// batch slots recycled). What is left is what the round trip keeps:
+// trip — Browse over a live stream, the device's exchange and the
+// server's read loop included — after warm-up (interned fields cached,
+// scratch buffers grown, batch slots recycled). What is left is what
+// the round trip keeps:
 //   - device, the request: the PageRequest and its tag, which a
 //     Malware.MutateRequest hook may hold (2);
 //   - device, the response: the decoded ContentPage, its Page and
@@ -42,8 +43,9 @@ func TestStreamBrowseAllocBudget(t *testing.T) {
 }
 
 // BenchmarkStreamBrowse is one single-request Browse over a live
-// stream, both read loops included: the component row for the streamed
-// request/response round trip that TestStreamBrowseAllocBudget pins.
+// stream, the device's exchange and the server's read loop included:
+// the component row for the streamed request/response round trip that
+// TestStreamBrowseAllocBudget pins.
 func BenchmarkStreamBrowse(b *testing.B) {
 	fx, tr := newStreamFixture(b, nil)
 	fx.registerAndLogin(b)

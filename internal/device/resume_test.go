@@ -191,10 +191,10 @@ func TestStreamResumeAdoptsConnection(t *testing.T) {
 	}
 	// The replaced login stream unregisters when its server read loop
 	// observes the closed pipe — asynchronous, so yield until it lands.
-	for i := 0; i < 100000 && fx.server.StreamCount() != 1; i++ {
+	for i := 0; i < 100000 && serverMetric(t, fx.server, "streams") != 1; i++ {
 		runtime.Gosched()
 	}
-	if n := fx.server.StreamCount(); n != 1 {
+	if n := serverMetric(t, fx.server, "streams"); n != 1 {
 		t.Fatalf("server tracks %d streams, want 1 (login stream replaced)", n)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"trust/internal/protocol"
@@ -29,6 +30,12 @@ import (
 //     submit redials and re-binds; the in-flight request surfaces as
 //     ErrNetwork so the retry layer redelivers, and a stale nonce after
 //     re-binding recovers through the ordinary bad-nonce resync path.
+//
+// Each call is one synchronous exchange on the caller's goroutine: it
+// writes its frame and reads its own answer, and concurrent callers
+// take turns. Nothing reads an idle connection, so one the server
+// closed between calls reads as live until the next exchange finds it
+// dead; that call fails with ErrNetwork and the one after redials.
 type Stream struct {
 	// Dial opens a raw connection to the server's stream listener
 	// (net.Dial in deployment, net.Pipe or a fault-injecting wrapper in
@@ -69,7 +76,8 @@ func (t *Stream) Stats() StreamStats {
 
 // Streaming reports whether the transport currently holds a live
 // stream (false before BindSession, after a downgrade, or between a
-// cut and the redial).
+// cut and the redial). A connection the server closed while idle still
+// reads as live until the next exchange finds it dead.
 func (t *Stream) Streaming() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -88,7 +96,7 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 	t.sess = sess
 	t.down = false
 	if t.conn != nil {
-		t.conn.fail(errors.New("device: stream rebound"))
+		t.conn.kill(errors.New("device: stream rebound"))
 		t.conn = nil
 	}
 	if p := t.pending; p != nil {
@@ -236,10 +244,9 @@ func (t *Stream) redialLocked() error {
 // handshake is both openings' one exchange: dial, write the opening
 // frame (hello or resume) as the connection's first write, and read the
 // server's answer — the welcome, or the typed ack that refused the
-// opening. It runs before any read loop exists, so it alone reads the
-// connection. The returned buffered reader serves every later read
-// on the connection, halving the syscall count of ReadFrame's
-// header+payload read pairs.
+// opening. The returned buffered reader serves every later read on the
+// connection, halving the syscall count of ReadFrame's header+payload
+// read pairs.
 func (t *Stream) handshake(opening []byte) (io.ReadWriteCloser, *bufio.Reader, *protocol.StreamWelcome, error) {
 	rwc, err := t.Dial()
 	if err != nil {
@@ -278,9 +285,9 @@ func exchangeOpening(w io.Writer, br *bufio.Reader, opening []byte) (*protocol.S
 }
 
 // adoptLocked verifies a welcome under sess and installs its
-// connection as the live stream, starting the read loop; lastSeq is
-// the frame sequence the opening spent. A welcome that fails
-// verification closes the connection. Caller holds t.mu.
+// connection as the live stream; lastSeq is the frame sequence the
+// opening spent. A welcome that fails verification closes the
+// connection. Caller holds t.mu.
 func (t *Stream) adoptLocked(rwc io.ReadWriteCloser, br *bufio.Reader, w *protocol.StreamWelcome, sess *protocol.Session, lastSeq uint64) error {
 	if err := protocol.AcceptStreamWelcome(sess, w); err != nil {
 		rwc.Close()
@@ -294,7 +301,6 @@ func (t *Stream) adoptLocked(rwc io.ReadWriteCloser, br *bufio.Reader, w *protoc
 	}
 	t.conn = c
 	t.dials++
-	go c.readLoop()
 	return nil
 }
 
@@ -353,13 +359,12 @@ func (t *Stream) SubmitPageRequest(now time.Duration, req *protocol.PageRequest)
 		}
 		return nil, err
 	}
-	w, err := conn.submitBatch(now, []*protocol.PageRequest{req})
+	var one [1]*protocol.ContentPage
+	pages, err := conn.submitBatch(one[:0], now, []*protocol.PageRequest{req})
 	if err != nil {
 		return nil, err
 	}
-	cp := w.pages[0]
-	conn.recycle(w)
-	return cp, nil
+	return pages[0], nil
 }
 
 // SubmitPageBatch sends several touch-authenticated requests in one
@@ -370,13 +375,7 @@ func (t *Stream) SubmitPageBatch(now time.Duration, reqs []*protocol.PageRequest
 	if err != nil {
 		return nil, err
 	}
-	w, err := conn.submitBatch(now, reqs)
-	if err != nil {
-		return nil, err
-	}
-	// The pages slice is the caller's now, so the waiter is not
-	// recycled.
-	return w.pages, nil
+	return conn.submitBatch(make([]*protocol.ContentPage, 0, len(reqs)), now, reqs)
 }
 
 // SubmitResync implements Transport: a resync frame on the stream, or
@@ -389,7 +388,7 @@ func (t *Stream) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*
 		}
 		return nil, err
 	}
-	return conn.submitResync(now, req)
+	return conn.submitResync(req)
 }
 
 // Ping sends a heartbeat and waits for the server's echo, verifying it
@@ -406,8 +405,11 @@ func (t *Stream) Ping(now time.Duration) error {
 	return conn.ping(now)
 }
 
-// Close tears the live stream down (FrameBye, then close). The
-// transport stays usable: the next submit redials.
+// Close tears the live stream down (FrameBye, then close). It writes
+// the bye only when no exchange holds the connection and never waits
+// for one: an exchange blocked in a read fails with ErrNetwork once the
+// connection closes. The transport stays usable: the next submit
+// redials.
 func (t *Stream) Close() error {
 	t.clearPending()
 	t.mu.Lock()
@@ -417,10 +419,11 @@ func (t *Stream) Close() error {
 	if conn == nil {
 		return nil
 	}
-	conn.wmu.Lock()
-	_ = protocol.WriteFrame(conn.rwc, protocol.FrameBye, nil)
-	conn.wmu.Unlock()
-	conn.fail(errors.New("device: stream closed"))
+	if conn.xmu.TryLock() {
+		_ = protocol.WriteFrame(conn.rwc, protocol.FrameBye, nil)
+		conn.xmu.Unlock()
+	}
+	conn.kill(errors.New("device: stream closed"))
 	return nil
 }
 
@@ -430,351 +433,138 @@ func (t *Stream) downgraded() bool {
 	return t.down
 }
 
-// streamClientConn is one live framed connection. A single reader
-// goroutine owns all reads and dispatches responses to waiters in FIFO
-// order — the server answers frames in the order they were sent, so
-// the head waiter always matches the next response, and any sequence
-// mismatch (a reordered, replayed, or misdirected frame) kills the
+// streamClientConn is one live framed connection. Each exchange runs on
+// its caller's goroutine under the exchange lock: the caller writes its
+// frame, then reads frames until its answer is complete. The server
+// answers frames in the order they were sent and sends nothing else, so
+// every frame an exchange reads must answer its own frame; any sequence
+// or index skew (a reordered, replayed, or misdirected frame) kills the
 // connection rather than risk pairing a response with the wrong touch.
 type streamClientConn struct {
-	rwc   io.ReadWriteCloser
-	br    *bufio.Reader        // buffers rwc; read-loop goroutine only
-	dec   protocol.Decoder     // frame payloads + intern table; read-loop goroutine only
-	chain *protocol.NonceChain // nonce prediction; device goroutine only
+	rwc  io.ReadWriteCloser
+	dead atomic.Bool // set once, as the connection is closed
 
-	wmu     sync.Mutex // serializes writes AND waiter-enqueue ordering
-	nextSeq uint64     // frame sequence counter, under wmu
-	wbuf    []byte     // outbound frame scratch, under wmu
-
-	mu      sync.Mutex
-	err     error              // first fatal error; conn is dead once set
-	waiters fifo[*frameWaiter] // outstanding batches/resyncs
-	hbs     fifo[*hbWaiter]    // outstanding heartbeats
-	spare   *frameWaiter       // a recycled waiter for the next request frame
-	served  uint64             // pages received = chain position of sess.LastNonce
+	xmu     sync.Mutex           // held for a whole exchange; guards the fields below
+	br      *bufio.Reader        // buffers rwc
+	dec     protocol.Decoder     // frame payloads + intern table
+	chain   *protocol.NonceChain // nonce prediction
+	nextSeq uint64               // sequence number of the last frame sent
+	wbuf    []byte               // outbound frame scratch
+	served  uint64               // pages received = chain position of sess.LastNonce
 }
 
-// fifo is a queue that reuses its backing array once drained, so a
-// connection with one request in flight at a time never reallocates
-// it.
-type fifo[T any] struct {
-	q    []T
-	head int
-}
-
-func (f *fifo[T]) len() int { return len(f.q) - f.head }
-
-// peek returns the head; the queue must not be empty.
-func (f *fifo[T]) peek() T { return f.q[f.head] }
-
-func (f *fifo[T]) push(v T) { f.q = append(f.q, v) }
-
-// pop removes and returns the head; the queue must not be empty.
-func (f *fifo[T]) pop() T {
-	v := f.q[f.head]
-	var zero T
-	f.q[f.head] = zero
-	if f.head++; f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return v
-}
-
-// take empties the queue and returns what it held, oldest first.
-func (f *fifo[T]) take() []T {
-	all := f.q[f.head:]
-	*f = fifo[T]{}
-	return all
-}
-
-// frameWaiter collects the responses to one request frame. done is
-// signalled once per use (buffered, never closed), so a waiter whose
-// pages were taken can serve the next frame.
-type frameWaiter struct {
-	seq   uint64
-	want  int
-	pages []*protocol.ContentPage
-	err   error
-	done  chan struct{}
-}
-
-// hbWaiter waits for one heartbeat echo.
-type hbWaiter struct {
-	seq  uint64
-	now  time.Duration
-	done chan error
-}
-
-func (c *streamClientConn) alive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil
-}
+func (c *streamClientConn) alive() bool { return !c.dead.Load() }
 
 func (c *streamClientConn) predictNonce(ahead int) protocol.Nonce {
-	c.mu.Lock()
-	served := c.served
-	c.mu.Unlock()
-	// c.chain is safe outside c.mu: only the device goroutine predicts
-	// nonces, and it owns the chain's scratch state.
-	return c.chain.At(served + uint64(ahead))
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	return c.chain.At(c.served + uint64(ahead))
 }
 
-// fail marks the connection dead, closes it, and releases every waiter
-// with a retryable network error — the caller cannot know how much of
-// its request the server processed, which is exactly the ErrNetwork
-// contract the retry/resync layer is built for.
-func (c *streamClientConn) fail(cause error) {
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		return
+// kill marks the connection dead and closes it, which also ends a read
+// an exchange is blocked in, and returns cause as a retryable network
+// error: the caller cannot know how much of its request the server
+// processed, which is exactly the ErrNetwork contract the retry/resync
+// layer is built for.
+func (c *streamClientConn) kill(cause error) error {
+	if c.dead.CompareAndSwap(false, true) {
+		c.rwc.Close()
 	}
-	c.err = cause
-	waiters := c.waiters.take()
-	hbs := c.hbs.take()
-	c.mu.Unlock()
-	c.rwc.Close()
-	for _, w := range waiters {
-		w.err = fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
-		w.done <- struct{}{}
-	}
-	for _, h := range hbs {
-		h.done <- fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
-	}
+	return fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
 }
 
-// send writes one frame and registers its waiter atomically with
-// respect to other senders, so waiter FIFO order matches wire order.
-// build appends the whole frame, header included, to the connection's
-// write scratch.
-func (c *streamClientConn) send(build func(dst []byte, seq uint64) ([]byte, error), w *frameWaiter, h *hbWaiter) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+// exchange sends one frame and reads its answer on the calling
+// goroutine. build appends the whole frame, header included, to the
+// connection's write scratch under the frame's sequence number. A
+// request frame (want > 0) is answered by want page frames echoing its
+// sequence in index order, which are appended to pages; a heartbeat
+// (want == 0) by the verbatim echo of its sequence and stamp hb. An ack
+// echoing the frame's sequence ends either answer early and returns
+// the typed rejection it carries. Any other frame, and any read, write
+// or decode error, kills the connection.
+func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protocol.ContentPage, build func(dst []byte, seq uint64) ([]byte, error)) ([]*protocol.ContentPage, error) {
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
 	c.nextSeq++
 	seq := c.nextSeq
 	frame, err := build(c.wbuf[:0], seq)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.wbuf = frame[:0]
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return fmt.Errorf("%w: stream failed: %v", ErrNetwork, err)
+	if !c.alive() {
+		return nil, fmt.Errorf("%w: stream closed", ErrNetwork)
 	}
-	if w != nil {
-		w.seq = seq
-		c.waiters.push(w)
-	}
-	if h != nil {
-		h.seq = seq
-		c.hbs.push(h)
-	}
-	c.mu.Unlock()
 	if _, err := c.rwc.Write(frame); err != nil {
-		c.fail(fmt.Errorf("stream write: %w", err))
-		return fmt.Errorf("%w: stream write: %v", ErrNetwork, err)
+		return nil, c.kill(fmt.Errorf("stream write: %w", err))
 	}
-	return nil
+	for {
+		ft, payload, err := c.dec.ReadFrame(c.br)
+		if err != nil {
+			return nil, c.kill(fmt.Errorf("stream read: %w", err))
+		}
+		switch {
+		case ft == protocol.FramePage && want > 0:
+			pseq, index, cp, err := c.dec.DecodePageFrame(payload)
+			if err != nil {
+				return nil, c.kill(err)
+			}
+			if pseq != seq || index != len(pages) {
+				return nil, c.kill(fmt.Errorf("device: page frame seq %d/%d does not match expected %d/%d", pseq, index, seq, len(pages)))
+			}
+			pages = append(pages, cp)
+			c.served++
+			if len(pages) == want {
+				return pages, nil
+			}
+		case ft == protocol.FrameHeartbeat && want == 0:
+			eseq, now, err := protocol.DecodeHeartbeat(payload)
+			if err != nil {
+				return nil, c.kill(err)
+			}
+			if eseq != seq || now != hb {
+				return nil, c.kill(fmt.Errorf("device: heartbeat echo %d/%v does not match %d/%v", eseq, now, seq, hb))
+			}
+			return nil, nil
+		case ft == protocol.FrameAck:
+			aseq, code, detail, err := protocol.DecodeAck(payload)
+			if err != nil {
+				return nil, c.kill(err)
+			}
+			if aseq != seq {
+				return nil, c.kill(fmt.Errorf("device: ack seq %d does not match expected %d", aseq, seq))
+			}
+			return nil, ackError(code, detail)
+		default:
+			return nil, c.kill(fmt.Errorf("device: unexpected %s frame on stream", ft))
+		}
+	}
 }
 
-// waiter returns a waiter for a frame answered by want pages: the
-// recycled one if no other request frame holds it, else a new one.
-func (c *streamClientConn) waiter(want int) *frameWaiter {
-	c.mu.Lock()
-	w := c.spare
-	c.spare = nil
-	c.mu.Unlock()
-	if w == nil {
-		w = &frameWaiter{done: make(chan struct{}, 1)}
-	}
-	w.want = want
-	return w
-}
-
-// recycle hands back a completed waiter once its pages are taken, for
-// the next request frame to reuse with its pages slice emptied.
-func (c *streamClientConn) recycle(w *frameWaiter) {
-	clear(w.pages)
-	w.pages, w.err = w.pages[:0], nil
-	c.mu.Lock()
-	c.spare = w
-	c.mu.Unlock()
-}
-
-// exchange sends one request frame and waits for its pages (or the
-// error ack that ended the frame). On success the caller takes the
-// pages and may recycle the waiter. A waiter whose frame went out is
-// signalled exactly once, so it is recycled here after an ack; after a
-// failed send it may still be signalled and is dropped.
-func (c *streamClientConn) exchange(want int, build func(dst []byte, seq uint64) ([]byte, error)) (*frameWaiter, error) {
-	w := c.waiter(want)
-	if err := c.send(build, w, nil); err != nil {
-		return nil, err
-	}
-	<-w.done
-	if err := w.err; err != nil {
-		c.recycle(w)
-		return nil, err
-	}
-	return w, nil
-}
-
-// submitBatch sends reqs as one touch-batch frame and waits for all
-// their pages (or the error ack that ended the batch).
-func (c *streamClientConn) submitBatch(now time.Duration, reqs []*protocol.PageRequest) (*frameWaiter, error) {
-	return c.exchange(len(reqs), func(dst []byte, seq uint64) ([]byte, error) {
+// submitBatch sends reqs as one touch-batch frame and appends their
+// pages to pages, or returns the error ack that ended the batch.
+func (c *streamClientConn) submitBatch(pages []*protocol.ContentPage, now time.Duration, reqs []*protocol.PageRequest) ([]*protocol.ContentPage, error) {
+	return c.exchange(len(reqs), 0, pages, func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendTouchBatchFrame(dst, seq, now, reqs)
 	})
 }
 
-// submitResync sends a resync frame and waits for the recovered page.
-func (c *streamClientConn) submitResync(now time.Duration, req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
-	w, err := c.exchange(1, func(dst []byte, seq uint64) ([]byte, error) {
+// submitResync sends a resync frame and returns the recovered page.
+func (c *streamClientConn) submitResync(req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
+	var one [1]*protocol.ContentPage
+	pages, err := c.exchange(1, 0, one[:0], func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendResyncFrame(dst, seq, req)
 	})
 	if err != nil {
 		return nil, err
 	}
-	cp := w.pages[0]
-	c.recycle(w)
-	return cp, nil
+	return pages[0], nil
 }
 
-// ping sends a heartbeat and waits for its echo.
+// ping sends a heartbeat stamped now and waits for its echo.
 func (c *streamClientConn) ping(now time.Duration) error {
-	h := &hbWaiter{now: now, done: make(chan error, 1)}
-	err := c.send(func(dst []byte, seq uint64) ([]byte, error) {
+	_, err := c.exchange(0, now, nil, func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendHeartbeatFrame(dst, seq, now), nil
-	}, nil, h)
-	if err != nil {
-		return err
-	}
-	return <-h.done
-}
-
-// readLoop is the connection's single reader: it dispatches pages and
-// acks to the head request waiter and heartbeat echoes to the head
-// heartbeat waiter until the connection dies; any other frame kills
-// it.
-func (c *streamClientConn) readLoop() {
-	for {
-		ft, payload, err := c.dec.ReadFrame(c.br)
-		if err != nil {
-			c.fail(fmt.Errorf("stream read: %w", err))
-			return
-		}
-		switch ft {
-		case protocol.FramePage:
-			seq, index, cp, err := c.dec.DecodePageFrame(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if err := c.deliverPage(seq, index, cp); err != nil {
-				c.fail(err)
-				return
-			}
-		case protocol.FrameAck:
-			seq, code, detail, err := protocol.DecodeAck(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if err := c.deliverAck(seq, code, detail); err != nil {
-				c.fail(err)
-				return
-			}
-		case protocol.FrameHeartbeat:
-			seq, now, err := protocol.DecodeHeartbeat(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if err := c.deliverHeartbeat(seq, now); err != nil {
-				c.fail(err)
-				return
-			}
-		default:
-			c.fail(fmt.Errorf("device: unexpected %s frame on stream", ft))
-			return
-		}
-	}
-}
-
-// deliverPage routes one page response to the head waiter, enforcing
-// that it answers exactly the request the FIFO expects — any sequence
-// or index skew means frames were reordered or replayed in transit,
-// and the only safe reaction is to kill the connection before a page
-// gets paired with the wrong touch.
-func (c *streamClientConn) deliverPage(seq uint64, index int, cp *protocol.ContentPage) error {
-	c.mu.Lock()
-	if c.waiters.len() == 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("device: unsolicited page frame (seq %d)", seq)
-	}
-	w := c.waiters.peek()
-	if seq != w.seq || index != len(w.pages) {
-		c.mu.Unlock()
-		return fmt.Errorf("device: page frame seq %d/%d does not match expected %d/%d", seq, index, w.seq, len(w.pages))
-	}
-	w.pages = append(w.pages, cp)
-	c.served++
-	finished := len(w.pages) == w.want
-	if finished {
-		c.waiters.pop()
-	}
-	c.mu.Unlock()
-	if finished {
-		w.done <- struct{}{}
-	}
-	return nil
-}
-
-// deliverAck completes the waiter an ack answers with a typed error:
-// the head request waiter (the server stops a batch at its first
-// rejection), or the head heartbeat waiter when the ack echoes that
-// heartbeat's sequence (a heartbeat past the server's skew bound).
-func (c *streamClientConn) deliverAck(seq uint64, code, detail string) error {
-	c.mu.Lock()
-	if c.hbs.len() > 0 && c.hbs.peek().seq == seq {
-		h := c.hbs.pop()
-		c.mu.Unlock()
-		h.done <- ackError(code, detail)
-		return nil
-	}
-	if c.waiters.len() == 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("device: unsolicited ack frame (%s)", code)
-	}
-	w := c.waiters.peek()
-	if seq != w.seq {
-		c.mu.Unlock()
-		return fmt.Errorf("device: ack seq %d does not match expected %d", seq, w.seq)
-	}
-	c.waiters.pop()
-	c.mu.Unlock()
-	w.err = ackError(code, detail)
-	w.done <- struct{}{}
-	return nil
-}
-
-// deliverHeartbeat completes the head heartbeat waiter, verifying the
-// echo is verbatim.
-func (c *streamClientConn) deliverHeartbeat(seq uint64, now time.Duration) error {
-	c.mu.Lock()
-	if c.hbs.len() == 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("device: unsolicited heartbeat echo (seq %d)", seq)
-	}
-	h := c.hbs.pop()
-	c.mu.Unlock()
-	if seq != h.seq || now != h.now {
-		h.done <- fmt.Errorf("device: heartbeat echo %d/%v does not match %d/%v", seq, now, h.seq, h.now)
-		return errors.New("device: heartbeat echo mismatch")
-	}
-	h.done <- nil
-	return nil
+	})
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestStreamBrowseEndToEnd(t *testing.T) {
 	if report := fx.server.RunAudit(); report.Tampered != 0 {
 		t.Fatalf("streamed browsing flagged by audit: %d of %d", report.Tampered, report.Checked)
 	}
-	if n := fx.server.StreamCount(); n != 1 {
+	if n := serverMetric(t, fx.server, "streams"); n != 1 {
 		t.Fatalf("server tracks %d streams, want 1", n)
 	}
 }
@@ -350,28 +351,48 @@ func TestStreamReorderedResponseKillsConnection(t *testing.T) {
 	}
 }
 
+// TestStreamDuplicateResponseKillsConnection delivers the answer to a
+// request twice (a duplicated frame in transit). Nothing reads an idle
+// connection, so the duplicate waits in the pipe until the next
+// request's exchange reads it where that request's own page belongs:
+// the exchange must kill the connection rather than pair the stale
+// page with the new touch.
 func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 	sess := fakeSession()
 	tr, fs := startFakeStreamServer(t, sess)
-	done := make(chan struct{})
+	// A net.Pipe write blocks until the other end reads it, so the
+	// duplicate's write blocks until the second exchange reads it, and
+	// the second request's frame is read by a goroutine of its own. That
+	// goroutine then reads the pipe once more, which fails once the
+	// device has closed its end. A fake server that fails closes the
+	// pipe, which fails the first request.
+	afterKill := make(chan error, 1)
 	go func() {
-		defer close(done)
 		ft, payload, err := protocol.ReadFrame(fs.conn)
 		if err != nil || ft != protocol.FrameTouchBatch {
 			t.Errorf("fake server: batch: %v (%v)", ft, err)
+			fs.conn.Close()
 			return
 		}
 		tb, err := protocol.DecodeTouchBatch(payload)
 		if err != nil {
 			t.Errorf("fake server: decode batch: %v", err)
+			fs.conn.Close()
 			return
 		}
 		pf, err := protocol.AppendPageFrame(nil, tb.Seq, 0, fs.page(protocol.StreamNonce(sess.Key, fs.seed, 1)))
 		if err != nil {
 			t.Errorf("fake server: encode page: %v", err)
+			fs.conn.Close()
 			return
 		}
-		// Deliver the same response twice (duplicated frame in transit).
+		go func() {
+			if ft, _, err := protocol.ReadFrame(fs.conn); err != nil || ft != protocol.FrameTouchBatch {
+				t.Errorf("fake server: second batch: %v (%v)", ft, err)
+			}
+			_, err := fs.conn.Read(make([]byte, 1))
+			afterKill <- err
+		}()
 		fs.conn.Write(pf)
 		fs.conn.Write(pf)
 	}()
@@ -379,17 +400,18 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 	if err != nil || cp == nil {
 		t.Fatalf("first delivery failed: %v", err)
 	}
-	<-done
-	// The duplicate is unsolicited: the reader must kill the connection
-	// rather than hold a response no request matches. The kill closes
-	// the pipe, which surfaces deterministically as a read error on the
-	// server end (a surviving connection would block this read until
-	// the test times out).
-	if _, err := fs.conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("client wrote instead of killing the connection")
+	// The second exchange expects seq 2 and reads the seq-1 duplicate.
+	if _, err := tr.SubmitPageRequest(0, fakeRequest(sess)); !errors.Is(err, ErrNetwork) {
+		t.Fatalf("request after a duplicated response returned %v, want retryable ErrNetwork", err)
 	}
 	if tr.Streaming() {
 		t.Fatal("connection survived a duplicated response frame")
+	}
+	// The kill closed the pipe, which surfaces deterministically as a
+	// read error on the server end (a surviving connection would block
+	// this read until the test times out).
+	if err := <-afterKill; err == nil {
+		t.Fatal("server end still open after the kill")
 	}
 }
 
@@ -455,6 +477,60 @@ func TestStreamConcurrentWritersRace(t *testing.T) {
 	go func() { defer wg.Done(); _ = tr.Ping(fx.now) }()
 	_ = tr.Close()
 	wg.Wait()
+}
+
+// TestStreamHoldsNoGoroutine binds streams and counts goroutines: a
+// device stream reads its answers on the calling goroutine, so the only
+// goroutine a live stream adds is the server's ServeStream on the far
+// end of its pipe, and Close ends that one too.
+func TestStreamHoldsNoGoroutine(t *testing.T) {
+	const n = 16
+	fx, _ := newStreamFixture(t, nil)
+	fx.registerAndLogin(t)
+	dial := func() (io.ReadWriteCloser, error) {
+		c1, c2 := net.Pipe()
+		go fx.server.ServeStream(c2)
+		return c1, nil
+	}
+	base := settledGoroutines()
+	streams := make([]*Stream, n)
+	for i := range streams {
+		streams[i] = &Stream{Dial: dial}
+		streams[i].BindSession(fx.dev.Session())
+		if !streams[i].Streaming() {
+			t.Fatalf("stream %d not streaming", i)
+		}
+	}
+	if got := settledGoroutines() - base; got != n {
+		t.Fatalf("%d live streams hold %d goroutines, want %d (the server's)", n, got, n)
+	}
+	for _, s := range streams {
+		s.Close()
+	}
+	// Each server goroutine exits once it reads its bye; yield until
+	// they all have.
+	for i := 0; i < 1000000 && runtime.NumGoroutine() != base; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("%d goroutines after Close, want %d", got, base)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// across 1,000 consecutive yields, so goroutines that earlier tests
+// left on their way out are not counted.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for still < 1000 {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // serverMetric reads one named counter from the server's telemetry
@@ -526,7 +602,7 @@ func TestStreamHeartbeatWarpDetectedAndRecovered(t *testing.T) {
 // heartbeats: a heartbeat jumping past the server's skew bound is
 // answered with a typed malformed ack carrying its seq, and Ping must
 // surface exactly that rejection — not a retryable network fault from
-// an ack the read loop failed to match.
+// an ack the exchange failed to match.
 func TestStreamRejectedHeartbeatIsTyped(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
 	fx.registerAndLogin(t)

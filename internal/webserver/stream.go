@@ -371,9 +371,6 @@ func (s *Server) acceptStreamHello(sc *streamConn, h *protocol.StreamHello) erro
 	return nil
 }
 
-// StreamCount reports the number of live device streams.
-func (s *Server) StreamCount() int { return int(s.tel.streams.Load()) }
-
 // ServeStreamListener accepts stream connections until the listener is
 // closed, running one ServeStream goroutine per connection. It is the
 // raw-socket counterpart of Handler(): the trustserver binary (and

@@ -193,7 +193,7 @@ func TestServeStreamHelloRejections(t *testing.T) {
 	}
 	conn.Close()
 
-	if r.server.StreamCount() != 0 {
+	if r.server.tel.streams.Load() != 0 {
 		t.Fatal("rejected handshakes left registered streams")
 	}
 }
@@ -337,7 +337,7 @@ func TestServeStreamMidFrameCutTearsDownCleanly(t *testing.T) {
 	sess, _ := r.login(t, "acct")
 	conn, _, exit := openStream(t, r, sess)
 
-	if r.server.StreamCount() != 1 {
+	if r.server.tel.streams.Load() != 1 {
 		t.Fatal("stream not registered")
 	}
 	// Write the first half of a frame, then vanish.
@@ -351,7 +351,7 @@ func TestServeStreamMidFrameCutTearsDownCleanly(t *testing.T) {
 	if err := <-exit; err == nil {
 		t.Fatal("mid-frame cut reported as clean teardown")
 	}
-	if r.server.StreamCount() != 0 {
+	if r.server.tel.streams.Load() != 0 {
 		t.Fatal("dead stream still registered")
 	}
 	// The session is intact: the ordinary HTTP path still serves it
@@ -381,7 +381,7 @@ func TestServeStreamByeCleanTeardown(t *testing.T) {
 	if err := <-exit; err != nil {
 		t.Fatalf("bye teardown: %v", err)
 	}
-	if r.server.StreamCount() != 0 {
+	if r.server.tel.streams.Load() != 0 {
 		t.Fatal("stream still registered after bye")
 	}
 	conn.Close()
