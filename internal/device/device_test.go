@@ -23,7 +23,7 @@ type fixture struct {
 	now    time.Duration
 }
 
-func newFixture(t *testing.T, mal *Malware) *fixture {
+func newFixture(t testing.TB, mal *Malware) *fixture {
 	t.Helper()
 	ca, err := pki.NewCA("trust-root", pki.NewDeterministicRand(1))
 	if err != nil {

@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
+	"trust/internal/frame"
 	"trust/internal/protocol"
+	"trust/internal/webserver"
 )
 
 // answerConn is a stream connection whose server side is a fixed byte
@@ -44,7 +49,8 @@ const (
 //     own index, or follows a verbatim echo of the heartbeat; the
 //     connection stays live;
 //   - a typed rejection follows those leading pages with an ack for
-//     fuzzSeq, and leaves the connection live;
+//     fuzzSeq, and leaves the connection live unless the ack is
+//     malformed, which leaves it dead and closed;
 //   - any other failure is ErrNetwork, and the connection is dead and
 //     closed.
 func FuzzStreamExchange(f *testing.F) {
@@ -120,8 +126,10 @@ func FuzzStreamExchange(f *testing.F) {
 			if pages != nil {
 				t.Fatalf("rejection %v returned %d pages", err, len(pages))
 			}
-			if !c.alive() || rwc.closed {
-				t.Fatalf("typed rejection %v killed the connection", err)
+			// The server closes the connection after a malformed ack, so
+			// the device drops it; any other rejection leaves it live.
+			if malformed := errors.Is(err, webserver.ErrMalformed); c.alive() == malformed || rwc.closed != malformed {
+				t.Fatalf("typed rejection %v: connection alive %v, closed %v", err, c.alive(), rwc.closed)
 			}
 			if len(ref) >= max(n, 1) || !ok || ft != protocol.FrameAck {
 				t.Fatalf("typed rejection %v without an ack after %d leading pages", err, len(ref))
@@ -138,4 +146,102 @@ func FuzzStreamExchange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// httpFuzzKinds are the response types FuzzHTTPResponse decodes, by a
+// record's kind byte modulo their count.
+const httpFuzzKinds = 3
+
+// appendHTTPRecord appends one FuzzHTTPResponse record: a kind byte, a
+// 2-byte big-endian body length, the body.
+func appendHTTPRecord(dst []byte, kind byte, body []byte) []byte {
+	return append(append(dst, kind, byte(len(body)>>8), byte(len(body))), body...)
+}
+
+// fuzzPage is a content page whose every interned field is distinct
+// per i: 15 strings, so ten of them overflow the 64-slot intern table.
+func fuzzPage(i int) *protocol.ContentPage {
+	s := func(field string) string { return fmt.Sprintf("%s-%d", field, i) }
+	p := &frame.Page{URL: s("https://www.xyz.com/p"), Title: s("title"), Body: s("body"), HeightPX: 800}
+	for j := 0; j < 3; j++ {
+		p.Elements = append(p.Elements, frame.Element{ID: s(fmt.Sprint("id", j)), Kind: frame.Button, Label: s(fmt.Sprint("label", j)), Action: s(fmt.Sprint("act", j))})
+	}
+	return &protocol.ContentPage{Domain: s("dom"), SessionID: s("sid"), Nonce: protocol.Nonce(s("n")), Account: s("acct"), Page: p, Ticket: []byte{byte(i)}, MAC: []byte{1, 2, byte(i)}}
+}
+
+// FuzzHTTPResponse feeds a sequence of binary response bodies through
+// one HTTP transport's decodeResponse, whose intern table carries state
+// from body to body. Each record is a kind byte choosing the route's
+// message type (content, login or registration page), a 2-byte length
+// and that many body bytes (fewer when the input ends). Oracle: each
+// result deep-equals the stateless protocol.DecodeAs of the same bytes,
+// or both fail. The seeds hold over 64 distinct short strings, so
+// eviction runs, and come back to evicted and still-cached pages.
+func FuzzHTTPResponse(f *testing.F) {
+	var many []byte
+	for _, i := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 9, 4} {
+		body, err := protocol.EncodeBinary(fuzzPage(i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		many = appendHTTPRecord(many, 0, body)
+	}
+	f.Add(many)
+	login, _ := protocol.EncodeBinary(&protocol.LoginPage{Domain: "dom-1", Nonce: "n-1", Page: fuzzPage(1).Page, Signature: []byte{9}})
+	reg, _ := protocol.EncodeBinary(&protocol.RegistrationPage{Domain: "dom-2", Nonce: "n-2", Page: fuzzPage(2).Page, Signature: []byte{8}})
+	page, _ := protocol.EncodeBinary(fuzzPage(1))
+	var mixed []byte
+	mixed = appendHTTPRecord(mixed, 1, login)
+	mixed = appendHTTPRecord(mixed, 2, reg)
+	mixed = appendHTTPRecord(mixed, 0, page)
+	mixed = appendHTTPRecord(mixed, 0, login)              // the wrong type for the route
+	mixed = appendHTTPRecord(mixed, 0, page[:len(page)-3]) // torn
+	mixed = appendHTTPRecord(mixed, 0, page)
+	f.Add(mixed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := &HTTP{Binary: true}
+		for len(data) >= 3 {
+			kind, n := data[0], int(data[1])<<8|int(data[2])
+			data = data[3:]
+			body := data[:min(n, len(data))]
+			data = data[len(body):]
+			switch kind % httpFuzzKinds {
+			case 0:
+				checkHTTPDecode[protocol.ContentPage](t, tr, body)
+			case 1:
+				checkHTTPDecode[protocol.LoginPage](t, tr, body)
+			case 2:
+				checkHTTPDecode[protocol.RegistrationPage](t, tr, body)
+			}
+		}
+	})
+}
+
+// checkHTTPDecode decodes body as a 200 binary response of type M
+// through tr and checks it against the stateless decoder. Results that
+// DeepEqual rejects only for a NaN element bound (NaN != NaN) still
+// match when they encode to the same bytes.
+func checkHTTPDecode[M any](t *testing.T, tr *HTTP, body []byte) {
+	resp := &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": webserver.BinaryHeader},
+		Body:       io.NopCloser(bytes.NewReader(body)),
+	}
+	var got M
+	err := decodeResponse(tr, resp, &got)
+	want, werr := protocol.DecodeAs[M](body)
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("%T: transport decode err %v, stateless err %v", got, err, werr)
+	case err == nil && !reflect.DeepEqual(&got, want) && !sameEncoding(&got, want):
+		t.Fatalf("%T: transport decode differs from the stateless one:\n got %+v\nwant %+v", got, got, *want)
+	}
+}
+
+// sameEncoding reports whether two decoded messages encode to the same
+// bytes.
+func sameEncoding(a, b any) bool {
+	ea, errA := protocol.EncodeBinary(a)
+	eb, errB := protocol.EncodeBinary(b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
 }

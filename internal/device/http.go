@@ -16,13 +16,25 @@ import (
 )
 
 // HTTP is the Transport implementation speaking to a webserver.Handler
-// over real sockets.
+// over real sockets. A literal naming only the exported fields is a
+// working transport, and it is safe for concurrent use.
 type HTTP struct {
 	BaseURL string
 	Client  *http.Client
 	// Binary selects the compact binary codec (application/octet-
 	// stream) instead of JSON on every request and response.
 	Binary bool
+
+	mu sync.Mutex // guards the fields below
+	// dec decodes binary responses through this transport's own intern
+	// table: the page fields a session moves between, its domain and
+	// its account repeat from response to response. No other transport
+	// shares it, so no other client's strings sit in its lookups.
+	dec protocol.Decoder
+	// routes holds BaseURL+path parsed once per route; each request
+	// copies one and sets only its query. BaseURL must not change once
+	// the transport has sent a request.
+	routes map[string]*url.URL
 }
 
 var _ Transport = (*HTTP)(nil)
@@ -34,92 +46,180 @@ func (t *HTTP) client() *http.Client {
 	return http.DefaultClient
 }
 
-// requestURL builds the endpoint URL. The hot path (no extra query
-// values) is a plain concatenation — url.Values plus Encode costs four
-// allocations per request for a query string that is always "now=N".
-func (t *HTTP) requestURL(path string, now time.Duration, extra url.Values) string {
-	if len(extra) == 0 {
-		return t.BaseURL + path + "?now=" + strconv.FormatInt(int64(now), 10)
+// route returns BaseURL+path parsed, the URL http.NewRequest would
+// parse minus the query, parsing it on first use. A BaseURL carrying
+// its own query or fragment is refused: a request's query could not be
+// appended to it.
+func (t *HTTP) route(path string) (*url.URL, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if u, ok := t.routes[path]; ok {
+		return u, nil
 	}
-	q := url.Values{"now": {strconv.FormatInt(int64(now), 10)}}
-	for k, vs := range extra {
-		q[k] = vs
+	u, err := url.Parse(t.BaseURL + path)
+	if err != nil {
+		return nil, err
 	}
-	return t.BaseURL + path + "?" + q.Encode()
+	if u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return nil, fmt.Errorf("device: base URL %q carries a query or fragment", t.BaseURL)
+	}
+	if t.routes == nil {
+		t.routes = make(map[string]*url.URL)
+	}
+	t.routes[path] = u
+	return u, nil
 }
 
-func get[M any](t *HTTP, path string, now time.Duration, out *M) error {
-	req, err := http.NewRequest(http.MethodGet, t.requestURL(path, now, nil), nil)
+// Request header values, each one shared slice like
+// webserver.BinaryHeader: net/http never writes into a header's value
+// slice, and neither does this package.
+var (
+	jsonHeader = []string{"application/json"}
+	// identity declines compression, which the server never applies.
+	// Without an Accept-Encoding of the caller's, net/http's transport
+	// adds "gzip" through a header map of its own per request and
+	// readies transparent decompression for the response.
+	identity = []string{"identity"}
+	// noUserAgent suppresses net/http's default User-Agent line, which
+	// the server would parse and never read.
+	noUserAgent = []string{""}
+)
+
+// outgoing is one request's reusable parts: the request, its URL and
+// header map, and for a POST the encoded body with the Body and
+// GetBody that http.NewRequest makes for a *bytes.Reader. Body stays
+// an io.NopCloser around a *bytes.Reader, a body net/http knows to be
+// in memory and writes together with the headers. net/http lets a
+// caller reuse a request once its response body is closed, so send
+// returns it to the pool then. A request whose Do failed is left to
+// the garbage collector: the transport may still close its body after
+// Do returns.
+type outgoing struct {
+	req     http.Request
+	url     url.URL
+	buf     []byte
+	rd      bytes.Reader
+	body    io.ReadCloser                 // io.NopCloser(&rd)
+	getBody func() (io.ReadCloser, error) // a fresh reader over buf
+}
+
+var outgoingPool = sync.Pool{New: func() any {
+	o := new(outgoing)
+	o.body = io.NopCloser(&o.rd)
+	o.getBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(o.buf)), nil }
+	o.req.Header = make(http.Header, 5)
+	return o
+}}
+
+// fill makes o the request http.NewRequest(method,
+// BaseURL+path+"?"+query, body) would build, plus the transport's
+// headers. The query is now=N and any extra values; a POST's body is
+// o.buf. No URL string is built or parsed per request.
+func (t *HTTP) fill(o *outgoing, method, path string, now time.Duration, extra url.Values) error {
+	route, err := t.route(path)
 	if err != nil {
 		return err
 	}
-	if t.Binary {
-		req.Header["Accept"] = webserver.BinaryHeader
+	o.url = *route
+	if len(extra) == 0 {
+		var q [24]byte // "now=" and an int64
+		o.url.RawQuery = string(strconv.AppendInt(append(q[:0], "now="...), int64(now), 10))
+	} else {
+		q := url.Values{"now": {strconv.FormatInt(int64(now), 10)}}
+		for k, vs := range extra {
+			q[k] = vs
+		}
+		o.url.RawQuery = q.Encode()
 	}
-	resp, err := t.client().Do(req)
+	h := o.req.Header
+	clear(h)
+	o.req = http.Request{
+		Method:     method,
+		URL:        &o.url,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       o.url.Host,
+	}
+	if method == http.MethodPost {
+		o.rd.Reset(o.buf)
+		o.req.Body, o.req.GetBody = o.body, o.getBody
+		o.req.ContentLength = int64(len(o.buf))
+		if t.Binary {
+			h["Content-Type"] = webserver.BinaryHeader
+		} else {
+			h["Content-Type"] = jsonHeader
+		}
+	}
+	if t.Binary {
+		h["Accept"] = webserver.BinaryHeader
+	}
+	h["Accept-Encoding"] = identity
+	h["User-Agent"] = noUserAgent
+	return nil
+}
+
+// send fills o as fill does, sends it and decodes a 200 answer into
+// out. o goes back to the pool unless Do failed.
+func send[M any](t *HTTP, o *outgoing, method, path string, now time.Duration, extra url.Values, out *M) error {
+	if err := t.fill(o, method, path, now, extra); err != nil {
+		outgoingPool.Put(o)
+		return err
+	}
+	resp, err := t.client().Do(&o.req)
 	if err != nil {
 		// Socket-level failures are the retryable class: the request may
 		// or may not have reached the server (see retry.go).
-		return fmt.Errorf("%w: GET %s: %v", ErrNetwork, path, err)
+		return fmt.Errorf("%w: %s %s: %v", ErrNetwork, method, path, err)
 	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	err = decodeResponse(t, resp, out)
+	resp.Body.Close()
+	outgoingPool.Put(o)
+	return err
 }
 
-// postBody recycles request-body buffers and their readers: the
-// continuous-auth hot path posts one PageRequest per touch, and
-// marshalling each into a fresh slice plus a fresh reader dominated
-// the transport's client-side allocation profile. Safe to recycle
-// after Do returns — the transport has fully sent (or abandoned) the
-// body by then, and the buffer is not returned to the pool until the
-// response is decoded.
-type postBody struct {
-	buf []byte
-	rd  bytes.Reader
+func get[M any](t *HTTP, path string, now time.Duration, out *M) error {
+	return send(t, outgoingPool.Get().(*outgoing), http.MethodGet, path, now, nil, out)
 }
 
-var postBodyPool = sync.Pool{New: func() any { return new(postBody) }}
-
+// post encodes in into a pooled request's body buffer: the
+// continuous-auth hot path posts one PageRequest per touch, and a fresh
+// body slice, reader and request for each dominated the transport's
+// client-side allocation profile.
 func post[M any](t *HTTP, path string, now time.Duration, extra url.Values, in any, out *M) error {
-	pb := postBodyPool.Get().(*postBody)
-	defer postBodyPool.Put(pb)
+	o := outgoingPool.Get().(*outgoing)
 	var err error
 	if t.Binary {
-		pb.buf, err = protocol.EncodeBinaryAppend(pb.buf[:0], in)
+		o.buf, err = protocol.EncodeBinaryAppend(o.buf[:0], in)
 	} else {
 		var body []byte
 		body, err = json.Marshal(in)
-		pb.buf = append(pb.buf[:0], body...)
+		o.buf = append(o.buf[:0], body...)
 	}
 	if err != nil {
+		outgoingPool.Put(o)
 		return err
 	}
-	pb.rd.Reset(pb.buf)
-	req, err := http.NewRequest(http.MethodPost, t.requestURL(path, now, extra), &pb.rd)
-	if err != nil {
-		return err
-	}
-	if t.Binary {
-		req.Header["Content-Type"] = webserver.BinaryHeader
-		req.Header["Accept"] = webserver.BinaryHeader
-	} else {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: POST %s: %v", ErrNetwork, path, err)
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	return send(t, o, http.MethodPost, path, now, extra, out)
 }
 
-// respBufPool recycles response-read buffers. Recycling is safe
-// because neither decoder aliases its input: the binary reader copies
-// every byte slice and string out, and json.Unmarshal never retains
-// the data it parses.
-var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// incoming is a pooled response-read buffer and the reader that caps
+// it. Recycling is safe because neither decoder aliases its input: the
+// binary decoder copies or interns every field, and json.Unmarshal
+// never retains the data it parses.
+type incoming struct {
+	buf bytes.Buffer
+	lr  io.LimitedReader
+}
 
-func decodeResponse[M any](resp *http.Response, out *M) error {
+var incomingPool = sync.Pool{New: func() any { return new(incoming) }}
+
+// decodeResponse decodes a 200 answer into out, a fresh message; a
+// binary one goes through t's intern table, and the result equals
+// protocol.DecodeAs's. Any other status returns the server's typed
+// rejection.
+func decodeResponse[M any](t *HTTP, resp *http.Response, out *M) error {
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		// Round-trip the server's typed rejection so errors.Is sees the
@@ -131,22 +231,18 @@ func decodeResponse[M any](resp *http.Response, out *M) error {
 		return fmt.Errorf("device: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	binary := webserver.IsBinaryType(resp.Header.Get("Content-Type"))
-	buf := respBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer respBufPool.Put(buf)
-	if err := webserver.ReadResponse(buf, resp.Body); err != nil {
+	in := incomingPool.Get().(*incoming)
+	defer incomingPool.Put(in)
+	in.buf.Reset()
+	if err := webserver.ReadResponse(&in.buf, &in.lr, resp.Body); err != nil {
 		return err
 	}
-	data := buf.Bytes()
 	if binary {
-		m, err := protocol.DecodeAs[M](data)
-		if err != nil {
-			return err
-		}
-		*out = *m
-		return nil
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.dec.DecodeMessage(in.buf.Bytes(), out)
 	}
-	return json.Unmarshal(data, out)
+	return json.Unmarshal(in.buf.Bytes(), out)
 }
 
 // FetchRegistrationPage implements Transport.

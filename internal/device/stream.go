@@ -534,7 +534,14 @@ func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protoco
 			if aseq != seq {
 				return nil, c.kill(fmt.Errorf("device: ack seq %d does not match expected %d", aseq, seq))
 			}
-			return nil, ackError(code, detail)
+			err = ackError(code, detail)
+			if errors.Is(err, webserver.ErrMalformed) {
+				// The server closes the connection after every malformed
+				// ack: drop it now, so the next call redials instead of
+				// spending a round on a dead connection.
+				c.kill(err)
+			}
+			return nil, err
 		default:
 			return nil, c.kill(fmt.Errorf("device: unexpected %s frame on stream", ft))
 		}

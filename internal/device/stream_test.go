@@ -621,3 +621,35 @@ func TestStreamRejectedHeartbeatIsTyped(t *testing.T) {
 		t.Fatalf("hb_rejected = %d, want 1", got)
 	}
 }
+
+// TestStreamMalformedAckDropsConnection: the server closes the stream
+// after every malformed ack, a heartbeat-skew ack included, so the
+// device drops the connection as the ack arrives. The next resilient
+// Browse redials and recovers through the fresh chain's resync, with
+// no retry round spent on ErrNetwork from the dead connection.
+func TestStreamMalformedAckDropsConnection(t *testing.T) {
+	fx, tr := newStreamFixture(t, nil)
+	fx.registerAndLogin(t)
+	fx.dev.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond}, sim.NewRNG(5))
+	fx.touchOwner(t)
+	if err := fx.dev.Browse(fx.now, "home"); err != nil {
+		t.Fatal(err)
+	}
+	dials := tr.Stats().Dials
+	if err := tr.Ping(fx.now + webserver.MaxHeartbeatSkew + time.Second); !errors.Is(err, webserver.ErrMalformed) {
+		t.Fatalf("Ping = %v, want a typed malformed rejection", err)
+	}
+	if tr.Streaming() {
+		t.Fatal("stream still reads as live after a malformed ack")
+	}
+	if _, err := fx.dev.BrowseResilient(fx.now, "home"); err != nil {
+		t.Fatalf("Browse after the malformed ack: %v", err)
+	}
+	if got := fx.dev.tel.retries.Load(); got != 0 {
+		t.Fatalf("%d retry rounds after the malformed ack, want 0", got)
+	}
+	if got := tr.Stats().Dials; got != dials+1 || !tr.Streaming() || fx.dev.Degraded() {
+		t.Fatalf("dials %d -> %d, streaming %v, degraded %v; want one redial and a live stream",
+			dials, got, tr.Streaming(), fx.dev.Degraded())
+	}
+}

@@ -38,14 +38,24 @@ func (f *Finger) Drifted(sigmaMM float64, seed uint64) *Finger {
 // (an exponential moving average). res is cfg.Match(t, c), which the
 // caller has already run. It reports whether an adaptation happened.
 // Only confident matches adapt — otherwise an impostor could slowly
-// walk the template toward their own finger.
-func (cfg MatcherConfig) AdaptTemplate(t *Template, c *Capture, res MatchResult, minScore, alpha float64) bool {
+// walk the template toward their own finger. scratch, when non-nil,
+// holds the pairing's flags between calls: it is grown to the
+// template's size as needed and kept, so a caller that keeps one
+// adapts without allocating.
+func (cfg MatcherConfig) AdaptTemplate(t *Template, c *Capture, res MatchResult, minScore, alpha float64, scratch *[]bool) bool {
 	if !res.Accepted || res.Score < minScore {
 		return false
 	}
+	if scratch == nil {
+		scratch = new([]bool)
+	}
+	if cap(*scratch) < len(t.Minutiae) {
+		*scratch = make([]bool, len(t.Minutiae))
+	}
+	used := (*scratch)[:len(t.Minutiae)]
+	clear(used)
 	// Re-derive the pairing under the winning transform and apply the
 	// EMA to each matched template minutia.
-	used := make([]bool, len(t.Minutiae))
 	adapted := false
 	for _, pm := range c.Minutiae {
 		moved := pm.Transform(res.Rotation, res.Shift)

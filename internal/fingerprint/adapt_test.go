@@ -75,7 +75,7 @@ func TestAdaptTemplateTracksDrift(t *testing.T) {
 					continue
 				}
 				if adapt {
-					cfg.AdaptTemplate(tpl, cap, cfg.Match(tpl, cap), 0.6, 0.3)
+					cfg.AdaptTemplate(tpl, cap, cfg.Match(tpl, cap), 0.6, 0.3, nil)
 				}
 				if e == epochs-1 && cfg.Match(tpl, cap).Accepted {
 					finalAccepts++
@@ -104,7 +104,7 @@ func TestAdaptTemplateRefusesImpostor(t *testing.T) {
 	before := append([]Minutia(nil), tpl.Minutiae...)
 	for i := 0; i < 20; i++ {
 		cap := Acquire(g, goodContact(g, rng), rng)
-		if cfg.AdaptTemplate(tpl, cap, cfg.Match(tpl, cap), 0.6, 0.3) {
+		if cfg.AdaptTemplate(tpl, cap, cfg.Match(tpl, cap), 0.6, 0.3, nil) {
 			t.Fatal("impostor capture adapted the template")
 		}
 	}

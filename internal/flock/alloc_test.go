@@ -43,6 +43,18 @@ func TestHandleTouchAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(200, off); n > offBudget {
 		t.Errorf("off-sensor touch costs %.0f allocs, budget %.0f", n, offBudget)
 	}
+	// Template adaptation pairs minutiae in the module's kept scratch, so
+	// an adapting module's confident match allocates nothing either.
+	m.cfg.AdaptScoreMin = 0.6
+	tpl := m.templates[0].tpl
+	before := append([]fingerprint.Minutia(nil), tpl.Minutiae...)
+	on()
+	if n := testing.AllocsPerRun(200, on); n > onBudget {
+		t.Errorf("adapting on-sensor touch costs %.0f allocs, budget %.0f", n, onBudget)
+	}
+	if reflect.DeepEqual(before, tpl.Minutiae) {
+		t.Fatal("no touch adapted the template")
+	}
 }
 
 // TestTouchOutcomesOutliveReuse is the aliasing oracle for the storage

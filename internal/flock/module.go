@@ -167,6 +167,9 @@ type Module struct {
 	// the touch is matched; only its Quality.Reasons, always freshly
 	// allocated, leaves the module in a TouchOutcome.
 	capture fingerprint.Capture
+	// adaptUsed is template adaptation's pairing scratch
+	// (MatcherConfig.AdaptTemplate), kept like capture.
+	adaptUsed []bool
 
 	// templates holds the enrolled users, in enrolment order. The
 	// paper's fingerprint processor matches captures against "the
@@ -468,7 +471,7 @@ func (m *Module) HandleTouch(ev touch.Event, finger *fingerprint.Finger) TouchOu
 		if alpha == 0 {
 			alpha = 0.3
 		}
-		if m.cfg.Matcher.AdaptTemplate(bestTpl, cap, bestRes, m.cfg.AdaptScoreMin, alpha) {
+		if m.cfg.Matcher.AdaptTemplate(bestTpl, cap, bestRes, m.cfg.AdaptScoreMin, alpha, &m.adaptUsed) {
 			m.energy.AddEvent("flash-write", 0.5e-6)
 		}
 	}

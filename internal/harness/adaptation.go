@@ -46,7 +46,7 @@ func XAdaptation(seed uint64) (Result, error) {
 				if cfg.Match(staticTpl, cap).Accepted {
 					stats[e].static++
 				}
-				cfg.AdaptTemplate(adaptiveTpl, cap, cfg.Match(adaptiveTpl, cap), 0.6, 0.3)
+				cfg.AdaptTemplate(adaptiveTpl, cap, cfg.Match(adaptiveTpl, cap), 0.6, 0.3, nil)
 				if cfg.Match(adaptiveTpl, cap).Accepted {
 					stats[e].adaptive++
 				}

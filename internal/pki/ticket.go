@@ -147,13 +147,15 @@ func (t *TicketKeys) advance(old *epochTable, cur uint64) (*epochTable, error) {
 	return next, nil
 }
 
-// ticketAAD binds the clear epoch prefix into the associated data, so
-// rewriting the prefix to shift a ticket into a different epoch's key
-// fails outright rather than merely failing to decrypt.
-func ticketAAD(epoch, aad []byte) []byte {
-	out := make([]byte, 0, len(aad)+len(epoch))
-	out = append(out, aad...)
-	return append(out, epoch...)
+// appendAAD appends the associated data a ticket binds, aad followed by
+// the ticket's clear epoch prefix, to dst. Binding the prefix means
+// rewriting it to shift a ticket into a different epoch's key fails
+// outright rather than merely failing to decrypt. Seal and Open build
+// it in the spare tail of the one buffer each allocates, past the
+// bytes the AEAD writes (its dst is capped there), so it costs no
+// allocation of its own.
+func appendAAD(dst, epoch, aad []byte) []byte {
+	return append(append(dst, aad...), epoch...)
 }
 
 // A ticket is [8B epoch | 12B AES-GCM nonce | ciphertext].
@@ -163,20 +165,22 @@ const (
 )
 
 // Seal encrypts plaintext under the key of the epoch containing now,
-// building the ticket in one buffer with the nonce drawn from rand. aad binds caller context (domain, message
-// type) exactly as in Seal.
+// building the ticket in one buffer with the nonce drawn from rand. aad
+// binds caller context (domain, message type).
 func (t *TicketKeys) Seal(now time.Duration, plaintext, aad []byte, rand io.Reader) ([]byte, error) {
 	epoch := t.Epoch(now)
 	aead, err := t.aead(epoch, epoch)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, ticketHead, ticketHead+len(plaintext)+aead.Overhead())
+	n := ticketHead + len(plaintext) + aead.Overhead()
+	out := make([]byte, ticketHead, n+len(aad)+8)
 	binary.BigEndian.PutUint64(out, epoch)
 	if _, err := io.ReadFull(rand, out[8:ticketHead]); err != nil {
 		return nil, fmt.Errorf("pki: drawing nonce: %w", err)
 	}
-	return aead.Seal(out, out[8:ticketHead], plaintext, ticketAAD(out[:8], aad)), nil
+	ad := appendAAD(out[n:n], out[:8], aad)
+	return aead.Seal(out[:ticketHead:n], out[8:ticketHead], plaintext, ad), nil
 }
 
 // Open decrypts a Seal output if its epoch is the current one or at
@@ -199,7 +203,14 @@ func (t *TicketKeys) Open(now time.Duration, ticket, aad []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := aead.Open(nil, ticket[8:ticketHead], ticket[ticketHead:], ticketAAD(ticket[:8], aad))
+	ct := ticket[ticketHead:]
+	if len(ct) < aead.Overhead() {
+		return nil, ErrDecrypt
+	}
+	n := len(ct) - aead.Overhead()
+	buf := make([]byte, n, n+len(aad)+8)
+	ad := appendAAD(buf[n:], ticket[:8], aad)
+	pt, err := aead.Open(buf[:0:n], ticket[8:ticketHead], ct, ad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

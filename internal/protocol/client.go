@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"time"
@@ -20,6 +22,9 @@ type Client struct {
 	// frameBuf is DisplayPage's render scratch: the repeater copies the
 	// frame it is handed, so one buffer serves every displayed page.
 	frameBuf []byte
+	// verified maps a bound domain to the certDigest of the last server
+	// certificate whose CA signature verified at login (checkServerCert).
+	verified map[string][sha256.Size]byte
 }
 
 // NewClient wires a protocol client to a module.
@@ -130,8 +135,8 @@ func (c *Client) kemKeyFor(domain string, cert *pki.Certificate) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := cert.Verify(c.m.CAPublicKey(), pki.RoleServer); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrServerCert, err)
+	if err := c.checkServerCert(domain, cert); err != nil {
+		return nil, err
 	}
 	if string(cert.Key()) != string(rec.ServerPublicKey) {
 		return nil, fmt.Errorf("%w: server key changed since registration", ErrServerCert)
@@ -140,6 +145,49 @@ func (c *Client) kemKeyFor(domain string, cert *pki.Certificate) ([]byte, error)
 		return nil, fmt.Errorf("%w: server certificate lacks a KEM key", ErrServerCert)
 	}
 	return cert.KemKey, nil
+}
+
+// checkServerCert is cert.Verify for the server role, run once per
+// certificate and domain. Verify's verdict depends only on the
+// certificate's signing bytes, its signature, the module's fixed CA key
+// and the role, which the signing bytes carry; so a certificate whose
+// digest equals, in constant time, that of the last one to verify for
+// domain needs no second ed25519 check. Any other certificate takes the
+// full check and, passing it, becomes the one remembered.
+func (c *Client) checkServerCert(domain string, cert *pki.Certificate) error {
+	d, ok := certDigest(cert)
+	if prev, hit := c.verified[domain]; ok && hit && subtle.ConstantTimeCompare(d[:], prev[:]) == 1 {
+		return nil
+	}
+	if err := cert.Verify(c.m.CAPublicKey(), pki.RoleServer); err != nil {
+		return fmt.Errorf("%w: %v", ErrServerCert, err)
+	}
+	if ok {
+		if c.verified == nil {
+			c.verified = make(map[string][sha256.Size]byte)
+		}
+		c.verified[domain] = d
+	}
+	return nil
+}
+
+// certDigest is SHA-256 over the SHA-256 of a certificate's signing
+// bytes followed by its signature. ok is false for a certificate that
+// cannot verify anyway: nil, one whose signing bytes do not encode, or
+// one with a signature of the wrong size.
+func certDigest(cert *pki.Certificate) (d [sha256.Size]byte, ok bool) {
+	if cert == nil || len(cert.Signature) != ed25519.SignatureSize {
+		return d, false
+	}
+	sb := cert.SigningBytes()
+	if sb == nil {
+		return d, false
+	}
+	var in [sha256.Size + ed25519.SignatureSize]byte
+	signed := sha256.Sum256(sb)
+	copy(in[:], signed[:])
+	copy(in[sha256.Size:], cert.Signature)
+	return sha256.Sum256(in[:]), true
 }
 
 // HandleLoginPage is Fig 10 step 2: verify the login page came from the

@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 	"time"
 
@@ -231,5 +232,53 @@ func TestResumeKeyGolden(t *testing.T) {
 	mc.MAC([]byte("resume submission"))
 	if got := hex.EncodeToString(protocol.ResumeKeyFrom(mc, sid)); got != want {
 		t.Fatalf("ResumeKeyFrom = %s, want %s", got, want)
+	}
+}
+
+// TestServerCertCheckedOncePerCertificate pins the login's
+// once-per-certificate CA check: after a login with the genuine server
+// certificate, a certificate carrying the pinned signing key but an
+// attacker's KEM key, with the genuine signature (which no longer
+// covers its bytes) or a flipped one, is refused with ErrServerCert,
+// and the genuine certificate is still accepted afterwards.
+func TestServerCertCheckedOncePerCertificate(t *testing.T) {
+	fx := newFixture(t)
+	fx.verify(t)
+	regPage := fx.server.ServeRegistrationPage(fx.now)
+	fx.client.DisplayPage(regPage.Page, frame.View{Zoom: 1})
+	sub, err := fx.client.HandleRegistrationPage(fx.now, regPage, "acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := fx.server.HandleRegistration(fx.now, sub, "pw"); !res.OK {
+		t.Fatalf("registration: %s", res.Reason)
+	}
+	login := func(cert *pki.Certificate) error {
+		t.Helper()
+		fx.verify(t)
+		lp := fx.server.ServeLoginPage(fx.now)
+		fx.client.DisplayPage(lp.Page, frame.View{Zoom: 1})
+		_, _, err := fx.client.HandleLoginPage(fx.now, lp, cert, "acct", 12)
+		return err
+	}
+	genuine := fx.server.Certificate()
+	if err := login(genuine); err != nil {
+		t.Fatalf("genuine certificate: %v", err)
+	}
+	attacker, err := pki.GenerateKemPair(pki.NewDeterministicRand(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := genuine.Clone()
+	forged.KemKey = attacker.Public.Bytes()
+	flipped := forged.Clone()
+	flipped.Signature[0] ^= 1
+	for name, cert := range map[string]*pki.Certificate{"genuine signature": forged, "flipped signature": flipped} {
+		if err := login(cert); !errors.Is(err, protocol.ErrServerCert) {
+			t.Fatalf("%s over another KEM key: err %v, want ErrServerCert", name, err)
+		}
+	}
+	if err := login(genuine); err != nil {
+		t.Fatalf("genuine certificate after the forgeries: %v", err)
 	}
 }

@@ -1,13 +1,18 @@
 package protocol
 
-import "io"
+import (
+	"fmt"
+	"io"
+)
 
 // Per-connection decoding state. On a stream, consecutive frames repeat
 // most of their short string fields — the domain, account, session id
 // and action of every request, and the URL, title, body and element
 // fields of the few pages a session moves between — so a connection's
 // decoder keeps a small table of the strings it has already built and
-// hands those out instead of copying the same bytes again.
+// hands those out instead of copying the same bytes again. An HTTP
+// transport's responses repeat the same page fields, so it keeps one
+// decoder too.
 
 // The intern table's bounds. A connection's table holds at most
 // internSlots strings of at most internMaxLen bytes each, 16 KiB of
@@ -61,9 +66,11 @@ func (t *internTable) get(b []byte) string {
 // payload into a buffer it reuses, and decodes through the connection's
 // intern table (fields listed at binCodec.istr). Every field a decoded
 // message keeps is copied or interned, so reusing the payload buffer is
-// safe. A Decoder belongs to the connection's single read-loop
-// goroutine; the zero value is ready to use. Its output is identical to
-// the package-level ReadFrame, DecodeTouchBatch and DecodePageFrame.
+// safe. A Decoder is not safe for concurrent use: it belongs to one
+// stream connection's reader, or to one HTTP transport, which decodes
+// its responses under its own lock. The zero value is ready to use. Its
+// output is identical to the package-level ReadFrame, DecodeTouchBatch,
+// DecodePageFrame and DecodeAs.
 //
 // DecodePageFrame returns a fresh message, which stays valid for as
 // long as the caller keeps it. DecodeTouchBatchInto instead decodes
@@ -101,4 +108,18 @@ func (d *Decoder) DecodeTouchBatchInto(payload []byte, tb *TouchBatch) error {
 // connection's intern table.
 func (d *Decoder) DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, err error) {
 	return decodePageFrame(payload, &d.intern)
+}
+
+// DecodeMessage decodes data into m, a fresh message of the type the
+// caller's context fixes (an HTTP route), through this decoder's intern
+// table: the HTTP twin of DecodePageFrame. It fails unless data encodes
+// exactly one message of m's type, and on success m equals what
+// DecodeAs returns for the same bytes. On error m holds a partial
+// decode.
+func (d *Decoder) DecodeMessage(data []byte, m any) error {
+	e, ok := m.(encoder)
+	if !ok {
+		return fmt.Errorf("%w: %T is not a message", ErrBinaryDecode, m)
+	}
+	return decodeInto(data, &d.intern, e)
 }

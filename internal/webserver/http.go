@@ -43,6 +43,8 @@ func IsBinaryType(ct string) bool {
 // maxBodyBytes bounds request bodies on every POST route.
 const maxBodyBytes = 1 << 20
 
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+
 // MaxResponseBytes caps how much of a server response a client buffers.
 const MaxResponseBytes = 1 << 20
 
@@ -50,9 +52,13 @@ const MaxResponseBytes = 1 << 20
 var ErrResponseTooLarge = fmt.Errorf("webserver: response body exceeds %d-byte cap", MaxResponseBytes)
 
 // ReadResponse buffers a response body into buf, failing an oversized
-// one with ErrResponseTooLarge rather than a confusing decode error.
-func ReadResponse(buf *bytes.Buffer, r io.Reader) error {
-	n, err := buf.ReadFrom(io.LimitReader(r, MaxResponseBytes+1))
+// one with ErrResponseTooLarge rather than a confusing decode error. It
+// caps r through lr, which it overwrites, so a client that pools lr
+// with buf reads a body without allocating.
+func ReadResponse(buf *bytes.Buffer, lr *io.LimitedReader, r io.Reader) error {
+	*lr = io.LimitedReader{R: r, N: MaxResponseBytes + 1}
+	n, err := buf.ReadFrom(lr)
+	lr.R = nil
 	if err != nil {
 		return err
 	}
@@ -62,10 +68,18 @@ func ReadResponse(buf *bytes.Buffer, r io.Reader) error {
 	return nil
 }
 
-// bodyPool recycles the read buffers binary request bodies land in.
-// DecodeBinary copies every field out of the raw bytes, so a buffer can
-// be returned to the pool as soon as decoding finishes.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// httpBuf is one request's pooled scratch on the HTTP front: the
+// buffer a binary request body lands in with the reader that caps it,
+// and the buffer a binary response is encoded into. The decoder copies
+// every field out of the body and w.Write copies the response, so the
+// scratch goes back to the pool as soon as both return.
+type httpBuf struct {
+	body bytes.Buffer
+	lr   io.LimitedReader
+	resp []byte
+}
+
+var httpBufPool = sync.Pool{New: func() any { return new(httpBuf) }}
 
 // ErrorHeader carries the typed rejection code on error responses, so
 // clients recover the exact sentinel without parsing the body.
@@ -170,8 +184,11 @@ func queryValue(query, name string) string {
 // encoding).
 func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
 	if r.Header.Get("Accept") == BinaryMIME {
-		data, err := protocol.EncodeBinary(v)
+		b := httpBufPool.Get().(*httpBuf)
+		defer httpBufPool.Put(b)
+		data, err := protocol.EncodeBinaryAppend(b.resp[:0], v)
 		if err == nil {
+			b.resp = data[:0]
 			w.Header()["Content-Type"] = BinaryHeader
 			w.Write(data)
 			return
@@ -190,7 +207,7 @@ func writeResponse(w http.ResponseWriter, r *http.Request, v any) {
 // caller — no value copy in between. A body that does not decode is a
 // typed, counted malformed rejection, answered like any other.
 func decodeBody[M any](s *Server, w http.ResponseWriter, r *http.Request) (*M, bool) {
-	m, err := readBody[M](w, r)
+	m, err := readBody[M](r)
 	if err != nil {
 		writeError(w, s.reject(fmt.Errorf("%w: request body: %v", ErrMalformed, err)))
 		return nil, false
@@ -198,15 +215,25 @@ func decodeBody[M any](s *Server, w http.ResponseWriter, r *http.Request) (*M, b
 	return m, true
 }
 
-func readBody[M any](w http.ResponseWriter, r *http.Request) (*M, error) {
+// readBody decodes the request body and closes it. Closing a body read
+// to its end spares net/http the read it would otherwise make after the
+// handler, looking for an end it has already seen.
+func readBody[M any](r *http.Request) (*M, error) {
+	defer r.Body.Close()
 	if IsBinaryType(r.Header.Get("Content-Type")) {
-		buf := bodyPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer bodyPool.Put(buf)
-		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		b := httpBufPool.Get().(*httpBuf)
+		defer httpBufPool.Put(b)
+		b.body.Reset()
+		b.lr = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+		n, err := b.body.ReadFrom(&b.lr)
+		b.lr.R = nil
+		switch {
+		case err != nil:
 			return nil, err
+		case n > maxBodyBytes:
+			return nil, errBodyTooLarge
 		}
-		return protocol.DecodeAs[M](buf.Bytes())
+		return protocol.DecodeAs[M](b.body.Bytes())
 	}
 	m := new(M)
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(m); err != nil {
@@ -292,7 +319,8 @@ func FetchCertificate(client *http.Client, baseURL string) (*pki.Certificate, er
 		return nil, fmt.Errorf("webserver: cert fetch status %s", resp.Status)
 	}
 	var body bytes.Buffer
-	if err := ReadResponse(&body, resp.Body); err != nil {
+	var lr io.LimitedReader
+	if err := ReadResponse(&body, &lr, resp.Body); err != nil {
 		return nil, err
 	}
 	var cert pki.Certificate

@@ -144,6 +144,17 @@ func (sc *streamConn) reject(out []byte, seq uint64, err error) error {
 	return sc.flush(protocol.AppendAckFrame(out, seq, wireCode(err), err.Error()))
 }
 
+// rejectRequest rejects one request on a bound stream. A malformed
+// one (a request naming another domain) then ends the connection, like
+// every other malformed ack, so a device may drop its connection on
+// any malformed ack: it is closed either way.
+func (sc *streamConn) rejectRequest(out []byte, seq uint64, herr error) error {
+	if err := sc.reject(out, seq, herr); err != nil || !errors.Is(herr, ErrMalformed) {
+		return err
+	}
+	return herr
+}
+
 // malformed rejects a frame that does not decode, or that its place in
 // the stream does not allow, and returns the rejection. The ack echoes
 // the sequence the payload's leading bytes carry when the frame type
@@ -223,7 +234,7 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 				return sc.malformed(ft, payload, err)
 			}
 			if herr := s.handleResync(sc.lastNow, rr, sc.nextNonce, &sc.page); herr != nil {
-				err = sc.reject(sc.out[:0], seq, herr)
+				err = sc.rejectRequest(sc.out[:0], seq, herr)
 			} else {
 				err = sc.flush(protocol.AppendPageFrame(sc.out[:0], seq, 0, &sc.page))
 			}
@@ -338,7 +349,7 @@ func (sc *streamConn) handleBatch(tb *protocol.TouchBatch) error {
 			// The pages already answered, then the ack that ends the
 			// batch — the wire order a per-frame writer would have
 			// produced.
-			return sc.reject(out, tb.Seq, herr)
+			return sc.rejectRequest(out, tb.Seq, herr)
 		}
 		var err error
 		if out, err = protocol.AppendPageFrame(out, tb.Seq, i, &sc.page); err != nil {

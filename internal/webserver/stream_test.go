@@ -548,3 +548,51 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 		})
 	}
 }
+
+// TestServeStreamMalformedRequestClosesConnection pins that every
+// malformed ack ends the stream: a well-formed page request or resync
+// naming another domain is acked malformed, echoing its sequence, and
+// then the read loop returns the rejection and closes the connection,
+// as it does after an undecodable frame. A device may therefore drop
+// its connection on any malformed ack.
+func TestServeStreamMalformedRequestClosesConnection(t *testing.T) {
+	r := newRig(t)
+	r.register(t, "acct")
+	for _, resync := range []bool{false, true} {
+		sess, _ := r.login(t, "acct")
+		conn, w, exit := openStream(t, r, sess)
+		r.touchButton(t)
+		var frame []byte
+		var err error
+		if resync {
+			rr := &protocol.ResyncRequest{Domain: "www.evil.com", Account: sess.Account, SessionID: sess.ID}
+			frame, err = protocol.AppendResyncFrame(nil, 4, rr)
+		} else {
+			req, berr := r.client.BuildPageRequestAt(r.now, sess, "home", 12, protocol.StreamNonce(sess.Key, w.NonceSeed, 0))
+			if berr != nil {
+				t.Fatal(berr)
+			}
+			req.Domain = "www.evil.com"
+			frame, err = protocol.AppendTouchBatchFrame(nil, 4, r.now, []*protocol.PageRequest{req})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if seq := expectAck(t, conn, "malformed"); seq != 4 {
+			t.Fatalf("resync=%v: malformed ack correlates to seq %d, want 4", resync, seq)
+		}
+		// A net.Pipe write blocks until the peer reads or closes: a
+		// server still serving reads this heartbeat, a closed one fails it.
+		if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 5, r.now)); err == nil {
+			conn.Close()
+			t.Fatalf("resync=%v: connection still open after the malformed ack", resync)
+		}
+		if err := <-exit; !errors.Is(err, ErrMalformed) {
+			t.Fatalf("resync=%v: read loop ended with %v, want ErrMalformed", resync, err)
+		}
+		conn.Close()
+	}
+}
