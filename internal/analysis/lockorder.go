@@ -78,7 +78,6 @@ var lockHierarchy = map[string]lockClass{
 // points where the hierarchy crosses it.
 var externalLockEffects = map[string][]string{
 	"(*trust/internal/frame.AuditLog).Append": {"trust/internal/frame.AuditLog.mu"},
-	"(*trust/internal/frame.AuditLog).Len":    {"trust/internal/frame.AuditLog.mu"},
 	"(*trust/internal/frame.AuditLog).Entries": {
 		"trust/internal/frame.AuditLog.mu",
 	},

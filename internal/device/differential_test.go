@@ -14,10 +14,10 @@ import (
 )
 
 // transportOutcome is what one run of the differential script leaves
-// on the server: the audit trail and the counters every transport must
-// move identically.
+// on the server: the audit trail, with each entry's verdict, and the
+// counters every transport must move identically.
 type transportOutcome struct {
-	audit                    []frame.AuditEntry
+	audit                    []frame.AuditFinding
 	accepted, rejected       int64
 	loginsFull, loginsResume int64
 }
@@ -29,10 +29,10 @@ type transportOutcome struct {
 // a ticket resume, a resume with a corrupted ticket (refused, then the
 // full-login fallback), and a page request whose MAC was flipped in
 // transit. Every transport must leave the same audit entries and move
-// the accepted, rejected and login counters by the same amounts. The
-// stream leg resumes with its resume opening frame and the others with
-// HandleResume, so this is also the evidence that the server's two
-// resume fronts agree.
+// the accepted, rejected and login counters by the same amounts. Every
+// leg resumes through HandleResume, the server's one resume front: the
+// stream leg's resume rides its Fallback, and a hello then binds the
+// stream to the resumed session.
 func TestTransportsAgree(t *testing.T) {
 	legs := []struct {
 		name string
@@ -68,9 +68,9 @@ func TestTransportsAgree(t *testing.T) {
 		fx.dev.transport = tr
 		got := runTransportScript(t, fx)
 		stop()
-		// Three stream connections: the hello after the full login, the
-		// adopted resume opening, and the hello after the fallback
-		// login; the refused resume opening never became one.
+		// Three stream connections, each opened by a hello: after the
+		// full login, after the resume, and after the fallback login
+		// that follows the refused resume.
 		if st, ok := tr.(*Stream); ok && (st.Stats().Dials != 3 || st.Stats().Downgrades != 0) {
 			t.Fatalf("stream leg did not stay on the stream: %+v", st.Stats())
 		}
@@ -128,7 +128,7 @@ func runTransportScript(t *testing.T, fx *fixture) *transportOutcome {
 	fx.dev.Malware = nil
 	after := counters()
 	return &transportOutcome{
-		audit:        fx.server.AuditLog().Entries(),
+		audit:        fx.server.RunAudit().Findings,
 		accepted:     after[0] - before[0],
 		rejected:     after[1] - before[1],
 		loginsFull:   after[2] - before[2],

@@ -17,8 +17,8 @@ import (
 // and call sequence produce a byte-identical fault schedule — chaos
 // runs are exactly reproducible.
 //
-// The first write of each connection — the hello or resume frame — is
-// never faulted: the profile models an established link degrading, and
+// The first write of each connection — its hello, the only opening
+// frame — is never faulted: the profile models an established link degrading, and
 // a faulted handshake would trigger the transport's sticky HTTP
 // downgrade instead of the reconnect path under test.
 type FaultyDialer struct {

@@ -56,8 +56,8 @@ func lossyBrowseTranscript(t *testing.T, rounds int) string {
 	}
 	fmt.Fprintf(&b, "stats=%+v\n", ft.Stats)
 	fmt.Fprintf(&b, "audit=%d accepted=%d rejected=%d sessions=%d\n",
-		fx.server.RunAudit().Checked, fx.server.AcceptedRequests(),
-		fx.server.RejectedRequests(), fx.server.SessionCount())
+		fx.server.RunAudit().Checked, serverMetric(t, fx.server, "accepted"),
+		serverMetric(t, fx.server, "rejected"), fx.server.SessionCount())
 	return b.String()
 }
 
@@ -124,7 +124,7 @@ func TestBrowseResilientDegradesOffline(t *testing.T) {
 
 	ft.Profile = FaultProfile{DropRate: 1} // total outage
 	fx.touchOwner(t)
-	before := fx.server.AcceptedRequests()
+	before := serverMetric(t, fx.server, "accepted")
 	now, err := fx.dev.BrowseResilient(fx.now, "page")
 	if err != nil {
 		t.Fatalf("offline browse should degrade, not fail: %v", err)
@@ -133,7 +133,7 @@ func TestBrowseResilientDegradesOffline(t *testing.T) {
 	if !fx.dev.Degraded() {
 		t.Fatal("device not marked degraded after total outage")
 	}
-	if fx.server.AcceptedRequests() != before {
+	if serverMetric(t, fx.server, "accepted") != before {
 		t.Fatal("server accepted a request during a total outage")
 	}
 

@@ -169,25 +169,34 @@ func TestLoginResumeResilientUnderFaults(t *testing.T) {
 	}
 }
 
-func TestStreamResumeAdoptsConnection(t *testing.T) {
+// TestStreamResumeRidesFallbackThenHello pins the stream's one way to
+// resume: the ticket resume rides the Fallback like the cold login, and
+// the resumed session is bound by exactly one hello dial, whose nonce
+// chain the first streamed browse walks from position 0.
+func TestStreamResumeRidesFallbackThenHello(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
+	fb := &countingTransport{Transport: tr.Fallback}
+	tr.Fallback = fb
 	fx.registerAndLogin(t)
 	if !tr.Streaming() {
 		t.Fatal("not streaming after login")
 	}
 
-	// Resume-first re-login over the stream transport: the resume frame
-	// handshake replaces the hello, and the connection it opened is
-	// adopted for the new session instead of being redialed.
 	fx.touchOwner(t)
 	if err := fx.dev.LoginResume(fx.now, fx.server.Certificate(), "acct"); err != nil {
 		t.Fatalf("stream resume login: %v", err)
 	}
+	if fb.logins != 1 || fb.resumes != 1 {
+		t.Fatalf("fallback carried %d logins and %d resumes, want the cold login and one resume", fb.logins, fb.resumes)
+	}
 	if !tr.Streaming() {
 		t.Fatal("stream not live after resume")
 	}
-	if st := tr.Stats(); st.Dials != 2 || st.Downgrades != 0 {
-		t.Fatalf("stream stats %+v, want exactly one resume dial beyond the login dial", st)
+	if st := tr.Stats(); st.Dials != 2 || st.Redials != 0 || st.Downgrades != 0 {
+		t.Fatalf("stream stats %+v, want one hello dial beyond the login's", st)
+	}
+	if next, ok := tr.PredictNonce(0); !ok || next != fx.dev.Session().LastNonce {
+		t.Fatal("the resumed session's nonce is not the head of the new connection's chain")
 	}
 	// The replaced login stream unregisters when its server read loop
 	// observes the closed pipe — asynchronous, so yield until it lands.
@@ -198,20 +207,21 @@ func TestStreamResumeAdoptsConnection(t *testing.T) {
 		t.Fatalf("server tracks %d streams, want 1 (login stream replaced)", n)
 	}
 
-	// The adopted connection's nonce chain lines up for streamed
-	// browsing from position 0.
-	accepted := fx.server.AcceptedRequests()
+	accepted := serverMetric(t, fx.server, "accepted")
 	for _, action := range []string{"view-statement", "home"} {
 		fx.touchOwner(t)
 		if err := fx.dev.Browse(fx.now, action); err != nil {
 			t.Fatalf("streamed browse %s after resume: %v", action, err)
 		}
 	}
-	if got := fx.server.AcceptedRequests() - accepted; got != 2 {
+	if got := serverMetric(t, fx.server, "accepted") - accepted; got != 2 {
 		t.Fatalf("server accepted %d streamed requests after resume, want 2", got)
 	}
+	if st := tr.Stats(); st.Dials != 2 {
+		t.Fatalf("browsing dialed again: %+v", st)
+	}
 	if report := fx.server.RunAudit(); report.Tampered != 0 {
-		t.Fatalf("stream resume session flagged by audit: %d of %d", report.Tampered, report.Checked)
+		t.Fatalf("resumed session flagged by audit: %d of %d", report.Tampered, report.Checked)
 	}
 }
 
@@ -221,8 +231,9 @@ func TestStreamResumeEpochExpiryFallsBackToHello(t *testing.T) {
 
 	fx.now += 15 * time.Minute
 	fx.touchOwner(t)
-	// The streamed resume is rejected by ack; the device falls back to
-	// the full login, which re-establishes the stream via hello.
+	// The expired ticket's resume is refused on the Fallback; the device
+	// falls back to the full login, which re-establishes the stream via
+	// hello.
 	if err := fx.dev.LoginResume(fx.now, fx.server.Certificate(), "acct"); err != nil {
 		t.Fatalf("stream resume-first login after expiry: %v", err)
 	}

@@ -15,12 +15,13 @@ import (
 
 // Stream is the multiplexed session transport: one long-lived framed
 // connection per device instead of one HTTP request per touch. The
-// registration and login flows (which predate a session) ride the
-// Fallback transport; once a session is bound, page requests, batches,
-// and resyncs travel as frames on the stream, with response nonces
-// walking the deterministic per-connection chain the welcome seeded —
-// no per-request connection setup, header parsing, or server entropy
-// draw on the continuous-auth hot path.
+// registration, login and ticket-resume flows (which create a session)
+// ride the Fallback transport. Once a session is bound, a connection
+// opens with its hello, and page requests, batches, and resyncs travel
+// as frames on the stream, with response nonces walking the
+// deterministic per-connection chain the welcome seeded — no
+// per-request connection setup, header parsing, or server entropy draw
+// on the continuous-auth hot path.
 //
 // Failure handling mirrors the paper's graceful-degradation stance:
 //
@@ -45,11 +46,10 @@ type Stream struct {
 	// always, and all traffic after a downgrade.
 	Fallback Transport
 
-	mu      sync.Mutex
-	sess    *protocol.Session
-	conn    *streamClientConn
-	down    bool // sticky: dial/hello failed, Fallback carries everything
-	pending *pendingResume
+	mu   sync.Mutex
+	sess *protocol.Session
+	conn *streamClientConn
+	down bool // sticky: dial/hello failed, Fallback carries everything
 
 	// Stats counters (under mu).
 	dials     int
@@ -87,9 +87,7 @@ func (t *Stream) Streaming() bool {
 // BindSession points the stream at an established session and eagerly
 // dials so the first Browse already has the chain nonce. A failed dial
 // downgrades to the Fallback transport; the device still works, so the
-// error is not surfaced. When a SubmitResume handshake left a pending
-// connection, the session adopts it instead of redialing — the resume
-// round trip already seeded the nonce chain.
+// error is not surfaced.
 func (t *Stream) BindSession(sess *protocol.Session) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -98,16 +96,6 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 	if t.conn != nil {
 		t.conn.kill(errors.New("device: stream rebound"))
 		t.conn = nil
-	}
-	if p := t.pending; p != nil {
-		// The resume frame spent sequence number 1; the chain head was
-		// delivered with the resume content page, so prediction starts
-		// at position 0 exactly as after a hello welcome. A welcome
-		// that fails verification falls through to the hello redial.
-		t.pending = nil
-		if t.adoptLocked(p.rwc, p.br, p.w, sess, 1) == nil {
-			return
-		}
 	}
 	if t.Dial == nil {
 		t.down = true
@@ -118,82 +106,6 @@ func (t *Stream) BindSession(sess *protocol.Session) {
 		t.down = true
 		t.downgrade++
 	}
-}
-
-// pendingResume is a connection opened by SubmitResume whose welcome
-// could not yet be verified: the resumed session key only exists after
-// the device accepts the resume content page. BindSession finishes the
-// verification and promotes the connection to the live stream.
-type pendingResume struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	w   *protocol.StreamWelcome
-}
-
-// clearPending closes and forgets any leftover pending connection
-// (a resume that was never bound, or was superseded).
-func (t *Stream) clearPending() {
-	t.mu.Lock()
-	p := t.pending
-	t.pending = nil
-	t.mu.Unlock()
-	if p != nil {
-		p.rwc.Close()
-	}
-}
-
-// SubmitResume implements Transport: dial and open with a resume frame
-// — ticket verification, session creation, and nonce-chain seeding in
-// a single round trip. The welcome cannot be verified here (the
-// resumed key is derived only once the device accepts the content
-// page), so the connection parks as pending until BindSession adopts
-// it. On a downgraded transport (or no Dial) the resume rides the
-// Fallback like the other pre-session flows.
-func (t *Stream) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
-	t.clearPending()
-	t.mu.Lock()
-	canStream := t.Dial != nil && !t.down
-	t.mu.Unlock()
-	if !canStream {
-		return t.Fallback.SubmitResume(now, sub)
-	}
-	opening, err := protocol.AppendResumeFrame(nil, 1, now, sub)
-	if err != nil {
-		return nil, err
-	}
-	rwc, br, w, err := t.handshake(opening)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := readResumePage(br)
-	if err != nil {
-		rwc.Close()
-		return nil, err
-	}
-	t.mu.Lock()
-	t.pending = &pendingResume{rwc: rwc, br: br, w: w}
-	t.mu.Unlock()
-	return cp, nil
-}
-
-// readResumePage reads the content page that follows a resume's
-// welcome, which must answer the resume frame (sequence 1, index 0).
-func readResumePage(br *bufio.Reader) (*protocol.ContentPage, error) {
-	ft, p, err := protocol.ReadFrame(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: stream resume page: %v", ErrNetwork, err)
-	}
-	if ft != protocol.FramePage {
-		return nil, fmt.Errorf("device: stream resume handshake got %s frame", ft)
-	}
-	seq, index, cp, err := protocol.DecodePageFrame(p)
-	if err != nil {
-		return nil, err
-	}
-	if seq != 1 || index != 0 {
-		return nil, fmt.Errorf("device: resume page frame seq %d/%d does not match 1/0", seq, index)
-	}
-	return cp, nil
 }
 
 // live returns a connected stream, redialing a dead one. It fails —
@@ -223,9 +135,15 @@ func (t *Stream) live() (*streamClientConn, error) {
 	return t.conn, nil
 }
 
-// redialLocked opens a hello handshake for the bound session and
-// installs the connection. Caller holds t.mu.
-func (t *Stream) redialLocked() error {
+// redialLocked is the stream's one way to open a connection: dial,
+// write the bound session's hello as the connection's first write, and
+// read the server's answer. A welcome that verifies under the session
+// installs the connection as the live stream, its nonce chain at
+// position 0; a typed ack refused the hello. On failure the connection
+// is closed. The buffered reader serves every later read on the
+// connection, halving the syscall count of ReadFrame's header+payload
+// read pairs. Caller holds t.mu.
+func (t *Stream) redialLocked() (err error) {
 	hello, err := protocol.BuildStreamHello(t.sess)
 	if err != nil {
 		return err
@@ -234,72 +152,42 @@ func (t *Stream) redialLocked() error {
 	if err != nil {
 		return err
 	}
-	rwc, br, w, err := t.handshake(opening)
-	if err != nil {
-		return err
-	}
-	return t.adoptLocked(rwc, br, w, t.sess, 0)
-}
-
-// handshake is both openings' one exchange: dial, write the opening
-// frame (hello or resume) as the connection's first write, and read the
-// server's answer — the welcome, or the typed ack that refused the
-// opening. The returned buffered reader serves every later read on the
-// connection, halving the syscall count of ReadFrame's header+payload
-// read pairs.
-func (t *Stream) handshake(opening []byte) (io.ReadWriteCloser, *bufio.Reader, *protocol.StreamWelcome, error) {
 	rwc, err := t.Dial()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
+		return fmt.Errorf("%w: stream dial: %v", ErrNetwork, err)
+	}
+	defer func() {
+		if err != nil {
+			rwc.Close()
+		}
+	}()
+	if _, err := rwc.Write(opening); err != nil {
+		return fmt.Errorf("%w: stream hello: %v", ErrNetwork, err)
 	}
 	br := bufio.NewReaderSize(rwc, 32<<10)
-	w, err := exchangeOpening(rwc, br, opening)
-	if err != nil {
-		rwc.Close()
-		return nil, nil, nil, err
-	}
-	return rwc, br, w, nil
-}
-
-// exchangeOpening is handshake's exchange on a dialed connection; the
-// caller closes the connection when it fails.
-func exchangeOpening(w io.Writer, br *bufio.Reader, opening []byte) (*protocol.StreamWelcome, error) {
-	if _, err := w.Write(opening); err != nil {
-		return nil, fmt.Errorf("%w: stream %s: %v", ErrNetwork, protocol.FrameType(opening[0]), err)
-	}
 	ft, payload, err := protocol.ReadFrame(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: stream welcome: %v", ErrNetwork, err)
+		return fmt.Errorf("%w: stream welcome: %v", ErrNetwork, err)
 	}
 	switch ft {
 	case protocol.FrameWelcome:
-		return protocol.DecodeAs[protocol.StreamWelcome](payload)
 	case protocol.FrameAck:
 		_, code, detail, err := protocol.DecodeAck(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return nil, ackError(code, detail)
+		return ackError(code, detail)
+	default:
+		return fmt.Errorf("device: stream handshake got %s frame", ft)
 	}
-	return nil, fmt.Errorf("device: stream handshake got %s frame", ft)
-}
-
-// adoptLocked verifies a welcome under sess and installs its
-// connection as the live stream; lastSeq is the frame sequence the
-// opening spent. A welcome that fails verification closes the
-// connection. Caller holds t.mu.
-func (t *Stream) adoptLocked(rwc io.ReadWriteCloser, br *bufio.Reader, w *protocol.StreamWelcome, sess *protocol.Session, lastSeq uint64) error {
-	if err := protocol.AcceptStreamWelcome(sess, w); err != nil {
-		rwc.Close()
+	w, err := protocol.DecodeAs[protocol.StreamWelcome](payload)
+	if err != nil {
 		return err
 	}
-	c := &streamClientConn{
-		rwc:     rwc,
-		br:      br,
-		chain:   protocol.NewNonceChain(sess.Key, w.NonceSeed),
-		nextSeq: lastSeq,
+	if err := protocol.AcceptStreamWelcome(t.sess, w); err != nil {
+		return err
 	}
-	t.conn = c
+	t.conn = &streamClientConn{rwc: rwc, br: br, chain: protocol.NewNonceChain(t.sess.Key, w.NonceSeed)}
 	t.dials++
 	return nil
 }
@@ -347,6 +235,11 @@ func (t *Stream) FetchLoginPage(now time.Duration) (*protocol.LoginPage, error) 
 // SubmitLogin implements Transport (pre-session: Fallback).
 func (t *Stream) SubmitLogin(now time.Duration, sub *protocol.LoginSubmit) (*protocol.ContentPage, error) {
 	return t.Fallback.SubmitLogin(now, sub)
+}
+
+// SubmitResume implements Transport (pre-session: Fallback).
+func (t *Stream) SubmitResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
+	return t.Fallback.SubmitResume(now, sub)
 }
 
 // SubmitPageRequest implements Transport: a single-request touch batch
@@ -411,7 +304,6 @@ func (t *Stream) Ping(now time.Duration) error {
 // connection closes. The transport stays usable: the next submit
 // redials.
 func (t *Stream) Close() error {
-	t.clearPending()
 	t.mu.Lock()
 	conn := t.conn
 	t.conn = nil

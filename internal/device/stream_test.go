@@ -56,14 +56,14 @@ func TestStreamBrowseEndToEnd(t *testing.T) {
 	if !tr.Streaming() {
 		t.Fatal("transport not streaming after login")
 	}
-	accepted := fx.server.AcceptedRequests()
+	accepted := serverMetric(t, fx.server, "accepted")
 	for _, action := range []string{"view-statement", "home", "view-statement"} {
 		fx.touchOwner(t)
 		if err := fx.dev.Browse(fx.now, action); err != nil {
 			t.Fatalf("browse %s: %v", action, err)
 		}
 	}
-	if got := fx.server.AcceptedRequests() - accepted; got != 3 {
+	if got := serverMetric(t, fx.server, "accepted") - accepted; got != 3 {
 		t.Fatalf("server accepted %d streamed requests, want 3", got)
 	}
 	if st := tr.Stats(); st.Dials != 1 || st.Redials != 0 || st.Downgrades != 0 {
@@ -81,11 +81,11 @@ func TestStreamBatchPipelinesRequests(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
 	fx.registerAndLogin(t)
 	fx.touchOwner(t)
-	accepted := fx.server.AcceptedRequests()
+	accepted := serverMetric(t, fx.server, "accepted")
 	if err := fx.dev.BrowseBatch(fx.now, []string{"view-statement", "home", "view-statement", "home"}); err != nil {
 		t.Fatalf("browse batch: %v", err)
 	}
-	if got := fx.server.AcceptedRequests() - accepted; got != 4 {
+	if got := serverMetric(t, fx.server, "accepted") - accepted; got != 4 {
 		t.Fatalf("server accepted %d of the batch, want 4", got)
 	}
 	if !tr.Streaming() {
@@ -374,8 +374,9 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 			fs.conn.Close()
 			return
 		}
-		tb, err := protocol.DecodeTouchBatch(payload)
-		if err != nil {
+		var dec protocol.Decoder
+		var tb protocol.TouchBatch
+		if err := dec.DecodeTouchBatchInto(payload, &tb); err != nil {
 			t.Errorf("fake server: decode batch: %v", err)
 			fs.conn.Close()
 			return

@@ -30,13 +30,6 @@ func (l *AuditLog) Append(e AuditEntry) {
 	l.mu.Unlock()
 }
 
-// Len reports the number of logged entries.
-func (l *AuditLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
 // Entries returns a copy of the log.
 func (l *AuditLog) Entries() []AuditEntry {
 	l.mu.Lock()

@@ -139,7 +139,7 @@ func (c *binCodec) page(pp **frame.Page) {
 		// encoding's integer conversion undefined. The element count
 		// is bounded by the bytes left, so a short payload cannot
 		// claim a large element slice.
-		if h := p.HeightPX; math.IsNaN(h) || math.IsInf(h, 0) || h < 0 ||
+		if h := p.HeightPX; !finite(h) || h < 0 ||
 			n < 0 || n > 10000 || n > c.Rest()/minElementLen {
 			c.Fail(ErrBinaryDecode)
 		}
@@ -167,8 +167,17 @@ func (c *binCodec) page(pp **frame.Page) {
 		c.F64(&e.Bounds.Min.Y)
 		c.F64(&e.Bounds.Max.X)
 		c.F64(&e.Bounds.Max.Y)
+		// Bounds are layout coordinates: a NaN or infinite one would
+		// reach hit-testing and rendering, and the page could not be
+		// re-sent as JSON.
+		if c.Decoding() && !(finite(e.Bounds.Min.X) && finite(e.Bounds.Min.Y) && finite(e.Bounds.Max.X) && finite(e.Bounds.Max.Y)) {
+			c.Fail(ErrBinaryDecode)
+		}
 	}
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // cert walks an optional certificate: the certificate's own signed
 // field list (pki), then its CA signature.

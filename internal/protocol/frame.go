@@ -15,12 +15,11 @@ import (
 //	[1B type][4B big-endian payload length][payload]
 //
 // Payloads of the message-bearing frames (hello, welcome, touch-batch,
-// page, resync, resume) reuse the binary message codec, so
-// a message verifies identically whether it arrived framed or as an
-// HTTP body. Every frame is appended whole into the caller's buffer
-// (appendFrameOf) and hits the connection in a single Write — one
-// syscall per frame, and a torn or cut write can never interleave two
-// frames.
+// page, resync) reuse the binary message codec, so a message verifies
+// identically whether it arrived framed or as an HTTP body. Every frame
+// is appended whole into the caller's buffer (appendFrameOf) and hits
+// the connection in a single Write — one syscall per frame, and a torn
+// or cut write can never interleave two frames.
 
 // FrameType tags a stream frame.
 type FrameType byte
@@ -29,10 +28,8 @@ type FrameType byte
 // TouchBatch carries 1..n batched touch authenticators, Page answers
 // one of them, Heartbeat is echoed for liveness, Ack carries request
 // errors and hello rejections, Resync recovers a lost page, Bye is clean
-// teardown. Resume opens a connection with a ticket fast login instead
-// of a hello: the server answers with a welcome (seeding the nonce
-// chain under the resumed key) followed by the login content page, so
-// one round trip yields both a fresh session and a bound stream.
+// teardown. A hello is the only opening: a stream binds to a session
+// that a login or ticket resume created, and never creates one.
 const (
 	FrameHello FrameType = iota + 1
 	FrameWelcome
@@ -43,16 +40,16 @@ const (
 	FrameAck
 	FrameResync
 	FrameBye
-	FrameResume
+	_ // 10: retired (a resume opening); an unknown type
 )
 
 // SeqBearing reports whether t's payload leads with an 8-byte
 // big-endian sequence number (touch-batch, page, heartbeat, ack,
-// resync, resume). Hello/welcome carry binary-codec messages instead,
+// resync). Hello/welcome carry binary-codec messages instead,
 // and bye has no payload.
 func (t FrameType) SeqBearing() bool {
 	switch t {
-	case FrameTouchBatch, FramePage, FrameHeartbeat, FrameAck, FrameResync, FrameResume:
+	case FrameTouchBatch, FramePage, FrameHeartbeat, FrameAck, FrameResync:
 		return true
 	}
 	return false
@@ -92,8 +89,6 @@ func (t FrameType) String() string {
 		return "resync"
 	case FrameBye:
 		return "bye"
-	case FrameResume:
-		return "resume"
 	}
 	return fmt.Sprintf("frame(%d)", byte(t))
 }
@@ -283,21 +278,6 @@ func AppendTouchBatchFrame(dst []byte, seq uint64, now time.Duration, reqs []*Pa
 	return appendFrameOf(dst, FrameTouchBatch, tb.fields)
 }
 
-// DecodeTouchBatch parses a touch-batch frame payload into a fresh
-// batch.
-func DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
-	return freshTouchBatch(payload, nil)
-}
-
-// freshTouchBatch decodes payload into a new batch.
-func freshTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
-	tb := new(TouchBatch)
-	if err := decodeTouchBatch(payload, intern, tb); err != nil {
-		return nil, err
-	}
-	return tb, nil
-}
-
 // decodeTouchBatch decodes payload into tb, reusing its request slots.
 // Every field of every request is overwritten; on error tb holds a
 // partial decode that only a later decode into it may use.
@@ -322,11 +302,8 @@ func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte
 	return appendFrameOf(dst, FramePage, pageFields(&seq, &index, &cp))
 }
 
-// DecodePageFrame parses a page-response frame payload.
-func DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, err error) {
-	return decodePageFrame(payload, nil)
-}
-
+// decodePageFrame parses a page-response frame payload, through intern
+// when it is not nil.
 func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int, cp *ContentPage, err error) {
 	err = decodeFrame(FramePage, payload, intern, pageFields(&seq, &index, &cp))
 	return seq, index, cp, err
@@ -375,30 +352,6 @@ func AppendAckFrame(dst []byte, seq uint64, code, detail string) ([]byte, error)
 func DecodeAck(payload []byte) (seq uint64, code, detail string, err error) {
 	err = decodeFrame(FrameAck, payload, nil, ackFields(&seq, &code, &detail))
 	return seq, code, detail, err
-}
-
-// resumeFields is a FrameResume payload's field list, a ticket fast
-// login carried as a stream's opening frame: the client frame
-// sequence, the virtual timestamp (a resume opens a connection, so
-// unlike touch batches there is no preceding hello to carry it), and
-// the ResumeSubmit.
-func resumeFields(seq *uint64, now *time.Duration, sub **ResumeSubmit) func(*binCodec) {
-	return func(c *binCodec) {
-		c.U64(seq)
-		c.I64((*int64)(now))
-		nested(c, sub)
-	}
-}
-
-// AppendResumeFrame appends a resume frame to dst.
-func AppendResumeFrame(dst []byte, seq uint64, now time.Duration, sub *ResumeSubmit) ([]byte, error) {
-	return appendFrameOf(dst, FrameResume, resumeFields(&seq, &now, &sub))
-}
-
-// DecodeResumeFrame parses a stream resume payload.
-func DecodeResumeFrame(payload []byte) (seq uint64, now time.Duration, sub *ResumeSubmit, err error) {
-	err = decodeFrame(FrameResume, payload, nil, resumeFields(&seq, &now, &sub))
-	return seq, now, sub, err
 }
 
 // resyncFields is a FrameResync payload's field list: the client frame

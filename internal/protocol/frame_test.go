@@ -134,7 +134,7 @@ func TestTouchBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := DecodeTouchBatch(f[frameHeaderLen:])
+	tb, err := freshTouchBatch(f[frameHeaderLen:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTouchBatchBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTouchBatch(append(f[frameHeaderLen:], 0xff)); !errors.Is(err, ErrFrame) {
+	if _, err := freshTouchBatch(append(f[frameHeaderLen:], 0xff), nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestPageFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, index, got, err := DecodePageFrame(f[frameHeaderLen:])
+	seq, index, got, err := decodePageFrame(f[frameHeaderLen:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +281,8 @@ func TestFrameSeq(t *testing.T) {
 	payload = append(payload, 1, 2, 3)
 	seqBearing := map[FrameType]bool{
 		FrameTouchBatch: true, FramePage: true, FrameHeartbeat: true,
-		FrameAck: true, FrameResync: true, FrameResume: true,
-		FrameHello: false, FrameWelcome: false, retiredFrame: false,
-		FrameBye: false,
+		FrameAck: true, FrameResync: true,
+		FrameHello: false, FrameWelcome: false, FrameBye: false,
 	}
 	for ft, want := range seqBearing {
 		if got := ft.SeqBearing(); got != want {

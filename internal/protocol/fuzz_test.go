@@ -40,8 +40,7 @@ func FuzzDecodeBinary(f *testing.F) {
 			if err != nil {
 				t.Fatalf("interning decoder rejects what the stateless one accepts: %v", err)
 			}
-			// Compare encodings, not values: NaN coordinates are never
-			// DeepEqual, and the encoding is exactly what decoding
+			// Compare encodings: the encoding is exactly what decoding
 			// preserves.
 			if ire, _ := EncodeBinary(imsg); !bytes.Equal(ire, re) {
 				t.Fatalf("interning decoder disagrees on pass %d:\n%x\n%x", pass, ire, re)
@@ -100,7 +99,7 @@ func FuzzStreamFrames(f *testing.F) {
 				if checkDecodeErrs(t, derr, cerr) {
 					continue
 				}
-				if tb, _ := DecodeTouchBatch(p); !reflect.DeepEqual(&reused, tb) {
+				if tb, _ := freshTouchBatch(p, nil); !reflect.DeepEqual(&reused, tb) {
 					t.Fatalf("touch batch decoded into a reused batch differs from a fresh decode:\n%+v\n%+v", reused.Requests, tb.Requests)
 				}
 				rebuild = append(rebuild, func() ([]byte, error) { return AppendTouchBatchFrame(nil, ctb.Seq, ctb.Now, ctb.Requests) })
@@ -155,13 +154,13 @@ func rebuildFrame(t *testing.T, ft FrameType, p []byte) ([]byte, error) {
 		}
 		return must(AppendMessageFrame(nil, ft, m))
 	case FrameTouchBatch:
-		tb, err := DecodeTouchBatch(p)
+		tb, err := freshTouchBatch(p, nil)
 		if err != nil {
 			return nil, err
 		}
 		return must(AppendTouchBatchFrame(nil, tb.Seq, tb.Now, tb.Requests))
 	case FramePage:
-		seq, index, cp, err := DecodePageFrame(p)
+		seq, index, cp, err := decodePageFrame(p, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -184,12 +183,6 @@ func rebuildFrame(t *testing.T, ft FrameType, p []byte) ([]byte, error) {
 			return nil, err
 		}
 		return must(AppendResyncFrame(nil, seq, req))
-	case FrameResume:
-		seq, now, sub, err := DecodeResumeFrame(p)
-		if err != nil {
-			return nil, err
-		}
-		return must(AppendResumeFrame(nil, seq, now, sub))
 	}
 	return nil, nil
 }

@@ -69,8 +69,9 @@ func (t *internTable) get(b []byte) string {
 // safe. A Decoder is not safe for concurrent use: it belongs to one
 // stream connection's reader, or to one HTTP transport, which decodes
 // its responses under its own lock. The zero value is ready to use. Its
-// output is identical to the package-level ReadFrame, DecodeTouchBatch,
-// DecodePageFrame and DecodeAs.
+// output is identical to the package-level ReadFrame and DecodeAs, and
+// to a decode that interns nothing: a zero Decoder's first decode
+// copies every field, as the package-level decoders do.
 //
 // DecodePageFrame returns a fresh message, which stays valid for as
 // long as the caller keeps it. DecodeTouchBatchInto instead decodes
@@ -97,14 +98,14 @@ func (d *Decoder) ReadFrame(r io.Reader) (FrameType, []byte, error) {
 
 // DecodeTouchBatchInto decodes a touch-batch payload into tb, reusing
 // its request slice, the requests it holds and their MACs' storage;
-// the result equals DecodeTouchBatch's. Whatever tb held before is
-// overwritten, so nothing of it may still be in use. On error tb holds
-// a partial decode.
+// the result equals a decode into a fresh batch. Whatever tb held
+// before is overwritten, so nothing of it may still be in use. On error
+// tb holds a partial decode.
 func (d *Decoder) DecodeTouchBatchInto(payload []byte, tb *TouchBatch) error {
 	return decodeTouchBatch(payload, &d.intern, tb)
 }
 
-// DecodePageFrame is the package-level DecodePageFrame through this
+// DecodePageFrame parses a page-response frame payload through this
 // connection's intern table.
 func (d *Decoder) DecodePageFrame(payload []byte) (seq uint64, index int, cp *ContentPage, err error) {
 	return decodePageFrame(payload, &d.intern)

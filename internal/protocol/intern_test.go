@@ -11,8 +11,19 @@ import (
 	"trust/internal/frame"
 )
 
-// DecodeTouchBatch is the package-level DecodeTouchBatch through this
-// connection's intern table.
+// freshTouchBatch decodes a touch-batch payload into a new batch,
+// through intern when it is not nil: with nil, the stateless reference
+// the connection decoder is checked against.
+func freshTouchBatch(payload []byte, intern *internTable) (*TouchBatch, error) {
+	tb := new(TouchBatch)
+	if err := decodeTouchBatch(payload, intern, tb); err != nil {
+		return nil, err
+	}
+	return tb, nil
+}
+
+// DecodeTouchBatch decodes a touch-batch payload into a new batch
+// through this connection's intern table.
 func (d *Decoder) DecodeTouchBatch(payload []byte) (*TouchBatch, error) {
 	return freshTouchBatch(payload, &d.intern)
 }
@@ -175,7 +186,7 @@ func TestDecodeTouchBatchIntoLeavesNothingStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := f[frameHeaderLen:]
-		want, err := DecodeTouchBatch(payload)
+		want, err := freshTouchBatch(payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

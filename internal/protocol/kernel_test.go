@@ -155,6 +155,38 @@ func TestDecodeRejectsBadPageHeight(t *testing.T) {
 	}
 }
 
+// An element bound that is NaN or infinite is refused by the stateless
+// decoder and by a connection Decoder alike, on any corner, so no
+// decodable page carries one; finite bounds of any sign pass.
+func TestDecodeRejectsNonFiniteElementBounds(t *testing.T) {
+	page := func(corner int, v float64) []byte {
+		b := geom.RectWH(10, 20, 100, 40)
+		*[]*float64{&b.Min.X, &b.Min.Y, &b.Max.X, &b.Max.Y}[corner] = v
+		return encodePage(t, &frame.Page{URL: "u", HeightPX: 800, Elements: []frame.Element{{ID: "b", Kind: frame.Button, Bounds: b}}})
+	}
+	var d Decoder
+	for corner := 0; corner < 4; corner++ {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			data := page(corner, v)
+			if _, err := DecodeAs[ContentPage](data); !errors.Is(err, ErrBinaryDecode) {
+				t.Fatalf("corner %d = %v: DecodeAs err %v, want ErrBinaryDecode", corner, v, err)
+			}
+			if err := d.DecodeMessage(data, new(ContentPage)); !errors.Is(err, ErrBinaryDecode) {
+				t.Fatalf("corner %d = %v: DecodeMessage err %v, want ErrBinaryDecode", corner, v, err)
+			}
+		}
+		for _, v := range []float64{0, -5, 1e300} {
+			data := page(corner, v)
+			if _, err := DecodeAs[ContentPage](data); err != nil {
+				t.Fatalf("corner %d = %v: DecodeAs rejected a finite bound: %v", corner, v, err)
+			}
+			if err := d.DecodeMessage(data, new(ContentPage)); err != nil {
+				t.Fatalf("corner %d = %v: DecodeMessage rejected a finite bound: %v", corner, v, err)
+			}
+		}
+	}
+}
+
 // A short payload claiming many page elements fails before the element
 // slice is sized: the count is bounded by the bytes left.
 func TestDecodeElementCountBoundedByPayload(t *testing.T) {

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -20,7 +21,6 @@ import (
 // that moves a byte breaks every deployed peer, so any such change
 // must show up here first.
 func TestStreamWireGolden(t *testing.T) {
-	hash := frame.Hash{0x11, 0x22, 0x33}
 	cases := []struct {
 		ft    FrameType
 		build func(dst []byte) ([]byte, error)
@@ -45,9 +45,6 @@ func TestStreamWireGolden(t *testing.T) {
 			return AppendResyncFrame(dst, 11, &ResyncRequest{Domain: "www.xyz.com", Account: "acct", SessionID: "sess-1", MAC: []byte{5}})
 		}, 57, "a28cb99510832041cd4a9e3f09f820dd069af749996e73f078108035fbed0dc2"},
 		{FrameBye, func(dst []byte) ([]byte, error) { return AppendFrame(dst, FrameBye, nil) }, 5, "ceba8e226fc1ae3ed6e6fd58d778d4365556868b78faf5e5abbab0c04e0bd392"},
-		{FrameResume, func(dst []byte) ([]byte, error) {
-			return AppendResumeFrame(dst, 1, 5*time.Second, &ResumeSubmit{Domain: "www.xyz.com", Account: "acct", Ticket: []byte("ticket"), FrameHash: hash, RiskVerified: 2, RiskWindow: 12, MAC: []byte{6}})
-		}, 105, "67b96fecc3a1640a3832d24708a231adb030e3c3c6c6a50adba9a4b2df49e914"},
 	}
 	prefix := []byte("prefix")
 	seen := map[FrameType]bool{}
@@ -69,28 +66,34 @@ func TestStreamWireGolden(t *testing.T) {
 			t.Errorf("%s frame moved: %d bytes, sha256 %x\n%x", tc.ft, len(got), sum, got)
 		}
 	}
-	for ft := FrameHello; ft <= FrameResume; ft++ {
-		if !seen[ft] && ft != retiredFrame {
+	for ft := FrameHello; ft <= FrameBye; ft++ {
+		if !seen[ft] && !retiredFrames[ft] {
 			t.Errorf("no golden for %s frames", ft)
 		}
 	}
 }
 
-// The frame type and message tag of the retired server-to-device
-// policy push. Neither value may be reused: a peer that still sends
-// one must be refused, not misread.
-const (
-	retiredFrame FrameType = 6
-	retiredTag   byte      = 10
-)
+// The retired frame types — the server-to-device policy push (6) and
+// the resume opening (10) — and the policy push's message tag. None
+// may be reused: a peer that still sends one must be refused, not
+// misread.
+var retiredFrames = map[FrameType]bool{6: true, 10: true}
 
-// TestRetiredFrameAndTagRefused checks that the retired frame type and
-// message tag read as unknown: the frame type prints as a bare number
-// (TestFrameSeq checks it bears no sequence), and a message with the
-// tag is refused.
+const retiredTag byte = 10
+
+// TestRetiredFrameAndTagRefused checks that the retired frame types and
+// message tag read as unknown: each frame type prints as a bare number
+// and bears no sequence, so a refusal's ack echoes none, and a message
+// with the tag is refused.
 func TestRetiredFrameAndTagRefused(t *testing.T) {
-	if got := retiredFrame.String(); got != "frame(6)" {
-		t.Errorf("retired frame type reads as %q", got)
+	payload := binary.BigEndian.AppendUint64(nil, 0xCAFEBABE)
+	for ft := range retiredFrames {
+		if got, want := ft.String(), fmt.Sprintf("frame(%d)", byte(ft)); got != want {
+			t.Errorf("retired frame type reads as %q, want %q", got, want)
+		}
+		if ft.SeqBearing() || FrameSeq(ft, payload) != 0 {
+			t.Errorf("retired %s bears a sequence", ft)
+		}
 	}
 	// The retired push's old encoding: version, tag, then the fields
 	// of the push (domain, session id, window, min, seq, MAC).

@@ -111,14 +111,14 @@ func TestSessionBoundToItsAccount(t *testing.T) {
 					return req
 				}
 
-				accepted, audited := r.server.AcceptedRequests(), r.server.AuditLog().Len()
+				accepted, audited := r.server.accepted.Load(), len(r.server.audit.Entries())
 				if err := submit(1, build("victim")); !errors.Is(err, ErrUnknownSession) {
 					t.Fatalf("request naming another account: err %v, want ErrUnknownSession", err)
 				}
-				if got := r.server.AcceptedRequests(); got != accepted {
+				if got := r.server.accepted.Load(); got != accepted {
 					t.Fatalf("accepted went %d -> %d on a refused request", accepted, got)
 				}
-				if got := r.server.AuditLog().Len(); got != audited {
+				if got := len(r.server.audit.Entries()); got != audited {
 					t.Fatalf("refused request appended %d audit entries", got-audited)
 				}
 				if err := submit(2, build("holder")); err != nil {

@@ -77,11 +77,11 @@ func TestRegistrationRejectsAccountTheLogCannotHold(t *testing.T) {
 	r.register(t, "alice")
 	long := strings.Repeat("a", 1<<16)
 	sub := buildRegistration(t, r, long)
-	rejected := r.server.RejectedRequests()
+	rejected := r.server.rejected.Load()
 	if res := r.server.HandleRegistration(r.now, sub, ""); res.OK || !strings.Contains(res.Reason, ErrMalformed.Error()) {
 		t.Fatalf("%d-byte account id: %+v, want a malformed rejection", len(long), res)
 	}
-	if got := r.server.RejectedRequests() - rejected; got != 1 {
+	if got := r.server.rejected.Load() - rejected; got != 1 {
 		t.Fatalf("rejection counted %d times, want 1", got)
 	}
 	if r.server.degraded.Load() {

@@ -184,22 +184,10 @@ func (s *Server) HandleLogin(now time.Duration, sub *protocol.LoginSubmit) (*pro
 // continuous-auth page request costs, not what the Fig 10 cold path
 // (signature verify plus KEM decapsulation) costs. A fresh session
 // under a rekeyed session key is established and a replacement ticket
-// rides back on the response.
-func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
-	cp, err := s.handleResume(now, sub, func(*session) protocol.Nonce { return s.mintNonce() })
-	if err != nil {
-		return nil, s.reject(err)
-	}
-	return cp, nil
-}
-
-// handleResume is the resume core behind both fronts: HandleResume and
-// the stream endpoint's resume opening frame. firstNonce supplies the
-// resumed session's first nonce, and with it the only difference
-// between the fronts: HTTP mints one from the entropy stream, the
-// stream binds the connection's nonce chain to the new session and
-// answers with its head. Entropy is drawn in one order on both: the
-// session id, then the nonce (or chain seed), then the ticket.
+// rides back on the response. Direct calls and the HTTP front both come
+// here; a stream binds to the resumed session with a hello afterwards.
+// Entropy is drawn in one order: the session id, then the nonce, then
+// the ticket.
 //
 // Check order matters:
 //
@@ -209,44 +197,44 @@ func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*p
 //     before the session is created, so of two concurrent
 //     presentations of one ticket exactly the consume winner proceeds
 //     (the nonce store serializes consume under its shard mutex).
-func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, firstNonce func(*session) protocol.Nonce) (*protocol.ContentPage, error) {
+func (s *Server) HandleResume(now time.Duration, sub *protocol.ResumeSubmit) (*protocol.ContentPage, error) {
 	if sub == nil || sub.Domain != s.domain || len(sub.Ticket) == 0 {
-		return nil, fmt.Errorf("%w: resume", ErrMalformed)
+		return nil, s.reject(fmt.Errorf("%w: resume", ErrMalformed))
 	}
 	if s.accounts.failures(sub.Account) >= s.MaxLoginFailures {
-		return nil, ErrRateLimited
+		return nil, s.reject(ErrRateLimited)
 	}
 	st, err := s.openTicket(now, sub.Ticket)
 	if err != nil {
 		// Expired epochs land here: the device's normal fallback to a
 		// full login, not an attack — no failure charged.
-		return nil, err
+		return nil, s.reject(err)
 	}
 	if st.account != sub.Account {
-		return nil, ErrBadTicket
+		return nil, s.reject(ErrBadTicket)
 	}
 	acct, ok := s.accounts.get(sub.Account)
 	if !ok {
-		return nil, ErrUnknownAccount
+		return nil, s.reject(ErrUnknownAccount)
 	}
 	if acct.Gen != st.gen {
 		// Ticket from before a ResetIdentity + re-register: the old
 		// binding's tickets die with it.
-		return nil, ErrBadTicket
+		return nil, s.reject(ErrBadTicket)
 	}
 	ticketMAC := pki.NewMACer(st.key)
 	if !protocol.VerifyMAC(ticketMAC, sub, sub.MAC) {
 		s.accounts.addFailure(sub.Account)
-		return nil, ErrBadMAC
+		return nil, s.reject(ErrBadMAC)
 	}
 	if !s.riskPolicy().ok(sub.RiskVerified, sub.RiskWindow) {
-		return nil, fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow)
+		return nil, s.reject(fmt.Errorf("%w: %d of %d verified", ErrRiskPolicy, sub.RiskVerified, sub.RiskWindow))
 	}
 	nonceAge, ok := s.nonces.consumeAge(st.nonce, now)
 	if !ok {
 		// Replayed (or evicted past the nonce TTL — same answer):
 		// single use is spent.
-		return nil, ErrBadTicket
+		return nil, s.reject(ErrBadTicket)
 	}
 	s.tel.resumeLogins.Add(1)
 	s.tel.resume.Observe(nonceAge)
@@ -257,7 +245,7 @@ func (s *Server) handleResume(now time.Duration, sub *protocol.ResumeSubmit, fir
 	// in transit never equals a live session key, and two resumes from
 	// the same ticket epoch never share one.
 	sess.key = protocol.ResumeKeyFrom(ticketMAC, sess.id)
-	cp := s.contentPage(new(protocol.ContentPage), sess, s.PageForAction("login"), firstNonce(sess), s.issueTicket(now, acct, sess.key))
+	cp := s.contentPage(new(protocol.ContentPage), sess, s.PageForAction("login"), s.mintNonce(), s.issueTicket(now, acct, sess.key))
 	s.sessions.put(sess)
 	s.accounts.clearFailures(acct.ID)
 	// The resume's frame hash attests the login page the user touched,

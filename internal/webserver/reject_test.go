@@ -3,6 +3,8 @@ package webserver
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -26,7 +28,6 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 		payload []byte
 	}{
 		{"undecodable hello", protocol.FrameHello, []byte{1, 2, 3}},
-		{"undecodable resume", protocol.FrameResume, garbage},
 		{"opening heartbeat", protocol.FrameHeartbeat, garbage},
 	}
 	for _, tc := range opening {
@@ -35,12 +36,12 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 			defer c1.Close()
 			exit := make(chan error, 1)
 			go func() { exit <- r.server.ServeStream(c2) }()
-			before := r.server.RejectedRequests()
+			before := r.server.rejected.Load()
 			if err := protocol.WriteFrame(c1, tc.ft, tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			expectAck(t, c1, "malformed")
-			if got := r.server.RejectedRequests() - before; got != 1 {
+			if got := r.server.rejected.Load() - before; got != 1 {
 				t.Fatalf("rejections counted %d, want 1", got)
 			}
 			if err := <-exit; err == nil {
@@ -68,18 +69,88 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 			sess, _ := r.login(t, "acct")
 			conn, _, exit := openStream(t, r, sess)
 			defer conn.Close()
-			before := r.server.RejectedRequests()
+			before := r.server.rejected.Load()
 			if err := tc.send(conn); err != nil {
 				t.Fatal(err)
 			}
 			expectAck(t, conn, "malformed")
-			if got := r.server.RejectedRequests() - before; got != 1 {
+			if got := r.server.rejected.Load() - before; got != 1 {
 				t.Fatalf("rejections counted %d, want 1", got)
 			}
 			if err := <-exit; err == nil {
 				t.Fatal("stream survived a malformed frame")
 			}
 		})
+	}
+}
+
+// TestServeStreamResumeOpeningRefused pins the retired resume opening
+// (frame type 10) from the server's side. A stale client opens a stream
+// with one, carrying the owner's genuine ticket resume in the retired
+// layout. The stream answers with one malformed ack, counts one
+// rejection, creates no session and closes. The ticket is not spent, so
+// its owner still resumes with it over HTTP.
+func TestServeStreamResumeOpeningRefused(t *testing.T) {
+	r, ts := httpRig(t)
+	r.register(t, "acct")
+	sess, cp := r.login(t, "acct")
+	sub, resumed := r.buildResume(t, "acct", cp.Ticket, sess.Key)
+	body, err := protocol.EncodeBinary(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The retired opening's payload: the frame sequence, the virtual
+	// time, then the resume submission behind its 4-byte length.
+	payload := binary.BigEndian.AppendUint64(nil, 1)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(r.now))
+	payload = binary.BigEndian.AppendUint32(payload, uint32(len(body)))
+	payload = append(payload, body...)
+
+	sessions, rejected := r.server.SessionCount(), r.server.rejected.Load()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	exit := make(chan error, 1)
+	go func() { exit <- r.server.ServeStream(c2) }()
+	if err := protocol.WriteFrame(c1, protocol.FrameType(10), payload); err != nil {
+		t.Fatal(err)
+	}
+	if seq := expectAck(t, c1, "malformed"); seq != 0 {
+		t.Fatalf("the refusal echoes sequence %d, want 0", seq)
+	}
+	if err := <-exit; !errors.Is(err, ErrMalformed) {
+		t.Fatalf("stream exit %v, want ErrMalformed", err)
+	}
+	if ft, _, err := protocol.ReadFrame(c1); err == nil {
+		t.Fatalf("the server sent a %s frame after the ack", ft)
+	}
+	if got := r.server.rejected.Load() - rejected; got != 1 {
+		t.Fatalf("rejections counted %d, want 1", got)
+	}
+	if got := r.server.SessionCount(); got != sessions {
+		t.Fatalf("%d sessions after the refused opening, want %d", got, sessions)
+	}
+
+	req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/trust/resume?now=%d", ts.URL, int64(r.now)), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", BinaryMIME)
+	req.Header.Set("Accept", BinaryMIME)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner's resume over HTTP: %s %q (%v)", resp.Status, resp.Header.Get(ErrorHeader), err)
+	}
+	page, err := protocol.DecodeAs[protocol.ContentPage](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.client.AcceptResumePage(resumed, page); err != nil {
+		t.Fatalf("resume page rejected by client: %v", err)
 	}
 }
 
@@ -103,7 +174,7 @@ func TestHTTPMalformedBodyTypedAndCounted(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := r.server.RejectedRequests()
+			before := r.server.rejected.Load()
 			resp, err := ts.Client().Post(ts.URL+"/trust/page?now=1", tc.ctype, bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +183,7 @@ func TestHTTPMalformedBodyTypedAndCounted(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(ErrorHeader) != "malformed" {
 				t.Fatalf("status %s, %s %q; want 400 with a malformed code", resp.Status, ErrorHeader, resp.Header.Get(ErrorHeader))
 			}
-			if got := r.server.RejectedRequests() - before; got != 1 {
+			if got := r.server.rejected.Load() - before; got != 1 {
 				t.Fatalf("rejections counted %d, want 1", got)
 			}
 		})

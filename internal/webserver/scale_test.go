@@ -70,7 +70,7 @@ func TestPageRequestNeedsVerifiedTouch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		accepted := r.server.AcceptedRequests()
+		accepted := r.server.accepted.Load()
 		// A bot forging the risk field breaks the MAC.
 		forged := *req
 		forged.RiskVerified = 12
@@ -85,7 +85,7 @@ func TestPageRequestNeedsVerifiedTouch(t *testing.T) {
 		if _, err := r.server.HandlePageRequest(r.now, &zero); !errors.Is(err, ErrRiskPolicy) {
 			t.Fatalf("policy %+v: verification-free request: %v, want ErrRiskPolicy", policy, err)
 		}
-		if got := r.server.AcceptedRequests(); got != accepted {
+		if got := r.server.accepted.Load(); got != accepted {
 			t.Fatalf("policy %+v: accepted went %d -> %d on refused requests", policy, accepted, got)
 		}
 	}

@@ -258,20 +258,11 @@ func (s *Server) Pages() map[string]*frame.Page {
 	return out
 }
 
-// AuditLog returns the accumulated frame-hash log.
-func (s *Server) AuditLog() *frame.AuditLog { return &s.audit }
-
 // RunAudit verifies every logged frame hash against the finite view
 // sets of the served pages (the paper's offline audit).
 func (s *Server) RunAudit() frame.AuditReport {
 	return frame.Audit(&s.audit, s.Pages(), s.screenPX)
 }
-
-// AcceptedRequests reports how many requests the handlers accepted.
-func (s *Server) AcceptedRequests() int { return int(s.accepted.Load()) }
-
-// RejectedRequests reports how many requests the handlers rejected.
-func (s *Server) RejectedRequests() int { return int(s.rejected.Load()) }
 
 // reject counts one rejected request and returns err, the reason the
 // caller reports. Every handler rejection goes through it.

@@ -103,8 +103,8 @@ func TestRegistrationFlow(t *testing.T) {
 	if string(acct.PublicKey) != string(rec.Keys.Public) {
 		t.Fatal("server-stored key differs from module record")
 	}
-	if r.server.AuditLog().Len() != 1 {
-		t.Fatalf("audit log has %d entries after registration", r.server.AuditLog().Len())
+	if len(r.server.audit.Entries()) != 1 {
+		t.Fatalf("audit log has %d entries after registration", len(r.server.audit.Entries()))
 	}
 }
 
@@ -197,7 +197,7 @@ func TestLoginAndContinuousRequests(t *testing.T) {
 		t.Fatal("session died during honest browsing")
 	}
 	// Registration + login + 3 requests = 5 audit entries.
-	if n := r.server.AuditLog().Len(); n != 5 {
+	if n := len(r.server.audit.Entries()); n != 5 {
 		t.Fatalf("audit log has %d entries, want 5", n)
 	}
 }

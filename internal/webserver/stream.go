@@ -36,8 +36,8 @@ import (
 // nonce and ticket epoch at once, which no legitimate virtual clock
 // does — the connection dies with a typed malformed ack instead. The
 // bound applies only once the connection has observed a timestamp:
-// the first time signal on a fresh hello-bound stream is accepted
-// as-is, whatever the device's clock says.
+// the first time signal on a fresh stream is accepted as-is, whatever
+// the device's clock says.
 const MaxHeartbeatSkew = 24 * time.Hour
 
 // streamConn is one live device stream, owned by its read loop: the
@@ -69,8 +69,8 @@ func (sc *streamConn) nextNonce() protocol.Nonce {
 
 // bind ties the connection to sess and draws its nonce-chain seed — the
 // only entropy draw a stream ever makes. It returns the chain head, the
-// nonce the session holds once the welcome is out. The caller owns
-// sess: it is fresh and unpublished, or its mutex is held.
+// nonce the session holds once the welcome is out. The caller holds
+// sess's mutex.
 func (sc *streamConn) bind(sess *session) protocol.Nonce {
 	sc.sess = sess
 	sc.seed = make([]byte, 16)
@@ -277,46 +277,25 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 }
 
 // open binds a fresh connection from its opening frame and returns the
-// frames that answer it. The opening must be a hello proving an
-// established session's key, or a resume presenting a ticket — which
-// creates the session right here, saving the resumed login an HTTP
-// round trip. Anything else, and any opening the server refuses, is
-// rejected with an ack before the connection counts as live.
+// welcome that answers it. The opening must be a hello proving an
+// established session's key: a stream never creates a session. Any
+// other frame, and any hello the server refuses, is rejected with an
+// ack before the connection counts as live.
 func (sc *streamConn) open(ft protocol.FrameType, payload []byte) ([]byte, error) {
-	switch ft {
-	case protocol.FrameHello:
-		hello, err := protocol.DecodeAs[protocol.StreamHello](payload)
-		if err != nil {
-			return nil, sc.malformed(ft, payload, err)
-		}
-		if err := sc.s.acceptStreamHello(sc, hello); err != nil {
-			_ = sc.reject(nil, 0, err)
-			return nil, err
-		}
-		return sc.appendWelcome(nil)
-	case protocol.FrameResume:
-		seq, now, sub, err := protocol.DecodeResumeFrame(payload)
-		if err != nil {
-			return nil, sc.malformed(ft, payload, err)
-		}
-		cp, err := sc.s.handleResume(now, sub, sc.bind)
-		if err != nil {
-			_ = sc.reject(nil, seq, err)
-			return nil, err
-		}
-		sc.lastNow = now
-		opening, err := sc.appendWelcome(nil)
-		if err != nil {
-			return nil, err
-		}
-		// The resumed session's first content page (nonce chain head,
-		// fresh ticket) rides directly behind the welcome, echoing the
-		// resume frame's sequence number.
-		return protocol.AppendPageFrame(opening, seq, 0, cp)
+	if ft != protocol.FrameHello {
+		err := fmt.Errorf("%w: stream opened with %s frame", ErrMalformed, ft)
+		_ = sc.reject(nil, 0, err)
+		return nil, err
 	}
-	err := fmt.Errorf("%w: stream opened with %s frame", ErrMalformed, ft)
-	_ = sc.reject(nil, 0, err)
-	return nil, err
+	hello, err := protocol.DecodeAs[protocol.StreamHello](payload)
+	if err != nil {
+		return nil, sc.malformed(ft, payload, err)
+	}
+	if err := sc.s.acceptStreamHello(sc, hello); err != nil {
+		_ = sc.reject(nil, 0, err)
+		return nil, err
+	}
+	return sc.appendWelcome(nil)
 }
 
 // appendWelcome appends the MAC'd welcome: the connection's nonce seed

@@ -121,7 +121,7 @@ func TestServeStreamBatchHappyPath(t *testing.T) {
 		if ft != protocol.FramePage {
 			t.Fatalf("response %d is %s", i, ft)
 		}
-		seq, index, cp, err := protocol.DecodePageFrame(pp)
+		seq, index, cp, err := new(protocol.Decoder).DecodePageFrame(pp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestServeStreamDuplicateBatchIdempotent(t *testing.T) {
 	if err != nil || ft != protocol.FramePage {
 		t.Fatalf("first delivery: %s %v", ft, err)
 	}
-	_, _, cp, err := protocol.DecodePageFrame(pp)
+	_, _, cp, err := new(protocol.Decoder).DecodePageFrame(pp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 			sess, _ := r.login(t, "acct")
 			conn, _, exit := openStream(t, r, sess)
 			defer conn.Close()
-			rejected := r.server.RejectedRequests()
+			rejected := r.server.rejected.Load()
 			// A valid sequence prefix followed by garbage the decoder
 			// must reject (a bare seq is itself undecodable for the
 			// three known types: each payload carries required fields
@@ -542,7 +542,7 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 			if err := <-exit; !errors.Is(err, ErrMalformed) {
 				t.Fatalf("read loop ended with %v, want ErrMalformed", err)
 			}
-			if got := r.server.RejectedRequests() - rejected; got != 1 {
+			if got := r.server.rejected.Load() - rejected; got != 1 {
 				t.Fatalf("%d rejections counted, want 1", got)
 			}
 		})
