@@ -12,7 +12,7 @@
 //	benchtab -server-json -      # measure server throughput, write BENCH_server.json
 //	benchtab -ftdc chaos.ftdc    # chaos sweep with telemetry capture, write the FTDC file
 //	benchtab -ftdc-print chaos.ftdc        # per-metric first/last/min/max table
-//	benchtab -ftdc-diff before.ftdc,after.ftdc   # per-metric final-value deltas
+//	benchtab -ftdc-diff before.ftdc,after.ftdc   # per-metric final-value deltas + differing samples
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		serverJSON = flag.String("server-json", "", "measure server load scenarios (ops/sec, p50/p99) and write the report to the given file ('' = off; '-' = BENCH_server.json)")
 		ftdcOut    = flag.String("ftdc", "", "run the chaos sweep with telemetry capture and write the FTDC bytes to the given file")
 		ftdcPrint  = flag.String("ftdc-print", "", "pretty-print an FTDC capture file (per-metric first/last/min/max)")
-		ftdcDiff   = flag.String("ftdc-diff", "", "diff two FTDC capture files by final value: comma-separated pair a.ftdc,b.ftdc")
+		ftdcDiff   = flag.String("ftdc-diff", "", "diff two FTDC capture files by final value and, when their timestamps match, by differing samples: comma-separated pair a.ftdc,b.ftdc")
 	)
 	flag.Parse()
 

@@ -88,16 +88,15 @@ var externalLockEffects = map[string][]string{
 // are recognized structurally in isBlockingCall; this table carries the
 // concrete helpers.
 var externalBlocking = map[string]string{
-	"trust/internal/protocol.WriteFrame": "frame write",
-	"trust/internal/protocol.ReadFrame":  "frame read",
-	"io.Copy":                            "io.Copy",
-	"io.ReadFull":                        "io.ReadFull",
-	"io.ReadAll":                         "io.ReadAll",
-	"(*net/http.Client).Do":              "HTTP round trip",
-	"(*net/http.Client).Get":             "HTTP round trip",
-	"(*net/http.Client).Post":            "HTTP round trip",
-	"(*net/http.Client).PostForm":        "HTTP round trip",
-	"(*net/http.Transport).RoundTrip":    "HTTP round trip",
+	"trust/internal/protocol.ReadFrame": "frame read",
+	"io.Copy":                           "io.Copy",
+	"io.ReadFull":                       "io.ReadFull",
+	"io.ReadAll":                        "io.ReadAll",
+	"(*net/http.Client).Do":             "HTTP round trip",
+	"(*net/http.Client).Get":            "HTTP round trip",
+	"(*net/http.Client).Post":           "HTTP round trip",
+	"(*net/http.Client).PostForm":       "HTTP round trip",
+	"(*net/http.Transport).RoundTrip":   "HTTP round trip",
 	// Disk I/O blocks like a peer does: a synced WAL append under a
 	// shard lock would serialize every enrollment on one fsync. The
 	// durable enroll path appends OUTSIDE the shard lock (two-phase

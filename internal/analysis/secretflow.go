@@ -63,12 +63,10 @@ var secretSinks = map[string]bool{
 
 // launderFuncs are the approved one-way transforms: an identifier
 // inside one of these calls is published as a digest, not as the
-// secret. The keyed-MAC helpers qualify because their tags are wire
-// data by design.
+// secret.
 var launderFuncs = map[string]bool{
 	"crypto/sha256.Sum224": true, "crypto/sha256.Sum256": true,
 	"crypto/sha512.Sum384": true, "crypto/sha512.Sum512": true,
-	"trust/internal/pki.MAC": true,
 }
 
 // sinkParamPrefix keys the propagated fact "parameter i reaches a

@@ -20,9 +20,9 @@ var ErrNetwork = errors.New("device: network fault")
 // nothing (the wrappers are transparent). Rates are probabilities in
 // [0, 1]. One profile serves both injection points, each reading its
 // own layer's settings: FaultyTransport the message-level ones (drop,
-// duplicate, corrupt), FaultyDialer the frame-level ones (cut, tear,
-// heartbeat warp) — the failure modes a long-lived stream adds on top
-// of per-message loss.
+// duplicate, corrupt), FaultyDialer the frame-level ones (cut, tear)
+// — the failure modes a long-lived stream adds on top of per-message
+// loss.
 type FaultProfile struct {
 	// DropRate is the per-direction loss probability: each request and
 	// each response is independently lost with this probability. A lost
@@ -47,15 +47,6 @@ type FaultProfile struct {
 	// separate writes (no loss — exercises reassembly across partial
 	// arrivals).
 	TearRate float64
-	// HeartbeatWarp, when nonzero, rewrites every outgoing heartbeat's
-	// timestamp to (sent time - HeartbeatWarp), clamped at zero — a
-	// device whose clock stepped backwards mid-session, or a
-	// time-rewinding man in the middle. The server's monotonicity
-	// contract (webserver.MaxHeartbeatSkew and the lastNow clamp) is
-	// what keeps this from dragging session time backwards; the device
-	// detects the tampering when the verbatim echo disagrees with what
-	// it believes it sent.
-	HeartbeatWarp time.Duration
 }
 
 // FaultStats counts what a fault injector did: the message-level
@@ -70,7 +61,6 @@ type FaultStats struct {
 	Conns            int
 	Cuts             int
 	Tears            int
-	Warps            int
 }
 
 // FaultyTransport wraps any Transport with deterministic, seeded fault

@@ -1,21 +1,18 @@
 package device
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"time"
 
-	"trust/internal/protocol"
 	"trust/internal/sim"
 )
 
 // FaultyDialer wraps a stream dial function so every connection it
-// hands out injects seeded frame-level faults (FaultProfile's CutRate,
-// TearRate and HeartbeatWarp). All draws come from a sim.RNG at write
-// time, and the stream transport serializes writes, so the same seed
-// and call sequence produce a byte-identical fault schedule — chaos
-// runs are exactly reproducible.
+// hands out injects seeded frame-level faults (FaultProfile's CutRate
+// and TearRate). All draws come from a sim.RNG at write time, and the
+// stream transport serializes writes, so the same seed and call
+// sequence produce a byte-identical fault schedule — chaos runs are
+// exactly reproducible.
 //
 // The first write of each connection — its hello, the only opening
 // frame — is never faulted: the profile models an established link degrading, and
@@ -57,36 +54,11 @@ type faultyStreamConn struct {
 
 func (c *faultyStreamConn) Read(p []byte) (int, error) { return c.rwc.Read(p) }
 
-// warpHeartbeat returns a copy of p with the heartbeat timestamp moved
-// back by w (floored at zero) when p is exactly one heartbeat frame,
-// and ok false otherwise. The stream transport writes heartbeats as
-// single whole frames, so that is the only shape they take on the wire.
-// The frame is parsed and rebuilt with the protocol's own codec, so a
-// change to the frame layout cannot silently turn the warp off.
-func warpHeartbeat(p []byte, w time.Duration) (q []byte, ok bool) {
-	r := bytes.NewReader(p)
-	t, payload, err := protocol.ReadFrame(r)
-	if err != nil || t != protocol.FrameHeartbeat || r.Len() != 0 {
-		return nil, false
-	}
-	seq, now, err := protocol.DecodeHeartbeat(payload)
-	if err != nil {
-		return nil, false
-	}
-	return protocol.AppendHeartbeatFrame(nil, seq, max(now-w, 0)), true
-}
-
 func (c *faultyStreamConn) Close() error { return c.rwc.Close() }
 
 func (c *faultyStreamConn) Write(p []byte) (int, error) {
 	c.writes++
 	if c.writes > 1 && len(p) > 0 {
-		if w := c.d.Profile.HeartbeatWarp; w > 0 {
-			if q, ok := warpHeartbeat(p, w); ok {
-				c.d.Stats.Warps++
-				p = q
-			}
-		}
 		if r := c.d.Profile.CutRate; r > 0 && c.d.rng.Bool(r) {
 			c.d.Stats.Cuts++
 			k := c.d.rng.Intn(len(p)) // 0..len-1: never the whole frame

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -459,44 +458,5 @@ func TestInterceptorCapturesSurviveMutation(t *testing.T) {
 	last := ic.CapturedRequests[len(ic.CapturedRequests)-1]
 	if last.MAC[0] != reqOrig {
 		t.Fatal("captured page request aliased the tampered message")
-	}
-}
-
-// TestWarpHeartbeatUsesFrameCodec checks the warp against frames built
-// by the protocol's own builders: a lone heartbeat is rewritten (its
-// sequence kept, its timestamp moved back and floored at zero), while a
-// heartbeat batched with another frame, a torn heartbeat and any other
-// frame type pass untouched.
-func TestWarpHeartbeatUsesFrameCodec(t *testing.T) {
-	hb := protocol.AppendHeartbeatFrame(nil, 7, 90*time.Second)
-	q, ok := warpHeartbeat(hb, 30*time.Second)
-	if !ok {
-		t.Fatal("lone heartbeat frame not warped")
-	}
-	_, payload, err := protocol.ReadFrame(bytes.NewReader(q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq, now, err := protocol.DecodeHeartbeat(payload); err != nil || seq != 7 || now != 60*time.Second {
-		t.Fatalf("warped heartbeat: seq %d now %v err %v, want 7 1m0s", seq, now, err)
-	}
-	if !bytes.Equal(hb, protocol.AppendHeartbeatFrame(nil, 7, 90*time.Second)) {
-		t.Fatal("warp wrote to the caller's frame")
-	}
-	if q, _ := warpHeartbeat(hb, time.Hour); !bytes.Equal(q, protocol.AppendHeartbeatFrame(nil, 7, 0)) {
-		t.Fatal("warp past zero not floored at zero")
-	}
-	ack, err := protocol.AppendAckFrame(nil, 7, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string][]byte{
-		"batched": protocol.AppendHeartbeatFrame(hb, 8, time.Second),
-		"torn":    hb[:len(hb)-1],
-		"ack":     ack,
-	} {
-		if _, ok := warpHeartbeat(p, time.Second); ok {
-			t.Errorf("%s write warped", name)
-		}
 	}
 }

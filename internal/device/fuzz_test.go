@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"reflect"
 	"testing"
-	"time"
 
 	"trust/internal/frame"
 	"trust/internal/protocol"
@@ -31,23 +30,17 @@ func (c *answerConn) Close() error {
 	return nil
 }
 
-// The fuzzed exchange's frame sequence number, and its heartbeat's
-// stamp when it is a ping.
-const (
-	fuzzSeq = 5
-	fuzzHB  = 3 * time.Second
-)
+// fuzzSeq is the fuzzed exchange's frame sequence number.
+const fuzzSeq = 5
 
 // FuzzStreamExchange answers one device exchange with arbitrary server
-// bytes: a heartbeat stamped fuzzHB when want%4 is 0, else a touch
-// batch of want%4 requests, sent as frame fuzzSeq. The exchange reads
-// the answer on the test goroutine, so a malformed answer can only end
-// it, never hang it. Oracles, against a stateless parse of the same
-// bytes:
+// bytes: a touch batch of max(want%4, 1) requests, sent as frame
+// fuzzSeq. The exchange reads the answer on the test goroutine, so a
+// malformed answer can only end it, never hang it. Oracles, against a
+// stateless parse of the same bytes:
 //   - success returns exactly the batch's pages, each decoded from the
 //     answer's leading page frames in order and echoing fuzzSeq and its
-//     own index, or follows a verbatim echo of the heartbeat; the
-//     connection stays live;
+//     own index; the connection stays live;
 //   - a typed rejection follows those leading pages with an ack for
 //     fuzzSeq, and leaves the connection live unless the ack is
 //     malformed, which leaves it dead and closed;
@@ -56,20 +49,14 @@ const (
 func FuzzStreamExchange(f *testing.F) {
 	req := fakeRequest(fakeSession())
 	f.Fuzz(func(t *testing.T, want uint8, answer []byte) {
-		n := int(want % 4)
+		n := max(int(want%4), 1)
 		rwc := &answerConn{Reader: bytes.NewReader(answer)}
 		c := &streamClientConn{rwc: rwc, br: bufio.NewReader(rwc), nextSeq: fuzzSeq - 1}
-		var pages []*protocol.ContentPage
-		var err error
-		if n == 0 {
-			err = c.ping(fuzzHB)
-		} else {
-			reqs := make([]*protocol.PageRequest, n)
-			for i := range reqs {
-				reqs[i] = req
-			}
-			pages, err = c.submitBatch(nil, 0, reqs)
+		reqs := make([]*protocol.PageRequest, n)
+		for i := range reqs {
+			reqs[i] = req
 		}
+		pages, err := c.submitBatch(nil, 0, reqs)
 
 		// The answer's frames before the first that is not a page echoing
 		// fuzzSeq and its index, and that frame (ok false when it does not
@@ -102,16 +89,6 @@ func FuzzStreamExchange(f *testing.F) {
 			if !c.alive() || rwc.closed {
 				t.Fatal("a successful exchange killed the connection")
 			}
-			if n == 0 {
-				if len(ref) != 0 || !ok || ft != protocol.FrameHeartbeat {
-					t.Fatalf("ping succeeded without a leading heartbeat echo (%d pages, %s)", len(ref), ft)
-				}
-				seq, now, derr := protocol.DecodeHeartbeat(payload)
-				if derr != nil || seq != fuzzSeq || now != fuzzHB {
-					t.Fatalf("ping accepted echo %d/%v (%v), want %d/%v", seq, now, derr, fuzzSeq, fuzzHB)
-				}
-				return
-			}
 			if len(pages) != n || len(ref) != n {
 				t.Fatalf("batch of %d returned %d pages; the answer leads with %d matching page frames", n, len(pages), len(ref))
 			}
@@ -132,7 +109,7 @@ func FuzzStreamExchange(f *testing.F) {
 			if malformed := errors.Is(err, webserver.ErrMalformed); c.alive() == malformed || rwc.closed != malformed {
 				t.Fatalf("typed rejection %v: connection alive %v, closed %v", err, c.alive(), rwc.closed)
 			}
-			if len(ref) >= max(n, 1) || !ok || ft != protocol.FrameAck {
+			if len(ref) >= n || !ok || ft != protocol.FrameAck {
 				t.Fatalf("typed rejection %v without an ack after %d leading pages", err, len(ref))
 			}
 			if seq, _, _, derr := protocol.DecodeAck(payload); derr != nil || seq != fuzzSeq {

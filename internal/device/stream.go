@@ -284,23 +284,9 @@ func (t *Stream) SubmitResync(now time.Duration, req *protocol.ResyncRequest) (*
 	return conn.submitResync(req)
 }
 
-// Ping sends a heartbeat and waits for the server's echo, verifying it
-// round-tripped verbatim. Heartbeat cadence belongs to the caller,
-// which stamps each heartbeat with the virtual instant now it is
-// passed; the server checks that instant against MaxHeartbeatSkew.
-//
-//trustlint:allow deadexport -- the device-side heartbeat through which the server's MaxHeartbeatSkew defence is tested end to end
-func (t *Stream) Ping(now time.Duration) error {
-	conn, err := t.live()
-	if err != nil {
-		return err
-	}
-	return conn.ping(now)
-}
-
-// Close tears the live stream down (FrameBye, then close). It writes
-// the bye only when no exchange holds the connection and never waits
-// for one: an exchange blocked in a read fails with ErrNetwork once the
+// Close tears the live stream down by closing its connection; the
+// server reads the close as clean teardown. It never waits for an
+// exchange: one blocked in a read fails with ErrNetwork once the
 // connection closes. The transport stays usable: the next submit
 // redials.
 func (t *Stream) Close() error {
@@ -308,14 +294,9 @@ func (t *Stream) Close() error {
 	conn := t.conn
 	t.conn = nil
 	t.mu.Unlock()
-	if conn == nil {
-		return nil
+	if conn != nil {
+		conn.kill(errors.New("device: stream closed"))
 	}
-	if conn.xmu.TryLock() {
-		_ = protocol.WriteFrame(conn.rwc, protocol.FrameBye, nil)
-		conn.xmu.Unlock()
-	}
-	conn.kill(errors.New("device: stream closed"))
 	return nil
 }
 
@@ -365,16 +346,14 @@ func (c *streamClientConn) kill(cause error) error {
 	return fmt.Errorf("%w: stream failed: %v", ErrNetwork, cause)
 }
 
-// exchange sends one frame and reads its answer on the calling
+// exchange sends one request frame and reads its answer on the calling
 // goroutine. build appends the whole frame, header included, to the
-// connection's write scratch under the frame's sequence number. A
-// request frame (want > 0) is answered by want page frames echoing its
-// sequence in index order, which are appended to pages; a heartbeat
-// (want == 0) by the verbatim echo of its sequence and stamp hb. An ack
-// echoing the frame's sequence ends either answer early and returns
-// the typed rejection it carries. Any other frame, and any read, write
-// or decode error, kills the connection.
-func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protocol.ContentPage, build func(dst []byte, seq uint64) ([]byte, error)) ([]*protocol.ContentPage, error) {
+// connection's write scratch under the frame's sequence number. The
+// answer is want page frames echoing that sequence in index order,
+// which are appended to pages; an ack echoing the sequence ends it
+// early and returns the typed rejection it carries. Any other frame,
+// and any read, write or decode error, kills the connection.
+func (c *streamClientConn) exchange(want int, pages []*protocol.ContentPage, build func(dst []byte, seq uint64) ([]byte, error)) ([]*protocol.ContentPage, error) {
 	c.xmu.Lock()
 	defer c.xmu.Unlock()
 	c.nextSeq++
@@ -395,8 +374,8 @@ func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protoco
 		if err != nil {
 			return nil, c.kill(fmt.Errorf("stream read: %w", err))
 		}
-		switch {
-		case ft == protocol.FramePage && want > 0:
+		switch ft {
+		case protocol.FramePage:
 			pseq, index, cp, err := c.dec.DecodePageFrame(payload)
 			if err != nil {
 				return nil, c.kill(err)
@@ -409,16 +388,7 @@ func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protoco
 			if len(pages) == want {
 				return pages, nil
 			}
-		case ft == protocol.FrameHeartbeat && want == 0:
-			eseq, now, err := protocol.DecodeHeartbeat(payload)
-			if err != nil {
-				return nil, c.kill(err)
-			}
-			if eseq != seq || now != hb {
-				return nil, c.kill(fmt.Errorf("device: heartbeat echo %d/%v does not match %d/%v", eseq, now, seq, hb))
-			}
-			return nil, nil
-		case ft == protocol.FrameAck:
+		case protocol.FrameAck:
 			aseq, code, detail, err := protocol.DecodeAck(payload)
 			if err != nil {
 				return nil, c.kill(err)
@@ -443,7 +413,7 @@ func (c *streamClientConn) exchange(want int, hb time.Duration, pages []*protoco
 // submitBatch sends reqs as one touch-batch frame and appends their
 // pages to pages, or returns the error ack that ended the batch.
 func (c *streamClientConn) submitBatch(pages []*protocol.ContentPage, now time.Duration, reqs []*protocol.PageRequest) ([]*protocol.ContentPage, error) {
-	return c.exchange(len(reqs), 0, pages, func(dst []byte, seq uint64) ([]byte, error) {
+	return c.exchange(len(reqs), pages, func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendTouchBatchFrame(dst, seq, now, reqs)
 	})
 }
@@ -451,19 +421,11 @@ func (c *streamClientConn) submitBatch(pages []*protocol.ContentPage, now time.D
 // submitResync sends a resync frame and returns the recovered page.
 func (c *streamClientConn) submitResync(req *protocol.ResyncRequest) (*protocol.ContentPage, error) {
 	var one [1]*protocol.ContentPage
-	pages, err := c.exchange(1, 0, one[:0], func(dst []byte, seq uint64) ([]byte, error) {
+	pages, err := c.exchange(1, one[:0], func(dst []byte, seq uint64) ([]byte, error) {
 		return protocol.AppendResyncFrame(dst, seq, req)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return pages[0], nil
-}
-
-// ping sends a heartbeat stamped now and waits for its echo.
-func (c *streamClientConn) ping(now time.Duration) error {
-	_, err := c.exchange(0, now, nil, func(dst []byte, seq uint64) ([]byte, error) {
-		return protocol.AppendHeartbeatFrame(dst, seq, now), nil
-	})
-	return err
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -276,13 +277,13 @@ func (fs *fakeStreamServer) handshake(t *testing.T) {
 		return
 	}
 	w := &protocol.StreamWelcome{Domain: fs.sess.Domain, SessionID: fs.sess.ID, NonceSeed: fs.seed, Window: 12, MinVerified: 2}
-	w.MAC = pki.MAC(fs.sess.Key, w.MACBytes())
-	payload, err := protocol.EncodeBinary(w)
+	w.MAC = pki.NewMACer(fs.sess.Key).MAC(w.MACBytes())
+	frame, err := protocol.AppendMessageFrame(nil, protocol.FrameWelcome, w)
 	if err != nil {
 		t.Errorf("fake server: encode welcome: %v", err)
 		return
 	}
-	if err := protocol.WriteFrame(fs.conn, protocol.FrameWelcome, payload); err != nil {
+	if _, err := fs.conn.Write(frame); err != nil {
 		t.Errorf("fake server: write welcome: %v", err)
 	}
 }
@@ -299,7 +300,7 @@ func (fs *fakeStreamServer) page(nonce protocol.Nonce) *protocol.ContentPage {
 		Account:   fs.sess.Account,
 		Page:      &testPage,
 	}
-	cp.MAC = pki.MAC(fs.sess.Key, cp.MACBytes())
+	cp.MAC = pki.NewMACer(fs.sess.Key).MAC(cp.MACBytes())
 	return cp
 }
 
@@ -313,7 +314,7 @@ func fakeSession() *protocol.Session {
 
 func fakeRequest(sess *protocol.Session) *protocol.PageRequest {
 	req := &protocol.PageRequest{Domain: sess.Domain, Account: sess.Account, SessionID: sess.ID, Nonce: sess.LastNonce, Action: "home"}
-	req.MAC = pki.MAC(sess.Key, req.MACBytes())
+	req.MAC = pki.NewMACer(sess.Key).MAC(req.MACBytes())
 	return req
 }
 
@@ -416,53 +417,72 @@ func TestStreamDuplicateResponseKillsConnection(t *testing.T) {
 	}
 }
 
-// TestStreamRetiredFrameKillsConnection sends the retired policy-push
-// frame type (6) to a device with a request in flight: like any other
+// TestStreamRetiredFrameKillsConnection sends each retired frame type a
+// server once sent — the heartbeat echo (5), the policy push (6) and
+// the bye (9) — to a device with a request in flight: like any other
 // unexpected frame it ends the connection, and the request fails with
 // the retryable ErrNetwork.
 func TestStreamRetiredFrameKillsConnection(t *testing.T) {
-	sess := fakeSession()
-	tr, fs := startFakeStreamServer(t, sess)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if ft, _, err := protocol.ReadFrame(fs.conn); err != nil || ft != protocol.FrameTouchBatch {
-			t.Errorf("fake server: batch: %v (%v)", ft, err)
-			return
+	for _, tc := range []struct {
+		ft      protocol.FrameType
+		payload []byte
+	}{
+		{5, binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 0)},
+		{6, []byte{1, 2, 3}},
+		{9, nil},
+	} {
+		ft, payload := tc.ft, tc.payload
+		sess := fakeSession()
+		tr, fs := startFakeStreamServer(t, sess)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if got, _, err := protocol.ReadFrame(fs.conn); err != nil || got != protocol.FrameTouchBatch {
+				t.Errorf("fake server: batch: %v (%v)", got, err)
+				return
+			}
+			frame, err := protocol.AppendFrame(nil, ft, payload)
+			if err == nil {
+				_, err = fs.conn.Write(frame)
+			}
+			if err != nil {
+				t.Errorf("fake server: write: %v", err)
+			}
+		}()
+		_, err := tr.SubmitPageRequest(0, fakeRequest(sess))
+		<-done
+		if !errors.Is(err, ErrNetwork) {
+			t.Fatalf("retired %s produced %v, want retryable ErrNetwork", ft, err)
 		}
-		if err := protocol.WriteFrame(fs.conn, protocol.FrameType(6), []byte{1, 2, 3}); err != nil {
-			t.Errorf("fake server: write: %v", err)
+		if tr.Streaming() {
+			t.Fatalf("connection survived a retired %s", ft)
 		}
-	}()
-	_, err := tr.SubmitPageRequest(0, fakeRequest(sess))
-	<-done
-	if !errors.Is(err, ErrNetwork) {
-		t.Fatalf("retired frame produced %v, want retryable ErrNetwork", err)
-	}
-	if tr.Streaming() {
-		t.Fatal("connection survived a retired frame type")
 	}
 }
 
 // TestStreamConcurrentWritersRace exercises the stream under -race:
-// heartbeats and browsing in flight at once, then teardown with a ping
+// two writers in flight at once, browsing and a request naming an
+// unknown session (refused with a typed ack that leaves the connection
+// and the session's nonce alone), then teardown with such a request
 // mid-air.
 func TestStreamConcurrentWritersRace(t *testing.T) {
 	fx, tr := newStreamFixture(t, nil)
 	fx.registerAndLogin(t)
 	fx.touchOwner(t)
+	stray := &protocol.PageRequest{Domain: "www.xyz.com", Account: "acct", SessionID: "no-such-session", Action: "home"}
+	probe := func() { _, _ = tr.SubmitPageRequest(fx.now, stray) }
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // heartbeat writer racing the batching writer
+	go func() { // a second writer racing the batching writer
 		defer wg.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				_ = tr.Ping(fx.now)
+				probe()
 			}
 		}
 	}()
@@ -473,9 +493,9 @@ func TestStreamConcurrentWritersRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// Teardown with a final ping racing the close.
+	// Teardown with a final request racing the close.
 	wg.Add(1)
-	go func() { defer wg.Done(); _ = tr.Ping(fx.now) }()
+	go func() { defer wg.Done(); probe() }()
 	_ = tr.Close()
 	wg.Wait()
 }
@@ -508,8 +528,8 @@ func TestStreamHoldsNoGoroutine(t *testing.T) {
 	for _, s := range streams {
 		s.Close()
 	}
-	// Each server goroutine exits once it reads its bye; yield until
-	// they all have.
+	// Each server goroutine exits once it reads its connection's close;
+	// yield until they all have.
 	for i := 0; i < 1000000 && runtime.NumGoroutine() != base; i++ {
 		runtime.Gosched()
 	}
@@ -547,85 +567,9 @@ func serverMetric(t *testing.T, srv *webserver.Server, name string) int64 {
 	return 0
 }
 
-// TestStreamHeartbeatWarpDetectedAndRecovered drives a backwards
-// heartbeat through the fault profile: the wire rewrites the device's
-// heartbeat timestamp an hour into the past. The server must clamp —
-// count it, hold session time — and echo the warped value verbatim,
-// which is exactly what lets the device catch the tampering as an echo
-// mismatch, kill the connection, and recover on redial.
-func TestStreamHeartbeatWarpDetectedAndRecovered(t *testing.T) {
-	var fd *FaultyDialer
-	fx, tr := newStreamFixture(t, func(dial func() (io.ReadWriteCloser, error)) func() (io.ReadWriteCloser, error) {
-		fd = NewFaultyDialer(dial, FaultProfile{}, sim.NewRNG(11))
-		return fd.Dial
-	})
-	fx.registerAndLogin(t)
-	// A browse stamps the connection's session time, arming the
-	// server's monotonicity clamp for anything earlier.
-	fx.touchOwner(t)
-	if err := fx.dev.Browse(fx.now, "home"); err != nil {
-		t.Fatal(err)
-	}
-
-	fd.Profile.HeartbeatWarp = time.Hour
-	err := tr.Ping(fx.now)
-	if err == nil {
-		t.Fatal("warped heartbeat echo went undetected")
-	}
-	if fd.Stats.Warps != 1 {
-		t.Fatalf("injected %d warps, want 1", fd.Stats.Warps)
-	}
-	if got := serverMetric(t, fx.server, "hb_clamped"); got != 1 {
-		t.Fatalf("hb_clamped = %d, want 1", got)
-	}
-	if got := serverMetric(t, fx.server, "hb_rejected"); got != 0 {
-		t.Fatalf("hb_rejected = %d, want 0", got)
-	}
-
-	// The poisoned connection is down; with the fault cleared the
-	// resilient path redials, resyncs onto the fresh nonce chain, and
-	// the session carries on.
-	fd.Profile.HeartbeatWarp = 0
-	fx.dev.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond}, sim.NewRNG(5))
-	fx.touchOwner(t)
-	if _, err := fx.dev.BrowseResilient(fx.now, "home"); err != nil {
-		t.Fatalf("browse after warp teardown: %v", err)
-	}
-	if fx.dev.Degraded() {
-		t.Fatal("device degraded instead of redialing")
-	}
-	if st := tr.Stats(); st.Redials == 0 || st.Downgrades != 0 {
-		t.Fatalf("stream stats %+v, want a redial and no downgrade", st)
-	}
-}
-
-// TestStreamRejectedHeartbeatIsTyped pins ack correlation for
-// heartbeats: a heartbeat jumping past the server's skew bound is
-// answered with a typed malformed ack carrying its seq, and Ping must
-// surface exactly that rejection — not a retryable network fault from
-// an ack the exchange failed to match.
-func TestStreamRejectedHeartbeatIsTyped(t *testing.T) {
-	fx, tr := newStreamFixture(t, nil)
-	fx.registerAndLogin(t)
-	fx.touchOwner(t)
-	if err := fx.dev.Browse(fx.now, "home"); err != nil {
-		t.Fatal(err)
-	}
-	err := tr.Ping(fx.now + webserver.MaxHeartbeatSkew + time.Second)
-	if !errors.Is(err, webserver.ErrMalformed) {
-		t.Fatalf("Ping = %v, want a typed malformed rejection", err)
-	}
-	if Retryable(err) {
-		t.Fatalf("rejected heartbeat reported as retryable: %v", err)
-	}
-	if got := serverMetric(t, fx.server, "hb_rejected"); got != 1 {
-		t.Fatalf("hb_rejected = %d, want 1", got)
-	}
-}
-
 // TestStreamMalformedAckDropsConnection: the server closes the stream
-// after every malformed ack, a heartbeat-skew ack included, so the
-// device drops the connection as the ack arrives. The next resilient
+// after every malformed ack, one for a request naming another domain
+// included, so the device drops the connection as the ack arrives. The next resilient
 // Browse redials and recovers through the fresh chain's resync, with
 // no retry round spent on ErrNetwork from the dead connection.
 func TestStreamMalformedAckDropsConnection(t *testing.T) {
@@ -637,8 +581,10 @@ func TestStreamMalformedAckDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	dials := tr.Stats().Dials
-	if err := tr.Ping(fx.now + webserver.MaxHeartbeatSkew + time.Second); !errors.Is(err, webserver.ErrMalformed) {
-		t.Fatalf("Ping = %v, want a typed malformed rejection", err)
+	sess := fx.dev.Session()
+	evil := &protocol.PageRequest{Domain: "www.evil.com", Account: sess.Account, SessionID: sess.ID, Nonce: sess.LastNonce, Action: "home"}
+	if _, err := tr.SubmitPageRequest(fx.now, evil); !errors.Is(err, webserver.ErrMalformed) {
+		t.Fatalf("request naming another domain = %v, want a typed malformed rejection", err)
 	}
 	if tr.Streaming() {
 		t.Fatal("stream still reads as live after a malformed ack")

@@ -163,7 +163,7 @@ func TestMinutiaTransformRoundTrip(t *testing.T) {
 			Angle: geom.WrapAngle(fwd.Angle - theta),
 			Type:  fwd.Type,
 		}
-		return back.Pos.Dist(m.Pos) < 1e-9 && geom.AngleDiff(back.Angle, m.Angle) < 1e-9
+		return back.Pos.Dist(m.Pos) < 1e-9 && math.Abs(geom.WrapAngle(back.Angle-m.Angle)) < 1e-9
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

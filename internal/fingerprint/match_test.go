@@ -130,7 +130,7 @@ func TestMatchRecoversRotation(t *testing.T) {
 			continue
 		}
 		// Match recovers the inverse of the capture rotation.
-		if geom.AngleDiff(res.Rotation, -rot) > 0.25 {
+		if math.Abs(geom.WrapAngle(res.Rotation+rot)) > 0.25 {
 			t.Errorf("rotation %v: recovered %v", rot, res.Rotation)
 		}
 	}

@@ -291,6 +291,56 @@ func TestDumpAndDiff(t *testing.T) {
 	}
 }
 
+// TestDiffComparesWholeSeries pins the series-aware diff: two captures
+// sampled at the same timestamps that agree on their last row but
+// differ earlier report how many samples differ, and the table flags
+// the metric; captures whose timestamps differ are compared by final
+// value alone.
+func TestDiffComparesWholeSeries(t *testing.T) {
+	capture := func(times []int64, accepted, rejected []int64) *Data {
+		c := NewCapture(NewSchema([]string{"accepted", "rejected"}))
+		for i, now := range times {
+			c.Sample(now, []int64{accepted[i], rejected[i]})
+		}
+		d, err := Read(c.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	times := []int64{1, 2, 3, 4}
+	a := capture(times, []int64{1, 2, 3, 4}, []int64{0, 0, 1, 1})
+	b := capture(times, []int64{1, 5, 6, 4}, []int64{0, 0, 1, 1})
+	rows := Diff(a, b)
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	if r := rows[0]; r.Name != "accepted" || r.Delta != 0 || r.Differing != 2 {
+		t.Fatalf("accepted diff %+v, want delta 0 and 2 differing samples", r)
+	}
+	if r := rows[1]; r.Name != "rejected" || r.Differing != 0 {
+		t.Fatalf("rejected diff %+v, want 0 differing samples", r)
+	}
+	var buf bytes.Buffer
+	WriteDiff(&buf, rows)
+	lines := strings.Split(buf.String(), "\n")
+	if !strings.Contains(lines[0], "differ") || !strings.HasSuffix(lines[1], " 2  *") || strings.HasSuffix(lines[2], "*") {
+		t.Fatalf("diff table does not flag the mid-capture difference:\n%s", buf.String())
+	}
+
+	shifted := capture([]int64{1, 2, 3, 5}, []int64{1, 5, 6, 4}, []int64{0, 0, 1, 1})
+	for _, r := range Diff(a, shifted) {
+		if r.Differing != -1 {
+			t.Fatalf("%s: %d differing samples across unaligned captures, want -1", r.Name, r.Differing)
+		}
+	}
+	buf.Reset()
+	WriteDiff(&buf, Diff(a, shifted))
+	if strings.Contains(buf.String(), "differ") {
+		t.Fatalf("unaligned captures print a differ column:\n%s", buf.String())
+	}
+}
+
 func TestHistQuantiles(t *testing.T) {
 	var h Hist
 	if h.Quantile(0.5) != 0 || h.Count() != 0 {

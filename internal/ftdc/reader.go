@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -186,17 +187,25 @@ func (d *Data) Dump(w io.Writer) {
 
 // DiffRow is one metric's comparison between two captures.
 type DiffRow struct {
-	Name   string
-	A, B   int64  // final values in each capture
-	Delta  int64  // B - A
-	OnlyIn string // "a" or "b" when the metric is missing from the other
+	Name  string
+	A, B  int64 // final values in each capture
+	Delta int64 // B - A
+	// Differing counts the samples at which the metric's two series
+	// differ. It is -1 when the captures' timestamps differ, so their
+	// samples do not pair up, and for a metric missing from one side.
+	Differing int
+	OnlyIn    string // "a" or "b" when the metric is missing from the other
 }
 
-// Diff compares the final values of two captures metric by metric —
-// the regression-hunting primitive behind benchtab's -ftdc-diff mode.
-// Metrics present in both captures are listed in a's schema order;
-// metrics unique to either side follow, sorted by name.
+// Diff compares two captures metric by metric — the
+// regression-hunting primitive behind benchtab's -ftdc-diff mode. Each
+// shared metric is compared by its final value and, when both captures
+// sampled at the same timestamps, sample by sample, so a series that
+// differs mid-capture but ends equal still shows. Metrics present in
+// both captures are listed in a's schema order; metrics unique to
+// either side follow, sorted by name.
 func Diff(a, b *Data) []DiffRow {
+	aligned := slices.Equal(a.Times, b.Times)
 	inB := make(map[string]bool, len(b.Names))
 	for _, n := range b.Names {
 		inB[n] = true
@@ -209,18 +218,28 @@ func Diff(a, b *Data) []DiffRow {
 	for _, n := range a.Names {
 		if inB[n] {
 			av, bv := a.Last(n), b.Last(n)
-			rows = append(rows, DiffRow{Name: n, A: av, B: bv, Delta: bv - av})
+			differing := -1
+			if aligned {
+				differing = 0
+				bc := b.Col(n)
+				for i, v := range a.Col(n) {
+					if v != bc[i] {
+						differing++
+					}
+				}
+			}
+			rows = append(rows, DiffRow{Name: n, A: av, B: bv, Delta: bv - av, Differing: differing})
 		}
 	}
 	var only []DiffRow
 	for _, n := range a.Names {
 		if !inB[n] {
-			only = append(only, DiffRow{Name: n, A: a.Last(n), OnlyIn: "a"})
+			only = append(only, DiffRow{Name: n, A: a.Last(n), Differing: -1, OnlyIn: "a"})
 		}
 	}
 	for _, n := range b.Names {
 		if !inA[n] {
-			only = append(only, DiffRow{Name: n, B: b.Last(n), OnlyIn: "b"})
+			only = append(only, DiffRow{Name: n, B: b.Last(n), Differing: -1, OnlyIn: "b"})
 		}
 	}
 	sort.Slice(only, func(i, j int) bool { return only[i].Name < only[j].Name })
@@ -229,20 +248,30 @@ func Diff(a, b *Data) []DiffRow {
 
 // WriteDiff formats Diff's rows as a table, flagging changed metrics
 // with a trailing marker so regressions stand out in a terminal scan.
+// When the captures' samples pair up, a "differ" column counts each
+// shared metric's differing samples, and a metric that differs
+// anywhere is flagged.
 func WriteDiff(w io.Writer, rows []DiffRow) {
-	fmt.Fprintf(w, "%-28s %12s %12s %12s\n", "metric", "a", "b", "delta")
+	series := slices.ContainsFunc(rows, func(r DiffRow) bool { return r.Differing >= 0 })
+	differ := func(v any) string {
+		if !series {
+			return ""
+		}
+		return fmt.Sprintf(" %8v", v)
+	}
+	fmt.Fprintf(w, "%-28s %12s %12s %12s%s\n", "metric", "a", "b", "delta", differ("differ"))
 	for _, r := range rows {
 		switch r.OnlyIn {
 		case "a":
-			fmt.Fprintf(w, "%-28s %12d %12s %12s  only in a\n", r.Name, r.A, "-", "-")
+			fmt.Fprintf(w, "%-28s %12d %12s %12s%s  only in a\n", r.Name, r.A, "-", "-", differ("-"))
 		case "b":
-			fmt.Fprintf(w, "%-28s %12s %12d %12s  only in b\n", r.Name, "-", r.B, "-")
+			fmt.Fprintf(w, "%-28s %12s %12d %12s%s  only in b\n", r.Name, "-", r.B, "-", differ("-"))
 		default:
 			mark := ""
-			if r.Delta != 0 {
+			if r.Delta != 0 || r.Differing > 0 {
 				mark = "  *"
 			}
-			fmt.Fprintf(w, "%-28s %12d %12d %+12d%s\n", r.Name, r.A, r.B, r.Delta, mark)
+			fmt.Fprintf(w, "%-28s %12d %12d %+12d%s%s\n", r.Name, r.A, r.B, r.Delta, differ(r.Differing), mark)
 		}
 	}
 }

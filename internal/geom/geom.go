@@ -104,9 +104,3 @@ func WrapAngle(theta float64) float64 {
 	}
 	return theta
 }
-
-// AngleDiff returns the magnitude of the smallest rotation taking a to
-// b, in [0, pi].
-func AngleDiff(a, b float64) float64 {
-	return math.Abs(WrapAngle(a - b))
-}

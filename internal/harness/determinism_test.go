@@ -169,8 +169,8 @@ func checkArtifactFile(t *testing.T, r Result) {
 // change unnoticed.
 func TestXChaosCaptureGolden(t *testing.T) {
 	const (
-		wantLen = 100775
-		wantSum = "bcabb55db1a4d68cae43281b5dba854925d22e917595e17cc977e20e2d71c69f"
+		wantLen = 98711
+		wantSum = "ea2256ce6beb1a855299d91942ad791e53559d6c824ecfe6a3ac304b3c64355f"
 	)
 	_, capt, err := XChaosCapture(Seed)
 	if err != nil {

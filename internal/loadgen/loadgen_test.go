@@ -83,6 +83,26 @@ func TestRunLossyChurn(t *testing.T) {
 	}
 }
 
+// TestRunStreamBatchRows pins what a batch row reports: ops and ns per
+// page request, but p50 and p99 of whole batch round trips. With one
+// device each round trip of 16 requests takes about 16 times the
+// per-request ns/op, so its median sits far above ns/op; a p50
+// divided by the batch size would sit near it.
+func TestRunStreamBatchRows(t *testing.T) {
+	const batch = 16
+	res, err := Run(Config{Devices: 1, Transport: Stream, Mode: PageRequest, Seed: 1, Batch: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Name != "page-request-batch16_stream_1" || res.Ops < batch || res.Ops%batch != 0 {
+		t.Fatalf("batch row %q counts %d ops, want a multiple of %d requests", res.Name, res.Ops, batch)
+	}
+	if res.P50Ns < 4*res.NsPerOp || res.P99Ns < res.P50Ns {
+		t.Fatalf("p50 %d ns, p99 %d ns against %d ns per request: the percentiles are not of %d-request round trips",
+			res.P50Ns, res.P99Ns, res.NsPerOp, batch)
+	}
+}
+
 func TestRunRejectsEmptyFleet(t *testing.T) {
 	if _, err := Run(Config{Devices: 0}); err == nil {
 		t.Fatal("zero-device config accepted")

@@ -28,9 +28,6 @@ func checkMACer(t *testing.T, mc *MACer, key, msg []byte) {
 	if got := NewMACer(key).MAC(msg); !bytes.Equal(got, want) {
 		t.Fatalf("%d-byte key, %d-byte msg: fresh MACer tag %x, want %x", len(key), len(msg), got, want)
 	}
-	if got := MAC(key, msg); !bytes.Equal(got, want) {
-		t.Fatalf("%d-byte key, %d-byte msg: MAC %x, want %x", len(key), len(msg), got, want)
-	}
 	prefix := []byte("dst-prefix")
 	got := mc.AppendMAC(append([]byte(nil), prefix...), msg)
 	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {

@@ -139,14 +139,14 @@ func TestDeterministicRandReproducible(t *testing.T) {
 func TestMACRoundTrip(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
 	data := []byte("domain=www.xyz.com&nonce=42")
-	tag := MAC(key, data)
-	if !hmac.Equal(MAC(key, data), tag) {
+	tag := NewMACer(key).MAC(data)
+	if !hmac.Equal(NewMACer(key).MAC(data), tag) {
 		t.Fatal("valid MAC rejected")
 	}
-	if hmac.Equal(MAC(key, append(data, 'x')), tag) {
+	if hmac.Equal(NewMACer(key).MAC(append(data, 'x')), tag) {
 		t.Fatal("tampered data accepted")
 	}
-	if hmac.Equal(MAC([]byte("00000000000000000000000000000000"), data), tag) {
+	if hmac.Equal(NewMACer([]byte("00000000000000000000000000000000")).MAC(data), tag) {
 		t.Fatal("wrong key accepted")
 	}
 }

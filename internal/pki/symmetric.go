@@ -22,9 +22,6 @@ func NewSessionKey(rand io.Reader) ([]byte, error) {
 	return key, nil
 }
 
-// MAC computes an HMAC-SHA256 tag over data.
-func MAC(key, data []byte) []byte { return NewMACer(key).MAC(data) }
-
 // macStateSize is the length of a marshaled crypto/sha256 digest: a
 // 4-byte magic, the eight 32-bit chaining words, one block of pending
 // input and the 64-bit message length.

@@ -102,7 +102,7 @@ func (t *TicketKeys) Epoch(now time.Duration) uint64 {
 // epochAEAD derives the AES-GCM for one epoch: its key is
 // HMAC-SHA256(master, label || epoch).
 func (t *TicketKeys) epochAEAD(epoch uint64) (cipher.AEAD, error) {
-	return newGCM(MAC(t.master[:], binary.BigEndian.AppendUint64([]byte(ticketEpochLabel), epoch)))
+	return newGCM(NewMACer(t.master[:]).MAC(binary.BigEndian.AppendUint64([]byte(ticketEpochLabel), epoch)))
 }
 
 // aead returns the AEAD for epoch on behalf of a caller at epoch cur

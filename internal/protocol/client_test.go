@@ -207,7 +207,7 @@ func TestAcceptContentPageSessionIDPinned(t *testing.T) {
 	fx := newFixture(t)
 	sess := &protocol.Session{Domain: "www.xyz.com", Account: "a", ID: "s1", Key: make([]byte, 32)}
 	cp := &protocol.ContentPage{Domain: "www.xyz.com", Account: "a", SessionID: "s2", Nonce: "n", Page: &frame.Page{URL: "u"}}
-	cp.MAC = pki.MAC(sess.Key, cp.MACBytes())
+	cp.MAC = pki.NewMACer(sess.Key).MAC(cp.MACBytes())
 	if err := fx.client.AcceptContentPage(sess, cp); err == nil {
 		t.Fatal("session-id switch accepted")
 	}

@@ -26,30 +26,30 @@ type FrameType byte
 
 // Frame types. Hello/Welcome bind a connection to a session,
 // TouchBatch carries 1..n batched touch authenticators, Page answers
-// one of them, Heartbeat is echoed for liveness, Ack carries request
-// errors and hello rejections, Resync recovers a lost page, Bye is clean
-// teardown. A hello is the only opening: a stream binds to a session
-// that a login or ticket resume created, and never creates one.
+// one of them, Ack carries request errors and hello rejections, Resync
+// recovers a lost page. A hello is the only opening: a stream binds to
+// a session that a login or ticket resume created, and never creates
+// one. Every frame after it is a request or its answer; teardown is a
+// close.
 const (
 	FrameHello FrameType = iota + 1
 	FrameWelcome
 	FrameTouchBatch
 	FramePage
-	FrameHeartbeat
+	_ // 5: retired (a heartbeat echoed for liveness); an unknown type
 	_ // 6: retired (a server-to-device policy push); an unknown type
 	FrameAck
 	FrameResync
-	FrameBye
+	_ // 9: retired (a bye before teardown); an unknown type
 	_ // 10: retired (a resume opening); an unknown type
 )
 
 // SeqBearing reports whether t's payload leads with an 8-byte
-// big-endian sequence number (touch-batch, page, heartbeat, ack,
-// resync). Hello/welcome carry binary-codec messages instead,
-// and bye has no payload.
+// big-endian sequence number (touch-batch, page, ack, resync).
+// Hello/welcome carry binary-codec messages instead.
 func (t FrameType) SeqBearing() bool {
 	switch t {
-	case FrameTouchBatch, FramePage, FrameHeartbeat, FrameAck, FrameResync:
+	case FrameTouchBatch, FramePage, FrameAck, FrameResync:
 		return true
 	}
 	return false
@@ -81,14 +81,10 @@ func (t FrameType) String() string {
 		return "touch-batch"
 	case FramePage:
 		return "page"
-	case FrameHeartbeat:
-		return "heartbeat"
 	case FrameAck:
 		return "ack"
 	case FrameResync:
 		return "resync"
-	case FrameBye:
-		return "bye"
 	}
 	return fmt.Sprintf("frame(%d)", byte(t))
 }
@@ -102,17 +98,6 @@ const MaxFramePayload = 1 << 20
 
 // ErrFrame reports a malformed frame or frame payload.
 var ErrFrame = errors.New("protocol: malformed stream frame")
-
-// WriteFrame writes one frame to w in a single Write call. The payload
-// may be nil (heartbeats, bye).
-func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	frame, err := AppendFrame(nil, t, payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
 
 // appendFrameOf appends one whole frame of type t to dst: the type
 // byte and the payload length, backfilled once payload has walked the
@@ -307,28 +292,6 @@ func AppendPageFrame(dst []byte, seq uint64, index int, cp *ContentPage) ([]byte
 func decodePageFrame(payload []byte, intern *internTable) (seq uint64, index int, cp *ContentPage, err error) {
 	err = decodeFrame(FramePage, payload, intern, pageFields(&seq, &index, &cp))
 	return seq, index, cp, err
-}
-
-// heartbeatFields is a FrameHeartbeat payload's field list: a
-// client-chosen sequence plus the virtual timestamp, which the server
-// echoes verbatim.
-func heartbeatFields(seq *uint64, now *time.Duration) func(*binCodec) {
-	return func(c *binCodec) {
-		c.U64(seq)
-		c.I64((*int64)(now))
-	}
-}
-
-// AppendHeartbeatFrame appends a heartbeat (or its echo) to dst.
-func AppendHeartbeatFrame(dst []byte, seq uint64, now time.Duration) []byte {
-	out, _ := appendFrameOf(dst, FrameHeartbeat, heartbeatFields(&seq, &now)) // 16 bytes: never over the cap
-	return out
-}
-
-// DecodeHeartbeat parses a heartbeat payload.
-func DecodeHeartbeat(payload []byte) (seq uint64, now time.Duration, err error) {
-	err = decodeFrame(FrameHeartbeat, payload, nil, heartbeatFields(&seq, &now))
-	return seq, now, err
 }
 
 // ackFields is a FrameAck payload's field list: the echoed frame

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -38,18 +37,20 @@ func testPageRequest(action string) *PageRequest {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := map[FrameType][]byte{
-		FrameHello:     []byte("hello payload"),
-		FrameHeartbeat: []byte("0123456789abcdef"),
-		FrameBye:       nil,
-	}
-	for ft, p := range payloads {
-		buf.Reset()
-		if err := WriteFrame(&buf, ft, p); err != nil {
-			t.Fatalf("write %s: %v", ft, err)
+	for _, tc := range []struct {
+		ft FrameType
+		p  []byte
+	}{
+		{FrameHello, []byte("hello payload")},
+		{FrameResync, []byte("0123456789abcdef")},
+		{FrameWelcome, nil},
+	} {
+		ft, p := tc.ft, tc.p
+		frame, err := AppendFrame(nil, ft, p)
+		if err != nil {
+			t.Fatalf("append %s: %v", ft, err)
 		}
-		gt, gp, err := ReadFrame(&buf)
+		gt, gp, err := ReadFrame(bytes.NewReader(frame))
 		if err != nil {
 			t.Fatalf("read %s: %v", ft, err)
 		}
@@ -60,9 +61,6 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameOversizedPayloadRejected(t *testing.T) {
-	if err := WriteFrame(io.Discard, FramePage, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized write: %v", err)
-	}
 	// A corrupted length prefix must fail before any payload is read.
 	hdr := []byte{byte(FramePage), 0xff, 0xff, 0xff, 0xff}
 	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrame) {
@@ -77,11 +75,11 @@ func TestFrameOversizedPayloadRejected(t *testing.T) {
 }
 
 func TestFrameTruncatedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FramePage, []byte("full payload")); err != nil {
+	frame, err := AppendFrame(nil, FramePage, []byte("full payload"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()-3]
+	cut := frame[:len(frame)-3]
 	if _, _, err := ReadFrame(bytes.NewReader(cut)); !errors.Is(err, ErrFrame) {
 		t.Fatalf("truncated read: %v", err)
 	}
@@ -280,9 +278,9 @@ func TestFrameSeq(t *testing.T) {
 	payload := binary.BigEndian.AppendUint64(nil, 0xCAFEBABE)
 	payload = append(payload, 1, 2, 3)
 	seqBearing := map[FrameType]bool{
-		FrameTouchBatch: true, FramePage: true, FrameHeartbeat: true,
-		FrameAck: true, FrameResync: true,
-		FrameHello: false, FrameWelcome: false, FrameBye: false,
+		FrameTouchBatch: true, FramePage: true, FrameAck: true, FrameResync: true,
+		FrameHello: false, FrameWelcome: false,
+		5: false, 9: false, // retired heartbeat and bye: unknown types
 	}
 	for ft, want := range seqBearing {
 		if got := ft.SeqBearing(); got != want {
@@ -296,10 +294,10 @@ func TestFrameSeq(t *testing.T) {
 			t.Errorf("FrameSeq(%s) = %#x, want %#x", ft, got, wantSeq)
 		}
 	}
-	if got := FrameSeq(FrameHeartbeat, payload[:7]); got != 0 {
+	if got := FrameSeq(FrameAck, payload[:7]); got != 0 {
 		t.Errorf("FrameSeq on 7-byte payload = %#x, want 0", got)
 	}
-	if got := FrameSeq(FrameHeartbeat, nil); got != 0 {
+	if got := FrameSeq(FrameAck, nil); got != 0 {
 		t.Errorf("FrameSeq on nil payload = %#x, want 0", got)
 	}
 }

@@ -141,9 +141,11 @@ func TestDecoderMessagesOutliveThePayloadBuffer(t *testing.T) {
 func TestDecoderKeepsOnlyBoundedPayloadBuffers(t *testing.T) {
 	var wire bytes.Buffer
 	for _, n := range []int{100, maxPooledEncodeBuf + 1, 10} {
-		if err := WriteFrame(&wire, FrameHello, bytes.Repeat([]byte{1}, n)); err != nil {
+		frame, err := AppendFrame(nil, FrameHello, bytes.Repeat([]byte{1}, n))
+		if err != nil {
 			t.Fatal(err)
 		}
+		wire.Write(frame)
 	}
 	var d Decoder
 	for _, n := range []int{100, maxPooledEncodeBuf + 1, 10} {

@@ -86,12 +86,12 @@ func TestAuthenticatedMACPathsAgree(t *testing.T) {
 			if !bytes.Equal(m.MACBytes(), legacy) {
 				t.Fatalf("%T: MACBytes differs from the MAC-cleared encoding", m)
 			}
-			want := pki.MAC(key, m.MACBytes())
+			want := pki.NewMACer(key).MAC(m.MACBytes())
 			if got := SealMAC(mc, m); !bytes.Equal(got, want) {
-				t.Fatalf("%T: SealMAC %x, pki.MAC over MACBytes %x", m, got, want)
+				t.Fatalf("%T: SealMAC %x, a fresh MACer over MACBytes %x", m, got, want)
 			}
 			if !VerifyMAC(mc, m, want) {
-				t.Fatalf("%T: VerifyMAC rejects pki.MAC's tag", m)
+				t.Fatalf("%T: VerifyMAC rejects a fresh MACer's tag", m)
 			}
 			bad := append([]byte(nil), want...)
 			bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))

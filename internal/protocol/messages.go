@@ -185,8 +185,8 @@ func macBytes(m Authenticated) []byte {
 	return b
 }
 
-// SealMAC returns m's MAC under mc, equal to
-// pki.MAC(key, m.MACBytes()), or nil if m has no MAC input. The
+// SealMAC returns m's MAC under mc, equal to mc.MAC(m.MACBytes()),
+// or nil if m has no MAC input. The
 // returned tag is its only allocation.
 func SealMAC(mc *pki.MACer, m Authenticated) []byte { return AppendMAC(nil, mc, m) }
 
@@ -201,7 +201,7 @@ func AppendMAC(dst []byte, mc *pki.MACer, m Authenticated) []byte {
 }
 
 // VerifyMAC reports, in constant time and without allocating, whether
-// tag is m's MAC under mc — hmac.Equal(pki.MAC(key, m.MACBytes()), tag).
+// tag is m's MAC under mc — hmac.Equal(mc.MAC(m.MACBytes()), tag).
 func VerifyMAC(mc *pki.MACer, m Authenticated, tag []byte) bool {
 	ok := false
 	withEncoding(m.fields, true, func(in []byte) { ok = mc.Check(in, tag) })

@@ -19,8 +19,7 @@ import (
 //	  | <-- Welcome (nonce seed) ---- |   reset nonce chain
 //	  | --- TouchBatch [reqs...] ---> |   per request:
 //	  | <-- Page / Ack(error) ------- |     verify, advance chain
-//	  | --- Heartbeat --------------> |
-//	  | <-- Heartbeat (echo) -------- |
+//	  | --- (close) ----------------> |   teardown
 //
 // Registration and login stay on the request/response path; the
 // stream carries the steady-state hot path (docs/protocol.md,

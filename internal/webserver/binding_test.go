@@ -99,7 +99,7 @@ func TestSessionBoundToItsAccount(t *testing.T) {
 							t.Fatal(err)
 						}
 						rr.Account = account
-						rr.MAC = pki.MAC(sess.Key, rr.MACBytes())
+						rr.MAC = pki.NewMACer(sess.Key).MAC(rr.MACBytes())
 						return rr
 					}
 					req, err := r.client.BuildPageRequestAt(r.now, sess, "home", 12, nonce)
@@ -107,7 +107,7 @@ func TestSessionBoundToItsAccount(t *testing.T) {
 						t.Fatal(err)
 					}
 					req.Account = account
-					req.MAC = pki.MAC(sess.Key, req.MACBytes())
+					req.MAC = pki.NewMACer(sess.Key).MAC(req.MACBytes())
 					return req
 				}
 

@@ -19,8 +19,6 @@ type telemetry struct {
 	resumeLogins  atomic.Int64 // ticket-resume successes (HTTP + stream)
 	degradedTrips atomic.Int64 // 0→1 transitions of the degraded latch
 	storageErrors atomic.Int64 // requests rejected with ErrStorage
-	hbClamped     atomic.Int64 // stream heartbeats that tried to move time backwards
-	hbRejected    atomic.Int64 // stream heartbeats rejected for an absurd forward jump
 	streams       atomic.Int64 // live device streams: up once opened, down at teardown
 
 	// Flow-latency histograms on the virtual clock. The enroll/login/
@@ -60,7 +58,6 @@ func (s *Server) MetricsSchema() []string {
 		"logins_full", "logins_resume",
 		"degraded", "degraded_trips", "storage_errors",
 		"nonce_evictions", "streams",
-		"hb_clamped", "hb_rejected",
 	}
 	names = s.sessions.appendNames(names, "sessions")
 	names = s.accounts.appendNames(names, "accounts")
@@ -88,7 +85,6 @@ func (s *Server) AppendMetrics(vals []int64) []int64 {
 		s.tel.fullLogins.Load(), s.tel.resumeLogins.Load(),
 		degraded, s.tel.degradedTrips.Load(), s.tel.storageErrors.Load(),
 		s.nonces.evictions.Load(), s.tel.streams.Load(),
-		s.tel.hbClamped.Load(), s.tel.hbRejected.Load(),
 	)
 	vals = s.sessions.appendLens(vals)
 	vals = s.accounts.appendLens(vals)

@@ -28,7 +28,8 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 		payload []byte
 	}{
 		{"undecodable hello", protocol.FrameHello, []byte{1, 2, 3}},
-		{"opening heartbeat", protocol.FrameHeartbeat, garbage},
+		{"opening touch-batch", protocol.FrameTouchBatch, garbage},
+		{"opening heartbeat", protocol.FrameType(5), garbage}, // retired
 	}
 	for _, tc := range opening {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,7 +38,7 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 			exit := make(chan error, 1)
 			go func() { exit <- r.server.ServeStream(c2) }()
 			before := r.server.rejected.Load()
-			if err := protocol.WriteFrame(c1, tc.ft, tc.payload); err != nil {
+			if err := writeFrame(c1, tc.ft, tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			expectAck(t, c1, "malformed")
@@ -53,16 +54,10 @@ func TestServeStreamMalformedInputCounted(t *testing.T) {
 		name string
 		send func(conn io.ReadWriteCloser) error
 	}{
-		{"touch-batch", func(c io.ReadWriteCloser) error { return protocol.WriteFrame(c, protocol.FrameTouchBatch, garbage) }},
-		{"resync", func(c io.ReadWriteCloser) error { return protocol.WriteFrame(c, protocol.FrameResync, garbage) }},
-		{"heartbeat", func(c io.ReadWriteCloser) error { return protocol.WriteFrame(c, protocol.FrameHeartbeat, garbage) }},
-		{"unexpected welcome", func(c io.ReadWriteCloser) error { return protocol.WriteFrame(c, protocol.FrameWelcome, nil) }},
-		{"heartbeat skew", func(c io.ReadWriteCloser) error {
-			ft, payload := sendHeartbeat(t, c, 1, 4*time.Second)
-			expectHeartbeatEcho(t, ft, payload, 1, 4*time.Second)
-			_, err := c.Write(protocol.AppendHeartbeatFrame(nil, 2, 4*time.Second+MaxHeartbeatSkew+time.Second))
-			return err
-		}},
+		{"touch-batch", func(c io.ReadWriteCloser) error { return writeFrame(c, protocol.FrameTouchBatch, garbage) }},
+		{"resync", func(c io.ReadWriteCloser) error { return writeFrame(c, protocol.FrameResync, garbage) }},
+		{"heartbeat", func(c io.ReadWriteCloser) error { return writeFrame(c, protocol.FrameType(5), garbage) }}, // retired
+		{"unexpected welcome", func(c io.ReadWriteCloser) error { return writeFrame(c, protocol.FrameWelcome, nil) }},
 	}
 	for _, tc := range bound {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,7 +106,7 @@ func TestServeStreamResumeOpeningRefused(t *testing.T) {
 	defer c1.Close()
 	exit := make(chan error, 1)
 	go func() { exit <- r.server.ServeStream(c2) }()
-	if err := protocol.WriteFrame(c1, protocol.FrameType(10), payload); err != nil {
+	if err := writeFrame(c1, protocol.FrameType(10), payload); err != nil {
 		t.Fatal(err)
 	}
 	if seq := expectAck(t, c1, "malformed"); seq != 0 {
@@ -151,6 +146,49 @@ func TestServeStreamResumeOpeningRefused(t *testing.T) {
 	}
 	if err := r.client.AcceptResumePage(resumed, page); err != nil {
 		t.Fatalf("resume page rejected by client: %v", err)
+	}
+}
+
+// TestServeStreamRetiredFramesRefused pins the retired heartbeat (5)
+// and bye (9) frames from the server's side. A stale client sends each
+// well-formed in its retired layout on a bound stream: a heartbeat's
+// sequence and virtual time, and a bye's empty payload. The stream
+// answers with one malformed ack echoing no sequence, counts one
+// rejection, sends nothing more and closes with ErrMalformed.
+func TestServeStreamRetiredFramesRefused(t *testing.T) {
+	r := newRig(t)
+	r.register(t, "acct")
+	heartbeat := binary.BigEndian.AppendUint64(nil, 9)
+	heartbeat = binary.BigEndian.AppendUint64(heartbeat, uint64(4*time.Second))
+	for _, tc := range []struct {
+		name    string
+		ft      protocol.FrameType
+		payload []byte
+	}{
+		{"heartbeat", protocol.FrameType(5), heartbeat},
+		{"bye", protocol.FrameType(9), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, _ := r.login(t, "acct")
+			conn, _, exit := openStream(t, r, sess)
+			defer conn.Close()
+			rejected := r.server.rejected.Load()
+			if err := writeFrame(conn, tc.ft, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if seq := expectAck(t, conn, "malformed"); seq != 0 {
+				t.Fatalf("the refusal echoes sequence %d, want 0", seq)
+			}
+			if err := <-exit; !errors.Is(err, ErrMalformed) {
+				t.Fatalf("stream exit %v, want ErrMalformed", err)
+			}
+			if ft, _, err := protocol.ReadFrame(conn); err == nil {
+				t.Fatalf("the server sent a %s frame after the ack", ft)
+			}
+			if got := r.server.rejected.Load() - rejected; got != 1 {
+				t.Fatalf("rejections counted %d, want 1", got)
+			}
+		})
 	}
 }
 

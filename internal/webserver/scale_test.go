@@ -81,7 +81,7 @@ func TestPageRequestNeedsVerifiedTouch(t *testing.T) {
 		// sealed with the session key.
 		zero := *req
 		zero.RiskVerified = 0
-		zero.MAC = pki.MAC(sess.Key, zero.MACBytes())
+		zero.MAC = pki.NewMACer(sess.Key).MAC(zero.MACBytes())
 		if _, err := r.server.HandlePageRequest(r.now, &zero); !errors.Is(err, ErrRiskPolicy) {
 			t.Fatalf("policy %+v: verification-free request: %v, want ErrRiskPolicy", policy, err)
 		}
@@ -167,7 +167,7 @@ func TestManyDevicesIsolatedSessions(t *testing.T) {
 		Action:       "home",
 		RiskVerified: 12, RiskWindow: 12,
 	}
-	forged.MAC = pki.MAC(clients[0].sess.Key, forged.MACBytes())
+	forged.MAC = pki.NewMACer(clients[0].sess.Key).MAC(forged.MACBytes())
 	if _, err := srv.HandlePageRequest(now, forged); err == nil {
 		t.Fatal("cross-session MAC accepted")
 	}

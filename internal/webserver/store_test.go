@@ -343,7 +343,7 @@ func TestShardColumnsMatchCounts(t *testing.T) {
 		t.Errorf("accounts columns sum to %d, want %d bound", got, bound)
 	}
 
-	const wantSchema = "accepted rejected logins_full logins_resume degraded degraded_trips storage_errors nonce_evictions streams hb_clamped hb_rejected " +
+	const wantSchema = "accepted rejected logins_full logins_resume degraded degraded_trips storage_errors nonce_evictions streams " +
 		"sessions_shard00 sessions_shard01 sessions_shard02 sessions_shard03 sessions_shard04 sessions_shard05 sessions_shard06 sessions_shard07 " +
 		"sessions_shard08 sessions_shard09 sessions_shard10 sessions_shard11 sessions_shard12 sessions_shard13 sessions_shard14 sessions_shard15 " +
 		"accounts_shard00 accounts_shard01 accounts_shard02 accounts_shard03 accounts_shard04 accounts_shard05 accounts_shard06 accounts_shard07 " +

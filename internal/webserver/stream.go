@@ -29,17 +29,6 @@ import (
 // entropy lock is the one piece of global state the per-request path
 // still shared).
 
-// MaxHeartbeatSkew bounds how far past the connection's observed
-// session time a heartbeat may jump it forward. Forward time is the
-// client's prerogative on every transport (HTTP requests carry their
-// own "now" too), but a jump of this size would expire every live
-// nonce and ticket epoch at once, which no legitimate virtual clock
-// does — the connection dies with a typed malformed ack instead. The
-// bound applies only once the connection has observed a timestamp:
-// the first time signal on a fresh stream is accepted as-is, whatever
-// the device's clock says.
-const MaxHeartbeatSkew = 24 * time.Hour
-
 // streamConn is one live device stream, owned by its read loop: the
 // loop alone reads and writes rwc and moves seq and lastNow.
 type streamConn struct {
@@ -167,11 +156,11 @@ func (sc *streamConn) malformed(ft protocol.FrameType, payload []byte, cause err
 }
 
 // ServeStream runs the per-connection read loop until the peer
-// disconnects, misbehaves, or sends a bye frame. It returns nil on
-// clean teardown (bye or EOF between frames) and the fatal error
-// otherwise; either way the connection is closed on return. Callers
-// typically run it in a goroutine per accepted connection
-// (ServeStreamListener) — net.Pipe works just as well for tests.
+// disconnects or misbehaves. It returns nil on clean teardown (EOF
+// between frames) and the fatal error otherwise; either way the
+// connection is closed on return. Callers typically run it in a
+// goroutine per accepted connection (ServeStreamListener) — net.Pipe
+// works just as well for tests.
 func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 	defer rwc.Close()
 
@@ -241,35 +230,6 @@ func (s *Server) ServeStream(rwc io.ReadWriteCloser) error {
 			if err != nil {
 				return err
 			}
-		case protocol.FrameHeartbeat:
-			seq, now, err := protocol.DecodeHeartbeat(payload)
-			if err != nil {
-				return sc.malformed(ft, payload, err)
-			}
-			// Heartbeat time advances the session clock under a
-			// monotonicity contract (docs/protocol.md): backwards values
-			// are clamped — a faulted or malicious client must not move
-			// session time back past nonce/ticket expiry decisions — and
-			// a jump past MaxHeartbeatSkew kills the connection with a
-			// typed ack. The echo stays verbatim either way: it reports
-			// what the server heard, which is what lets the device detect
-			// in-flight tampering by comparing against what it sent.
-			switch {
-			case sc.lastNow > 0 && now > sc.lastNow+MaxHeartbeatSkew:
-				s.tel.hbRejected.Add(1)
-				err := fmt.Errorf("%w: heartbeat time %v jumps %v past session time %v", ErrMalformed, now, now-sc.lastNow, sc.lastNow)
-				_ = sc.reject(sc.out[:0], seq, err)
-				return err
-			case now < sc.lastNow:
-				s.tel.hbClamped.Add(1)
-			default:
-				sc.lastNow = now
-			}
-			if err := sc.flush(protocol.AppendHeartbeatFrame(sc.out[:0], seq, now), nil); err != nil {
-				return err
-			}
-		case protocol.FrameBye:
-			return nil
 		default:
 			return sc.malformed(ft, payload, errors.New("unexpected on a bound stream"))
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"trust/internal/protocol"
 )
@@ -27,7 +26,7 @@ func openStream(t *testing.T, r *rig, sess *protocol.Session) (io.ReadWriteClose
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := protocol.WriteFrame(c1, protocol.FrameHello, hp); err != nil {
+	if err := writeFrame(c1, protocol.FrameHello, hp); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := protocol.ReadFrame(c1)
@@ -49,6 +48,17 @@ func openStream(t *testing.T, r *rig, sess *protocol.Session) (io.ReadWriteClose
 		t.Fatalf("welcome rejected by client: %v", err)
 	}
 	return c1, w, exit
+}
+
+// writeFrame writes one frame carrying payload verbatim in a single
+// write.
+func writeFrame(w io.Writer, ft protocol.FrameType, payload []byte) error {
+	frame, err := protocol.AppendFrame(nil, ft, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
 }
 
 // expectAck reads one frame and asserts it is an ack with the given
@@ -157,7 +167,7 @@ func TestServeStreamHelloRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := protocol.WriteFrame(conn, protocol.FrameHello, hp); err != nil {
+		if err := writeFrame(conn, protocol.FrameHello, hp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +194,11 @@ func TestServeStreamHelloRejections(t *testing.T) {
 
 	// First frame is not a hello.
 	conn, exit = dial()
-	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 1, 0)); err != nil {
+	ack, err := protocol.AppendAckFrame(nil, 1, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(ack); err != nil {
 		t.Fatal(err)
 	}
 	expectAck(t, conn, "malformed")
@@ -279,7 +293,7 @@ func TestServeStreamReplayedHelloStallsButNeverAdvances(t *testing.T) {
 	hp, _ := protocol.EncodeBinary(hello)
 	c1, c2 := net.Pipe()
 	go r.server.ServeStream(c2)
-	if err := protocol.WriteFrame(c1, protocol.FrameHello, hp); err != nil {
+	if err := writeFrame(c1, protocol.FrameHello, hp); err != nil {
 		t.Fatal(err)
 	}
 	if ft, _, err := protocol.ReadFrame(c1); err != nil || ft != protocol.FrameWelcome {
@@ -306,26 +320,6 @@ func TestServeStreamReplayedHelloStallsButNeverAdvances(t *testing.T) {
 		t.Fatalf("stalled request advanced the session: %d -> %d", before, after)
 	}
 	c1.Close()
-}
-
-func TestServeStreamHeartbeatEcho(t *testing.T) {
-	r := newRig(t)
-	r.register(t, "acct")
-	sess, _ := r.login(t, "acct")
-	conn, _, _ := openStream(t, r, sess)
-	defer conn.Close()
-
-	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 9, 4*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := protocol.ReadFrame(conn)
-	if err != nil || ft != protocol.FrameHeartbeat {
-		t.Fatalf("echo: %s %v", ft, err)
-	}
-	seq, now, err := protocol.DecodeHeartbeat(payload)
-	if err != nil || seq != 9 || now != 4*time.Second {
-		t.Fatalf("echo payload %d %v %v", seq, now, err)
-	}
 }
 
 // TestServeStreamMidFrameCutTearsDownCleanly verifies a connection cut
@@ -369,22 +363,21 @@ func TestServeStreamMidFrameCutTearsDownCleanly(t *testing.T) {
 	}
 }
 
-// TestServeStreamByeCleanTeardown verifies the explicit teardown frame.
-func TestServeStreamByeCleanTeardown(t *testing.T) {
+// TestServeStreamCloseCleanTeardown verifies the stream's one
+// teardown: the device closes its connection between frames, and the
+// read loop returns nil and unregisters the stream.
+func TestServeStreamCloseCleanTeardown(t *testing.T) {
 	r := newRig(t)
 	r.register(t, "acct")
 	sess, _ := r.login(t, "acct")
 	conn, _, exit := openStream(t, r, sess)
-	if err := protocol.WriteFrame(conn, protocol.FrameBye, nil); err != nil {
-		t.Fatal(err)
-	}
+	conn.Close()
 	if err := <-exit; err != nil {
-		t.Fatalf("bye teardown: %v", err)
+		t.Fatalf("close teardown: %v", err)
 	}
 	if r.server.tel.streams.Load() != 0 {
-		t.Fatal("stream still registered after bye")
+		t.Fatal("stream still registered after close")
 	}
-	conn.Close()
 }
 
 // TestServeStreamWelcomeNonceMatchesChain pins the seed→chain binding:
@@ -412,114 +405,24 @@ func TestServeStreamWelcomeNonceMatchesChain(t *testing.T) {
 	}
 }
 
-// sendHeartbeat writes a heartbeat frame and reads back the server's
-// response frame raw, for tests that inspect echo vs ack behavior.
-func sendHeartbeat(t *testing.T, conn io.ReadWriteCloser, seq uint64, now time.Duration) (protocol.FrameType, []byte) {
-	t.Helper()
-	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, seq, now)); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := protocol.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("heartbeat response: %v", err)
-	}
-	return ft, payload
-}
-
-// expectHeartbeatEcho asserts the response to a heartbeat is a verbatim
-// echo of what the client sent.
-func expectHeartbeatEcho(t *testing.T, ft protocol.FrameType, payload []byte, seq uint64, now time.Duration) {
-	t.Helper()
-	if ft != protocol.FrameHeartbeat {
-		t.Fatalf("got %s frame, want heartbeat echo", ft)
-	}
-	gotSeq, gotNow, err := protocol.DecodeHeartbeat(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSeq != seq || gotNow != now {
-		t.Fatalf("echo %d/%v, want verbatim %d/%v", gotSeq, gotNow, seq, now)
-	}
-}
-
-// TestServeStreamHeartbeatBackwardsClamped drives session time to 4s,
-// then sends a heartbeat claiming 2s. The server must clamp — keep its
-// own lastNow at 4s, count the clamp — while still echoing the 2s value
-// verbatim so the client can detect on-the-wire tampering.
-func TestServeStreamHeartbeatBackwardsClamped(t *testing.T) {
-	r := newRig(t)
-	r.register(t, "acct")
-	sess, _ := r.login(t, "acct")
-	conn, _, exit := openStream(t, r, sess)
-	defer conn.Close()
-
-	ft, payload := sendHeartbeat(t, conn, 1, 4*time.Second)
-	expectHeartbeatEcho(t, ft, payload, 1, 4*time.Second)
-
-	// Backwards: clamped, echoed verbatim, connection stays up.
-	ft, payload = sendHeartbeat(t, conn, 2, 2*time.Second)
-	expectHeartbeatEcho(t, ft, payload, 2, 2*time.Second)
-	if got := metricValue(t, r.server, "hb_clamped"); got != 1 {
-		t.Fatalf("hb_clamped = %d, want 1", got)
-	}
-
-	// The clamp must not have dragged lastNow to 2s: a jump that is
-	// within MaxHeartbeatSkew of 2s but past it relative to 4s still
-	// kills the connection, proving session time held at 4s.
-	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 3, 4*time.Second+MaxHeartbeatSkew+time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if seq := expectAck(t, conn, "malformed"); seq != 3 {
-		t.Fatalf("rejection ack correlates to seq %d, want 3", seq)
-	}
-	if err := <-exit; !errors.Is(err, ErrMalformed) {
-		t.Fatalf("read loop exit = %v, want ErrMalformed", err)
-	}
-	if got := metricValue(t, r.server, "hb_rejected"); got != 1 {
-		t.Fatalf("hb_rejected = %d, want 1", got)
-	}
-}
-
-// TestServeStreamHeartbeatFirstTimestampUnbounded pins the skew bound's
-// scope: a hello-bound connection has observed no timestamp yet, so its
-// first heartbeat seeds session time as-is, however large.
-func TestServeStreamHeartbeatFirstTimestampUnbounded(t *testing.T) {
-	r := newRig(t)
-	r.register(t, "acct")
-	sess, _ := r.login(t, "acct")
-	conn, _, _ := openStream(t, r, sess)
-	defer conn.Close()
-
-	far := 400 * 24 * time.Hour
-	ft, payload := sendHeartbeat(t, conn, 1, far)
-	expectHeartbeatEcho(t, ft, payload, 1, far)
-	// And from there the bound is armed.
-	if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 2, far+MaxHeartbeatSkew+time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if seq := expectAck(t, conn, "malformed"); seq != 2 {
-		t.Fatalf("rejection ack correlates to seq %d, want 2", seq)
-	}
-}
-
 // TestServeStreamMalformedFrameAcksEchoSeq pins ack/sequence
 // correlation on the undecodable-frame paths: a payload that fails to
 // decode still leads with its 8-byte sequence, and the malformed ack
-// must echo it rather than a hardcoded zero. The retired policy-push
-// type (6) bears no sequence and is refused like any unknown type.
-// Each refusal counts one rejection.
+// must echo it rather than a hardcoded zero. The retired heartbeat (5)
+// and policy-push (6) types bear no sequence and are refused like any
+// unknown type. Each refusal counts one rejection.
 func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 	r := newRig(t)
 	r.register(t, "acct")
 	cases := []struct {
-		name string
-		ft   protocol.FrameType
-		seq  uint64
+		name      string
+		ft        protocol.FrameType
+		lead, seq uint64 // the sequence the payload leads with, the one the ack echoes
 	}{
-		{"touch-batch", protocol.FrameTouchBatch, 77},
-		{"resync", protocol.FrameResync, 88},
-		{"heartbeat", protocol.FrameHeartbeat, 99},
-		{"retired", protocol.FrameType(6), 0},
+		{"touch-batch", protocol.FrameTouchBatch, 77, 77},
+		{"resync", protocol.FrameResync, 88, 88},
+		{"heartbeat", protocol.FrameType(5), 99, 0},
+		{"retired", protocol.FrameType(6), 66, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,11 +432,11 @@ func TestServeStreamMalformedFrameAcksEchoSeq(t *testing.T) {
 			rejected := r.server.rejected.Load()
 			// A valid sequence prefix followed by garbage the decoder
 			// must reject (a bare seq is itself undecodable for the
-			// three known types: each payload carries required fields
-			// beyond it).
-			payload := binary.BigEndian.AppendUint64(nil, tc.seq)
+			// known types: each payload carries required fields beyond
+			// it).
+			payload := binary.BigEndian.AppendUint64(nil, tc.lead)
 			payload = append(payload, 0xde, 0xad)
-			if err := protocol.WriteFrame(conn, tc.ft, payload); err != nil {
+			if err := writeFrame(conn, tc.ft, payload); err != nil {
 				t.Fatal(err)
 			}
 			if seq := expectAck(t, conn, "malformed"); seq != tc.seq {
@@ -585,8 +488,8 @@ func TestServeStreamMalformedRequestClosesConnection(t *testing.T) {
 			t.Fatalf("resync=%v: malformed ack correlates to seq %d, want 4", resync, seq)
 		}
 		// A net.Pipe write blocks until the peer reads or closes: a
-		// server still serving reads this heartbeat, a closed one fails it.
-		if _, err := conn.Write(protocol.AppendHeartbeatFrame(nil, 5, r.now)); err == nil {
+		// server still serving reads this frame, a closed one fails it.
+		if err := writeFrame(conn, protocol.FrameResync, nil); err == nil {
 			conn.Close()
 			t.Fatalf("resync=%v: connection still open after the malformed ack", resync)
 		}
